@@ -13,10 +13,10 @@ the post-repair SLA delivery rate and the streamed stretch/hop
 statistics.
 
 The default run keeps ``verify_determinism=True``: every epoch's official
-statistics are re-derived under a different shard split and with the
-fused kernels disabled (``REPRO_KERNELS=0``) and must match **bit for
-bit** — the timeline's numbers do not depend on how the work was
-partitioned or which engine routed it.
+statistics are re-derived under a different shard split and through the
+scalar ``route()`` reference engine and must match **bit for bit** — the
+timeline's numbers do not depend on how the work was partitioned or which
+engine routed it.
 
 ``--quick`` shrinks the run for CI; ``--assert`` fails the process unless
 every post-repair epoch delivers 100% of reachable traffic, every epoch

@@ -83,20 +83,6 @@ def assert_all_delivered(rows, packets_key: str = "packets") -> None:
                for r in rows if "delivered" in r), "packet accounting mismatch"
 
 
-def numba_version() -> str:
-    """The importable numba version, or ``"absent"``.
-
-    Recorded in every bench meta block: a ``REPRO_JIT=1`` run where numba
-    is absent silently falls back to the numpy kernels, and the committed
-    numbers must say which path actually executed.
-    """
-    try:
-        import numba
-        return str(numba.__version__)
-    except Exception:
-        return "absent"
-
-
 def bench_meta(backend: Optional[str] = None,
                scoring: Optional[str] = None) -> Dict[str, object]:
     """Metadata block recorded in every bench payload.
@@ -118,8 +104,6 @@ def bench_meta(backend: Optional[str] = None,
         "spill_count": report["spill_count"],
         "spill_live_bytes": report.get("spill_live_bytes", 0),
         "spill_high_water_bytes": report.get("spill_high_water_bytes", 0),
-        "jit": os.environ.get("REPRO_JIT", "0") == "1",
-        "numba": numba_version(),
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
     }

@@ -2,10 +2,8 @@
 
 The environment this reproduction targets has no ``wheel`` package available
 (offline), so editable installs go through the legacy ``setup.py develop``
-path.  The only metadata that matters here is the optional-dependency
-groups: the core engines run on numpy/scipy alone, and ``repro[jit]`` adds
-numba for the optional ``REPRO_JIT=1`` fused-kernel path (import-guarded —
-its absence silently falls back to the pure-numpy kernels).
+path.  The core engines run on numpy/scipy alone; there are no optional
+dependency groups.
 """
 
 from setuptools import find_packages, setup
@@ -14,9 +12,4 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    extras_require={
-        # optional JIT acceleration of the fused lockstep kernels
-        # (repro.routing.kernels honours REPRO_JIT=1 only when importable)
-        "jit": ["numba"],
-    },
 )

@@ -1,120 +1,18 @@
-"""Guarded-numba kernels for the construction hot loops (``REPRO_JIT=1``).
+"""Array kernels for the construction hot loops.
 
-The same pattern as :mod:`repro.routing.kernels`, applied to preprocessing:
-the two remaining Python-rate inner loops of a large build are
-
-* the **ancestor closure** of :func:`~repro.construction.context.tree_from_predecessors`
-  — restricting a per-chunk SPT forest row to a member set walks every
-  member's parent chain; the numpy fallback advances a whole frontier per
-  iteration, the numba kernel walks each chain scalar-style with early exit
-  at the first already-kept node;
-* the **absorb / mark-touching** passes of the sparse-cover coarsening
-  (:func:`repro.covers.sparse_cover._coarsen_vectorized`) — per growth layer,
-  gather the member nodes of the freshly merged balls, dedupe them against
-  the cluster stamp, and stamp every pending ball that owns one of the new
-  nodes; the numba kernel fuses the three gathers into one pass over the CSR
-  rows.
-
-Both kernels are *set-identical* to their numpy fallbacks: the ancestor
-closure produces the same ``keep`` mask, and the fused absorb emits the same
-new-node **set** (discovery order instead of sorted order — downstream
-consumers are stamp arrays and Python sets, so every scheme output is
-bit-identical; the build-parity suite asserts it).
-
-``REPRO_JIT=1`` opts in; the import is guarded and any numba failure
-silently keeps the numpy fallbacks, so environments without numba (the
-default CI container) are unaffected.
+The **ancestor closure** of
+:func:`~repro.construction.context.tree_from_predecessors`: restricting a
+per-chunk SPT forest row to a member set keeps every member's parent chain.
+The closure advances a whole frontier of parent pointers per iteration, so
+the work is a handful of numpy gathers per tree level instead of a Python
+walk per member.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional
-
 import numpy as np
 
 
-def jit_requested() -> bool:
-    """Whether the environment asked for the numba construction kernels."""
-    return os.environ.get("REPRO_JIT", "") == "1"
-
-
-_JIT_STATE: Dict[str, object] = {"loaded": False, "closure": None,
-                                 "absorb": None}
-
-
-def _jit_kernels():
-    """(closure_kernel, absorb_kernel) or (None, None) when numba is unusable.
-
-    Compiled lazily on first use; any failure (missing package, compile
-    error) disables the JIT path for the process — the callers fall through
-    to the numpy implementations.
-    """
-    if not _JIT_STATE["loaded"]:
-        _JIT_STATE["loaded"] = True
-        try:  # pragma: no cover - numba is absent in the default container
-            import numba
-
-            _JIT_STATE["closure"] = numba.njit(cache=False, nogil=True)(
-                _ancestor_closure_py)
-            _JIT_STATE["absorb"] = numba.njit(cache=False, nogil=True)(
-                _absorb_mark_py)
-        except Exception:
-            _JIT_STATE["closure"] = None
-            _JIT_STATE["absorb"] = None
-    return _JIT_STATE["closure"], _JIT_STATE["absorb"]
-
-
-# --------------------------------------------------------------------- #
-# kernel sources (plain python; compiled by numba under REPRO_JIT=1)
-# --------------------------------------------------------------------- #
-def _ancestor_closure_py(members, parent, keep):
-    """Mark every ancestor of every member in ``keep`` (numba source).
-
-    Walks each member's parent chain until it meets a node already kept —
-    the suffix of that chain is shared with a previous walk, so total work
-    is O(kept nodes), the same as the frontier fallback.
-    """
-    for i in range(members.shape[0]):
-        v = members[i]
-        while v >= 0 and not keep[v]:
-            keep[v] = True
-            v = parent[v]
-    return keep
-
-
-def _absorb_mark_py(indptr, indices, owners_indptr, owners, merged_stamp,
-                    node_stamp, touch_stamp, positions, cid, scratch,
-                    mark):  # pragma: no cover - exercised via REPRO_JIT=1
-    """Fused coarsening layer: merge balls, collect new nodes, stamp owners.
-
-    For every not-yet-merged ball position, walks its CSR row once; nodes
-    unseen by cluster ``cid`` are appended to ``scratch`` (discovery order)
-    and — when ``mark`` is set — their owning balls are stamped as touching
-    the cluster.  Returns the number of new nodes written to ``scratch``.
-    """
-    count = 0
-    for i in range(positions.shape[0]):
-        c = positions[i]
-        if merged_stamp[c] == cid:
-            continue
-        merged_stamp[c] = cid
-        for p in range(indptr[c], indptr[c + 1]):
-            v = indices[p]
-            if node_stamp[v] == cid:
-                continue
-            node_stamp[v] = cid
-            scratch[count] = v
-            count += 1
-            if mark:
-                for q in range(owners_indptr[v], owners_indptr[v + 1]):
-                    touch_stamp[owners[q]] = cid
-    return count
-
-
-# --------------------------------------------------------------------- #
-# dispatchers (numpy fallback is the always-available reference)
-# --------------------------------------------------------------------- #
 def ancestor_closure(members: np.ndarray, parent: np.ndarray,
                      keep: np.ndarray) -> np.ndarray:
     """Mark the ancestor closure of ``members`` in ``keep`` (in place).
@@ -122,12 +20,6 @@ def ancestor_closure(members: np.ndarray, parent: np.ndarray,
     ``parent`` maps node -> predecessor (-1 at roots); ``keep`` may already
     hold nodes (chains stop there).  Returns ``keep``.
     """
-    if jit_requested():
-        kernel = _jit_kernels()[0]
-        if kernel is not None:
-            kernel(np.ascontiguousarray(members, dtype=np.int64),
-                   np.ascontiguousarray(parent, dtype=np.int64), keep)
-            return keep
     frontier = np.asarray(members, dtype=np.int64)
     while frontier.size:
         fresh = frontier[~keep[frontier]]
@@ -137,10 +29,3 @@ def ancestor_closure(members: np.ndarray, parent: np.ndarray,
         parents = parent[fresh]
         frontier = np.unique(parents[parents >= 0])
     return keep
-
-
-def absorb_kernel():
-    """The compiled fused absorb/mark kernel, or ``None`` (numpy path)."""
-    if not jit_requested():
-        return None
-    return _jit_kernels()[1]

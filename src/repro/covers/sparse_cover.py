@@ -33,7 +33,6 @@ by the build-parity tests).
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
@@ -41,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.construction.context import BuildContext, scalar_build_mode
-from repro.construction.kernels import absorb_kernel
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.utils.validation import require
@@ -213,13 +211,6 @@ def _coarsen_vectorized(n: int, k: int, rho: float, universe: np.ndarray,
     home: Dict[int, int] = {}
     remaining_count = num
 
-    # REPRO_JIT=1 fuses the absorb/mark gathers into one compiled CSR pass;
-    # it emits the same new-node *set* in discovery order — every consumer
-    # is a stamp array or a Python set, so the clusters are identical
-    fused = absorb_kernel()
-    scratch = np.empty(n, dtype=np.int64) if fused is not None else None
-    flat_indices = np.asarray(indices)   # plain view (indices may be a memmap)
-
     def absorb(cid: int, positions: np.ndarray,
                members_out: List[np.ndarray], mark: bool = False) -> np.ndarray:
         """Merge the balls of ``positions`` into cluster ``cid``.
@@ -229,14 +220,6 @@ def _coarsen_vectorized(n: int, k: int, rho: float, universe: np.ndarray,
         balls of every new node are stamped as touching the cluster (the
         growth layers need it; the final absorb does not).
         """
-        if fused is not None:
-            count = fused(indptr, flat_indices, owners_indptr, owners,
-                          merged_stamp, node_stamp, touch_stamp,
-                          np.ascontiguousarray(positions, dtype=np.int64),
-                          cid, scratch, mark)
-            new_nodes = scratch[:count].copy()
-            members_out.append(new_nodes)
-            return new_nodes
         fresh_balls = positions[merged_stamp[positions] != cid]
         if fresh_balls.size == 0:
             return np.zeros(0, dtype=np.int64)

@@ -30,16 +30,15 @@ statement about the scheme, not about the scenario's partition schedule.
 
 Every per-epoch statistic is mergeable and partition-independent (PR 5's
 stats layer); ``verify_determinism=True`` re-runs each epoch's traffic
-across a different shard split and with the fused kernels disabled and
-requires the official summaries to be **bit-identical** — the claim the
-E19 bench commits to.
+across a different shard split and through the scalar ``route()`` reference
+engine and requires the official summaries to be **bit-identical** — the
+claim the E19 bench commits to.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -127,7 +126,7 @@ class EpochRecord:
     recompile_seconds: float
     report: TrafficReport
     #: True when this epoch's official stats were re-derived under a
-    #: different shard split and with the fused kernels disabled and
+    #: different shard split and through the scalar reference engine and
     #: matched bit for bit
     determinism_checked: bool = False
 
@@ -264,9 +263,9 @@ class LiveSimulator:
         ``"maintain"`` (scheme-incremental where available) or ``"full"``.
     verify_determinism:
         Re-run every epoch's traffic under a different shard split and
-        with the fused kernels disabled, requiring bit-identical official
-        summaries (this re-routes each epoch twice more — honest but not
-        free).
+        through the scalar ``route()`` reference engine, requiring
+        bit-identical official summaries (this re-routes each epoch twice
+        more — honest but not free).
     """
 
     def __init__(self, scheme: RoutingSchemeInstance,
@@ -428,10 +427,11 @@ class LiveSimulator:
 
     # -- traffic epochs ---------------------------------------------------- #
     def _traffic_once(self, model, scorer, *, shards: int,
-                      processes: Optional[bool], service: bool) -> TrafficReport:
+                      processes: Optional[bool], service: bool,
+                      engine: Optional[str] = None) -> TrafficReport:
         return run_traffic(
             self.scheme, model, self.epoch_packets, shards=shards,
-            batch_size=self.batch_size, engine=self.engine,
+            batch_size=self.batch_size, engine=engine or self.engine,
             oracle=self.oracle, processes=processes, service=service,
             epoch_batches=self.epoch_batches,
             scoring=scorer if scorer is not None else "exact")
@@ -457,9 +457,10 @@ class LiveSimulator:
         """Re-derive the epoch summary two independent ways; require identity.
 
         (a) a different shard split in plain batch mode — partition and
-        service-loop independence; (b) the legacy (non-fused) engine via
-        ``REPRO_KERNELS=0`` — kernel independence.  Scoring is pure in
-        ``(seed, batch_index)``, so the scorer can be reused.
+        service-loop independence; (b) the scalar ``route()`` reference
+        engine — the compiled program and its kernels agree with the
+        protocol.  Scoring is pure in ``(seed, batch_index)``, so the scorer
+        can be reused.
         """
         official = report.summary(include_p2=False)
         other_shards = 2 if self.shards == 1 else 1
@@ -468,17 +469,9 @@ class LiveSimulator:
         require(_summaries_identical(official,
                                      resharded.summary(include_p2=False)),
                 f"epoch {epoch}: official stats changed across shard counts")
-        previous = os.environ.get("REPRO_KERNELS")
-        os.environ["REPRO_KERNELS"] = "0"
-        try:
-            legacy = self._traffic_once(model, scorer, shards=1,
-                                        processes=False, service=True)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = previous
+        scalar = self._traffic_once(model, scorer, shards=1, processes=False,
+                                    service=True, engine="scalar")
         require(_summaries_identical(official,
-                                     legacy.summary(include_p2=False)),
-                f"epoch {epoch}: official stats changed with fused kernels "
-                "disabled")
+                                     scalar.summary(include_p2=False)),
+                f"epoch {epoch}: official stats changed under the scalar "
+                "reference engine")

@@ -11,9 +11,9 @@ over the compiled tables instead of per-packet Python dispatch.
 Building blocks:
 
 * :class:`TreeBank` — every tree a scheme can route on, concatenated into flat
-  slot arrays (``slot = tree offset + DFS-in number``).  One ``searchsorted``
-  resolves the next hop of every tree-walking packet at once; another resolves
-  dynamic ``(tree, node) -> slot`` entry.
+  slot arrays (``slot = tree offset + DFS-in number``, with parent slots and
+  DFS-out intervals).  One ``searchsorted`` resolves dynamic
+  ``(tree, node) -> slot`` entry for a whole batch.
 * :class:`NextHopTable` — per-(node, destination) next hops as one sorted key
   array (``key = node * n + dest``); hop-by-hop table phases (shortest-path
   tables, Cowen cluster routing) cost one ``searchsorted`` per step for the
@@ -22,8 +22,8 @@ Building blocks:
   (source, destination) request into a short list of **legs** (tree walks /
   table phases) plus result metadata.  Planning mirrors the scalar control
   flow exactly (which trees are searched, where dictionaries report misses)
-  but never walks; the lockstep engine then executes all legs with one array
-  step per hop.
+  but never walks; :func:`run_lockstep` then executes all legs through the
+  fused cohort kernels of :mod:`repro.routing.kernels`.
 * :class:`MemoizedScalarProgram` — the generic fallback for schemes without a
   compiled form: scalar ``route()`` results are memoized per (source,
   destination) and replayed through the same engine as literal walks.
@@ -39,8 +39,6 @@ scalar one.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +46,7 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.trees import Tree
+from repro.routing.kernels import run_fused
 from repro.routing.messages import RouteResult
 from repro.storage import persist_array
 from repro.utils.validation import require
@@ -56,13 +55,6 @@ from repro.utils.validation import require
 LEG_TREE = 0
 LEG_TABLE = 1
 LEG_LITERAL = 2
-
-#: per-packet execution modes
-_MODE_ENTRY = 0
-_MODE_TREE = 1
-_MODE_TABLE = 2
-_MODE_LITERAL = 3
-_MODE_DONE = 4
 
 
 def tree_leg(tree_id: int, target: int, strategy: Optional[str] = None,
@@ -169,10 +161,11 @@ class TreeBank:
     """All trees of one scheme as flat structure-of-arrays slot tables.
 
     Slots are assigned as ``offset(tree) + dfs_in(node)``, so a tree node's
-    slot doubles as its interval-routing label.  The two queries the engine
-    needs — "which slot does graph node ``v`` occupy in tree ``t``" and "what
-    is the next slot on the unique tree path toward slot ``g``" — are one
-    ``searchsorted`` each over the whole packet batch.
+    slot doubles as its interval-routing label.  "Which slot does graph node
+    ``v`` occupy in tree ``t``" is one ``searchsorted`` (or one gather from
+    the dense membership matrix) over the whole packet batch; the fused tree
+    kernel walks toward a target slot with ``parent_slot`` gathers and the
+    ``dfs_out`` interval test.
     """
 
     #: memory budget for the dense ``(tree, node) -> slot`` membership
@@ -212,7 +205,7 @@ class TreeBank:
         Per-tree slot arrays come from the :class:`_TreeSlots` cache, so only
         trees never compiled before (or rebuilt by churn repair) pay the
         Python pass over their nodes; the global assembly below is vectorized
-        offset arithmetic plus two sorts.
+        offset arithmetic plus one sort of the membership keys.
         """
         if self._frozen:
             return self
@@ -222,13 +215,10 @@ class TreeBank:
         self.offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])) if self._trees \
             else np.zeros(0, dtype=np.int64)
         total = int(sizes.sum()) if self._trees else 0
-        self._stride = int(sizes.max()) + 1 if self._trees else 1
 
         node_parts: List[np.ndarray] = []
         dfs_out_parts: List[np.ndarray] = []
         parent_parts: List[np.ndarray] = []
-        child_key_parts: List[np.ndarray] = []
-        child_slot_parts: List[np.ndarray] = []
         member_key_parts: List[np.ndarray] = []
         member_slot_parts: List[np.ndarray] = []
         for tree_id, tree in enumerate(self._trees):
@@ -238,10 +228,6 @@ class TreeBank:
             dfs_out_parts.append(slots.dfs_out)
             parent_parts.append(np.where(slots.parent_local >= 0,
                                          slots.parent_local + off, -1))
-            children = np.flatnonzero(slots.parent_local >= 0)
-            child_key_parts.append(
-                (slots.parent_local[children] + off) * self._stride + children)
-            child_slot_parts.append(children + off)
             member_key_parts.append(tree_id * self.n + slots.node_of_slot)
             member_slot_parts.append(np.arange(off, off + slots.size, dtype=np.int64))
 
@@ -255,11 +241,6 @@ class TreeBank:
         self.dfs_out = persist_array(cat(dfs_out_parts))       # tree-local
         self.parent_slot = persist_array(cat(parent_parts))
         require(self.node_of_slot.size == total, "tree slot assembly mismatch")
-
-        keys = cat(child_key_parts)
-        order = np.argsort(keys, kind="stable")
-        self._child_keys = persist_array(keys[order])
-        self._child_slots = persist_array(cat(child_slot_parts)[order])
 
         mkeys = cat(member_key_parts)
         morder = np.argsort(mkeys, kind="stable")
@@ -335,43 +316,6 @@ class TreeBank:
     def slot_of(self, tree_id: int, node: int) -> int:
         """Scalar convenience wrapper of :meth:`slots_of`."""
         return int(self.slots_of(np.asarray([tree_id]), np.asarray([node]))[0])
-
-    def step_toward(self, cur_slot: np.ndarray, tgt_slot: np.ndarray,
-                    off: np.ndarray) -> np.ndarray:
-        """Next slot on the unique tree path from ``cur_slot`` toward ``tgt_slot``.
-
-        ``off`` is the tree offset of each packet's current tree; all three
-        arrays are parallel.  Moving up is a parent gather; moving down finds
-        the child whose DFS interval contains the target with one
-        ``searchsorted`` over the concatenated child-key array.
-        """
-        cur_local = cur_slot - off
-        tgt_local = tgt_slot - off
-        down = (cur_local <= tgt_local) & (tgt_local <= self.dfs_out[cur_slot])
-        nxt = np.empty_like(cur_slot)
-        up = ~down
-        if up.any():
-            parents = self.parent_slot[cur_slot[up]]
-            if (parents < 0).any():
-                raise RuntimeError(
-                    "lockstep tree walk stepped above a root: target label is "
-                    "outside the packet's current tree")
-            nxt[up] = parents
-        if down.any():
-            cur_down = cur_slot[down]
-            keys = cur_down * self._stride + tgt_local[down]
-            pos = np.searchsorted(self._child_keys, keys, side="right") - 1
-            pos_c = np.maximum(pos, 0)
-            child = self._child_slots[pos_c]
-            ok = ((pos >= 0)
-                  & (self._child_keys[pos_c] // self._stride == cur_down)
-                  & (tgt_local[down] <= self.dfs_out[child]))
-            if not ok.all():
-                raise RuntimeError(
-                    "inconsistent DFS intervals in the compiled tree bank: "
-                    "target inside a node's interval but no child matches")
-            nxt[down] = child
-        return nxt
 
 
 class NextHopTable:
@@ -668,7 +612,7 @@ class DenseNextHopTable:
 class _SortedTableView:
     """Per-batch cached lookup view of a :class:`NextHopTable`."""
 
-    __slots__ = ("_keys", "_next", "n", "_col_rank", "_cols", "jit_flat")
+    __slots__ = ("_keys", "_next", "n", "_col_rank", "_cols")
 
     def __init__(self, keys: np.ndarray, next_hops: np.ndarray, n: int,
                  col_rank: Optional[np.ndarray] = None,
@@ -678,7 +622,6 @@ class _SortedTableView:
         self.n = n
         self._col_rank = col_rank if cols is not None and cols.size else None
         self._cols = cols if cols is not None and cols.size else None
-        self.jit_flat = None   # sorted tables use the numpy cohort kernel
 
     def _sorted_lookup(self, nodes: np.ndarray,
                        destinations: np.ndarray) -> np.ndarray:
@@ -716,14 +659,11 @@ class _SortedTableView:
 class _DenseTableView:
     """Per-batch cached lookup view of a :class:`DenseNextHopTable`."""
 
-    __slots__ = ("_flat", "n", "jit_flat")
+    __slots__ = ("_flat", "n")
 
     def __init__(self, matrix: np.ndarray, n: int) -> None:
-        flat = matrix.ravel()          # C-contiguous: a view, not a copy
-        self._flat = flat
+        self._flat = matrix.ravel()    # C-contiguous: a view, not a copy
         self.n = n
-        #: raveled matrix handed to the optional numba kernel
-        self.jit_flat = flat
 
     def lookup(self, nodes: np.ndarray, destinations: np.ndarray) -> np.ndarray:
         """Batch lookup identical to :meth:`DenseNextHopTable.lookup`."""
@@ -856,31 +796,25 @@ class LockstepOutcome:
 def run_lockstep(program: ForwardingProgram, sources: Sequence[int],
                  destinations: Sequence[int],
                  materialize: bool = True,
-                 kernels: Optional[bool] = None,
                  timings: Optional[Dict[str, float]] = None) -> LockstepOutcome:
     """Advance a whole batch of packets over the compiled tables.
 
-    By default the batch runs through the **fused cohort kernels**
+    The batch runs through the **fused cohort kernels**
     (:mod:`repro.routing.kernels`): packets are bucketed by leg kind and each
     cohort advances to leg completion per kernel call, with vectorized batch
-    planning for schemes that provide one.  ``kernels=False`` (or the env
-    kill-switch ``REPRO_KERNELS=0``) selects the legacy one-hop-per-step
-    engine below; both produce bit-identical walks, hop records and outcome
-    metadata (asserted by ``tests/test_lockstep_engine.py``).
+    planning for schemes that provide one.  Walks, hop records and outcome
+    metadata match the scalar ``route()`` reference (asserted by
+    ``tests/test_lockstep_engine.py``).
 
     Hop caps mirror the scalar loops (``2m + 1`` per tree leg, ``n + 1`` per
-    table phase) under either engine.  With ``materialize=False`` the
-    per-packet ``RouteResult`` objects (Python path lists) are skipped and
-    only the outcome arrays are returned — the batch-evaluation fast path.
-    ``timings``, when given, accumulates wall seconds under ``"plan"`` and
-    ``"step"``.
+    table phase).  With ``materialize=False`` the per-packet ``RouteResult``
+    objects (Python path lists) are skipped and only the outcome arrays are
+    returned — the batch-evaluation fast path.  ``timings``, when given,
+    accumulates wall seconds under ``"plan"`` and ``"step"``.
     """
-    graph = program.graph
-    bank = program.bank
-    n = graph.n
     # array-native inputs pass through without a Python-list round trip —
     # traffic batches arrive as ndarrays tens of thousands of packets long;
-    # other sequences (lists, tuples, generators) are materialized as before
+    # other sequences (lists, tuples, generators) are materialized first
     if not isinstance(sources, np.ndarray):
         sources = list(sources)
     if not isinstance(destinations, np.ndarray):
@@ -888,286 +822,5 @@ def run_lockstep(program: ForwardingProgram, sources: Sequence[int],
     src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     dst = np.atleast_1d(np.asarray(destinations, dtype=np.int64))
     require(src.shape == dst.shape, "sources and destinations must have equal length")
-    if kernels is None:
-        kernels = os.environ.get("REPRO_KERNELS", "1") != "0"
-    if kernels:
-        from repro.routing.kernels import run_fused
-
-        return run_fused(program, src, dst, materialize=materialize,
-                         timings=timings)
-    t_plan = time.perf_counter() if timings is not None else 0.0
-    num = int(src.size)
-    plans = [program.plan(u, v) for u, v in zip(src.tolist(), dst.tolist())]
-
-    # ---------------------------------------------------------------- #
-    # flatten the per-packet plans into leg arrays
-    # ---------------------------------------------------------------- #
-    strategy_code: Dict[str, int] = {}
-    strategy_names: List[str] = []
-
-    def code_of(strategy: Optional[str]) -> int:
-        if strategy is None:
-            return -1
-        found = strategy_code.get(strategy)
-        if found is None:
-            found = len(strategy_names)
-            strategy_code[strategy] = found
-            strategy_names.append(strategy)
-        return found
-
-    leg_kind_l: List[int] = []
-    leg_a_l: List[int] = []       # tree id / table id / literal lo
-    leg_b_l: List[int] = []       # target slot / -1 / literal hi
-    leg_strategy_l: List[int] = []
-    leg_phases_l: List[int] = []
-    leg_terminal_l: List[bool] = []
-    literal_nodes_l: List[int] = []
-    tree_positions: List[int] = []
-    tree_ids_l: List[int] = []
-    tree_targets_l: List[int] = []
-
-    leg_lo = np.zeros(num, dtype=np.int64)
-    leg_hi = np.zeros(num, dtype=np.int64)
-    out_strategy = np.full(num, -1, dtype=np.int64)
-    out_phases = np.zeros(num, dtype=np.int64)
-    found_override = np.full(num, -1, dtype=np.int8)
-    cost_override = np.full(num, np.nan)
-    header_bits = np.full(num, program.header_bits, dtype=np.int64)
-    notes_of: List[Optional[dict]] = [None] * num
-
-    for p, plan in enumerate(plans):
-        leg_lo[p] = len(leg_kind_l)
-        for kind, a, b, strategy, phases, terminal in plan.legs:
-            position = len(leg_kind_l)
-            leg_kind_l.append(kind)
-            if kind == LEG_TREE:
-                leg_a_l.append(a)
-                leg_b_l.append(-1)   # patched to the target slot below
-                tree_positions.append(position)
-                tree_ids_l.append(a)
-                tree_targets_l.append(b)
-            elif kind == LEG_TABLE:
-                leg_a_l.append(a)
-                leg_b_l.append(-1)
-            else:  # LEG_LITERAL: ``a`` is the hop list
-                leg_a_l.append(len(literal_nodes_l))
-                literal_nodes_l.extend(a)
-                leg_b_l.append(len(literal_nodes_l))
-            leg_strategy_l.append(code_of(strategy))
-            leg_phases_l.append(phases)
-            leg_terminal_l.append(terminal)
-        leg_hi[p] = len(leg_kind_l)
-        out_strategy[p] = code_of(plan.final_strategy)
-        out_phases[p] = plan.final_phases
-        if plan.found_override is not None:
-            found_override[p] = int(bool(plan.found_override))
-        if plan.cost_override is not None:
-            cost_override[p] = float(plan.cost_override)
-        if plan.header_override is not None:
-            header_bits[p] = int(plan.header_override)
-        notes_of[p] = plan.notes
-
-    leg_kind = np.asarray(leg_kind_l, dtype=np.int8)
-    leg_a = np.asarray(leg_a_l, dtype=np.int64)
-    leg_b = np.asarray(leg_b_l, dtype=np.int64)
-    leg_strategy = np.asarray(leg_strategy_l, dtype=np.int64)
-    leg_phases = np.asarray(leg_phases_l, dtype=np.int64)
-    leg_terminal = np.asarray(leg_terminal_l, dtype=bool)
-    literal_nodes = np.asarray(literal_nodes_l, dtype=np.int64)
-
-    if tree_positions:
-        slots = bank.slots_of(np.asarray(tree_ids_l, dtype=np.int64),
-                              np.asarray(tree_targets_l, dtype=np.int64))
-        if (slots < 0).any():
-            raise RuntimeError(
-                "compiled plan targets a node outside its tree (planner bug)")
-        leg_b[np.asarray(tree_positions, dtype=np.int64)] = slots
-
-    # ---------------------------------------------------------------- #
-    # lockstep execution
-    # ---------------------------------------------------------------- #
-    if timings is not None:
-        t_step = time.perf_counter()
-        timings["plan"] = timings.get("plan", 0.0) + (t_step - t_plan)
-    # per-batch table views: composite keys / row views staged once, not per step
-    table_views = [table.batch_view(dst) for table in program.tables]
-    mode = np.zeros(num, dtype=np.int8)            # everyone starts at ENTRY
-    leg_ptr = leg_lo.copy()
-    node = src.copy()
-    cur_slot = np.zeros(num, dtype=np.int64)
-    tgt_slot = np.zeros(num, dtype=np.int64)
-    tree_off = np.zeros(num, dtype=np.int64)
-    budget = np.zeros(num, dtype=np.int64)
-    table_of = np.zeros(num, dtype=np.int64)
-    lit_pos = np.zeros(num, dtype=np.int64)
-    lit_end = np.zeros(num, dtype=np.int64)
-
-    hop_idx_parts: List[np.ndarray] = []
-    hop_head_parts: List[np.ndarray] = []
-    hop_tail_parts: List[np.ndarray] = []
-
-    def record(idx: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
-        hop_idx_parts.append(idx)
-        hop_head_parts.append(heads)
-        hop_tail_parts.append(tails)
-
-    def finalize_with_leg(idx: np.ndarray, legs: np.ndarray) -> None:
-        out_strategy[idx] = leg_strategy[legs]
-        out_phases[idx] = leg_phases[legs]
-        mode[idx] = _MODE_DONE
-
-    def complete_leg(idx: np.ndarray) -> None:
-        """A leg just reached its target: finalize if terminal, else advance."""
-        if idx.size == 0:
-            return
-        legs = leg_ptr[idx]
-        terminal = leg_terminal[legs]
-        finalize_with_leg(idx[terminal], legs[terminal])
-        advancing = idx[~terminal]
-        leg_ptr[advancing] += 1
-        mode[advancing] = _MODE_ENTRY
-
-    def resolve_entries() -> None:
-        """Move ENTRY packets into their next leg (or finalize on exhaustion)."""
-        while True:
-            idx = np.flatnonzero(mode == _MODE_ENTRY)
-            if idx.size == 0:
-                return
-            exhausted = leg_ptr[idx] >= leg_hi[idx]
-            mode[idx[exhausted]] = _MODE_DONE  # final metadata already staged
-            idx = idx[~exhausted]
-            if idx.size == 0:
-                continue
-            legs = leg_ptr[idx]
-            kinds = leg_kind[legs]
-
-            tree_sel = kinds == LEG_TREE
-            if tree_sel.any():
-                t_idx = idx[tree_sel]
-                t_leg = legs[tree_sel]
-                slots = bank.slots_of(leg_a[t_leg], node[t_idx])
-                miss = slots < 0
-                leg_ptr[t_idx[miss]] += 1         # current node outside tree: skip
-                t_idx, t_leg, slots = t_idx[~miss], t_leg[~miss], slots[~miss]
-                targets = leg_b[t_leg]
-                arrived = slots == targets
-                complete_leg(t_idx[arrived])
-                going = ~arrived
-                g_idx, g_leg = t_idx[going], t_leg[going]
-                mode[g_idx] = _MODE_TREE
-                cur_slot[g_idx] = slots[going]
-                tgt_slot[g_idx] = targets[going]
-                trees = leg_a[g_leg]
-                tree_off[g_idx] = bank.offsets[trees]
-                budget[g_idx] = 2 * bank.sizes[trees] + 1
-
-            table_sel = kinds == LEG_TABLE
-            if table_sel.any():
-                b_idx = idx[table_sel]
-                mode[b_idx] = _MODE_TABLE
-                table_of[b_idx] = leg_a[legs[table_sel]]
-                budget[b_idx] = n + 1
-
-            literal_sel = kinds == LEG_LITERAL
-            if literal_sel.any():
-                l_idx = idx[literal_sel]
-                l_leg = legs[literal_sel]
-                empty = leg_a[l_leg] == leg_b[l_leg]
-                complete_leg(l_idx[empty])
-                l_idx, l_leg = l_idx[~empty], l_leg[~empty]
-                mode[l_idx] = _MODE_LITERAL
-                lit_pos[l_idx] = leg_a[l_leg]
-                lit_end[l_idx] = leg_b[l_leg]
-
-    while True:
-        resolve_entries()
-        if not (mode != _MODE_DONE).any():
-            break
-
-        walking = np.flatnonzero(mode == _MODE_TREE)
-        if walking.size:
-            nxt = bank.step_toward(cur_slot[walking], tgt_slot[walking],
-                                   tree_off[walking])
-            tails = bank.node_of_slot[nxt]
-            record(walking, node[walking].copy(), tails)
-            node[walking] = tails
-            cur_slot[walking] = nxt
-            budget[walking] -= 1
-            if (budget[walking] < 0).any():
-                raise RuntimeError("lockstep tree walk did not terminate")
-            complete_leg(walking[nxt == tgt_slot[walking]])
-
-        tabling = np.flatnonzero(mode == _MODE_TABLE)
-        if tabling.size:
-            capped = budget[tabling] <= 0
-            over = tabling[capped]
-            leg_ptr[over] += 1                    # hop cap: same as the scalar loop end
-            mode[over] = _MODE_ENTRY
-            tabling = tabling[~capped]
-            for table_id in np.unique(table_of[tabling]) if tabling.size else ():
-                sel = tabling[table_of[tabling] == table_id]
-                nxt = table_views[int(table_id)].lookup(node[sel], dst[sel])
-                miss = nxt < 0
-                missed = sel[miss]
-                leg_ptr[missed] += 1
-                mode[missed] = _MODE_ENTRY
-                moving, hops = sel[~miss], nxt[~miss]
-                if moving.size:
-                    record(moving, node[moving].copy(), hops)
-                    node[moving] = hops
-                    budget[moving] -= 1
-                    reached = moving[node[moving] == dst[moving]]
-                    finalize_with_leg(reached, leg_ptr[reached])
-
-        replaying = np.flatnonzero(mode == _MODE_LITERAL)
-        if replaying.size:
-            tails = literal_nodes[lit_pos[replaying]]
-            record(replaying, node[replaying].copy(), tails)
-            node[replaying] = tails
-            lit_pos[replaying] += 1
-            complete_leg(replaying[lit_pos[replaying] >= lit_end[replaying]])
-
-    # ---------------------------------------------------------------- #
-    # assemble results (packet-major, chronological hop order)
-    # ---------------------------------------------------------------- #
-    if hop_idx_parts:
-        all_idx = np.concatenate(hop_idx_parts)
-        all_heads = np.concatenate(hop_head_parts)
-        all_tails = np.concatenate(hop_tail_parts)
-        order = np.argsort(all_idx, kind="stable")
-        hop_index = all_idx[order]
-        hop_heads = all_heads[order]
-        hop_tails = all_tails[order]
-    else:
-        hop_index = np.zeros(0, dtype=np.int64)
-        hop_heads = np.zeros(0, dtype=np.int64)
-        hop_tails = np.zeros(0, dtype=np.int64)
-
-    found = np.where(found_override >= 0, found_override.astype(bool), node == dst)
-
-    results: Optional[List[RouteResult]] = None
-    if materialize:
-        counts = np.bincount(hop_index, minlength=num) if num \
-            else np.zeros(0, dtype=np.int64)
-        groups = np.split(hop_tails, np.cumsum(counts)[:-1]) if num else []
-        results = []
-        for p in range(num):
-            path = [int(src[p])] + groups[p].tolist()
-            result = RouteResult(
-                found=bool(found[p]),
-                path=path,
-                cost=0.0,
-                phases_used=int(out_phases[p]),
-                strategy=strategy_names[out_strategy[p]] if out_strategy[p] >= 0 else "",
-                max_header_bits=int(header_bits[p]),
-            )
-            if notes_of[p]:
-                result.notes = dict(notes_of[p])
-            results.append(result)
-    if timings is not None:
-        timings["step"] = timings.get("step", 0.0) + (time.perf_counter() - t_step)
-    return LockstepOutcome(
-        results=results, hop_index=hop_index, hop_heads=hop_heads,
-        hop_tails=hop_tails, cost_override=cost_override, found=found,
-        final_nodes=node, phases=out_phases, strategy_codes=out_strategy,
-        strategy_names=strategy_names, header_bits=header_bits, notes=notes_of)
+    return run_fused(program, src, dst, materialize=materialize,
+                     timings=timings)

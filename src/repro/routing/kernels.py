@@ -1,17 +1,13 @@
-"""Fused per-program hop kernels for the lockstep forwarding engine.
+"""Fused per-program hop kernels: the executor behind ``run_lockstep``.
 
-The original ``run_lockstep`` loop advances *all* packets one generic "leg
-step" per Python iteration: every iteration re-classifies every live packet
-by mode, re-selects per-table subsets and pays the full dispatch overhead
-even when a packet has dozens of identical table hops ahead of it.  This
-module restructures that hot path around **cohorts**: packets are grouped by
-the *kind* of leg they are about to execute (tree walk / table phase /
-literal replay) and each cohort is driven to **leg completion** in one fused
-kernel call —
+Packets are grouped into **cohorts** by the *kind* of leg they are about to
+execute (tree walk / table phase / literal replay) and each cohort is driven
+to **leg completion** in one kernel call, instead of advancing every live
+packet one generic step per Python iteration:
 
-* tree cohorts walk DFS-interval slots with batched ``searchsorted`` until
-  every member reaches its leg target (members leave the cohort as they
-  arrive, so later iterations shrink);
+* tree cohorts climb with vectorized parent gathers and descend along
+  memoized per-target root paths (members leave the cohort as they arrive,
+  so later iterations shrink);
 * table cohorts resolve whole multi-hop runs against a per-batch
   :class:`~repro.routing.forwarding.NextHopTable` /
   :class:`~repro.routing.forwarding.DenseNextHopTable` **batch view** (the
@@ -22,21 +18,16 @@ kernel call —
 
 Leg transitions happen by re-bucketing the advancing packets into the next
 round's cohorts instead of per-packet mode branching.  The walks produced
-are **bit-identical** to the legacy engine's: hop caps (``2m + 1`` per tree
-leg, ``n + 1`` per table phase), miss/skip semantics and the final
-packet-major chronological hop order are all preserved (each packet's legs
-execute in strictly increasing rounds, so the closing stable argsort yields
-exactly the legacy order).
-
-``REPRO_JIT=1`` additionally routes the two innermost kernels (tree-slot
-walks and dense-table runs) through numba when it is importable; the numpy
-cohort path is the always-available fallback and the import is guarded, so
-environments without numba (CI containers) silently keep the numpy kernels.
+are identical, node for node, to the scalar ``route()`` reference: hop caps
+(``2m + 1`` per tree leg, ``n + 1`` per table phase), miss/skip semantics
+and the final packet-major chronological hop order are all preserved (each
+packet's legs execute in strictly increasing rounds, so the closing stable
+argsort yields every packet's hops in walk order).
 """
 
 from __future__ import annotations
 
-import os
+import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -53,170 +44,14 @@ PATH_CACHE_CAP = 1 << 16
 
 
 # --------------------------------------------------------------------- #
-# optional numba JIT (REPRO_JIT=1; import-guarded, silent fallback)
-# --------------------------------------------------------------------- #
-def jit_requested() -> bool:
-    """Whether the environment asked for the numba kernels."""
-    return os.environ.get("REPRO_JIT", "") == "1"
-
-
-_JIT_STATE: Dict[str, object] = {"loaded": False, "tree": None, "table": None}
-
-
-def _jit_kernels():
-    """(tree_kernel, table_kernel) or (None, None) when numba is unusable.
-
-    Compiled lazily on first use so merely importing this module never pays
-    numba's import cost; any failure (missing package, compile error) simply
-    disables the JIT path for the process.
-    """
-    if not _JIT_STATE["loaded"]:
-        _JIT_STATE["loaded"] = True
-        try:  # pragma: no cover - numba is absent in CI containers
-            import numba
-
-            _JIT_STATE["tree"] = numba.njit(cache=False, nogil=True)(_tree_runs_py)
-            _JIT_STATE["table"] = numba.njit(cache=False, nogil=True)(_table_runs_py)
-        except Exception:
-            _JIT_STATE["tree"] = None
-            _JIT_STATE["table"] = None
-    return _JIT_STATE["tree"], _JIT_STATE["table"]
-
-
-def _tree_runs_py(cur, tgt, off, budget, node_of_slot, dfs_out, parent_slot,
-                  child_keys, child_slots, stride):  # pragma: no cover - JIT only
-    """Per-packet tree walks to leg completion (numba source).
-
-    Two passes: count the steps of every walk, then fill the flat hop
-    arrays.  Returns ``(counts, heads, tails)``; a budget overrun is
-    reported as ``counts[p] = -1`` (the caller raises, matching the numpy
-    kernel's RuntimeError).
-    """
-    m = cur.shape[0]
-    counts = np.zeros(m, dtype=np.int64)
-    for p in range(m):
-        c = cur[p]
-        t = tgt[p]
-        o = off[p]
-        b = budget[p]
-        steps = np.int64(0)
-        while c != t:
-            t_local = t - o
-            if (c - o) <= t_local and t_local <= dfs_out[c]:
-                key = c * stride + t_local
-                lo = np.int64(0)
-                hi = np.int64(child_keys.shape[0])
-                while lo < hi:  # rightmost child key <= key
-                    mid = (lo + hi) // 2
-                    if child_keys[mid] <= key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                c = child_slots[lo - 1]
-            else:
-                c = parent_slot[c]
-            steps += 1
-            if steps > b:
-                steps = np.int64(-1)
-                break
-        counts[p] = steps
-        if steps < 0:
-            break
-    total = np.int64(0)
-    for p in range(m):
-        if counts[p] < 0:
-            return counts, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        total += counts[p]
-    heads = np.empty(total, dtype=np.int64)
-    tails = np.empty(total, dtype=np.int64)
-    pos = np.int64(0)
-    for p in range(m):
-        c = cur[p]
-        t = tgt[p]
-        o = off[p]
-        for _ in range(counts[p]):
-            t_local = t - o
-            if (c - o) <= t_local and t_local <= dfs_out[c]:
-                key = c * stride + t_local
-                lo = np.int64(0)
-                hi = np.int64(child_keys.shape[0])
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if child_keys[mid] <= key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                nxt = child_slots[lo - 1]
-            else:
-                nxt = parent_slot[c]
-            heads[pos] = node_of_slot[c]
-            tails[pos] = node_of_slot[nxt]
-            pos += 1
-            c = nxt
-    return counts, heads, tails
-
-
-def _table_runs_py(flat, n, start_nodes, dests, budget0):  # pragma: no cover - JIT only
-    """Per-packet dense-table runs to leg completion (numba source).
-
-    ``flat`` is the raveled ``(n, n)`` next-hop matrix.  Returns
-    ``(counts, status, finals, heads, tails)`` with ``status = 1`` when the
-    packet reached its destination (finalize with the leg's metadata) and
-    ``0`` when it missed or exhausted the ``n + 1`` hop cap (advance to the
-    next leg).
-    """
-    m = start_nodes.shape[0]
-    counts = np.zeros(m, dtype=np.int64)
-    status = np.zeros(m, dtype=np.int8)
-    finals = np.empty(m, dtype=np.int64)
-    for p in range(m):
-        node = start_nodes[p]
-        d = dests[p]
-        b = budget0
-        steps = np.int64(0)
-        st = np.int8(0)
-        while True:
-            if b <= 0:
-                break
-            nxt = flat[node * n + d]
-            if nxt < 0:
-                break
-            node = np.int64(nxt)
-            steps += 1
-            b -= 1
-            if node == d:
-                st = np.int8(1)
-                break
-        counts[p] = steps
-        status[p] = st
-        finals[p] = node
-    total = np.int64(0)
-    for p in range(m):
-        total += counts[p]
-    heads = np.empty(total, dtype=np.int64)
-    tails = np.empty(total, dtype=np.int64)
-    pos = np.int64(0)
-    for p in range(m):
-        node = start_nodes[p]
-        d = dests[p]
-        for _ in range(counts[p]):
-            nxt = np.int64(flat[node * n + d])
-            heads[pos] = node
-            tails[pos] = nxt
-            pos += 1
-            node = nxt
-    return counts, status, finals, heads, tails
-
-
-# --------------------------------------------------------------------- #
 # batch plans (SoA)
 # --------------------------------------------------------------------- #
 class BatchPlans:
     """The flattened plans of one packet batch in structure-of-arrays form.
 
-    Exactly the arrays the legacy engine built inline from a list of
-    :class:`~repro.routing.forwarding.PacketPlan` objects, factored out so a
-    scheme can supply them **vectorized** (a ``batch_planner``) without ever
+    The arrays :func:`flatten_plans` builds from a list of
+    :class:`~repro.routing.forwarding.PacketPlan` objects; a scheme can
+    supply them **vectorized** (a ``batch_planner``) without ever
     instantiating per-packet plan objects.  The executor takes ownership of
     the arrays (it mutates ``out_strategy`` / ``out_phases`` in place), so
     planners must build fresh arrays per batch.
@@ -264,9 +99,8 @@ class BatchPlans:
 def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
     """Flatten per-packet ``program.plan()`` calls into a :class:`BatchPlans`.
 
-    The generic path for schemes without a vectorized batch planner — the
-    exact flattening loop the legacy engine ran inline, including the
-    tree-target slot patching via ``bank.slots_of``.
+    The generic path for schemes without a vectorized batch planner,
+    including the tree-target slot patching via ``bank.slots_of``.
     """
     from repro.routing.forwarding import LEG_LITERAL, LEG_TABLE, LEG_TREE
 
@@ -373,36 +207,21 @@ def _run_tree_cohort(bank, idx, cur, tgt, off, budget, node, record) -> np.ndarr
     Every member is strictly *between* its entry slot and its target (entry
     hits and misses were peeled off during entry resolution).  The unique
     tree path climbs from the entry slot to the LCA with the target and
-    then descends the target's root path, and the two phases have very
-    different costs: ascending is a parent-pointer gather, while the legacy
-    engine resolved every descent hop with a ``searchsorted`` over the
-    bank-wide child-key array.  The kernel therefore splits them.  Ascents
-    run as vectorized parent gathers until each packet's slot interval
-    first contains its target.  Descents are served from per-target
-    **root-path caches** (the slot path root→target, memoized on the frozen
-    bank — hot destinations replay theirs every batch): slots strictly
-    increase along a root path, so one ``searchsorted`` over the
-    cache-resident concatenated paths locates every packet's ancestor
-    position at once, and the remaining hops are a flat suffix gather.
+    then descends the target's root path.  Ascents run as vectorized parent
+    gathers until each packet's slot interval first contains its target.
+    Descents are served from per-target **root-path caches** (the slot path
+    root→target, memoized on the frozen bank — hot destinations replay
+    theirs every batch): slots strictly increase along a root path, so one
+    ``searchsorted`` over the cache-resident concatenated paths locates
+    every packet's ancestor position at once, and the remaining hops are a
+    flat suffix gather.
     The bank's arrays are only ever written by ``freeze()`` and repairs
     recompile the whole program, so a cached path can never go stale.  Hop
-    caps mirror the legacy engine: a walk longer than its ``2m + 1`` budget
-    raises.
+    caps mirror the scalar tree walk: a walk longer than its ``2m + 1``
+    budget raises.
     """
     if idx.size == 0:
         return idx
-    if jit_requested():
-        tree_kernel, _ = _jit_kernels()
-        if tree_kernel is not None:
-            counts, heads, tails = tree_kernel(
-                cur, tgt, off, budget, bank.node_of_slot, bank.dfs_out,
-                bank.parent_slot, bank._child_keys, bank._child_slots,
-                np.int64(bank._stride))
-            if (counts < 0).any():
-                raise RuntimeError("lockstep tree walk did not terminate")
-            record(np.repeat(idx, counts), heads, tails)
-            node[idx] = bank.node_of_slot[tgt]
-            return idx
     node_of_slot = bank.node_of_slot
     done_parts: List[np.ndarray] = [idx[:0]]
     down_parts: List[tuple] = []
@@ -497,23 +316,13 @@ def _run_table_cohort(view, idx, node, dst, n, record):
     destination (finalize with the current leg's metadata) and packets that
     missed or hit the ``n + 1`` hop cap (advance to their next leg).  The
     per-step order of operations — cap check first, then lookup, then the
-    reached check — matches the legacy engine exactly.
+    reached check — matches the scalar hop-by-hop table loop exactly.
     """
     budget = np.full(idx.size, n + 1, dtype=np.int64)
     nodes = node[idx]
     dests = dst[idx]
     finalized = [idx[:0]]
     advanced = [idx[:0]]
-    if jit_requested():
-        _, table_kernel = _jit_kernels()
-        flat = getattr(view, "jit_flat", None)
-        if table_kernel is not None and flat is not None and idx.size:
-            counts, status, finals, heads, tails = table_kernel(
-                flat, np.int64(n), nodes, dests, np.int64(n + 1))
-            record(np.repeat(idx, counts), heads, tails)
-            node[idx] = finals
-            reached = status == 1
-            return idx[reached], idx[~reached]
     while idx.size:
         capped = budget <= 0
         if capped.any():
@@ -572,14 +381,12 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
               materialize: bool = True, timings: Optional[Dict[str, float]] = None):
     """Execute a batch through the fused cohort kernels.
 
-    Drop-in replacement for the legacy ``run_lockstep`` execution loop:
-    identical walks, hop records, metadata and
-    :class:`~repro.routing.forwarding.LockstepOutcome` layout.  ``timings``,
-    when given, accumulates wall seconds under ``"plan"`` (batch planning /
+    The executor behind :func:`~repro.routing.forwarding.run_lockstep`,
+    which validates the inputs and returns this function's
+    :class:`~repro.routing.forwarding.LockstepOutcome`.  ``timings``, when
+    given, accumulates wall seconds under ``"plan"`` (batch planning /
     flattening) and ``"step"`` (kernel execution + assembly).
     """
-    import time
-
     from repro.routing.forwarding import (LEG_LITERAL, LEG_TABLE, LEG_TREE,
                                           LockstepOutcome)
 

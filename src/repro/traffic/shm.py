@@ -36,13 +36,12 @@ try:  # pragma: no cover - import guard for exotic platforms
 except ImportError:  # pragma: no cover
     _shared_memory = None  # type: ignore[assignment]
 
-#: TreeBank arrays the fused/legacy engines gather from every step (the
-#: dense membership matrix is included when the bank materialized it; a
-#: ``None`` placeholder is skipped by ``adopt``)
+#: TreeBank arrays the fused kernels gather from every step (the dense
+#: membership matrix is included when the bank materialized it; a ``None``
+#: placeholder is skipped by ``adopt``)
 TREE_BANK_ATTRS = (
     "node_of_slot", "dfs_out", "parent_slot", "offsets", "sizes",
-    "_child_keys", "_child_slots", "_member_keys", "_member_slots",
-    "_slot_matrix",
+    "_member_keys", "_member_slots", "_slot_matrix",
 )
 
 #: next-hop table arrays (sorted-key and dense variants plus the warmed

@@ -107,26 +107,6 @@ def test_build_matrix_rows_and_instances(monkeypatch):
                 twin.route_by_index(u, v).path
 
 
-@pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_jit_toggle_is_bit_identical(scheme, monkeypatch):
-    """``REPRO_JIT=1`` builds ≡ ``REPRO_JIT=0`` builds.
-
-    When numba is absent the JIT path falls back to the numpy kernels and
-    the assertion is trivially about the fallback being wired correctly;
-    the CI jit-parity job runs this same test with numba installed, where
-    it pins the compiled kernels to the numpy semantics.
-    """
-    graph = make_workload("barabasi-albert", 72, seed=9)
-    oracle = DistanceOracle(graph)
-    sim = RoutingSimulator(graph, oracle=oracle)
-    pairs = sim.sample_pairs(40, seed=3)
-    monkeypatch.setenv("REPRO_JIT", "0")
-    plain = _build(scheme, graph, oracle, 17, "vectorized", monkeypatch)
-    monkeypatch.setenv("REPRO_JIT", "1")
-    jitted = _build(scheme, graph, oracle, 17, "vectorized", monkeypatch)
-    _assert_equivalent(graph, oracle, plain, jitted, pairs)
-
-
 @pytest.mark.parametrize("family,n", FAMILIES)
 @pytest.mark.parametrize("k", [2, 3])
 def test_agm_experiment_params_build_parity(family, n, k, monkeypatch):

@@ -1,35 +1,10 @@
-"""Construction-kernel parity: the numba sources must be set-identical to the
-numpy fallbacks, and ``REPRO_JIT=1`` builds must match default builds bit for
-bit (with numba absent the guard falls back silently, so this file passes
-either way; the CI jit job runs it with numba installed)."""
+"""Construction kernels: the ancestor closure that prunes SPT forest rows."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.construction import kernels
-from repro.construction.kernels import (
-    _absorb_mark_py,
-    _ancestor_closure_py,
-    absorb_kernel,
-    ancestor_closure,
-    jit_requested,
-)
-from repro.covers.sparse_cover import build_sparse_cover
-from repro.factory import build_scheme
-from repro.graphs.generators import erdos_renyi_graph, random_geometric_graph
-from repro.graphs.shortest_paths import DistanceOracle
-from repro.routing.simulator import RoutingSimulator
-
-
-@pytest.fixture
-def jit_env(monkeypatch):
-    """REPRO_JIT=1 with a fresh compile state (restored afterwards)."""
-    monkeypatch.setenv("REPRO_JIT", "1")
-    monkeypatch.setitem(kernels._JIT_STATE, "loaded", False)
-    monkeypatch.setitem(kernels._JIT_STATE, "closure", None)
-    monkeypatch.setitem(kernels._JIT_STATE, "absorb", None)
+from repro.construction.kernels import ancestor_closure
 
 
 def random_forest(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,91 +17,48 @@ def random_forest(n: int, rng: np.random.Generator) -> np.ndarray:
     return parent
 
 
+def ancestors_of(members: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Mask of every node on some member's full root chain (members included)."""
+    mask = np.zeros(parent.size, dtype=bool)
+    for v in members.tolist():
+        while v >= 0 and not mask[v]:
+            mask[v] = True
+            v = int(parent[v])
+    return mask
+
+
 class TestAncestorClosure:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_python_source_matches_numpy_fallback(self, monkeypatch, seed):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        rng = np.random.default_rng(seed)
-        n = 200
-        parent = random_forest(n, rng)
-        members = rng.choice(n, size=rng.integers(1, n), replace=False)
-        pre_kept = rng.choice(n, size=10, replace=False)
-
-        keep_np = np.zeros(n, dtype=bool)
-        keep_py = np.zeros(n, dtype=bool)
-        keep_np[pre_kept] = keep_py[pre_kept] = True
-        ancestor_closure(members, parent, keep_np)      # numpy fallback
-        _ancestor_closure_py(members.astype(np.int64), parent, keep_py)
-        np.testing.assert_array_equal(keep_np, keep_py)
-
     def test_closure_contains_members_and_is_ancestor_closed(self):
-        rng = np.random.default_rng(11)
-        n = 120
-        parent = random_forest(n, rng)
-        members = rng.choice(n, size=30, replace=False)
-        keep = ancestor_closure(members, parent, np.zeros(n, dtype=bool))
-        assert keep[members].all()
-        kept = np.flatnonzero(keep)
-        parents = parent[kept]
-        assert keep[parents[parents >= 0]].all()
+        for seed in (0, 1, 2, 3, 11):
+            rng = np.random.default_rng(seed)
+            n = 200
+            parent = random_forest(n, rng)
+            members = rng.choice(n, size=rng.integers(1, n), replace=False)
+            pre_kept = np.zeros(n, dtype=bool)
+            pre_kept[rng.choice(n, size=10, replace=False)] = True
+            keep = ancestor_closure(members, parent, pre_kept.copy())
+            assert keep[members].all() and keep[pre_kept].all()
+            # closed: chains stop only at roots or at nodes kept beforehand
+            fresh = np.flatnonzero(keep & ~pre_kept)
+            parents = parent[fresh]
+            assert keep[parents[parents >= 0]].all()
+            # minimal: every kept node is a member, was pre-kept, or is an
+            # ancestor of a member
+            assert not (keep & ~pre_kept & ~ancestors_of(members, parent)).any()
 
-    def test_jit_dispatch_matches_fallback(self, jit_env):
-        rng = np.random.default_rng(5)
+    def test_without_pre_kept_nodes_closure_is_exactly_the_root_chains(self):
+        rng = np.random.default_rng(7)
         n = 150
         parent = random_forest(n, rng)
-        members = rng.choice(n, size=40, replace=False)
-        keep_jit = ancestor_closure(members, parent, np.zeros(n, dtype=bool))
-        frontier_keep = np.zeros(n, dtype=bool)
-        _ancestor_closure_py(members.astype(np.int64), parent, frontier_keep)
-        np.testing.assert_array_equal(keep_jit, frontier_keep)
+        members = rng.choice(n, size=25, replace=False)
+        keep = ancestor_closure(members, parent, np.zeros(n, dtype=bool))
+        np.testing.assert_array_equal(keep, ancestors_of(members, parent))
 
-
-class TestAbsorbKernel:
-    def test_disabled_without_jit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        assert not jit_requested()
-        assert absorb_kernel() is None
-
-    @pytest.mark.parametrize("seed", [601, 602])
-    def test_pure_python_kernel_reproduces_numpy_cover(self, monkeypatch, seed):
-        """Force the fused path (interpreted, no numba) against the numpy one."""
-        graph = erdos_renyi_graph(60, seed=seed)
-        oracle = DistanceOracle(graph, backend="dense")
-        rho = float(np.nanpercentile(
-            np.where(np.isfinite(oracle.matrix), oracle.matrix, np.nan), 20))
-
-        monkeypatch.delenv("REPRO_JIT", raising=False)
-        baseline = build_sparse_cover(graph, 3, rho, oracle=oracle)
-        monkeypatch.setattr("repro.covers.sparse_cover.absorb_kernel",
-                            lambda: _absorb_mark_py)
-        fused = build_sparse_cover(graph, 3, rho, oracle=oracle)
-
-        assert baseline.home == fused.home
-        assert len(baseline.clusters) == len(fused.clusters)
-        for a, b in zip(baseline.clusters, fused.clusters):
-            assert (a.index, a.center) == (b.index, b.center)
-            assert a.nodes == b.nodes
-            assert a.kernel_centers == b.kernel_centers
-
-
-class TestJitBuildParity:
-    """REPRO_JIT=1 end-to-end: schemes must be bit-identical to default builds."""
-
-    @pytest.mark.parametrize("scheme_name", ["cowen", "awerbuch-peleg"])
-    def test_scheme_builds_identical(self, monkeypatch, jit_env, scheme_name):
-        graph = random_geometric_graph(64, seed=904)
-        oracle = DistanceOracle(graph, backend="dense")
-        jit_scheme = build_scheme(scheme_name, graph, k=2, seed=3,
-                                  oracle=oracle)
-        monkeypatch.delenv("REPRO_JIT")
-        ref_scheme = build_scheme(scheme_name, graph, k=2, seed=3,
-                                  oracle=oracle)
-
-        sim = RoutingSimulator(graph, oracle=oracle)
-        pairs = sim.sample_pairs(200, seed=8)
-        for u, v in pairs:
-            a = jit_scheme.route(u, graph.name_of(v))
-            b = ref_scheme.route(u, graph.name_of(v))
-            assert a.found == b.found
-            assert a.path == b.path
-            assert a.cost == b.cost
+    def test_no_members_leaves_keep_unchanged(self):
+        rng = np.random.default_rng(8)
+        parent = random_forest(50, rng)
+        pre_kept = np.zeros(50, dtype=bool)
+        pre_kept[[3, 17]] = True
+        keep = ancestor_closure(np.zeros(0, dtype=np.int64), parent,
+                                pre_kept.copy())
+        np.testing.assert_array_equal(keep, pre_kept)

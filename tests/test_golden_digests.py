@@ -1,0 +1,118 @@
+"""Golden digests of compiled forwarding programs and lockstep outcomes.
+
+Every scheme is built on the small conftest families, compiled, and routed
+over all ordered node pairs.  The integer arrays of the compiled program
+(tree-bank slots, membership index, next-hop table entries) and of the
+``run_lockstep(..., materialize=False)`` outcome are hashed with sha256 and
+compared against ``golden_digests.json``.  Only integer arrays (and the
+resolved strategy names) are hashed, so the digests do not depend on float
+summation order across numpy versions.
+
+Any change to construction or forwarding that alters a compiled table or a
+single hop shows up here.  Regenerate the file only for an intended
+behaviour change::
+
+    PYTHONPATH=src python tests/test_golden_digests.py --regenerate
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.params import AGMParams
+from repro.factory import SCHEME_NAMES, build_scheme
+from repro.graphs.generators import grid_graph, random_geometric_graph, ring_of_cliques
+from repro.graphs.shortest_paths import DistanceOracle
+from repro.routing.forwarding import run_lockstep
+
+GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+SCHEME_SEED = 5
+
+#: the conftest families (same generators and seeds)
+FAMILIES = {
+    "small_geometric": lambda: random_geometric_graph(48, seed=101),
+    "small_grid": lambda: grid_graph(6, 6, seed=103),
+    "small_cliques": lambda: ring_of_cliques(6, 6, seed=104),
+}
+
+
+def _digest(array) -> str:
+    data = np.ascontiguousarray(np.asarray(array).astype("<i8"))
+    return hashlib.sha256(data.tobytes()).hexdigest()
+
+
+def _text_digest(items) -> str:
+    return hashlib.sha256("\n".join(items).encode("utf-8")).hexdigest()
+
+
+def compute_digests(scheme_name: str, family: str) -> dict:
+    """Digest every integer array of one compiled program and its outcome."""
+    graph = FAMILIES[family]()
+    oracle = DistanceOracle(graph)
+    kwargs = {"params": AGMParams.experiment()} if scheme_name == "agm" else {}
+    scheme = build_scheme(scheme_name, graph, k=2, seed=SCHEME_SEED,
+                          oracle=oracle, **kwargs)
+    program = scheme.compiled_forwarding()
+    bank = program.bank
+    out = {
+        "bank.node_of_slot": _digest(bank.node_of_slot),
+        "bank.dfs_out": _digest(bank.dfs_out),
+        "bank.parent_slot": _digest(bank.parent_slot),
+        "bank.member_keys": _digest(bank._member_keys),
+        "bank.member_slots": _digest(bank._member_slots),
+    }
+    for i, table in enumerate(program.tables):
+        keys, next_hops = table.entries()
+        out[f"table{i}.keys"] = _digest(keys)
+        out[f"table{i}.next_hops"] = _digest(next_hops)
+
+    n = graph.n
+    src = np.repeat(np.arange(n, dtype=np.int64), n)
+    dst = np.tile(np.arange(n, dtype=np.int64), n)
+    outcome = run_lockstep(program, src, dst, materialize=False)
+    names = [outcome.strategy_names[c] if c >= 0 else ""
+             for c in outcome.strategy_codes.tolist()]
+    out.update({
+        "outcome.hop_index": _digest(outcome.hop_index),
+        "outcome.hop_heads": _digest(outcome.hop_heads),
+        "outcome.hop_tails": _digest(outcome.hop_tails),
+        "outcome.found": _digest(outcome.found),
+        "outcome.final_nodes": _digest(outcome.final_nodes),
+        "outcome.phases": _digest(outcome.phases),
+        "outcome.strategies": _text_digest(names),
+        "outcome.header_bits": _digest(outcome.header_bits),
+    })
+    return out
+
+
+def _cases():
+    return [(s, f) for s in SCHEME_NAMES for f in FAMILIES]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("scheme_name,family", _cases())
+def test_digests_match_golden(golden, scheme_name, family):
+    expected = golden[f"{scheme_name}/{family}"]
+    assert compute_digests(scheme_name, family) == expected
+
+
+def _regenerate() -> None:
+    digests = {f"{s}/{f}": compute_digests(s, f) for s, f in _cases()}
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} cases to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: python tests/test_golden_digests.py --regenerate")
+    _regenerate()

@@ -2,10 +2,10 @@
 
 Covers the seams a live timeline exposes and PR 8 fixed:
 
-* churn -> ``maintain()`` -> route parity: the fused-kernel and legacy
-  lockstep engines must stay bit-identical *across a repair boundary*
-  (a stale per-destination column cache or ``TreeBank`` slot matrix
-  surviving an in-place patch would silently diverge here);
+* churn -> ``maintain()`` -> route parity: lockstep walks must match the
+  scalar ``route()`` reference *across a repair boundary* (a stale
+  per-destination column cache or ``TreeBank`` slot matrix surviving an
+  in-place patch would silently diverge here);
 * the cache-invalidation API itself (``invalidate_columns`` /
   ``invalidate_caches``);
 * :func:`repro.live.stale_window_outcome` — delivery accounting for
@@ -28,13 +28,15 @@ import numpy as np
 import pytest
 
 from repro.dynamics.events import ChurnEvent, apply_events
-from repro.factory import build_scheme
+from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.generators import make_graph
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.live import LiveSimulator, stale_window_outcome
 from repro.routing.forwarding import run_lockstep
+from repro.routing.messages import RouteResult
 from repro.traffic.models import make_traffic_model
 from repro.traffic.shm import SharedArena
+from repro.utils.validation import ValidationError
 
 
 def _build(scheme_name: str, n: int = 200, seed: int = 4):
@@ -54,15 +56,15 @@ def _flap_events(graph, count: int = 4):
     return picked
 
 
-@pytest.mark.parametrize("scheme_name", ["shortest-path", "thorup-zwick"])
-def test_repair_route_parity_across_kernels(scheme_name):
-    """Fused vs legacy walks bit-identical after an in-place repair."""
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+def test_repair_route_parity_with_scalar(scheme_name):
+    """Lockstep walks match scalar ``route()`` after an in-place repair."""
     graph, oracle, scheme = _build(scheme_name)
     # warm the live program (and any lazy caches) with a pre-churn batch
     program = scheme.compiled_forwarding()
     model = make_traffic_model("uniform", graph, seed=9)
     src, dst = model.batch(0, 512)
-    run_lockstep(program, src, dst, kernels=True)
+    run_lockstep(program, src, dst)
 
     delta = apply_events(graph, _flap_events(graph))
     scheme.maintain(delta)
@@ -70,16 +72,14 @@ def test_repair_route_parity_across_kernels(scheme_name):
 
     model = make_traffic_model("uniform", graph, seed=10)
     src, dst = model.batch(0, 512)
-    fused = run_lockstep(program, src, dst, kernels=True)
-    legacy = run_lockstep(program, src, dst, kernels=False)
-    np.testing.assert_array_equal(fused.found, legacy.found)
-    np.testing.assert_array_equal(fused.final_nodes, legacy.final_nodes)
-    np.testing.assert_array_equal(fused.hop_index, legacy.hop_index)
-    np.testing.assert_array_equal(fused.hop_heads, legacy.hop_heads)
-    np.testing.assert_array_equal(fused.hop_tails, legacy.hop_tails)
+    outcome = run_lockstep(program, src, dst)
+    for u, v, walked in zip(src.tolist(), dst.tolist(), outcome.results):
+        expected = scheme.route(u, graph.name_of(v))
+        assert walked.path == expected.path
+        assert walked.found == expected.found
     # the post-repair model only samples connected pairs: all delivered
-    assert bool(fused.found.all())
-    np.testing.assert_array_equal(fused.final_nodes, dst)
+    assert bool(outcome.found.all())
+    np.testing.assert_array_equal(outcome.final_nodes, dst)
 
 
 def test_invalidate_columns_drops_column_cache():
@@ -181,7 +181,7 @@ def test_live_simulator_timeline(scheme_name):
     assert len(timeline.epochs) == 3
     assert timeline.epochs[0].repair_strategy == "baseline"
     for record in timeline.epochs:
-        # determinism cross-checks ran (shard split + REPRO_KERNELS=0)
+        # determinism cross-checks ran (shard split + scalar engine)
         assert record.determinism_checked
         # SLA: reachable traffic fully delivered within the repair epoch
         assert record.delivery_rate == 1.0
@@ -196,6 +196,29 @@ def test_live_simulator_timeline(scheme_name):
     summary = timeline.summary()
     assert summary["min_delivery_rate"] == 1.0
     assert summary["epochs"] == 3
+
+
+def test_cross_check_catches_scalar_reference_disagreement(monkeypatch):
+    """The determinism cross-check re-runs each epoch through scalar
+    ``route()``; a route that disagrees with the compiled program fails it."""
+    graph, oracle, scheme = _build("shortest-path", n=120, seed=6)
+    simulator = LiveSimulator(scheme, "flap-heavy", oracle=oracle,
+                              epochs=1, epoch_packets=600, batch_size=256,
+                              stale_packets=0, seed=13,
+                              verify_determinism=True)
+    honest = scheme.route
+
+    def dropping_route(source, destination_name):
+        result = honest(source, destination_name)
+        if source % 2 or len(result.path) < 2:
+            return result
+        return RouteResult(found=False, path=[source], cost=0.0,
+                           strategy=result.strategy,
+                           max_header_bits=result.max_header_bits)
+
+    monkeypatch.setattr(scheme, "route", dropping_route)
+    with pytest.raises(ValidationError, match="scalar reference engine"):
+        simulator.run()
 
 
 def test_live_matrix_aligns_events_across_schemes():

@@ -14,12 +14,13 @@ from repro.dynamics.events import ChurnEvent, apply_events
 from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.generators import random_geometric_graph
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
+from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.trees import Tree
+from repro.routing import kernels
 from repro.routing.forwarding import (LEG_TREE, ForwardingProgram,
                                       MemoizedScalarProgram, NextHopTable,
-                                      PacketPlan, TreeBank, run_lockstep,
-                                      table_leg)
-from repro.routing.messages import RouteResult
+                                      PacketPlan, TreeBank, literal_leg,
+                                      run_lockstep, table_leg, tree_leg)
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import RoutingSimulator
 
@@ -163,21 +164,22 @@ class TestTreeBank:
         tree = geometric_spt
         bank = TreeBank(small_geometric.n)
         tree_id = bank.add(tree)
-        bank.freeze()
+
+        def planner(source: int, destination: int) -> PacketPlan:
+            return PacketPlan([tree_leg(tree_id, destination, strategy="tree",
+                                        terminal=True)], "gave-up", 0)
+
+        program = ForwardingProgram(small_geometric, planner, bank=bank,
+                                    label="one-tree")
         rng = np.random.default_rng(5)
         nodes = list(tree.nodes)
-        for _ in range(40):
-            u, v = rng.choice(nodes, size=2)
-            expected = tree.path(int(u), int(v))
-            slot = bank.slot_of(tree_id, int(u))
-            target = bank.slot_of(tree_id, int(v))
-            off = np.asarray([bank.offsets[tree_id]])
-            walked = [int(u)]
-            while slot != target:
-                slot = int(bank.step_toward(np.asarray([slot]),
-                                            np.asarray([target]), off)[0])
-                walked.append(int(bank.node_of_slot[slot]))
-            assert walked == expected
+        pairs = [tuple(int(x) for x in rng.choice(nodes, size=2))
+                 for _ in range(40)]
+        outcome = run_lockstep(program, [u for u, _ in pairs],
+                               [v for _, v in pairs])
+        for (u, v), result in zip(pairs, outcome.results):
+            assert result.path == tree.path(u, v)
+            assert result.found and result.strategy == "tree"
 
     def test_membership_lookup(self, small_geometric, geometric_spt):
         bank = TreeBank(small_geometric.n)
@@ -361,7 +363,7 @@ class TestLockstepEdgeCases:
         missing = run_lockstep(program, [2], [3])
         assert not missing.found[0] and missing.hop_index.size == 0
 
-    @pytest.mark.parametrize("scheme_name", ["shortest-path", "cowen"])
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_detached_destination_after_churn_matches_scalar(self, scheme_name):
         graph = random_geometric_graph(36, seed=771)
         oracle = DistanceOracle(graph, backend="lazy")
@@ -386,120 +388,143 @@ class TestLockstepEdgeCases:
         assert all(r.found for r in lockstep)
 
 
-def _assert_outcomes_identical(a, b):
-    """Fused and legacy outcomes must agree walk for walk, bit for bit.
+def _all_pairs(n: int):
+    return (np.repeat(np.arange(n, dtype=np.int64), n),
+            np.tile(np.arange(n, dtype=np.int64), n))
 
-    Strategy *codes* may be numbered differently (batch planners emit a
-    fixed code order, the legacy flattener numbers by first encounter), so
-    per-packet strategies are compared as resolved names.
-    """
-    assert np.array_equal(a.found, b.found)
-    assert np.array_equal(a.hop_index, b.hop_index)
-    assert np.array_equal(a.hop_heads, b.hop_heads)
-    assert np.array_equal(a.hop_tails, b.hop_tails)
-    assert np.array_equal(a.final_nodes, b.final_nodes)
-    assert np.array_equal(a.phases, b.phases)
-    assert np.array_equal(a.header_bits, b.header_bits)
-    assert np.array_equal(a.cost_override, b.cost_override, equal_nan=True)
-    names_a = [a.strategy_names[c] for c in a.strategy_codes]
-    names_b = [b.strategy_names[c] for c in b.strategy_codes]
+
+def _assert_outcome_arrays_equal(a, b):
+    for field in ("hop_index", "hop_heads", "hop_tails", "found",
+                  "final_nodes", "phases", "header_bits"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field),
+                                      err_msg=field)
+    np.testing.assert_array_equal(a.cost_override, b.cost_override)
+    names_a = [a.strategy_names[c] if c >= 0 else "" for c in a.strategy_codes]
+    names_b = [b.strategy_names[c] if c >= 0 else "" for c in b.strategy_codes]
     assert names_a == names_b
-    assert a.notes == b.notes
 
 
-class TestFusedKernelParity:
-    """``run_lockstep(kernels=True)`` == ``kernels=False`` for every scheme
-    on every graph family — the fused cohort executor reproduces the legacy
-    per-step loop exactly (satellite of the throughput tentpole)."""
+def _path_program(graph):
+    """A program on a path graph: one tree over {2, 3, 4} rooted at 3 plus a
+    full shortest-path table; packets try the tree first, then the table."""
+    n = graph.n
+    tree = Tree(3, {2: 3, 4: 3}, {2: 1.0, 4: 1.0})
+    bank = TreeBank(n)
+    tree_id = bank.add(tree)
+    nodes, dests = np.nonzero(~np.eye(n, dtype=bool))
+    table = NextHopTable.from_arrays(n, nodes, dests,
+                                     np.where(dests > nodes, nodes + 1, nodes - 1))
 
-    def _outcomes(self, scheme, graph, seed):
-        oracle = DistanceOracle(graph)
-        sim = RoutingSimulator(graph, oracle=oracle)
-        pairs = _pairs_for(sim, graph, seed=seed)
-        src = [u for u, _ in pairs]
-        dst = [v for _, v in pairs]
+    def planner(source: int, destination: int) -> PacketPlan:
+        legs = [table_leg(0, strategy="table", phases=1)]
+        if destination in tree.index:
+            legs.insert(0, tree_leg(tree_id, destination, strategy="tree",
+                                    terminal=True))
+        return PacketPlan(legs, "gave-up", 2)
+
+    return ForwardingProgram(graph, planner, bank=bank, tables=[table],
+                             label="path"), tree_id
+
+
+class TestFusedExecutor:
+    """Direct checks of the fused cohort executor's own code paths."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("scheme_name", ["shortest-path", "cowen"])
+    def test_batch_planner_matches_per_packet_plans(self, request, family,
+                                                    scheme_name):
+        """A vectorized ``batch_planner`` must yield exactly the outcome of
+        flattening the scheme's per-packet ``plan()`` calls."""
+        graph = request.getfixturevalue(family)
+        scheme = build_scheme(scheme_name, graph, k=2, seed=5,
+                              oracle=DistanceOracle(graph))
         program = scheme.compiled_forwarding()
-        fused = run_lockstep(program, src, dst, materialize=False, kernels=True)
-        legacy = run_lockstep(program, src, dst, materialize=False,
-                              kernels=False)
-        return fused, legacy
+        assert program.batch_planner is not None
+        per_packet = ForwardingProgram(graph, program.plan, bank=program.bank,
+                                       tables=program.tables,
+                                       header_bits=program.header_bits,
+                                       label=program.label)
+        src, dst = _all_pairs(graph.n)
+        _assert_outcome_arrays_equal(
+            run_lockstep(program, src, dst, materialize=False),
+            run_lockstep(per_packet, src, dst, materialize=False))
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("scheme_name",
-                             [s for s in SCHEME_NAMES if s != "agm"])
-    def test_kernel_vs_legacy_walks(self, request, family, scheme_name):
-        graph = request.getfixturevalue(family)
-        oracle = DistanceOracle(graph)
-        scheme = build_scheme(scheme_name, graph, k=2, seed=5, oracle=oracle)
-        fused, legacy = self._outcomes(scheme, graph, seed=21)
-        _assert_outcomes_identical(fused, legacy)
+    @pytest.mark.parametrize("scheme_name", [s for s in SCHEME_NAMES
+                                             if s != "shortest-path"])
+    def test_descents_identical_cold_warm_and_uncached(
+            self, small_geometric, geometric_oracle, monkeypatch, scheme_name):
+        """Tree descents replay memoized root paths; a cold cache, a warm
+        cache and a cache capped at zero entries give identical walks."""
+        kwargs = {"params": AGMParams.experiment()} if scheme_name == "agm" else {}
+        scheme = build_scheme(scheme_name, small_geometric, k=2, seed=5,
+                              oracle=geometric_oracle, **kwargs)
+        program = scheme.compiled_forwarding()
+        bank = program.bank
+        src, dst = _all_pairs(small_geometric.n)
+        bank.invalidate_caches()
+        cold = run_lockstep(program, src, dst, materialize=False)
+        assert bank._path_cache
+        warm = run_lockstep(program, src, dst, materialize=False)
+        monkeypatch.setattr(kernels, "PATH_CACHE_CAP", 0)
+        bank.invalidate_caches()
+        uncached = run_lockstep(program, src, dst)
+        assert bank._path_cache == {}
+        _assert_outcome_arrays_equal(cold, warm)
+        _assert_outcome_arrays_equal(cold, uncached)
+        for u, v, walked in zip(src.tolist(), dst.tolist(), uncached.results):
+            expected = scheme.route(u, small_geometric.name_of(v))
+            assert walked.path == expected.path
+            assert walked.found == expected.found
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_kernel_vs_legacy_walks_agm(self, request, family):
-        graph = request.getfixturevalue(family)
-        oracle = DistanceOracle(graph)
-        scheme = build_scheme("agm", graph, k=2, seed=5, oracle=oracle,
-                              params=AGMParams.experiment())
-        fused, legacy = self._outcomes(scheme, graph, seed=22)
-        _assert_outcomes_identical(fused, legacy)
+    def test_tree_leg_skipped_outside_its_tree(self, tiny_path):
+        """A packet whose node is outside a tree leg's tree skips the leg;
+        one already at its target completes the terminal leg at once."""
+        program, _ = _path_program(tiny_path)
+        outcome = run_lockstep(program, [2, 0, 4, 5], [4, 4, 4, 3])
+        paths = [r.path for r in outcome.results]
+        strategies = [r.strategy for r in outcome.results]
+        phases = [r.phases_used for r in outcome.results]
+        assert paths == [[2, 3, 4], [0, 1, 2, 3, 4], [4], [5, 4, 3]]
+        assert strategies == ["tree", "table", "tree", "table"]
+        assert phases == [0, 1, 0, 1]
+        assert outcome.found.all()
 
-    @pytest.mark.parametrize("kernels", [True, False])
-    def test_empty_batch(self, small_grid, kernels):
-        oracle = DistanceOracle(small_grid)
-        scheme = build_scheme("cowen", small_grid, seed=3, oracle=oracle)
-        outcome = run_lockstep(scheme.compiled_forwarding(), [], [],
-                               kernels=kernels)
-        assert outcome.found.size == 0 and outcome.hop_index.size == 0
-
-    @pytest.mark.parametrize("kernels", [True, False])
-    def test_table_hop_cap(self, kernels):
-        # the broken 0 <-> 1 loop: both executors must cut at n + 1 hops
-        # and finalize with the plan's staged metadata
-        graph = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        table = NextHopTable.from_arrays(
-            graph.n, np.asarray([0, 1]), np.asarray([3, 3]), np.asarray([1, 0]))
+    def test_tree_target_outside_its_tree_is_rejected(self, tiny_path):
+        graph = tiny_path
+        program, tree_id = _path_program(graph)
 
         def planner(source: int, destination: int) -> PacketPlan:
-            return PacketPlan([table_leg(0, strategy="loop")], "gave-up", 2)
+            return PacketPlan([tree_leg(tree_id, destination)], "gave-up", 0)
 
-        program = ForwardingProgram(graph, planner, tables=[table],
-                                    label="broken-loop")
-        outcome = run_lockstep(program, [0], [3], kernels=kernels)
-        assert not outcome.found[0]
-        assert outcome.hop_index.size == graph.n + 1
-        assert outcome.strategy_names[outcome.strategy_codes[0]] == "gave-up"
+        broken = ForwardingProgram(graph, planner, bank=program.bank,
+                                   label="broken")
+        with pytest.raises(RuntimeError, match="outside its tree"):
+            run_lockstep(broken, [3], [0])
 
-    @pytest.mark.parametrize("scheme_name", ["shortest-path", "cowen"])
-    def test_detached_destination_parity(self, scheme_name):
-        graph = random_geometric_graph(36, seed=771)
-        oracle = DistanceOracle(graph, backend="lazy")
-        scheme = build_scheme(scheme_name, graph, k=2, seed=5, oracle=oracle)
-        victim = max(range(graph.n), key=graph.degree) // 2 + 1
-        delta = apply_events(graph, [ChurnEvent("detach", victim)])
-        scheme.maintain(delta)
-        program = scheme.compiled_forwarding()
-        sources = [u for u in range(graph.n) if u != victim][:10]
-        src = sources + [victim]
-        dst = [victim] * len(sources) + [sources[0]]
-        fused = run_lockstep(program, src, dst, materialize=False, kernels=True)
-        legacy = run_lockstep(program, src, dst, materialize=False,
-                              kernels=False)
-        _assert_outcomes_identical(fused, legacy)
-        assert not fused.found.any()
+    def test_literal_legs_chain_into_a_table_leg(self, tiny_path):
+        """Empty literals complete at once, recorded hops replay verbatim,
+        and the packet then continues on its next leg."""
+        program, _ = _path_program(tiny_path)
+        table = program.tables[0]
 
-    def test_env_kill_switch_forces_legacy(self, small_grid, monkeypatch):
-        oracle = DistanceOracle(small_grid)
-        scheme = build_scheme("cowen", small_grid, seed=3, oracle=oracle)
-        program = scheme.compiled_forwarding()
-        sim = RoutingSimulator(small_grid, oracle=oracle)
-        pairs = sim.sample_pairs(30, seed=2)
-        src = [u for u, _ in pairs]
-        dst = [v for _, v in pairs]
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        env_off = run_lockstep(program, src, dst, materialize=False)
-        explicit_off = run_lockstep(program, src, dst, materialize=False,
-                                    kernels=False)
-        _assert_outcomes_identical(env_off, explicit_off)
+        def planner(source: int, destination: int) -> PacketPlan:
+            return PacketPlan([literal_leg([]), literal_leg([1, 2]),
+                               literal_leg([]),
+                               table_leg(0, strategy="table", phases=3)],
+                              "gave-up", 0)
+
+        chained = ForwardingProgram(tiny_path, planner, tables=[table],
+                                    label="chained")
+        outcome = run_lockstep(chained, [0, 0], [5, 2])
+        walked, stopped = outcome.results
+        assert walked.path == [0, 1, 2, 3, 4, 5]
+        assert walked.found and walked.strategy == "table"
+        assert walked.phases_used == 3
+        # the literal already ends at the destination: the table has no
+        # (2, 2) entry, the leg misses, and the plan's final metadata applies
+        assert stopped.path == [0, 1, 2]
+        assert stopped.found and stopped.strategy == "gave-up"
+        assert outcome.hop_index.tolist() == [0] * 5 + [1] * 2
 
 
 class TestReportEngineField:

@@ -76,8 +76,8 @@ class TestAdversarialScenarioAccounting:
 
     @pytest.mark.parametrize("scenario", ["flash-crowd", "hotspot-storm"])
     def test_adversarial_scenarios_deterministic(self, scenario):
-        """verify_determinism re-runs every epoch resharded and with the
-        compiled kernels disabled; any drift in the scenario->directive->
+        """verify_determinism re-runs every epoch resharded and through the
+        scalar reference engine; any drift in the scenario->directive->
         model->cache chain would trip it."""
         timeline = _live("cowen", scenario, "zipf", n=60, epochs=2,
                          model_kwargs={"support": 8},

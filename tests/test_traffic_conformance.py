@@ -440,23 +440,20 @@ class TestThroughputModes:
                           oracle=oracle, service=True, epoch_batches=2)
         assert svc.summary(include_p2=False) == batch.summary(include_p2=False)
 
-    def test_kernels_shards_engines_identical(self, monkeypatch):
+    def test_shards_engines_identical(self):
         """The acceptance grid: official streamed statistics bit-identical
-        across {fused, legacy} × shard counts × engines."""
+        across shard counts × engines."""
         scheme, model, oracle = self._scheme_and_model()
         summaries = []
-        for kernels in ("1", "0"):
-            monkeypatch.setenv("REPRO_KERNELS", kernels)
-            for shards in (1, 2, 4):
-                rep = run_traffic(scheme, model, packets=2000, batch_size=256,
-                                  shards=shards, processes=False,
-                                  engine="lockstep", oracle=oracle)
-                summaries.append((f"kernels={kernels} shards={shards}",
-                                  rep.summary(include_p2=False)))
-            scalar = run_traffic(scheme, model, packets=2000, batch_size=256,
-                                 engine="scalar", oracle=oracle)
-            summaries.append((f"kernels={kernels} scalar",
-                              scalar.summary(include_p2=False)))
+        for shards in (1, 2, 4):
+            rep = run_traffic(scheme, model, packets=2000, batch_size=256,
+                              shards=shards, processes=False,
+                              engine="lockstep", oracle=oracle)
+            summaries.append((f"shards={shards}",
+                              rep.summary(include_p2=False)))
+        scalar = run_traffic(scheme, model, packets=2000, batch_size=256,
+                             engine="scalar", oracle=oracle)
+        summaries.append(("scalar", scalar.summary(include_p2=False)))
         baseline_label, baseline = summaries[0]
         for label, summary in summaries[1:]:
             assert summary == baseline, f"{label} != {baseline_label}"
