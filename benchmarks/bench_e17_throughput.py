@@ -51,7 +51,7 @@ DEFAULT_BATCH = 16384
 DEFAULT_SUPPORT = 512
 QUICK_N = 400
 QUICK_PACKETS = 60_000
-QUICK_SCHEMES = ["cowen"]
+QUICK_SCHEMES = ["cowen", "agm"]
 QUICK_SHARDS = 2
 
 

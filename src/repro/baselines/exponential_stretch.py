@@ -12,13 +12,17 @@ reimplementation of [7] (DESIGN.md §3 item 7).
 Construction: ``k+1`` landmark levels ``L_0 = V ⊇ L_1 ⊇ ... ⊇ L_k``
 (level ``i`` sampled with probability ``n^{-i/k}``; the top level is forced
 to a single landmark per component).  A level-``i`` landmark is responsible
-for its ``c · n^{(i+1)/k}`` closest nodes: its shortest-path tree over that
-responsibility ball carries a Lemma 7 name-independent dictionary.  A search
-from ``u`` asks ``u``'s nearest level-1 landmark, then its nearest level-2
-landmark, and so on; each failed level costs a round trip proportional to the
-responsibility radius of that level's landmark, radii that are *not*
-calibrated to ``d(u, v)`` — which is exactly why the stretch degrades quickly
-as ``k`` grows while the table size shrinks.
+for its ``c · n^{i/k}`` closest nodes (the top level for all of them).  At
+level 0 every node is its own landmark: it stores the names of its ``c``
+closest nodes with a shortest-path source route to each.  At levels
+``1..k`` the landmark's shortest-path tree over its responsibility ball
+carries a Lemma 7 name-independent dictionary.  A search from ``u`` first
+checks ``u``'s own level-0 ball, then asks ``u``'s nearest level-1 landmark,
+then its nearest level-2 landmark, and so on; each failed level costs a round
+trip proportional to the responsibility radius of that level's landmark,
+radii that are *not* calibrated to ``d(u, v)`` — which is exactly why the
+stretch degrades quickly as ``k`` grows while the table size shrinks.
+Without level 0 even an adjacent destination would pay such a round trip.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.construction.context import BuildContext, SPTJob, scalar_build_mode
 from repro.graphs.graph import WeightedGraph
@@ -38,6 +42,53 @@ from repro.trees.error_reporting import DictionaryTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
 from repro.utils.rng import derive_rng, make_rng
 from repro.utils.validation import require
+
+
+def nearest_with_parents(graph: WeightedGraph, size: int
+                         ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Every node's ``size`` closest nodes with their shortest-path parents.
+
+    Row ``u`` of the first list holds ``u`` and its closest nodes in
+    ``(distance, node index)`` order (fewer when the component is smaller).
+    Entry ``j`` of row ``u`` of the second list is the position in that row
+    of the node's predecessor on a shortest path from ``u`` (``-1`` for
+    ``u``).  The predecessor always precedes the node, because it is closer
+    to ``u``.  One Dijkstra per node stops after ``size`` nodes.  It scans
+    each settled node's neighbors in ``(weight, index)`` order, so a
+    high-degree node costs one step per settled node, not its degree.
+    """
+    csr = graph.to_scipy_csr()
+    rows = np.repeat(np.arange(graph.n), np.diff(csr.indptr))
+    order = np.lexsort((csr.indices, csr.data, rows))
+    indptr = csr.indptr.tolist()
+    neighbor = csr.indices[order].tolist()
+    weight = csr.data[order].tolist()
+    members_of: List[List[int]] = []
+    parents_of: List[List[int]] = []
+    for u in range(graph.n):
+        members, dists, parents = [u], [0.0], [-1]
+        cursor = [indptr[u]]
+        while len(members) < size:
+            best = None
+            for j, x in enumerate(members):
+                p, end = cursor[j], indptr[x + 1]
+                while p < end and neighbor[p] in members:
+                    p += 1
+                cursor[j] = p
+                if p < end:
+                    key = (dists[j] + weight[p], neighbor[p])
+                    if best is None or key < best[0]:
+                        best = (key, j)
+            if best is None:
+                break
+            (d, y), j = best
+            members.append(y)
+            dists.append(d)
+            parents.append(j)
+            cursor.append(indptr[y])
+        members_of.append(members)
+        parents_of.append(parents)
+    return members_of, parents_of
 
 
 class ExponentialStretchRouting(RoutingSchemeInstance):
@@ -130,13 +181,25 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
         for v in range(n):
             self.tables[v].charge("nearest_landmarks", landmark_bits, count=self.k)
 
+        # level 0: every node's own c closest nodes, each with a source route
+        # of at most c - 1 ports
+        size = int(math.ceil(self.responsibility_factor))
+        self.vicinity, self.vicinity_parent = nearest_with_parents(graph, size)
+        port_bits = bits_for_id(max(graph.max_degree(), 1)) if graph.num_edges else 1
+        self.route_bits = port_bits * max(size - 1, 0)
+        for v in range(n):
+            self.tables[v].charge("vicinity_routes",
+                                  self.name_bits + self.route_bits,
+                                  count=len(self.vicinity[v]) - 1)
+
     # ------------------------------------------------------------------ #
     # compiled forwarding
     # ------------------------------------------------------------------ #
     def compile_forwarding(self):
         """Compile the responsibility trees; plan the level-by-level search."""
         from repro.routing.forwarding import (ForwardingProgram, PacketPlan,
-                                              TreeBank, mark_terminal, tree_leg)
+                                              TreeBank, literal_leg,
+                                              mark_terminal, tree_leg)
 
         bank = TreeBank(self.graph.n)
         tree_id_of = {key: bank.add(routing.tree)
@@ -147,6 +210,10 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
         def plan(source: int, destination: int) -> PacketPlan:
             if source == destination:
                 return PacketPlan([], "exponential", 0)
+            members = self.vicinity[source]
+            if destination in members:
+                hops = self._vicinity_route(source, members.index(destination))
+                return PacketPlan([literal_leg(hops)], "exponential", 0)
             target_name = names[destination]
             legs = []
             for i in range(self.k):
@@ -169,12 +236,21 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
     # routing
     # ------------------------------------------------------------------ #
     def route(self, source: int, destination_name: Hashable) -> RouteResult:
-        """Ask the nearest landmark of each level in turn."""
+        """Check the level-0 ball, then ask the nearest landmark of each level."""
         result = RouteResult(found=False, path=[source], cost=0.0,
                              max_header_bits=self.header_bits(), strategy="exponential")
         if self.graph.name_of(source) == destination_name:
             result.found = True
             return result
+        names = self.graph.names_view()
+        members = self.vicinity[source]
+        for position in range(1, len(members)):
+            if names[members[position]] == destination_name:
+                for hop in self._vicinity_route(source, position):
+                    result.cost += self.graph.edge_weight(result.path[-1], hop)
+                    result.path.append(hop)
+                result.found = True
+                return result
         for i in range(self.k):
             result.phases_used = i + 1
             landmark = self.nearest[i][source]
@@ -189,7 +265,18 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
                 return result
         return result
 
+    def _vicinity_route(self, source: int, position: int) -> List[int]:
+        """Hops of the source route to ``self.vicinity[source][position]``."""
+        members, parents = self.vicinity[source], self.vicinity_parent[source]
+        hops = []
+        while position > 0:
+            hops.append(members[position])
+            position = parents[position]
+        hops.reverse()
+        return hops
+
     def header_bits(self) -> int:
-        """Destination name + level counter + the Lemma 7 sub-header."""
+        """Destination name + level counter + a source route or the Lemma 7 sub-header."""
         sub = max((r.header_bits() for r in self._tree_key.values()), default=0)
-        return self.name_bits + bits_for_count(self.k + 1) + sub
+        return (self.name_bits + bits_for_count(self.k + 1)
+                + max(sub, self.route_bits))

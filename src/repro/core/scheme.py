@@ -185,8 +185,12 @@ class AGMRoutingScheme(RoutingSchemeInstance):
         fallback trees — is registered in one :class:`TreeBank`.  Planning a
         pair replays the level-by-level control flow of :meth:`route` (which
         strategy, which dictionary hit or missed) without walking; the engine
-        supplies the identical hops as array operations.
+        supplies the identical hops as array operations.  ``plan`` is the
+        per-packet reference; the program's ``batch_planner``
+        (:class:`~repro.core.batch_planner.AGMBatchPlanner`) emits the same
+        legs for whole batches.
         """
+        from repro.core.batch_planner import AGMBatchPlanner
         from repro.routing.forwarding import (ForwardingProgram, PacketPlan,
                                               TreeBank, mark_terminal, tree_leg)
 
@@ -241,8 +245,12 @@ class AGMRoutingScheme(RoutingSchemeInstance):
                     return PacketPlan(legs, "not-found", k + 1, notes=notes)
             return PacketPlan(legs, "not-found", k + 1, notes=notes)
 
+        fallback_of_node = {v: self._fallback[component]
+                            for v, component in self._fallback_of_node.items()}
+        planner = AGMBatchPlanner(self, fallback_of_node, bank, tree_id_of, header)
         return ForwardingProgram(self.graph, plan, bank=bank,
-                                 header_bits=header, label="agm")
+                                 header_bits=header, label="agm",
+                                 batch_planner=planner)
 
     # ------------------------------------------------------------------ #
     # header accounting

@@ -13,6 +13,12 @@ of size ``sigma`` (the "hash name" of Lemma 4); :class:`BucketHash` reduces a
 name to a bucket index (used by the Lemma 7 dictionary distribution).
 Arbitrary hashable Python names are first folded to integers with a stable
 64-bit FNV-1a, so node names can be ints, strings, or tuples.
+
+The array form evaluates many functions on folded names
+(:func:`fold_names`) at once: :class:`HashStack` stacks the functions'
+coefficients and :func:`horner_mod_p` runs Horner's rule on ``uint64``
+arrays, with each field product split into 32-bit limbs and reduced modulo
+the Mersenne prime ``2^61 - 1`` -- bit-identical to the scalar methods.
 """
 
 from __future__ import annotations
@@ -37,6 +43,60 @@ def _fold_name(name: Hashable) -> int:
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h % _PRIME
+
+
+def fold_names(names: Sequence[Hashable]) -> np.ndarray:
+    """The folds of ``names`` as a ``uint64`` array (input of the array evaluators)."""
+    return np.fromiter((_fold_name(name) for name in names), dtype=np.uint64,
+                       count=len(names))
+
+
+_P64 = np.uint64(_PRIME)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_LOW29 = np.uint64((1 << 29) - 1)
+
+
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """``x mod p`` for ``x < 2^64`` with at most one final subtraction.
+
+    ``2^61 = 1 (mod p)``, so folding the bits above 61 onto the low 61 bits
+    leaves a value below ``2p``.
+    """
+    x = (x & _P64) + (x >> np.uint64(61))
+    return np.where(x >= _P64, x - _P64, x)
+
+
+def mulmod_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b mod p`` elementwise for ``uint64`` arrays of field elements.
+
+    With ``a = a1 2^32 + a0`` and ``b = b1 2^32 + b0`` every partial product
+    fits 64 bits; ``2^64 = 8`` and ``2^61 = 1`` modulo ``p`` fold the high
+    parts back, and the sum of the four folded terms stays below ``2^64``.
+    """
+    a0, a1 = a & _LOW32, a >> np.uint64(32)
+    b0, b1 = b & _LOW32, b >> np.uint64(32)
+    mid = a1 * b0 + a0 * b1                   # < 2^62
+    total = (np.uint64(8) * (a1 * b1)         # a1 b1 2^64, < 2^61
+             + (mid >> np.uint64(29))         # mid's bits above 29, times 2^61
+             + ((mid & _LOW29) << np.uint64(32))
+             + _reduce(a0 * b0))
+    return _reduce(total)
+
+
+def horner_mod_p(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate one polynomial per row of ``coefficients`` at ``x`` over ``GF(p)``.
+
+    Row ``r`` holds the coefficients of ``x^0, x^1, ...`` (the layout of
+    :attr:`KWiseHash.coefficients`); rows padded with high-degree zeros
+    evaluate exactly like the unpadded polynomial.
+    """
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    x = np.asarray(x, dtype=np.uint64)
+    acc = np.zeros(x.shape, dtype=np.uint64)
+    for column in range(coefficients.shape[1] - 1, -1, -1):
+        acc = mulmod_p(acc, x) + coefficients[:, column]
+        acc = np.where(acc >= _P64, acc - _P64, acc)
+    return acc
 
 
 class KWiseHash:
@@ -98,6 +158,14 @@ class DigitHash:
         """The full digit string ``h(name)`` of length ``length``."""
         return tuple(f.value(name) % self.sigma for f in self._functions)
 
+    def stack_into(self, stack: "HashStack") -> int:
+        """Add the digit functions to ``stack``; returns the first of ``length`` rows.
+
+        Row ``first + j`` evaluates digit ``j`` of :meth:`digits`.
+        """
+        rows = [stack.add(f, self.sigma) for f in self._functions]
+        return rows[0]
+
     def prefix(self, name: Hashable, j: int) -> Tuple[int, ...]:
         """The first ``j`` digits of ``h(name)``."""
         require(0 <= j <= self.length, f"prefix length {j} out of range")
@@ -131,9 +199,55 @@ class BucketHash:
         """Bucket index of ``name`` in ``[0, num_buckets)``."""
         return self._f.value(name) % self.num_buckets
 
+    def stack_into(self, stack: "HashStack") -> int:
+        """Add the bucket function to ``stack``; returns its row (:meth:`bucket`)."""
+        return stack.add(self._f, self.num_buckets)
+
     def storage_bits(self) -> int:
         """Bits to store the function."""
         return self._f.storage_bits() + bits_for_count(self.num_buckets)
 
     def __call__(self, name: Hashable) -> int:
         return self.bucket(name)
+
+
+class HashStack:
+    """Many hash functions stacked for one vectorized evaluation.
+
+    Each row is one :class:`KWiseHash` with the modulus its owner reduces
+    by (the alphabet size of a :class:`DigitHash`, the bucket count of a
+    :class:`BucketHash`).  Rows are zero-padded to the largest degree, so
+    :meth:`evaluate` runs a single Horner pass over any mix of rows.
+    """
+
+    def __init__(self) -> None:
+        self._coefficients: List[List[int]] = []
+        self._moduli: List[int] = []
+        self._table: Optional[np.ndarray] = None
+        self._modulus: Optional[np.ndarray] = None
+
+    def add(self, function: KWiseHash, modulus: int) -> int:
+        """Register ``function`` reduced modulo ``modulus``; returns its row."""
+        require(self._table is None, "cannot add rows to a frozen HashStack")
+        require(modulus >= 1, "modulus must be >= 1")
+        self._coefficients.append(list(function.coefficients))
+        self._moduli.append(int(modulus))
+        return len(self._coefficients) - 1
+
+    def freeze(self) -> "HashStack":
+        """Build the padded coefficient table (idempotent; no rows after this)."""
+        if self._table is None:
+            width = max((len(c) for c in self._coefficients), default=0)
+            table = np.zeros((len(self._coefficients), width), dtype=np.uint64)
+            for r, coefficients in enumerate(self._coefficients):
+                table[r, :len(coefficients)] = coefficients
+            self._table = table
+            self._modulus = np.asarray(self._moduli, dtype=np.uint64)
+        return self
+
+    def evaluate(self, rows: np.ndarray, folded: np.ndarray) -> np.ndarray:
+        """``value(name) mod modulus`` of each ``(row, folded name)`` pair (int64)."""
+        self.freeze()
+        rows = np.asarray(rows, dtype=np.int64)
+        values = horner_mod_p(self._table[rows], folded)
+        return (values % self._modulus[rows]).astype(np.int64)

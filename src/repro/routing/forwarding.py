@@ -78,7 +78,11 @@ def table_leg(table_id: int, strategy: Optional[str] = None, phases: int = 0) ->
 
 
 def literal_leg(hops: Sequence[int]) -> tuple:
-    """A pre-recorded walk replayed one hop per lockstep step (memoized fallback)."""
+    """A pre-recorded walk replayed one hop per lockstep step.
+
+    Used for source routes and by the memoized fallback.  ``hops`` excludes
+    the node the leg starts from.
+    """
     return (LEG_LITERAL, [int(h) for h in hops], -1, None, 0, False)
 
 

@@ -493,7 +493,9 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
     The compiled program / CSR / oracle pages are shared copy-on-write with
     the parent (fork start method — no pickling of the program, ever), and
     arrays the caller published through a :class:`~repro.traffic.shm.SharedArena`
-    are true shared memory.  A worker failure surfaces as a raised
+    are true shared memory.  A scheme's ``fallback_uses`` counter grows in
+    the workers' memory, so each worker reports its increment and the
+    parent adds the sum.  A worker failure surfaces as a raised
     :class:`RuntimeError` with the worker's traceback text.
     """
     import multiprocessing
@@ -514,15 +516,17 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
             if service:
                 extra["service"] = True
                 extra["epoch_batches"] = epoch_batches
+            before = getattr(scheme, "fallback_uses", 0)
             stats = stream_shard(scheme, model, packets, batch_size=batch_size,
                                  engine=engine, shard=shard_id, shards=shards,
                                  oracle=oracle, **extra)
-            queue.put((shard_id, stats, None, prof))
+            fallbacks = getattr(scheme, "fallback_uses", 0) - before
+            queue.put((shard_id, stats, None, prof, fallbacks))
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             import traceback
 
             queue.put((shard_id, None, traceback.format_exc() or repr(exc),
-                       None))
+                       None, 0))
 
     procs = [ctx.Process(target=worker, args=(shard_id,), daemon=True)
              for shard_id in range(shards)]
@@ -531,16 +535,17 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
     per_shard: Dict[int, TrafficStats] = {}
     per_shard_prof: Dict[int, Optional[Dict[str, float]]] = {}
     failures: List[str] = []
+    fallbacks = 0
     while len(per_shard) + len(failures) < shards:
         try:
-            shard_id, stats, error, prof = queue.get(timeout=1.0)
+            shard_id, stats, error, prof, used = queue.get(timeout=1.0)
         except queue_module.Empty:
             # a worker killed by the kernel (OOM, segfault) never reaches
             # queue.put — without this liveness check the parent would block
             # on the queue forever
             if all(proc.exitcode is not None for proc in procs):
                 try:
-                    shard_id, stats, error, prof = queue.get(timeout=2.0)  # last flush
+                    shard_id, stats, error, prof, used = queue.get(timeout=2.0)  # last flush
                 except queue_module.Empty:
                     exits = [(proc.pid, proc.exitcode) for proc in procs]
                     raise RuntimeError(
@@ -548,6 +553,7 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
                         f"(pid, exitcode): {exits}") from None
             else:
                 continue
+        fallbacks += used
         if error is not None:
             failures.append(f"shard {shard_id}:\n{error}")
         else:
@@ -555,6 +561,8 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
             per_shard_prof[shard_id] = prof
     for proc in procs:
         proc.join()
+    if fallbacks:
+        scheme.fallback_uses += fallbacks
     if failures:
         raise RuntimeError("traffic worker(s) failed:\n" + "\n".join(failures))
     # merge in shard-id order, not queue-arrival order: the P² diagnostics

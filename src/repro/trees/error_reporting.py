@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.graphs.trees import Tree
 from repro.hashing.universal import BucketHash
 from repro.trees.interval_routing import IntervalTreeRouting
@@ -86,6 +88,16 @@ class DictionaryTreeRouting:
     def responsible_node(self, name: Hashable) -> int:
         """The tree node responsible for storing ``name``'s dictionary entry."""
         return self._dfs_order[self.bucket_hash.bucket(name)]
+
+    @staticmethod
+    def responsible_slots(offsets: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+        """Array form of :meth:`responsible_node` for trees compiled into a bank.
+
+        Bucket ``b`` belongs to the node with DFS index ``b``, and a
+        :class:`~repro.routing.forwarding.TreeBank` slot is the tree's
+        offset plus the node's DFS index.
+        """
+        return np.asarray(offsets, dtype=np.int64) + np.asarray(buckets, dtype=np.int64)
 
     def max_bucket_entries(self) -> int:
         """Largest dictionary bucket (w.h.p. ``O(log n / log log n)``)."""

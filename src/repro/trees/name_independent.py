@@ -44,6 +44,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.graphs.trees import Tree
 from repro.hashing.universal import DigitHash
 from repro.trees.compact_labeled import CompactTreeRouting, TreeLabel
@@ -329,6 +331,74 @@ class NameIndependentTreeRouting:
         if current != root:
             targets.append(root)
         return targets, False, None
+
+    # ------------------------------------------------------------------ #
+    # array views (batch planning)
+    # ------------------------------------------------------------------ #
+    def trie_layout(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The primary-name layout as arrays: ``(nodes, name_lengths)``.
+
+        ``nodes[p]`` is the node at position ``p`` of the depth order that
+        primary names are assigned in and ``name_lengths[p]`` is its trie
+        depth; :meth:`trie_path_positions` addresses trie nodes by position.
+        ``primary_name`` is filled in that order, so it is read as is.
+        """
+        nodes = np.fromiter(self.primary_name.keys(), dtype=np.int64, count=self.m)
+        lengths = np.fromiter(map(len, self.primary_name.values()),
+                              dtype=np.int64, count=self.m)
+        return nodes, lengths
+
+    @staticmethod
+    def trie_path_positions(digits: np.ndarray, sigma: np.ndarray,
+                            size: np.ndarray) -> np.ndarray:
+        """Depth-order positions of the trie nodes on hash paths.
+
+        Row ``r`` holds the hash digits ``h(t)`` of one target in a tree with
+        alphabet ``sigma[r]`` and ``size[r]`` nodes.  Names of length ``j``
+        fill the positions from ``offset_j = 1 + sigma + ... + sigma^(j-1)``
+        in base-``sigma`` order, so the node named ``h(t)[:j]`` sits at
+        ``offset_j + value(h(t)[:j])`` whenever that is below the tree size.
+        Column ``j - 1`` of the result holds that position, or ``-1`` when
+        the node does not exist.  Every level but the deepest is full, so
+        along a path the existing nodes form a prefix.
+        """
+        digits = np.asarray(digits, dtype=np.int64)
+        sigma = np.asarray(sigma, dtype=np.int64)
+        size = np.asarray(size, dtype=np.int64)
+        out = np.full(digits.shape, -1, dtype=np.int64)
+        offset = np.zeros(digits.shape[0], dtype=np.int64)
+        power = np.ones(digits.shape[0], dtype=np.int64)
+        value = np.zeros(digits.shape[0], dtype=np.int64)
+        # capping at the tree size keeps the arithmetic in range without
+        # changing which positions lie below it
+        for j in range(digits.shape[1]):
+            offset = np.minimum(offset + power, size)
+            power = np.minimum(power * sigma, size)
+            value = np.minimum(value * sigma + digits[:, j], size)
+            position = offset + value
+            out[:, j] = np.where(position < size, position, -1)
+        return out
+
+    @staticmethod
+    def bounded_search_depths(name_length: np.ndarray, bound: np.ndarray,
+                              deepest: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Where bounded searches from the root stop, for arrays of searches.
+
+        ``name_length`` is the target's trie depth ``d`` (``-1`` when the
+        target is not in the tree), ``bound`` the search bound ``j`` and
+        ``deepest`` the depth of the deepest trie node on the target's hash
+        path.  Returns ``(depth, found)``: the search descends the hash path
+        to ``depth``.  The first dictionary holding a target of depth ``d``
+        is its hash-path node at depth ``max(d - 1, 0)``, so the search
+        finds it there when that depth is within the bound; a miss descends
+        as far as the bound and the trie allow, then reports to the root.
+        This is :meth:`plan_search_from_root` in closed form.
+        """
+        bound = np.maximum(bound, 1)
+        home = np.maximum(name_length - 1, 0)
+        found = (name_length >= 0) & (home < bound)
+        depth = np.where(found, home, np.minimum(bound - 1, deepest))
+        return depth, found
 
     @staticmethod
     def _extend(result: BoundedSearchResult, segment: List[int], cost: float) -> None:

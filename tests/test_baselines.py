@@ -10,6 +10,7 @@ from repro.baselines.thorup_zwick import ThorupZwickRouting
 from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.generators import rescale_aspect_ratio, random_geometric_graph
 from repro.graphs.graph import WeightedGraph
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.simulator import RoutingSimulator
 
 
@@ -148,6 +149,27 @@ class TestExponentialStretch:
         rep_expo = geometric_simulator.evaluate(expo, num_pairs=150, seed=8)
         rep_agm = geometric_simulator.evaluate(agm_k2, num_pairs=150, seed=8)
         assert rep_expo.avg_stretch >= rep_agm.avg_stretch * 0.8
+
+    def test_level0_ball_routes_on_shortest_paths(self, expo, small_geometric,
+                                                  geometric_oracle):
+        names = small_geometric.names_view()
+        for u in range(small_geometric.n):
+            members = expo.vicinity[u]
+            assert members == geometric_oracle.nearest(u, 4)
+            for v in members[1:]:
+                result = expo.route(u, names[v])
+                assert result.found and result.phases_used == 0
+                assert result.cost == pytest.approx(geometric_oracle.dist(u, v))
+
+    def test_close_destinations_skip_the_landmark_round_trip(self):
+        # a close pair here once paid a landmark-tree round trip: stretch 152.9
+        graph = random_geometric_graph(36, seed=0)
+        oracle = DistanceOracle(graph, backend="dense")
+        scheme = ExponentialStretchRouting(graph, k=2, oracle=oracle, seed=0)
+        sim = RoutingSimulator(graph, oracle=oracle)
+        report = sim.evaluate_batch(scheme, sim.all_pairs())
+        assert report.failures == 0
+        assert report.max_stretch <= 16 * 2 ** 2 + 8
 
 
 class TestFactory:

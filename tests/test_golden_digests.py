@@ -1,12 +1,14 @@
 """Golden digests of compiled forwarding programs and lockstep outcomes.
 
 Every scheme is built on the small conftest families, compiled, and routed
-over all ordered node pairs.  The integer arrays of the compiled program
-(tree-bank slots, membership index, next-hop table entries) and of the
-``run_lockstep(..., materialize=False)`` outcome are hashed with sha256 and
-compared against ``golden_digests.json``.  Only integer arrays (and the
-resolved strategy names) are hashed, so the digests do not depend on float
-summation order across numpy versions.
+over all ordered node pairs.  AGM is also pinned at the benchmark's constant
+sets: ``AGMParams.paper()`` with k=2, and ``experiment(0.05)`` with k=3,
+under which the last-resort fallback fires.  The integer arrays of the
+compiled program (tree-bank slots, membership index, next-hop table
+entries) and of the ``run_lockstep(..., materialize=False)`` outcome are
+hashed with sha256 and compared against ``golden_digests.json``.  Only
+integer arrays (and the resolved strategy names) are hashed, so the digests
+do not depend on float summation order across numpy versions.
 
 Any change to construction or forwarding that alters a compiled table or a
 single hop shows up here.  Regenerate the file only for an intended
@@ -21,6 +23,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -51,12 +54,25 @@ def _text_digest(items) -> str:
     return hashlib.sha256("\n".join(items).encode("utf-8")).hexdigest()
 
 
-def compute_digests(scheme_name: str, family: str) -> dict:
-    """Digest every integer array of one compiled program and its outcome."""
+#: extra AGM constant sets: case prefix -> (k, params)
+AGM_CONSTANTS = {
+    "agm-paper-k2": (2, AGMParams.paper()),
+    "agm-experiment0.05-k3": (3, AGMParams.experiment(0.05)),
+}
+
+
+def compute_digests(scheme_name: str, family: str, k: int = 2,
+                    params: Optional[AGMParams] = None) -> dict:
+    """Digest every integer array of one compiled program and its outcome.
+
+    ``params`` applies to AGM only and defaults to ``AGMParams.experiment()``.
+    """
     graph = FAMILIES[family]()
     oracle = DistanceOracle(graph)
-    kwargs = {"params": AGMParams.experiment()} if scheme_name == "agm" else {}
-    scheme = build_scheme(scheme_name, graph, k=2, seed=SCHEME_SEED,
+    kwargs = {}
+    if scheme_name == "agm":
+        kwargs["params"] = params if params is not None else AGMParams.experiment()
+    scheme = build_scheme(scheme_name, graph, k=k, seed=SCHEME_SEED,
                           oracle=oracle, **kwargs)
     program = scheme.compiled_forwarding()
     bank = program.bank
@@ -92,7 +108,11 @@ def compute_digests(scheme_name: str, family: str) -> dict:
 
 
 def _cases():
-    return [(s, f) for s in SCHEME_NAMES for f in FAMILIES]
+    """``(case key, scheme, family, k, params)`` of every pinned case."""
+    cases = [(f"{s}/{f}", s, f, 2, None) for s in SCHEME_NAMES for f in FAMILIES]
+    cases += [(f"{prefix}/{f}", "agm", f, k, params)
+              for prefix, (k, params) in AGM_CONSTANTS.items() for f in FAMILIES]
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +120,15 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("scheme_name,family", _cases())
-def test_digests_match_golden(golden, scheme_name, family):
-    expected = golden[f"{scheme_name}/{family}"]
-    assert compute_digests(scheme_name, family) == expected
+@pytest.mark.parametrize("key,scheme_name,family,k,params", _cases(),
+                         ids=[case[0].replace("/", "-") for case in _cases()])
+def test_digests_match_golden(golden, key, scheme_name, family, k, params):
+    assert compute_digests(scheme_name, family, k=k, params=params) == golden[key]
 
 
 def _regenerate() -> None:
-    digests = {f"{s}/{f}": compute_digests(s, f) for s, f in _cases()}
+    digests = {key: compute_digests(s, f, k=k, params=params)
+               for key, s, f, k, params in _cases()}
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} cases to {GOLDEN_PATH}")
 

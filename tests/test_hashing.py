@@ -2,8 +2,10 @@
 
 import collections
 
+import numpy as np
 import pytest
 
+from repro.hashing import universal
 from repro.hashing.universal import BucketHash, DigitHash, KWiseHash
 
 
@@ -94,3 +96,87 @@ class TestBucketHash:
 
     def test_storage_bits_positive(self):
         assert BucketHash(64, seed=0).storage_bits() > 0
+
+
+
+#: boundary folds: limb edges of the 32-bit split and the top of the field
+BOUNDARY_FOLDS = [0, 1, 2**32 - 1, 2**32, 2**61 - 2]
+
+
+def _random_folds(count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [int(x) for x in rng.integers(0, 2**61 - 1, size=count,
+                                         dtype=np.uint64)] + BOUNDARY_FOLDS
+
+
+def _stacked(structure, folded, width: int):
+    """The ``width`` rows ``structure`` adds to a fresh HashStack, at every fold."""
+    stack = universal.HashStack()
+    first = structure.stack_into(stack)
+    rows = np.repeat(first + np.arange(width)[None, :], folded.size, axis=0)
+    values = stack.evaluate(rows.ravel(), np.repeat(folded, width))
+    return [tuple(row) for row in values.reshape(-1, width).tolist()]
+
+
+@pytest.fixture
+def identity_fold(monkeypatch):
+    """Let the scalar methods take folded names directly."""
+    monkeypatch.setattr(universal, "_fold_name", lambda name: name)
+
+
+class TestArrayEvaluators:
+    """The numpy evaluators are bit-identical to the scalar methods."""
+
+    def test_mulmod_matches_python_integers(self):
+        folds = _random_folds(10_000, seed=1)
+        a = np.asarray(folds, dtype=np.uint64)
+        b = np.asarray(folds[::-1], dtype=np.uint64)
+        expected = [(x * y) % (2**61 - 1) for x, y in zip(folds, folds[::-1])]
+        assert universal.mulmod_p(a, b).tolist() == expected
+
+    @pytest.mark.parametrize("independence", [1, 8, 17])
+    def test_horner_matches_kwise_value(self, identity_fold, independence):
+        h = KWiseHash(independence, seed=independence)
+        folds = _random_folds(10_000, seed=2)
+        coefficients = np.tile(np.asarray(h.coefficients, dtype=np.uint64),
+                               (len(folds), 1))
+        got = universal.horner_mod_p(coefficients, np.asarray(folds, dtype=np.uint64))
+        assert got.tolist() == [h.value(x) for x in folds]
+
+    @pytest.mark.parametrize("sigma", [1, 2, 7])
+    def test_stacked_digits_match_digit_hash(self, identity_fold, sigma):
+        dh = DigitHash(sigma=sigma, length=3, independence=9, seed=sigma)
+        folds = _random_folds(10_000, seed=3)
+        assert _stacked(dh, np.asarray(folds, dtype=np.uint64), 3) \
+            == [dh.digits(x) for x in folds]
+
+    @pytest.mark.parametrize("num_buckets", [1, 2, 97])
+    def test_stacked_buckets_match_bucket_hash(self, identity_fold, num_buckets):
+        bh = BucketHash(num_buckets, seed=num_buckets)
+        folds = _random_folds(10_000, seed=4)
+        assert _stacked(bh, np.asarray(folds, dtype=np.uint64), 1) \
+            == [(bh.bucket(x),) for x in folds]
+
+    def test_folded_names_of_every_kind(self):
+        names = ([0, 1, -5, 2**80, 12345] + [f"node-{i}" for i in range(50)]
+                 + [("a", i) for i in range(50)] + [(i, (i, "x")) for i in range(50)])
+        folded = universal.fold_names(names)
+        dh = DigitHash(sigma=5, length=4, seed=6)
+        bh = BucketHash(13, seed=7)
+        assert _stacked(dh, folded, 4) == [dh.digits(x) for x in names]
+        assert _stacked(bh, folded, 1) == [(bh.bucket(x),) for x in names]
+
+    def test_stack_mixes_functions_of_different_degree(self):
+        dh = DigitHash(sigma=6, length=3, independence=12, seed=8)
+        bh = BucketHash(11, independence=8, seed=9)
+        stack = universal.HashStack()
+        first = dh.stack_into(stack)
+        bucket_row = bh.stack_into(stack)
+        names = [f"n{i}" for i in range(300)]
+        rows = [first + i % 3 if i % 4 else bucket_row for i in range(len(names))]
+        expected = [dh.digits(x)[i % 3] if i % 4 else bh.bucket(x)
+                    for i, x in enumerate(names)]
+        got = stack.evaluate(np.asarray(rows), universal.fold_names(names))
+        assert got.tolist() == expected
+        with pytest.raises(Exception):
+            bh.stack_into(stack)

@@ -23,6 +23,7 @@ from repro.routing.forwarding import (LEG_TREE, ForwardingProgram,
                                       run_lockstep, table_leg, tree_leg)
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import RoutingSimulator
+from repro.utils.validation import ValidationError
 
 
 FAMILIES = ("small_geometric", "small_grid", "small_cliques")
@@ -426,18 +427,50 @@ def _path_program(graph):
                              label="path"), tree_id
 
 
+def _assert_plans_equal(a, b):
+    """Two :class:`kernels.BatchPlans` are equal leg for leg."""
+    for field in ("num", "leg_kind", "leg_a", "leg_b", "leg_phases",
+                  "leg_terminal", "leg_lo", "leg_hi", "out_phases",
+                  "literal_nodes", "found_override", "cost_override",
+                  "header_bits"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field),
+                                      err_msg=field)
+    for field in ("leg_strategy", "out_strategy"):
+        names_a = [a.strategy_names[c] if c >= 0 else None
+                   for c in getattr(a, field).tolist()]
+        names_b = [b.strategy_names[c] if c >= 0 else None
+                   for c in getattr(b, field).tolist()]
+        assert names_a == names_b, field
+    assert a.notes_of == b.notes_of
+
+
+#: batch-planned schemes: case id -> (scheme, k, AGM constants)
+PLANNER_CASES = {
+    "shortest-path": ("shortest-path", 2, None),
+    "cowen": ("cowen", 2, None),
+    "agm-experiment-k2": ("agm", 2, AGMParams.experiment()),
+    # fires the last-resort fallback hundreds of times on these graphs
+    "agm-experiment0.05-k3": ("agm", 3, AGMParams.experiment(0.05)),
+    "agm-paper-k2": ("agm", 2, AGMParams.paper()),
+    "agm-experiment-k1": ("agm", 1, AGMParams.experiment()),
+}
+
+
 class TestFusedExecutor:
     """Direct checks of the fused cohort executor's own code paths."""
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("scheme_name", ["shortest-path", "cowen"])
+    @pytest.mark.parametrize("case", list(PLANNER_CASES))
     def test_batch_planner_matches_per_packet_plans(self, request, family,
-                                                    scheme_name):
-        """A vectorized ``batch_planner`` must yield exactly the outcome of
-        flattening the scheme's per-packet ``plan()`` calls."""
+                                                    case):
+        """A vectorized ``batch_planner`` must emit exactly the plans of
+        flattening the scheme's per-packet ``plan()`` calls, leg for leg,
+        with the same fallback count, and so the same outcome."""
+        scheme_name, k, params = PLANNER_CASES[case]
         graph = request.getfixturevalue(family)
-        scheme = build_scheme(scheme_name, graph, k=2, seed=5,
-                              oracle=DistanceOracle(graph))
+        kwargs = {"params": params} if params is not None else {}
+        scheme = build_scheme(scheme_name, graph, k=k, seed=5,
+                              oracle=DistanceOracle(graph), **kwargs)
         program = scheme.compiled_forwarding()
         assert program.batch_planner is not None
         per_packet = ForwardingProgram(graph, program.plan, bank=program.bank,
@@ -445,9 +478,35 @@ class TestFusedExecutor:
                                        header_bits=program.header_bits,
                                        label=program.label)
         src, dst = _all_pairs(graph.n)
-        _assert_outcome_arrays_equal(
-            run_lockstep(program, src, dst, materialize=False),
-            run_lockstep(per_packet, src, dst, materialize=False))
+
+        def fallback_uses():
+            return getattr(scheme, "fallback_uses", 0)
+
+        start = fallback_uses()
+        batched = program.batch_planner(src, dst)
+        batched_uses = fallback_uses() - start
+        flattened = kernels.flatten_plans(per_packet, src, dst)
+        assert fallback_uses() - start - batched_uses == batched_uses
+        if case == "agm-experiment0.05-k3":
+            assert batched_uses > 0
+        _assert_plans_equal(batched, flattened)
+
+        fast = run_lockstep(program, src, dst)
+        slow = run_lockstep(per_packet, src, dst)
+        _assert_outcome_arrays_equal(fast, slow)
+        assert [r.notes for r in fast.results] == [r.notes for r in slow.results]
+
+    def test_agm_batch_planner_validates_endpoints(self, agm_k2):
+        """numpy would wrap a negative index silently; the batch planner
+        rejects out-of-range endpoints as ``plan()`` does."""
+        program = agm_k2.compiled_forwarding()
+        n = agm_k2.graph.n
+        with pytest.raises(ValidationError):
+            program.plan(-1, 0)
+        for src, dst in (([0, -1], [1, 2]), ([n], [0]), ([0], [-1]), ([0], [n])):
+            with pytest.raises(ValidationError):
+                program.batch_planner(np.asarray(src, dtype=np.int64),
+                                      np.asarray(dst, dtype=np.int64))
 
     @pytest.mark.parametrize("scheme_name", [s for s in SCHEME_NAMES
                                              if s != "shortest-path"])

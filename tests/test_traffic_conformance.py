@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.params import AGMParams
 from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.generators import (
     erdos_renyi_graph,
@@ -371,6 +372,25 @@ class TestDeterminism:
                              oracle=oracle)
         assert forked.processes
         assert forked.summary() == inline.summary()
+
+    @pytest.mark.skipif(not processes_enabled(),
+                        reason="fork-based worker processes unavailable")
+    def test_forked_workers_report_agm_fallback_uses(self, small_geometric,
+                                                     geometric_oracle):
+        # the fallback counter grows inside the forked workers; the parent
+        # must add their increments, not report zero
+        uses = []
+        for shards, processes in ((1, False), (2, True)):
+            scheme = build_scheme("agm", small_geometric, k=3, seed=5,
+                                  oracle=geometric_oracle,
+                                  params=AGMParams.experiment(0.05))
+            model = make_traffic_model("uniform", small_geometric, seed=1)
+            run_traffic(scheme, model, packets=4000, shards=shards,
+                        processes=processes, engine="lockstep",
+                        oracle=geometric_oracle)
+            uses.append(scheme.fallback_uses)
+        assert uses[0] > 0
+        assert uses[1] == uses[0]
 
     @pytest.mark.skipif(not processes_enabled(),
                         reason="fork-based worker processes unavailable")
