@@ -1,10 +1,14 @@
 """E15 — churn: repair cost, stretch drift, and delivery under failures.
 
 Runs a churn scenario (default: ``flap-heavy`` on a scale-free graph with
-``n >= 1000``) through ``--epochs`` event epochs with **all six schemes live**:
-per epoch the event batch is applied, each scheme's delivery rate *under
-stale state* is measured, the scheme is repaired, and the repaired scheme is
-evaluated on both engines (the reports are cross-checked field by field).
+``n >= 1000``) through ``--epochs`` event epochs with **all six schemes live**,
+one :func:`repro.experiments.harness.run_live_matrix` timeline per scheme over
+the same seeded event sequence: per epoch the event batch is applied, a probe
+of ``--pairs`` uniform packets is routed on the scheme's *stale* forwarding
+program (delivery under stale state), the scheme is repaired, and
+``--pairs`` uniform packets are routed on the repaired tables.  Every epoch's
+statistics are re-derived through the scalar ``route()`` reference engine and
+a different shard split; a mismatch raises.
 
 The run happens **twice on the same seed**: once with ``repair="maintain"``
 (incremental where the scheme supports it — shortest-path patches its
@@ -13,13 +17,15 @@ in its ``TreeBank``) and once with ``repair="full"`` (forced full rebuild).
 The summary prices incremental repair against the full recompile per scheme.
 
 Reported per (mode, epoch, scheme): events applied, stale delivery rate,
-post-repair delivery rate and stretch drift, repair seconds + strategy, and
-forwarding recompile seconds.  JSON lands in ``BENCH_e15.json`` next to the
-repo root so future changes have a repair-cost trajectory to compare against.
+post-repair delivery rate and stretch drift (average stretch minus the
+scheme's epoch-0 value), repair seconds + strategy, and forwarding recompile
+seconds.  JSON lands in ``BENCH_e15.json`` next to the repo root so future
+changes have a repair-cost trajectory to compare against.
 
 ``--quick`` shrinks the run for CI; ``--assert`` fails the process unless
-parity holds everywhere, post-repair delivery is total, and incremental
-repair beats the full rebuild for the incremental-capable schemes.
+every epoch passed the determinism cross-check, post-repair delivery is
+total, and incremental repair beats the full rebuild for the
+incremental-capable schemes.
 
 Usage::
 
@@ -37,7 +43,8 @@ import math
 import os
 
 from repro.core.params import AGMParams
-from repro.dynamics.scenario import SCENARIO_NAMES, run_scenario_matrix
+from repro.dynamics.scenario import SCENARIO_NAMES
+from repro.experiments.harness import run_live_matrix
 from repro.experiments.workloads import workload_factory
 from repro.factory import SCHEME_NAMES
 
@@ -64,19 +71,26 @@ def scheme_kwargs(n: int) -> dict:
 
 
 def run_mode(mode: str, args, family: str = "barabasi-albert") -> list:
-    rows = run_scenario_matrix(
+    rows = run_live_matrix(
+        f"e15_{mode}",
         args.schemes,
         workload_factory(family, args.n, seed=args.seed),
-        scenarios=(args.scenario,),
+        scenario=args.scenario,
         epochs=args.epochs,
-        num_pairs=args.pairs,
+        epoch_packets=args.pairs,
+        stale_packets=args.pairs,
+        model="uniform",
         seed=args.seed,
         backend=args.backend if args.backend != "auto" else None,
         scheme_kwargs=scheme_kwargs(args.n),
         repair=mode,
+        verify_determinism=True,
     ).rows
+    baseline = {row["scheme"]: row["avg_stretch"]
+                for row in rows if row["epoch"] == 0}
     for row in rows:
         row["mode"] = mode
+        row["stretch_drift"] = row["avg_stretch"] - baseline[row["scheme"]]
     return rows
 
 
@@ -97,8 +111,9 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: small graph, fewer epochs/pairs")
     parser.add_argument("--assert", dest="check", action="store_true",
-                        help="exit non-zero unless parity + delivery hold and "
-                             "incremental repair beats the full rebuild")
+                        help="exit non-zero unless determinism + delivery "
+                             "hold and incremental repair beats the full "
+                             "rebuild")
     parser.add_argument("--json", default=None,
                         help="where to write the JSON rows "
                              "(default: BENCH_e15.json beside the repo root)")
@@ -110,10 +125,10 @@ def main() -> None:
     json_path = args.json or default_json_path(__file__, "BENCH_e15.json")
 
     print(f"# E15: churn scenario '{args.scenario}' at n={args.n}, "
-          f"{args.epochs} epochs, {args.pairs} pairs/epoch")
+          f"{args.epochs} epochs, {args.pairs} packets/epoch")
     header = (f"{'mode':>8} {'ep':>3} {'scheme':>15} {'events':>6} "
               f"{'stale':>6} {'deliv':>6} {'drift':>7} {'repair':>13} "
-              f"{'rep_s':>7} {'recmp_s':>8} {'parity':>6}")
+              f"{'rep_s':>7} {'recmp_s':>8} {'checked':>7}")
     print(header)
     print("-" * len(header))
 
@@ -123,9 +138,10 @@ def main() -> None:
             rows.append(row)
             print(f"{row['mode']:>8} {row['epoch']:>3} {row['scheme']:>15} "
                   f"{row['events']:>6} {row['stale_delivery']:>6.2f} "
-                  f"{row['delivery']:>6.2f} {row['stretch_drift']:>+7.3f} "
+                  f"{row['delivery_rate']:>6.2f} {row['stretch_drift']:>+7.3f} "
                   f"{row['repair_strategy']:>13} {row['repair_seconds']:>7.3f} "
-                  f"{row['recompile_seconds']:>8.3f} {str(row['parity']):>6}")
+                  f"{row['recompile_seconds']:>8.3f} "
+                  f"{str(row['determinism_checked']):>7}")
 
     # price incremental repair against the forced full rebuild
     summary = {}
@@ -153,7 +169,10 @@ def main() -> None:
         "benchmark": "e15_churn",
         "n": args.n,
         "epochs": args.epochs,
-        "pairs": args.pairs,
+        "packets_per_epoch": args.pairs,
+        "stale_packets": args.pairs,
+        "model": "uniform",
+        "verify_determinism": True,
         "scenario": args.scenario,
         "schemes": args.schemes,
         "seed": args.seed,
@@ -166,10 +185,12 @@ def main() -> None:
     print(f"wrote {json_path}")
 
     if args.check:
-        broken = [r for r in rows if not r["parity"]]
-        assert not broken, f"engine parity broken under churn: {broken[:3]}"
+        unchecked = [r for r in rows if not r["determinism_checked"]]
+        assert not unchecked, (
+            f"determinism cross-check missing under churn: {unchecked[:3]}")
         undelivered = [r for r in rows
-                       if r["epoch"] > 0 and r["pairs"] > 0 and r["delivery"] < 1.0]
+                       if r["epoch"] > 0 and r["packets"] > 0
+                       and r["delivery_rate"] < 1.0]
         assert not undelivered, (
             f"post-repair delivery incomplete: {undelivered[:3]}")
         for scheme in INCREMENTAL_SCHEMES:
@@ -188,8 +209,9 @@ def main() -> None:
             assert cell["incremental_repair_s"] < margin * cell["full_rebuild_s"], (
                 f"incremental repair of {scheme} regressed against the full "
                 f"rebuild: {cell}")
-        print("assertions passed: parity everywhere, full post-repair delivery, "
-              "incremental repair cheaper than full rebuild")
+        print("assertions passed: determinism checks everywhere, full "
+              "post-repair delivery, incremental repair cheaper than full "
+              "rebuild")
 
 
 if __name__ == "__main__":

@@ -261,8 +261,7 @@ class CowenRouting(RoutingSchemeInstance):
                 leg_hi=leg_lo + counts,
                 out_strategy=np.zeros(num, dtype=np.int64),    # "cowen"
                 out_phases=np.zeros(num, dtype=np.int64),
-                strategy_names=["cowen", "cowen-cluster", "cowen-landmark"],
-                header_bits=np.full(num, header, dtype=np.int64))
+                strategy_names=["cowen", "cowen-cluster", "cowen-landmark"])
 
         return ForwardingProgram(self.graph, plan, bank=bank,
                                  tables=[self._cluster_table],

@@ -18,7 +18,6 @@ per-destination Python-heap Dijkstra loop for the build-parity tests.
 
 from __future__ import annotations
 
-import os
 from typing import Hashable, Optional
 
 import numpy as np
@@ -35,15 +34,12 @@ from repro.utils.bitsize import bits_for_id
 def sp_block_size(n: int) -> int:
     """Destinations per multi-source Dijkstra call in the blocked build.
 
-    ``REPRO_SP_BLOCK`` overrides directly.  The default is budget-aware:
-    one in-flight block costs ~``n * 12`` bytes per destination (float64
-    distance row + int32 predecessor row), and the cap keeps that slab
-    under a quarter of ``REPRO_MEMORY_BUDGET`` so the (possibly
-    memmapped) next-hop matrix stays the only full-size object in play.
+    Budget-aware: one in-flight block costs ~``n * 12`` bytes per
+    destination (float64 distance row + int32 predecessor row), and the cap
+    keeps that slab under a quarter of ``REPRO_MEMORY_BUDGET`` so the
+    (possibly memmapped) next-hop matrix stays the only full-size object in
+    play.
     """
-    raw = os.environ.get("REPRO_SP_BLOCK", "").strip()
-    if raw:
-        return max(int(raw), 1)
     budget = memory_budget()
     slab = (4 << 30) if budget is None else budget // 4
     per_dest = max(n, 1) * 12
@@ -302,8 +298,7 @@ class ShortestPathRouting(RoutingSchemeInstance):
                 leg_lo=leg_lo, leg_hi=leg_lo + counts,
                 out_strategy=np.zeros(num, dtype=np.int64),
                 out_phases=np.zeros(num, dtype=np.int64),
-                strategy_names=["shortest-path"],
-                header_bits=np.full(num, header, dtype=np.int64))
+                strategy_names=["shortest-path"])
 
         return ForwardingProgram(self.graph, plan, tables=[table],
                                  header_bits=header, label="shortest-path",

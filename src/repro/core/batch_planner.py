@@ -90,14 +90,12 @@ class AGMBatchPlanner:
     """
 
     def __init__(self, scheme, fallback_of_node: Dict[int, DictionaryTreeRouting],
-                 bank: TreeBank, tree_id_of: Dict[int, int],
-                 header_bits: int) -> None:
+                 bank: TreeBank, tree_id_of: Dict[int, int]) -> None:
         graph = scheme.graph
         n, k = graph.n, scheme.k
         self._scheme = scheme
         self.n, self.k = n, k
         self.bank = bank.freeze()
-        self.header_bits = int(header_bits)
         self.folded = fold_names(graph.names_view())
 
         num_trees = bank.num_trees
@@ -284,6 +282,4 @@ class AGMBatchPlanner:
             leg_phases=leg_phases, leg_terminal=leg_terminal,
             leg_lo=leg_lo, leg_hi=leg_lo + legs.count,
             out_strategy=out_strategy, out_phases=out_phases,
-            strategy_names=list(STRATEGY_NAMES),
-            header_bits=np.full(num, self.header_bits, dtype=np.int64),
-            notes_of=notes_of)
+            strategy_names=list(STRATEGY_NAMES), notes_of=notes_of)

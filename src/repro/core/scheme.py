@@ -247,7 +247,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
 
         fallback_of_node = {v: self._fallback[component]
                             for v, component in self._fallback_of_node.items()}
-        planner = AGMBatchPlanner(self, fallback_of_node, bank, tree_id_of, header)
+        planner = AGMBatchPlanner(self, fallback_of_node, bank, tree_id_of)
         return ForwardingProgram(self.graph, plan, bank=bank,
                                  header_bits=header, label="agm",
                                  batch_planner=planner)

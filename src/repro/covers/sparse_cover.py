@@ -33,7 +33,6 @@ by the build-parity tests).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -43,27 +42,6 @@ from repro.construction.context import BuildContext, scalar_build_mode
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.utils.validation import require
-
-#: coarsening strategies accepted by ``REPRO_COVER_MODE``
-COVER_MODES = ("auto", "csr", "regions")
-
-
-def cover_mode() -> str:
-    """Coarsening strategy knob (``REPRO_COVER_MODE``): auto|csr|regions.
-
-    ``csr`` materializes the full ball incidence table once and coarsens
-    against it (the PR-4 path; best when balls are small).  ``regions`` never
-    builds the table: clusters grow by multi-source ``min_only`` Dijkstra
-    regions, so large-radius scales — where every ball is a sizable fraction
-    of the graph and the table would be O(n²) — cost a handful of Dijkstra
-    passes per cluster instead.  ``auto`` samples a few ball sizes and picks.
-    """
-    raw = os.environ.get("REPRO_COVER_MODE", "auto").strip().lower() or "auto"
-    if raw not in COVER_MODES:
-        raise ValueError(
-            f"unknown REPRO_COVER_MODE {raw!r}; choose from {COVER_MODES}")
-    return raw
-
 
 @dataclass
 class Cluster:
@@ -148,10 +126,7 @@ def build_sparse_cover(
     if nodes is not None:
         allowed_mask = np.zeros(graph.n, dtype=bool)
         allowed_mask[universe] = True
-    mode = cover_mode()
-    if mode == "auto":
-        mode = _choose_cover_mode(graph, k, rho, universe, allowed_mask)
-    if mode == "regions":
+    if _choose_cover_mode(graph, k, rho, universe, allowed_mask) == "regions":
         return _coarsen_regions(graph, k, rho, universe, growth, allowed_mask)
     indptr, indices = context.ball_csr(rho, universe=universe,
                                        allowed_mask=allowed_mask)
@@ -283,7 +258,7 @@ def _coarsen_vectorized(n: int, k: int, rho: float, universe: np.ndarray,
 
 
 # --------------------------------------------------------------------------- #
-# region-growing coarsening (REPRO_COVER_MODE=regions / auto at large rho)
+# region-growing coarsening (chosen when sampled balls are large)
 # --------------------------------------------------------------------------- #
 def _limited_min_dist(csr, sources: np.ndarray, rho: float) -> np.ndarray:
     """Min distance from ``sources`` to every node, exact within ``rho``.
@@ -342,9 +317,9 @@ def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
       within ``rho`` of some cluster node — a running minimum over
       per-layer ``min_only`` passes sourced at the newly absorbed nodes.
 
-    Worst case (tiny balls) this is a Dijkstra pass per cluster; the auto
-    mode only picks it when sampled balls are large, i.e. when the csr table
-    would be a significant fraction of O(n²).
+    Worst case (tiny balls) this is a Dijkstra pass per cluster;
+    :func:`_choose_cover_mode` only picks it when sampled balls are large,
+    i.e. when the csr table would be a significant fraction of O(n²).
     """
     n = graph.n
     csr = graph.to_scipy_csr()

@@ -1,4 +1,4 @@
-"""Named churn scenarios and the scenario-matrix runner.
+"""Named churn scenarios: one event batch (and traffic directive) per epoch.
 
 A :class:`ChurnScenario` turns a live graph into one event batch per epoch
 (state such as which links are currently down lives on the scenario object,
@@ -13,41 +13,28 @@ scenarios ship by default:
   boundary of a region until it partitions off, the second half re-adds the
   links in reverse order.
 
-:func:`run_scenario_matrix` composes any workload family with any scenario:
-per epoch it applies the batch, measures every scheme's **delivery rate
-under stale state** (routing on the pre-repair tables over the mutated
-graph), repairs each scheme (``maintain(delta)`` — incremental where the
-scheme supports it — or forced :func:`~repro.dynamics.repair.full_rebuild`),
-then evaluates on **both engines** and cross-checks their reports field by
-field.  Rows report stretch drift against the pre-churn baseline, delivery
-rate, repair wall-time/strategy, and forwarding recompile time.
+Three adversarial scenarios (``flash-crowd``, ``hotspot-storm``,
+``partition-under-load``) also steer the traffic model through a
+:class:`TrafficDirective`.  The epoch driver is
+:class:`repro.live.LiveSimulator` (one scheme) and
+:func:`repro.experiments.harness.run_live_matrix` (one timeline per scheme).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dynamics.events import (
     ChurnEvent,
     EdgeChange,
-    apply_events,
     edge_failures,
     edge_recoveries,
     weight_perturbations,
 )
-from repro.dynamics.repair import full_rebuild
-from repro.experiments.harness import ExperimentResult
-from repro.factory import build_scheme
-from repro.graphs.backends import BackendLike
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle
-from repro.routing.scheme_api import RoutingSchemeInstance
-from repro.routing.simulator import RoutingSimulator
-from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import require
 
 #: scenario names accepted by :func:`make_scenario`
@@ -343,177 +330,3 @@ def make_scenario(name: str, **kwargs) -> ChurnScenario:
     if key == "partition-under-load":
         return PartitionUnderLoadScenario(**kwargs)
     raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-
-
-# --------------------------------------------------------------------------- #
-# stale-state evaluation
-# --------------------------------------------------------------------------- #
-def stale_delivery_rate(scheme: RoutingSchemeInstance, graph: WeightedGraph,
-                        pairs: Sequence[Tuple[int, int]]) -> float:
-    """Fraction of pairs a *stale* scheme still delivers on the mutated graph.
-
-    Models packets in flight between the failure and the repair: the scheme
-    routes with pre-churn tables, and a packet is delivered only if the walk
-    it produces uses only edges that still exist and ends at the destination.
-    Exceptions raised by routing over missing edges count as drops (the
-    packet died at the failed link), not as errors.
-    """
-    if not pairs:
-        return 1.0
-    delivered = 0
-    for u, v in pairs:
-        try:
-            result = scheme.route(u, graph.name_at(v))
-        except Exception:
-            continue  # routing walked into a failed link: packet dropped
-        if not result.found or not result.path:
-            continue
-        if result.path[0] != u or result.path[-1] != v:
-            continue
-        if all(a == b or graph.has_edge(a, b)
-               for a, b in zip(result.path, result.path[1:])):
-            delivered += 1
-    return delivered / len(pairs)
-
-
-# --------------------------------------------------------------------------- #
-# the scenario-matrix runner
-# --------------------------------------------------------------------------- #
-ScenarioLike = Union[str, ChurnScenario]
-
-
-def run_scenario_matrix(
-    schemes: Sequence[str],
-    graph_factory: Callable[[], WeightedGraph],
-    scenarios: Sequence[ScenarioLike] = SCENARIO_NAMES,
-    epochs: int = 5,
-    num_pairs: int = 150,
-    k: int = 2,
-    seed: SeedLike = 0,
-    backend: BackendLike = None,
-    scheme_kwargs: Optional[Dict[str, dict]] = None,
-    repair: str = "maintain",
-) -> ExperimentResult:
-    """Drive every scheme through every churn scenario, epoch by epoch.
-
-    Parameters
-    ----------
-    schemes:
-        Scheme names (see :data:`repro.factory.SCHEME_NAMES`).
-    graph_factory:
-        Zero-arg callable producing a fresh workload graph; called once per
-        scenario because churn mutates the graph in place (see
-        :func:`repro.experiments.workloads.workload_factory`).
-    scenarios:
-        Scenario names or pre-built :class:`ChurnScenario` objects.  Note a
-        scenario object is stateful — pass names (or fresh objects) when
-        running several scenarios.
-    epochs:
-        Number of event batches per scenario (epoch 0 is the pre-churn
-        baseline row).
-    repair:
-        ``"maintain"`` uses each scheme's own (possibly incremental) repair;
-        ``"full"`` forces the generic full rebuild — running both modes on
-        the same seed is how the E15 bench prices incremental repair.
-
-    Returns an :class:`ExperimentResult` with one row per
-    (scenario, epoch, scheme): delivery rate under stale state, post-repair
-    stretch (both engines, cross-checked field by field), stretch drift
-    against the epoch-0 baseline, repair wall-time/strategy, and the
-    forwarding recompile time after repair.
-    """
-    require(repair in ("maintain", "full"),
-            f"repair must be 'maintain' or 'full', got {repair!r}")
-    result = ExperimentResult(name="scenario-matrix")
-    result.metadata.update({
-        "epochs": int(epochs), "num_pairs": int(num_pairs), "k": int(k),
-        "repair": repair,
-        "scenarios": [s if isinstance(s, str) else s.name for s in scenarios],
-    })
-    scheme_kwargs = scheme_kwargs or {}
-
-    for s_index, scenario_like in enumerate(scenarios):
-        scenario = make_scenario(scenario_like) \
-            if isinstance(scenario_like, str) else scenario_like
-        graph = graph_factory()
-        oracle = DistanceOracle(graph, backend=backend)
-        simulator = RoutingSimulator(graph, oracle=oracle)
-        rng = derive_rng(seed, 101, s_index)
-        pair_rng = derive_rng(seed, 202, s_index)
-        # an *integer* build seed keeps a forced full rebuild bit-identical
-        # to the original construction (generators would replay differently)
-        build_seed = int(derive_rng(seed, 7, s_index).integers(0, 2**31 - 1))
-
-        built: Dict[str, RoutingSchemeInstance] = {}
-        baseline: Dict[str, float] = {}
-        pairs = simulator.sample_pairs(num_pairs, seed=pair_rng,
-                                       on_shortfall="warn")
-        for name in schemes:
-            start = time.perf_counter()
-            built[name] = build_scheme(name, graph, k=k, seed=build_seed,
-                                       oracle=oracle,
-                                       **scheme_kwargs.get(name, {}))
-            build_seconds = time.perf_counter() - start
-            row = _evaluate_epoch(simulator, built[name], pairs)
-            baseline[name] = row["avg_stretch"]
-            result.add_row(scenario=scenario.name, epoch=0, scheme=name,
-                           events=0, stale_delivery=1.0, stretch_drift=0.0,
-                           repair_seconds=0.0, repair_strategy="build",
-                           build_seconds=build_seconds, rebuilt_trees=0,
-                           reused_trees=0, patched_entries=0,
-                           dirty_destinations=0, recompile_seconds=0.0, **row)
-
-        for epoch in range(1, int(epochs) + 1):
-            events = scenario.events_for_epoch(graph, epoch, int(epochs), rng)
-            delta = apply_events(graph, events)
-            pairs = simulator.sample_pairs(num_pairs, seed=pair_rng,
-                                           on_shortfall="warn")
-            for name in schemes:
-                scheme = built[name]
-                stale = stale_delivery_rate(scheme, graph, pairs)
-                if repair == "full":
-                    report = full_rebuild(scheme, delta)
-                else:
-                    report = scheme.maintain(delta)
-                start = time.perf_counter()
-                scheme.compiled_forwarding()
-                recompile_seconds = time.perf_counter() - start
-                row = _evaluate_epoch(simulator, scheme, pairs)
-                row["stretch_drift"] = row["avg_stretch"] - baseline[name]
-                result.add_row(scenario=scenario.name, epoch=epoch, scheme=name,
-                               events=len(events), stale_delivery=stale,
-                               repair_seconds=report.seconds,
-                               repair_strategy=report.strategy,
-                               build_seconds=0.0,
-                               rebuilt_trees=report.rebuilt_trees,
-                               reused_trees=report.reused_trees,
-                               patched_entries=report.patched_entries,
-                               dirty_destinations=report.dirty_destinations,
-                               recompile_seconds=recompile_seconds, **row)
-    return result
-
-
-def _evaluate_epoch(simulator: RoutingSimulator, scheme: RoutingSchemeInstance,
-                    pairs: Sequence[Tuple[int, int]]) -> Dict[str, object]:
-    """Evaluate one scheme on both engines; cross-check and flatten to a row."""
-    start = time.perf_counter()
-    scalar = simulator.evaluate_batch(scheme, pairs, engine="scalar")
-    scalar_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    lockstep = simulator.evaluate_batch(scheme, pairs, engine="lockstep")
-    lockstep_seconds = time.perf_counter() - start
-    a, b = scalar.as_dict(), lockstep.as_dict()
-    a.pop("engine")
-    b.pop("engine")
-    delivered = scalar.num_pairs - scalar.failures
-    return {
-        "pairs": scalar.num_pairs,
-        "delivery": delivered / scalar.num_pairs if scalar.num_pairs else 1.0,
-        "avg_stretch": scalar.avg_stretch,
-        "max_stretch": scalar.max_stretch,
-        "p95_stretch": scalar.p95_stretch,
-        "failures": scalar.failures,
-        "parity": a == b,
-        "scalar_seconds": scalar_seconds,
-        "lockstep_seconds": lockstep_seconds,
-    }

@@ -28,14 +28,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.construction.context import BuildContext
+from repro.dynamics.scenario import make_scenario
 from repro.factory import build_scheme
 from repro.graphs.backends import BackendLike
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.metrics import graph_summary
 from repro.graphs.shortest_paths import DistanceOracle
+from repro.live import LiveSimulator
 from repro.routing.simulator import RoutingSimulator
 from repro.traffic.engine import DEFAULT_BATCH_SIZE, run_traffic
 from repro.traffic.models import make_traffic_model
+from repro.utils.validation import require
 
 
 @dataclass
@@ -72,7 +75,7 @@ def evaluate_scheme_on_graph(
     oracle: Optional[DistanceOracle] = None,
     scheme_kwargs: Optional[dict] = None,
     backend: BackendLike = None,
-    engine: str = "auto",
+    engine: str = "lockstep",
 ) -> Dict[str, object]:
     """Build one scheme on one graph and measure stretch, space and build time."""
     oracle = oracle or DistanceOracle(graph, backend=backend)
@@ -115,7 +118,7 @@ def run_matrix(
     scheme_kwargs: Optional[Dict[str, dict]] = None,
     parallel: Optional[int] = None,
     backend: BackendLike = None,
-    engine: str = "auto",
+    engine: str = "lockstep",
 ) -> ExperimentResult:
     """Run every (scheme, graph, k) combination.
 
@@ -134,9 +137,9 @@ def run_matrix(
         Distance-backend spec forwarded to each graph's shared oracle
         (``"dense"``, ``"lazy"``, ``None`` for automatic selection).
     engine:
-        Evaluation engine per cell (``"auto"`` = lockstep over compiled
-        forwarding tables where available, scalar otherwise).  Routes and
-        stretch are identical under either engine.
+        Evaluation engine per cell: ``"lockstep"`` (compiled forwarding
+        tables) or ``"scalar"`` (per-pair ``route()``).  Routes and stretch
+        are identical under either engine.
     """
     result = ExperimentResult(name=name)
     graphs = list(graphs)  # may be a one-shot iterable; iterated per mode below
@@ -190,7 +193,7 @@ def run_traffic_matrix(
     scheme_kwargs: Optional[Dict[str, dict]] = None,
     model_kwargs: Optional[dict] = None,
     backend: BackendLike = None,
-    engine: str = "auto",
+    engine: str = "lockstep",
     processes: Optional[bool] = None,
     profile: bool = False,
     service: bool = False,
@@ -217,8 +220,8 @@ def run_traffic_matrix(
         processes over the shared, spawn-once compiled forwarding program
         unless ``processes=False``), and streaming granularity.
     engine:
-        ``"auto"`` / ``"lockstep"`` / ``"scalar"`` — identical streamed
-        statistics either way (the determinism suite asserts it).
+        ``"lockstep"`` / ``"scalar"`` — identical streamed statistics
+        either way (the determinism suite asserts it).
     backend:
         Distance-backend spec for each graph's shared scoring oracle.
     profile / service:
@@ -383,9 +386,10 @@ def run_live_matrix(
 
     The live sibling of :func:`run_traffic_matrix`: each scheme gets its own
     fresh copy of the graph (``graph_factory()`` — churn mutates it in
-    place), its own fresh scenario instance made from ``scenario`` (scenario
-    objects are stateful; ``scenario_kwargs`` are forwarded to the named
-    scenario's constructor), and the *same* ``seed`` — so every scheme sees
+    place), its own fresh scenario instance made from the *name*
+    ``scenario`` (scenario objects are stateful, so an object is rejected;
+    ``scenario_kwargs`` are forwarded to the named scenario's constructor),
+    and the *same* ``seed`` — so every scheme sees
     the identical event sequence, staleness-window probes and traffic
     batches, and the per-epoch rows are directly comparable across schemes.
 
@@ -397,11 +401,8 @@ def run_live_matrix(
     statistics.  Timeline-level summaries (exact cross-epoch merges plus
     worst-epoch figures) land in ``result.metadata["timelines"]``.
     """
-    # local import: repro.live pulls in dynamics.scenario, which imports
-    # this module — importing it lazily keeps the package graph acyclic
-    from repro.dynamics.scenario import make_scenario
-    from repro.live import LiveSimulator
-
+    require(isinstance(scenario, str),
+            f"scenario must be a scenario name, got {type(scenario).__name__}")
     result = ExperimentResult(name=name)
     result.metadata.update(scenario=scenario, model=model, k=k,
                            epochs=epochs, epoch_packets=epoch_packets,
@@ -419,11 +420,9 @@ def run_live_matrix(
         # a fresh scenario per scheme: scenario objects carry plan state
         # (partition regions, flap schedules), so sharing one across
         # timelines would leak one scheme's plan into the next
-        scenario_for_scheme = (make_scenario(scenario, **scenario_kwargs)
-                               if scenario_kwargs and isinstance(scenario, str)
-                               else scenario)
         simulator = LiveSimulator(
-            scheme, scenario_for_scheme, oracle=oracle, model=model,
+            scheme, make_scenario(scenario, **(scenario_kwargs or {})),
+            oracle=oracle, model=model,
             model_kwargs=model_kwargs, epochs=epochs,
             epoch_packets=epoch_packets, batch_size=batch_size,
             stale_packets=stale_packets, shards=shards,

@@ -404,7 +404,7 @@ def run_grid(quick: bool = True, seed: int = 0, *,
              graphs: Any, schemes: Sequence[str], ks: Sequence[int] = (2,),
              num_pairs: Any = None,
              scheme_kwargs: Optional[Mapping[str, Mapping[str, Any]]] = None,
-             engine: str = "auto", parallel: Optional[int] = None,
+             engine: str = "lockstep", parallel: Optional[int] = None,
              backend: Optional[str] = None,
              name: str = "grid") -> ExperimentResult:
     """schemes x graph sources x k, pair-sampled (the run_matrix kind)."""
@@ -435,7 +435,7 @@ def run_traffic_grid(quick: bool = True, seed: int = 0, *,
                      packets: Any = None, shards: int = 1,
                      batch_size: Optional[int] = None,
                      scheme_kwargs: Optional[Mapping[str, Mapping[str, Any]]] = None,
-                     engine: str = "auto", backend: Optional[str] = None,
+                     engine: str = "lockstep", backend: Optional[str] = None,
                      name: str = "traffic") -> ExperimentResult:
     """The grid streamed under a traffic model with a packet budget."""
     from repro.traffic.engine import DEFAULT_BATCH_SIZE

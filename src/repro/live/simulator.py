@@ -52,7 +52,6 @@ from repro.dynamics.scenario import (
     ChurnScenario,
     TrafficDirective,
     make_scenario,
-    stale_delivery_rate,
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
@@ -414,13 +413,6 @@ class LiveSimulator:
         if self.stale_packets == 0:
             return 0
         src, dst = model.batch(0, self.stale_packets)
-        if program.is_fallback:
-            # memoized-scalar schemes have no frozen compiled snapshot; the
-            # scalar stale-delivery helper replays route() with drops on
-            # dead links — same delivery definition, per-pair
-            pairs = list(zip(src.tolist(), dst.tolist()))
-            rate = stale_delivery_rate(self.scheme, self.graph, pairs)
-            return int(round(rate * len(pairs)))
         outcome = run_lockstep(program, src, dst, materialize=False)
         delivered = stale_window_outcome(self.graph, outcome, src.size, dst)
         return int(np.count_nonzero(delivered))

@@ -3,9 +3,8 @@
 from repro.routing.messages import RouteResult, Header
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.table import RoutingTable
-from repro.routing.forwarding import (ForwardingProgram, MemoizedScalarProgram,
-                                      NextHopTable, PacketPlan, TreeBank,
-                                      run_lockstep)
+from repro.routing.forwarding import (ForwardingProgram, NextHopTable,
+                                      PacketPlan, TreeBank, run_lockstep)
 from repro.routing.simulator import RoutingSimulator, EvaluationReport
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "RoutingSimulator",
     "EvaluationReport",
     "ForwardingProgram",
-    "MemoizedScalarProgram",
     "NextHopTable",
     "PacketPlan",
     "TreeBank",

@@ -24,9 +24,12 @@ Building blocks:
   flow exactly (which trees are searched, where dictionaries report misses)
   but never walks; :func:`run_lockstep` then executes all legs through the
   fused cohort kernels of :mod:`repro.routing.kernels`.
-* :class:`MemoizedScalarProgram` — the generic fallback for schemes without a
-  compiled form: scalar ``route()`` results are memoized per (source,
-  destination) and replayed through the same engine as literal walks.
+
+Every scheme in the library compiles; a scheme without a compiled form runs
+only under the scalar engine (``engine="scalar"``).  The executor's contract
+is the same for every program: a packet is found iff its walk ends at its
+destination, its cost is the verified walk cost, and its header is the
+program's constant ``header_bits``.
 
 Every walk a compiled plan produces decomposes into unique-tree-path legs and
 next-hop-table phases, so the engine's walks are identical — node for node —
@@ -80,8 +83,7 @@ def table_leg(table_id: int, strategy: Optional[str] = None, phases: int = 0) ->
 def literal_leg(hops: Sequence[int]) -> tuple:
     """A pre-recorded walk replayed one hop per lockstep step.
 
-    Used for source routes and by the memoized fallback.  ``hops`` excludes
-    the node the leg starts from.
+    Used for source routes.  ``hops`` excludes the node the leg starts from.
     """
     return (LEG_LITERAL, [int(h) for h in hops], -1, None, 0, False)
 
@@ -100,28 +102,19 @@ class PacketPlan:
     """The legs and result metadata of one (source, destination) request.
 
     ``final_strategy`` / ``final_phases`` apply when the packet exhausts its
-    legs without finishing on a terminal leg or a table success.  The
-    overrides are used by the memoized fallback to replay the recorded
-    ``RouteResult`` fields verbatim; compiled schemes leave them ``None`` and
-    the engine derives ``found`` from whether the walk ended at the
-    destination — the invariant every scheme in the library satisfies.
+    legs without finishing on a terminal leg or a table success.  The engine
+    derives ``found`` from whether the walk ended at the destination — the
+    invariant every scheme in the library satisfies.
     """
 
-    __slots__ = ("legs", "final_strategy", "final_phases", "notes",
-                 "found_override", "cost_override", "header_override")
+    __slots__ = ("legs", "final_strategy", "final_phases", "notes")
 
     def __init__(self, legs: List[tuple], final_strategy: Optional[str],
-                 final_phases: int, notes: Optional[dict] = None,
-                 found_override: Optional[bool] = None,
-                 cost_override: Optional[float] = None,
-                 header_override: Optional[int] = None) -> None:
+                 final_phases: int, notes: Optional[dict] = None) -> None:
         self.legs = legs
         self.final_strategy = final_strategy
         self.final_phases = int(final_phases)
         self.notes = notes
-        self.found_override = found_override
-        self.cost_override = cost_override
-        self.header_override = header_override
 
 
 class _TreeSlots:
@@ -683,9 +676,6 @@ class ForwardingProgram:
     the hops.
     """
 
-    #: True for the memoized scalar fallback (``engine="auto"`` then prefers scalar)
-    is_fallback = False
-
     def __init__(self, graph: WeightedGraph,
                  planner: Callable[[int, int], PacketPlan],
                  bank: Optional[TreeBank] = None,
@@ -735,42 +725,6 @@ class ForwardingProgram:
         }
 
 
-class MemoizedScalarProgram(ForwardingProgram):
-    """Generic fallback: memoize scalar routes per (source, destination).
-
-    Schemes without a compiled form still run under ``engine="lockstep"``:
-    the first request for a pair calls the scalar ``route()`` once, every
-    replay (including repeats within a batch) is an array-driven literal walk.
-    """
-
-    is_fallback = True
-
-    def __init__(self, scheme) -> None:
-        self._scheme = scheme
-        self._cache: Dict[Tuple[int, int], RouteResult] = {}
-        super().__init__(scheme.graph, self._plan, header_bits=0,
-                         label=f"memoized:{scheme.scheme_name}")
-
-    def _plan(self, source: int, destination: int) -> PacketPlan:
-        key = (source, destination)
-        result = self._cache.get(key)
-        if result is None:
-            result = self._scheme.route(source, self.graph.name_at(destination))
-            self._cache[key] = result
-        require(result.path and result.path[0] == source,
-                f"scalar route for pair {key} does not start at its source; "
-                "cannot replay it through the lockstep engine")
-        hops = result.path[1:]
-        legs = [literal_leg(hops)] if hops else []
-        return PacketPlan(
-            legs, result.strategy, result.phases_used,
-            notes=dict(result.notes) if result.notes else None,
-            found_override=result.found,
-            cost_override=result.cost,
-            header_override=result.max_header_bits,
-        )
-
-
 @dataclass
 class LockstepOutcome:
     """Everything the simulator needs from one lockstep run.
@@ -787,13 +741,12 @@ class LockstepOutcome:
     hop_index: np.ndarray      # packet id per hop
     hop_heads: np.ndarray
     hop_tails: np.ndarray
-    cost_override: np.ndarray  # NaN where the verified cost applies
     found: np.ndarray
     final_nodes: np.ndarray
     phases: np.ndarray
     strategy_codes: np.ndarray
     strategy_names: List[str]
-    header_bits: np.ndarray
+    header_bits: np.ndarray    # per packet; every entry is program.header_bits
     notes: List[Optional[dict]]
 
 

@@ -60,7 +60,6 @@ class BatchPlans:
     __slots__ = ("num", "leg_kind", "leg_a", "leg_b", "leg_strategy",
                  "leg_phases", "leg_terminal", "leg_lo", "leg_hi",
                  "literal_nodes", "out_strategy", "out_phases",
-                 "found_override", "cost_override", "header_bits",
                  "notes_of", "strategy_names")
 
     def __init__(self, num: int, leg_kind: np.ndarray, leg_a: np.ndarray,
@@ -70,9 +69,6 @@ class BatchPlans:
                  out_strategy: np.ndarray, out_phases: np.ndarray,
                  strategy_names: List[str],
                  literal_nodes: Optional[np.ndarray] = None,
-                 found_override: Optional[np.ndarray] = None,
-                 cost_override: Optional[np.ndarray] = None,
-                 header_bits: Optional[np.ndarray] = None,
                  notes_of: Optional[List[Optional[dict]]] = None) -> None:
         self.num = int(num)
         self.leg_kind = leg_kind
@@ -86,12 +82,6 @@ class BatchPlans:
         self.literal_nodes = literal_nodes if literal_nodes is not None else _EMPTY_I64
         self.out_strategy = out_strategy
         self.out_phases = out_phases
-        self.found_override = found_override if found_override is not None \
-            else np.full(self.num, -1, dtype=np.int8)
-        self.cost_override = cost_override if cost_override is not None \
-            else np.full(self.num, np.nan)
-        self.header_bits = header_bits if header_bits is not None \
-            else np.zeros(self.num, dtype=np.int64)
         self.notes_of = notes_of if notes_of is not None else [None] * self.num
         self.strategy_names = strategy_names
 
@@ -136,9 +126,6 @@ def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
     leg_hi = np.zeros(num, dtype=np.int64)
     out_strategy = np.full(num, -1, dtype=np.int64)
     out_phases = np.zeros(num, dtype=np.int64)
-    found_override = np.full(num, -1, dtype=np.int8)
-    cost_override = np.full(num, np.nan)
-    header_bits = np.full(num, program.header_bits, dtype=np.int64)
     notes_of: List[Optional[dict]] = [None] * num
 
     for p, plan in enumerate(plans):
@@ -165,12 +152,6 @@ def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
         leg_hi[p] = len(leg_kind_l)
         out_strategy[p] = code_of(plan.final_strategy)
         out_phases[p] = plan.final_phases
-        if plan.found_override is not None:
-            found_override[p] = int(bool(plan.found_override))
-        if plan.cost_override is not None:
-            cost_override[p] = float(plan.cost_override)
-        if plan.header_override is not None:
-            header_bits[p] = int(plan.header_override)
         notes_of[p] = plan.notes
 
     leg_b = np.asarray(leg_b_l, dtype=np.int64)
@@ -194,8 +175,7 @@ def flatten_plans(program, src: np.ndarray, dst: np.ndarray) -> BatchPlans:
         out_strategy=out_strategy, out_phases=out_phases,
         strategy_names=strategy_names,
         literal_nodes=np.asarray(literal_nodes_l, dtype=np.int64),
-        found_override=found_override, cost_override=cost_override,
-        header_bits=header_bits, notes_of=notes_of)
+        notes_of=notes_of)
 
 
 # --------------------------------------------------------------------- #
@@ -524,8 +504,8 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
         hop_heads = _EMPTY_I64
         hop_tails = _EMPTY_I64
 
-    found = np.where(bp.found_override >= 0,
-                     bp.found_override.astype(bool), node == dst)
+    found = node == dst
+    header = int(program.header_bits)
 
     results: Optional[List[RouteResult]] = None
     if materialize:
@@ -542,17 +522,17 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
                 cost=0.0,
                 phases_used=int(out_phases[p]),
                 strategy=strategy_names[out_strategy[p]] if out_strategy[p] >= 0 else "",
-                max_header_bits=int(bp.header_bits[p]),
+                max_header_bits=header,
             )
             if bp.notes_of[p]:
                 result.notes = dict(bp.notes_of[p])
             results.append(result)
     outcome = LockstepOutcome(
         results=results, hop_index=hop_index, hop_heads=hop_heads,
-        hop_tails=hop_tails, cost_override=bp.cost_override, found=found,
+        hop_tails=hop_tails, found=found,
         final_nodes=node, phases=out_phases, strategy_codes=out_strategy,
-        strategy_names=bp.strategy_names, header_bits=bp.header_bits,
-        notes=bp.notes_of)
+        strategy_names=bp.strategy_names,
+        header_bits=np.full(num, header, dtype=np.int64), notes=bp.notes_of)
     if timings is not None:
         timings["step"] = timings.get("step", 0.0) + (time.perf_counter() - t1)
     return outcome

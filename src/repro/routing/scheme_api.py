@@ -50,34 +50,26 @@ class RoutingSchemeInstance(abc.ABC):
         return self.route(source, self.graph.name_of(destination))
 
     # -- compiled forwarding ------------------------------------------------- #
-    def compile_forwarding(self) -> Optional["ForwardingProgram"]:
+    def compile_forwarding(self) -> "ForwardingProgram":
         """Compile this scheme's routing state into a forwarding program.
 
         Schemes that can express their per-hop decisions over flat arrays
         (tree banks, next-hop tables) override this and return a
         :class:`repro.routing.forwarding.ForwardingProgram`; the lockstep
         batch engine then advances whole packet batches with array gathers
-        while producing walks identical to :meth:`route`.  The default
-        returns ``None``, which makes the simulator fall back to the
-        memoizing scalar replay program.
+        while producing walks identical to :meth:`route`.  Every scheme in
+        the library does; a scheme without a compiled form raises here and
+        is evaluated with ``engine="scalar"``.
         """
-        return None
+        raise NotImplementedError(
+            f"scheme {self.scheme_name!r} has no compiled forwarding program; "
+            "evaluate it with engine=\"scalar\"")
 
     def compiled_forwarding(self) -> "ForwardingProgram":
-        """The compiled forwarding program, built once and cached.
-
-        Falls back to :class:`repro.routing.forwarding.MemoizedScalarProgram`
-        (scalar routes memoized per pair and replayed in lockstep) when
-        :meth:`compile_forwarding` returns ``None``.
-        """
+        """The compiled forwarding program, built once and cached."""
         program = getattr(self, "_compiled_program", None)
         if program is None:
-            program = self.compile_forwarding()
-            if program is None:
-                from repro.routing.forwarding import MemoizedScalarProgram
-
-                program = MemoizedScalarProgram(self)
-            self._compiled_program = program
+            program = self._compiled_program = self.compile_forwarding()
         return program
 
     # -- dynamic maintenance ------------------------------------------------- #

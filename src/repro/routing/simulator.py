@@ -10,11 +10,12 @@ Two evaluation engines are available (``engine=`` on :meth:`evaluate` /
 :meth:`evaluate_batch` / :meth:`route_batch`):
 
 * ``"scalar"`` — per-pair ``scheme.route()`` calls, the reference engine;
-* ``"lockstep"`` — the scheme's :meth:`compile_forwarding` program executed
-  by :func:`repro.routing.forwarding.run_lockstep`: all pending packets
-  advance one hop per step through array gathers over compiled forwarding
-  tables, producing walks identical to the scalar engine;
-* ``"auto"`` (default) — lockstep when the scheme compiles, scalar otherwise.
+* ``"lockstep"`` (default) — the scheme's :meth:`compile_forwarding`
+  program executed by :func:`repro.routing.forwarding.run_lockstep`: all
+  pending packets advance one hop per step through array gathers over
+  compiled forwarding tables, producing walks identical to the scalar
+  engine.  A scheme without a compiled form raises ``NotImplementedError``
+  here and runs under ``"scalar"`` only.
 
 Either way the data plane is vectorized: pair sampling rejects disconnected
 candidates with one component-id array comparison, walk verification checks
@@ -40,7 +41,7 @@ from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
 #: engine names accepted by evaluate / evaluate_batch / route_batch
-ENGINE_NAMES = ("auto", "scalar", "lockstep")
+ENGINE_NAMES = ("scalar", "lockstep")
 
 
 class InvalidRouteError(RuntimeError):
@@ -111,19 +112,14 @@ def verify_lockstep_walks(graph: WeightedGraph, outcome, num_packets: int,
     return costs
 
 
-def resolve_engine_spec(scheme: RoutingSchemeInstance, engine: str) -> str:
-    """Turn an engine spec into ``"scalar"`` or ``"lockstep"``.
+def resolve_engine_spec(engine: str) -> str:
+    """Validate an engine name (one of :data:`ENGINE_NAMES`) and return it.
 
-    ``"auto"`` picks the lockstep engine when the scheme has a real compiled
-    program and the scalar engine when only the memoized fallback is
-    available (replaying scalar routes buys nothing then).  Shared by the
-    simulator and the traffic engine so both layers resolve a spec the same
-    way.
+    Shared by the simulator and the traffic engine so both layers accept
+    the same names.
     """
     require(engine in ENGINE_NAMES,
             f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
-    if engine == "auto":
-        return "scalar" if scheme.compiled_forwarding().is_fallback else "lockstep"
     return engine
 
 
@@ -344,18 +340,14 @@ class RoutingSimulator:
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
-    def resolve_engine(self, scheme: RoutingSchemeInstance, engine: str) -> str:
-        """Bound method façade over the module-level :func:`resolve_engine_spec`."""
-        return resolve_engine_spec(scheme, engine)
-
     def route_batch(self, scheme: RoutingSchemeInstance,
                     pairs: Sequence[Tuple[int, int]],
-                    engine: str = "auto") -> List[RouteResult]:
+                    engine: str = "lockstep") -> List[RouteResult]:
         """Route every pair and return the verified :class:`RouteResult` list."""
         pairs = [(int(u), int(v)) for u, v in pairs]
         sources = np.asarray([u for u, _ in pairs], dtype=np.int64)
         destinations = np.asarray([v for _, v in pairs], dtype=np.int64)
-        engine = self.resolve_engine(scheme, engine)
+        engine = resolve_engine_spec(engine)
         results, _ = self._route_and_verify(scheme, pairs, sources,
                                             destinations, engine)
         return results
@@ -366,12 +358,10 @@ class RoutingSimulator:
         return verify_lockstep_walks(self.graph, outcome, num_pairs, destinations)
 
     @staticmethod
-    def _apply_costs(results: List[RouteResult], costs: np.ndarray,
-                     cost_override: np.ndarray) -> None:
-        """Fill verified costs into materialized results (overrides win)."""
-        replayed = ~np.isnan(cost_override)
-        for i, result in enumerate(results):
-            result.cost = float(cost_override[i]) if replayed[i] else float(costs[i])
+    def _apply_costs(results: List[RouteResult], costs: np.ndarray) -> None:
+        """Fill verified walk costs into materialized results."""
+        for result, cost in zip(results, costs.tolist()):
+            result.cost = cost
 
     def _route_and_verify(self, scheme, pairs, sources, destinations,
                           engine) -> Tuple[List[RouteResult], np.ndarray]:
@@ -380,7 +370,7 @@ class RoutingSimulator:
             program = scheme.compiled_forwarding()
             outcome = run_lockstep(program, sources, destinations, materialize=True)
             costs = self._verify_lockstep(outcome, len(pairs), destinations)
-            self._apply_costs(outcome.results, costs, outcome.cost_override)
+            self._apply_costs(outcome.results, costs)
             return outcome.results, costs
         names = self.graph.names_view()
         results = [scheme.route(u, names[v]) for u, v in pairs]
@@ -392,7 +382,7 @@ class RoutingSimulator:
         scheme: RoutingSchemeInstance,
         pairs: Sequence[Tuple[int, int]],
         keep_outcomes: bool = False,
-        engine: str = "auto",
+        engine: str = "lockstep",
     ) -> EvaluationReport:
         """Route every pair through ``scheme``; verify and score with NumPy.
 
@@ -407,7 +397,7 @@ class RoutingSimulator:
         pairs = [(int(u), int(v)) for u, v in pairs]
         sources = np.asarray([u for u, _ in pairs], dtype=np.int64)
         destinations = np.asarray([v for _, v in pairs], dtype=np.int64)
-        engine = self.resolve_engine(scheme, engine)
+        engine = resolve_engine_spec(engine)
         if pairs:
             # one batched fill of the backend's row cache for the whole round
             self.oracle.prefetch(np.unique(sources))
@@ -424,7 +414,7 @@ class RoutingSimulator:
             max_header = int(outcome.header_bits.max()) if pairs else 0
             results = outcome.results
             if results is not None:
-                self._apply_costs(results, costs, outcome.cost_override)
+                self._apply_costs(results, costs)
         else:
             results, costs = self._route_and_verify(scheme, pairs, sources,
                                                     destinations, engine)
@@ -476,7 +466,7 @@ class RoutingSimulator:
         num_pairs: int = 200,
         seed=None,
         keep_outcomes: bool = False,
-        engine: str = "auto",
+        engine: str = "lockstep",
     ) -> EvaluationReport:
         """Route every pair through ``scheme`` and aggregate stretch statistics."""
         if pairs is None:

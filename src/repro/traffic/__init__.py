@@ -14,7 +14,6 @@ from repro.traffic.engine import (
     batch_size_of,
     num_batches,
     processes_enabled,
-    resolve_traffic_engine,
     run_traffic,
     run_traffic_exact,
     stream_shard,
@@ -58,7 +57,6 @@ __all__ = [
     "make_traffic_model",
     "num_batches",
     "processes_enabled",
-    "resolve_traffic_engine",
     "run_traffic",
     "run_traffic_exact",
     "stream_shard",

@@ -66,9 +66,6 @@ HOT_ROW_BYTES = 256 << 20
 #: hard cap on pinned hot rows regardless of graph size
 HOT_ROW_CAP = 4096
 
-#: the simulator's engine-spec resolution, shared so both layers agree
-resolve_traffic_engine = resolve_engine_spec
-
 #: run-scoped extras inherited by forked shard workers (fork copies parent
 #: memory, so anything placed here before the fork is visible in every
 #: worker without widening :func:`stream_shard`'s public signature)
@@ -328,7 +325,7 @@ def stream_shard(scheme: RoutingSchemeInstance, model: TrafficModel,
     """
     graph = scheme.graph
     oracle = oracle or DistanceOracle(graph)
-    engine = resolve_traffic_engine(scheme, engine)
+    engine = resolve_engine_spec(engine)
     program = scheme.compiled_forwarding() if engine == "lockstep" else None
     cache = _RUN_CONTEXT.get("hot_cache")
     scorer = _RUN_CONTEXT.get("scorer")
@@ -585,7 +582,7 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
 
 def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
                 packets: int, shards: int = 1,
-                batch_size: int = DEFAULT_BATCH_SIZE, engine: str = "auto",
+                batch_size: int = DEFAULT_BATCH_SIZE, engine: str = "lockstep",
                 oracle: Optional[DistanceOracle] = None,
                 processes: Optional[bool] = None, profile: bool = False,
                 service: bool = False, epoch_batches: Optional[int] = None,
@@ -602,9 +599,9 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
         ``processes=False`` the shards stream sequentially in-process —
         identical partition and merge, no concurrency (testing/debug).
     engine:
-        ``"auto"`` / ``"lockstep"`` / ``"scalar"`` — same meaning as the
-        simulator's evaluation engines; the streamed statistics are
-        identical under either engine.
+        ``"lockstep"`` / ``"scalar"`` — same meaning as the simulator's
+        evaluation engines; the streamed statistics are identical under
+        either engine.
     oracle:
         Shared distance oracle for exact stretch scoring (defaults to
         backend auto-selection by graph size).
@@ -637,7 +634,7 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
     require(shards >= 1, "need at least one shard")
     graph = scheme.graph
     oracle = oracle or DistanceOracle(graph)
-    engine = resolve_traffic_engine(scheme, engine)
+    engine = resolve_engine_spec(engine)
     program = scheme.compiled_forwarding() if engine == "lockstep" else None
     graph.to_scipy_csr()               # warm the shared CSR cache, pre-fork
     graph.component_ids()
@@ -733,7 +730,7 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
 
 def run_traffic_exact(scheme: RoutingSchemeInstance, model: TrafficModel,
                       packets: int, batch_size: int = DEFAULT_BATCH_SIZE,
-                      engine: str = "auto",
+                      engine: str = "lockstep",
                       oracle: Optional[DistanceOracle] = None) -> Dict[str, np.ndarray]:
     """Exact per-packet reference for sketch-accuracy checks (O(packets) memory).
 
@@ -744,7 +741,7 @@ def run_traffic_exact(scheme: RoutingSchemeInstance, model: TrafficModel,
     """
     graph = scheme.graph
     oracle = oracle or DistanceOracle(graph)
-    engine = resolve_traffic_engine(scheme, engine)
+    engine = resolve_engine_spec(engine)
     program = scheme.compiled_forwarding() if engine == "lockstep" else None
     stretch_parts: List[np.ndarray] = []
     hop_parts: List[np.ndarray] = []

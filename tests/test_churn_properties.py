@@ -26,12 +26,9 @@ from repro.dynamics.events import (
     weight_perturbations,
 )
 from repro.dynamics.repair import tree_is_intact
-from repro.dynamics.scenario import (
-    SCENARIO_NAMES,
-    make_scenario,
-    run_scenario_matrix,
-    stale_delivery_rate,
-)
+from repro.dynamics.scenario import SCENARIO_NAMES, make_scenario
+from repro.experiments.harness import run_live_matrix
+from repro.experiments.workloads import workload_factory
 from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.generators import (
     erdos_renyi_graph,
@@ -41,6 +38,8 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
+from repro.live import stale_window_outcome
+from repro.routing.forwarding import run_lockstep
 from repro.routing.simulator import PairSamplingError, RoutingSimulator
 
 #: advertised stretch bound per scheme at k=2 (mirrors the static suites)
@@ -196,19 +195,23 @@ class TestIncrementalMatchesFullRebuild:
 
 class TestScenarioMatrix:
     def test_all_named_scenarios_run_with_parity(self):
-        from repro.experiments.workloads import workload_factory
-
-        result = run_scenario_matrix(
-            ["shortest-path", "cowen"], workload_factory("erdos-renyi", 48, 5),
-            scenarios=SCENARIO_NAMES, epochs=3, num_pairs=40, seed=2)
-        assert len(result.rows) == len(SCENARIO_NAMES) * 4 * 2
-        for row in result.rows:
-            assert row["parity"]
-            assert row["delivery"] == pytest.approx(1.0)
+        rows = []
+        for scenario in SCENARIO_NAMES:
+            # verify_determinism re-routes every epoch through the scalar
+            # reference engine and raises on any mismatch
+            rows += run_live_matrix(
+                "scenarios", ["shortest-path", "cowen"],
+                workload_factory("erdos-renyi", 48, 5), scenario=scenario,
+                epochs=3, epoch_packets=40, stale_packets=40, model="uniform",
+                seed=2, verify_determinism=True).rows
+        assert len(rows) == len(SCENARIO_NAMES) * 4 * 2
+        for row in rows:
+            assert row["determinism_checked"]
+            assert row["delivery_rate"] == pytest.approx(1.0)
             assert 0.0 <= row["stale_delivery"] <= 1.0
             assert row["repair_seconds"] >= 0.0
         # the flap scenario must actually drop deliveries while stale
-        flap = [r for r in result.rows
+        flap = [r for r in rows
                 if r["scenario"] == "flap-heavy" and r["epoch"] > 0]
         assert any(r["stale_delivery"] < 1.0 for r in flap)
 
@@ -222,16 +225,21 @@ class TestScenarioMatrix:
                          scenario.events_for_epoch(graph, epoch, 4, rng))
         assert sorted(graph.edges()) == edges_before
 
-    def test_stale_delivery_rate_counts_broken_walks(self):
+    def test_stale_window_counts_broken_walks(self):
         graph = grid_graph(4, 4, seed=41)
         scheme = build_scheme("shortest-path", graph, k=2, seed=1,
                               oracle=DistanceOracle(graph, backend="dense"))
-        sim = fresh_simulator(graph)
-        pairs = sim.sample_pairs(40, seed=2)
-        assert stale_delivery_rate(scheme, graph, pairs) == pytest.approx(1.0)
+        stale_program = scheme.compiled_forwarding()
+        pairs = fresh_simulator(graph).sample_pairs(40, seed=2)
+        src, dst = (np.asarray(side, dtype=np.int64) for side in zip(*pairs))
+
+        def delivered():
+            outcome = run_lockstep(stale_program, src, dst, materialize=False)
+            return stale_window_outcome(graph, outcome, src.size, dst)
+
+        assert delivered().all()
         apply_events(graph, edge_failures(graph, 6, seed=3))
-        stale = stale_delivery_rate(scheme, graph, pairs)
-        assert 0.0 <= stale < 1.0
+        assert not delivered().all()
 
 
 class TestSamplePairsUnderChurn:

@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.covers.sparse_cover import build_sparse_cover
+from repro.construction.context import BuildContext
+from repro.covers.sparse_cover import (_coarsen_regions, _coarsen_vectorized,
+                                       build_sparse_cover)
 from repro.covers.tree_cover import build_tree_cover
 from repro.graphs.generators import erdos_renyi_graph, grid_graph, path_graph
 from repro.graphs.shortest_paths import DistanceOracle
@@ -70,27 +73,40 @@ class TestSparseCover:
         with pytest.raises(Exception):
             build_sparse_cover(g, 2, 0.0, oracle=oracle)
 
-    def test_unknown_cover_mode_rejected(self, grid_and_oracle, monkeypatch):
-        g, oracle = grid_and_oracle
-        monkeypatch.setenv("REPRO_COVER_MODE", "bogus")
-        with pytest.raises(Exception, match="REPRO_COVER_MODE"):
-            build_sparse_cover(g, K, 1.0, oracle=oracle)
-
 
 class TestCoverModeParity:
     """csr ≡ regions ≡ scalar, decision for decision.
 
     The region-growing coarsening replaces per-node ball rows with
     multi-source limited Dijkstra layers; it must reproduce the CSR
-    (row-streaming) mode's clusters, homes and phases exactly, which in
-    turn must match the scalar reference — across families, k, radii and
-    node subsets.  ``auto`` must resolve to one of the two.
+    (row-streaming) coarsening's clusters, homes and phases exactly, which
+    in turn must match the scalar reference — across families, k, radii and
+    node subsets.  ``build_sparse_cover`` picks one of the two from sampled
+    ball sizes, so its output must match as well.
     """
 
     def _canonical(self, cover):
         clusters = sorted((sorted(c.nodes), c.center,
                            sorted(c.kernel_centers)) for c in cover.clusters)
         return clusters, dict(cover.home)
+
+    def _coarsen(self, mode, graph, oracle, k, radius, nodes=None):
+        """One coarsener, called with the inputs ``build_sparse_cover`` prepares."""
+        if nodes is None:
+            universe, allowed = np.arange(graph.n, dtype=np.int64), None
+        else:
+            universe = np.asarray(sorted(set(nodes)), dtype=np.int64)
+            allowed = np.zeros(graph.n, dtype=bool)
+            allowed[universe] = True
+        growth = max(universe.size, 2) ** (1.0 / k)
+        if mode == "regions":
+            cover = _coarsen_regions(graph, k, radius, universe, growth, allowed)
+        else:
+            indptr, indices = BuildContext(graph, oracle=oracle).ball_csr(
+                radius, universe=universe, allowed_mask=allowed)
+            cover = _coarsen_vectorized(graph.n, k, radius, universe, growth,
+                                        indptr, indices)
+        return self._canonical(cover)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5, 6.0])
@@ -99,28 +115,26 @@ class TestCoverModeParity:
                       erdos_renyi_graph(60, seed=9),
                       path_graph(40, seed=4)):
             oracle = DistanceOracle(graph)
-            outs = {}
-            for mode in ("csr", "regions"):
-                monkeypatch.setenv("REPRO_COVER_MODE", mode)
-                outs[mode] = self._canonical(
-                    build_sparse_cover(graph, k, radius, oracle=oracle))
+            outs = {mode: self._coarsen(mode, graph, oracle, k, radius)
+                    for mode in ("csr", "regions")}
+            outs["chosen"] = self._canonical(
+                build_sparse_cover(graph, k, radius, oracle=oracle))
             monkeypatch.setenv("REPRO_BUILD_MODE", "scalar")
-            monkeypatch.delenv("REPRO_COVER_MODE", raising=False)
             outs["scalar"] = self._canonical(
                 build_sparse_cover(graph, k, radius, oracle=oracle))
             monkeypatch.delenv("REPRO_BUILD_MODE", raising=False)
-            assert outs["csr"] == outs["regions"] == outs["scalar"]
+            assert outs["csr"] == outs["regions"] == outs["chosen"] \
+                == outs["scalar"]
 
-    def test_subset_universe_parity(self, monkeypatch):
+    def test_subset_universe_parity(self):
         graph = erdos_renyi_graph(70, seed=12)
         oracle = DistanceOracle(graph)
         subset = list(range(0, graph.n, 3))
-        outs = {}
-        for mode in ("csr", "regions"):
-            monkeypatch.setenv("REPRO_COVER_MODE", mode)
-            outs[mode] = self._canonical(
-                build_sparse_cover(graph, 2, 2.0, oracle=oracle, nodes=subset))
-        assert outs["csr"] == outs["regions"]
+        outs = {mode: self._coarsen(mode, graph, oracle, 2, 2.0, nodes=subset)
+                for mode in ("csr", "regions")}
+        outs["chosen"] = self._canonical(
+            build_sparse_cover(graph, 2, 2.0, oracle=oracle, nodes=subset))
+        assert outs["csr"] == outs["regions"] == outs["chosen"]
 
 
 class TestTreeCover:

@@ -73,6 +73,12 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "stretch" in out.lower()
 
+    @pytest.mark.parametrize("script", ["churn_demo.py", "live_demo.py"])
+    def test_churn_examples_run(self, script, capsys):
+        runpy.run_path(str(EXAMPLES_DIR / script), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "stale" in out and "repair" in out
+
     def test_scale_free_example_runs(self, capsys):
         runpy.run_path(str(EXAMPLES_DIR / "scale_free_demo.py"), run_name="__main__")
         out = capsys.readouterr().out

@@ -237,6 +237,32 @@ def test_live_matrix_aligns_events_across_schemes():
     assert set(result.metadata["timelines"]) == {"shortest-path", "cowen"}
 
 
+def test_live_matrix_builds_a_fresh_scenario_per_scheme():
+    """Scenarios are stateful: one object shared across the schemes' timelines
+    would leak the first scheme's plan into the next (cowen replaying
+    shortest-path's pending flap recoveries, or finding the partition
+    schedule already healed), so only a scenario name is accepted."""
+    from repro.dynamics.scenario import make_scenario
+    from repro.experiments.harness import run_live_matrix
+
+    def run(scenario, **kwargs):
+        return run_live_matrix(
+            "live-test", ["shortest-path", "cowen"],
+            lambda: make_graph("barabasi-albert", n=150, seed=5),
+            scenario=scenario, epochs=2, epoch_packets=600, batch_size=256,
+            stale_packets=100, seed=21, **kwargs)
+
+    with pytest.raises(ValidationError, match="scenario name"):
+        run(make_scenario("partition-and-heal"))
+    result = run("partition-and-heal",
+                 scenario_kwargs={"region_fraction": 0.25})
+    events = {scheme: [r["events"] for r in result.rows
+                       if r["scheme"] == scheme]
+              for scheme in ("shortest-path", "cowen")}
+    assert events["shortest-path"] == events["cowen"]
+    assert sum(events["cowen"]) > 0
+
+
 # -- SharedArena teardown under worker death -------------------------------- #
 
 def _hang_after_read(keys, queue):  # pragma: no cover - runs in child

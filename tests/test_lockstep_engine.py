@@ -18,9 +18,9 @@ from repro.graphs.shortest_paths import DistanceOracle
 from repro.graphs.trees import Tree
 from repro.routing import kernels
 from repro.routing.forwarding import (LEG_TREE, ForwardingProgram,
-                                      MemoizedScalarProgram, NextHopTable,
-                                      PacketPlan, TreeBank, literal_leg,
-                                      run_lockstep, table_leg, tree_leg)
+                                      NextHopTable, PacketPlan, TreeBank,
+                                      literal_leg, run_lockstep, table_leg,
+                                      tree_leg)
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import RoutingSimulator
 from repro.utils.validation import ValidationError
@@ -111,53 +111,41 @@ class TestSchemeParity:
 
 
 class _UncompiledScheme(RoutingSchemeInstance):
-    """A scheme without a compiled form: exercises the memoized fallback."""
+    """A scheme without a compiled form (delegates ``route()`` to ``inner``)."""
 
     scheme_name = "uncompiled"
 
     def __init__(self, graph, inner):
         super().__init__(graph)
         self._inner = inner
-        self.route_calls = 0
 
     def route(self, source, destination_name):
-        self.route_calls += 1
         return self._inner.route(source, destination_name)
 
     def header_bits(self):
         return self._inner.header_bits()
 
 
-class TestMemoizedFallback:
-    def test_replay_matches_scalar_and_memoizes(self, small_grid):
+class TestEngineSelection:
+    def test_uncompiled_scheme_routes_only_under_scalar(self, small_grid):
         oracle = DistanceOracle(small_grid)
         sim = RoutingSimulator(small_grid, oracle=oracle)
         inner = build_scheme("shortest-path", small_grid, oracle=oracle)
         scheme = _UncompiledScheme(small_grid, inner)
-        assert isinstance(scheme.compiled_forwarding(), MemoizedScalarProgram)
         pairs = sim.sample_pairs(40, seed=1)
-        pairs = pairs + pairs  # repeats must be served from the memo
-        lockstep = sim.route_batch(scheme, pairs, engine="lockstep")
-        assert scheme.route_calls == len(set(pairs))
-        scalar = [inner.route(u, small_grid.name_of(v)) for u, v in pairs]
-        _assert_results_match(scalar, lockstep, pairs)
-
-    def test_auto_prefers_scalar_for_fallback(self, small_grid):
-        oracle = DistanceOracle(small_grid)
-        sim = RoutingSimulator(small_grid, oracle=oracle)
-        inner = build_scheme("shortest-path", small_grid, oracle=oracle)
-        scheme = _UncompiledScheme(small_grid, inner)
-        assert sim.resolve_engine(scheme, "auto") == "scalar"
-        assert sim.resolve_engine(inner, "auto") == "lockstep"
-        report = sim.evaluate(inner, num_pairs=20, seed=2)
-        assert report.engine == "lockstep"
+        report = sim.evaluate(scheme, pairs=pairs, engine="scalar")
+        assert report.engine == "scalar" and report.failures == 0
+        with pytest.raises(NotImplementedError, match='engine="scalar"'):
+            sim.evaluate(scheme, pairs=pairs)
+        assert sim.evaluate(inner, pairs=pairs).engine == "lockstep"
 
     def test_unknown_engine_rejected(self, small_grid):
         oracle = DistanceOracle(small_grid)
         sim = RoutingSimulator(small_grid, oracle=oracle)
         inner = build_scheme("shortest-path", small_grid, oracle=oracle)
-        with pytest.raises(Exception):
-            sim.evaluate(inner, num_pairs=5, seed=1, engine="warp-drive")
+        for engine in ("warp-drive", "auto"):
+            with pytest.raises(ValidationError, match="engine must be one of"):
+                sim.evaluate(inner, num_pairs=5, seed=1, engine=engine)
 
 
 class TestTreeBank:
@@ -399,7 +387,6 @@ def _assert_outcome_arrays_equal(a, b):
                   "final_nodes", "phases", "header_bits"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field),
                                       err_msg=field)
-    np.testing.assert_array_equal(a.cost_override, b.cost_override)
     names_a = [a.strategy_names[c] if c >= 0 else "" for c in a.strategy_codes]
     names_b = [b.strategy_names[c] if c >= 0 else "" for c in b.strategy_codes]
     assert names_a == names_b
@@ -431,8 +418,7 @@ def _assert_plans_equal(a, b):
     """Two :class:`kernels.BatchPlans` are equal leg for leg."""
     for field in ("num", "leg_kind", "leg_a", "leg_b", "leg_phases",
                   "leg_terminal", "leg_lo", "leg_hi", "out_phases",
-                  "literal_nodes", "found_override", "cost_override",
-                  "header_bits"):
+                  "literal_nodes"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field),
                                       err_msg=field)
     for field in ("leg_strategy", "out_strategy"):

@@ -59,7 +59,7 @@ class TestRoutingTable:
 
 
 class _FixedWalkScheme(RoutingSchemeInstance):
-    """Test double returning a pre-set walk."""
+    """Test double returning a pre-set walk (no compiled form: scalar only)."""
 
     scheme_name = "fixed"
 
@@ -114,7 +114,8 @@ class TestSimulator:
         sim = RoutingSimulator(square)
         # A scheme that always walks 0-1-2 regardless of the request:
         scheme = _FixedWalkScheme(square, [0, 1, 2])
-        report = sim.evaluate(scheme, pairs=[(0, 2)], keep_outcomes=True)
+        report = sim.evaluate(scheme, pairs=[(0, 2)], keep_outcomes=True,
+                              engine="scalar")
         assert report.max_stretch == pytest.approx(1.0)
         assert report.failures == 0
         assert report.outcomes[0].cost == pytest.approx(2.0)
@@ -122,14 +123,14 @@ class TestSimulator:
     def test_evaluate_counts_failures(self, square):
         sim = RoutingSimulator(square)
         scheme = _FixedWalkScheme(square, [0], found=False)
-        report = sim.evaluate(scheme, pairs=[(0, 2), (0, 1)])
+        report = sim.evaluate(scheme, pairs=[(0, 2), (0, 1)], engine="scalar")
         assert report.failures == 2
         assert report.max_stretch == float("inf")
 
     def test_report_as_dict_roundtrip(self, square):
         sim = RoutingSimulator(square)
         scheme = _FixedWalkScheme(square, [0, 1])
-        report = sim.evaluate(scheme, pairs=[(0, 1)])
+        report = sim.evaluate(scheme, pairs=[(0, 1)], engine="scalar")
         d = report.as_dict()
         assert d["scheme"] == "fixed" and d["num_pairs"] == 1
 

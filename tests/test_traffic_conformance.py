@@ -350,11 +350,11 @@ class TestDeterminism:
         # sketches agree bit for bit at a fixed shard count
         assert scalar.summary() == lockstep.summary()
 
-    def test_auto_engine_resolves_to_lockstep_for_compiled_schemes(self):
+    def test_default_engine_is_lockstep(self):
         scheme, model, oracle = self._scheme_and_model()
-        auto = run_traffic(scheme, model, packets=800, batch_size=256,
-                           engine="auto", oracle=oracle)
-        assert auto.engine == "lockstep"
+        report = run_traffic(scheme, model, packets=800, batch_size=256,
+                             oracle=oracle)
+        assert report.engine == "lockstep"
 
     @pytest.mark.skipif(not processes_enabled(),
                         reason="fork-based worker processes unavailable")
