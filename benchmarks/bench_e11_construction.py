@@ -2,30 +2,23 @@
 
 The paper's headline object is a *polynomial-time constructible* space–stretch
 trade-off; this bench times the full preprocessing of all six schemes on a
-growing ladder ``n ∈ {200, 1000, 5000, 20000}`` and contrasts the default
-array-native construction pipeline (shared ``BuildContext``: batched SPT
-forests, CSR ball tables, vectorized cover coarsening, array-built next-hop
-tables) against the legacy scalar constructors (``REPRO_BUILD_MODE=scalar``,
-the build-parity reference).
+growing ladder ``n ∈ {200, 1000, 5000, 20000}`` through the array-native
+construction pipeline (shared ``BuildContext``: batched SPT forests, CSR ball
+tables, vectorized cover coarsening, array-built next-hop tables).
 
 Each rung uses the scheme's own ``DistanceOracle`` backend auto-selection —
 dense matrix up to the dense-node limit, lazy LRU rows beyond it — so the big
-rungs never allocate the n×n matrix.  The scalar baseline is skipped above
-``--scalar-cap`` (its per-destination Python loops are quadratic; the ladder
-would take hours), and the aggregate speedup is computed over the rungs both
-modes completed.  Every built scheme is also evaluated on a small pair batch
-(failures must be zero) so a "fast but broken" build cannot pass.
+rungs never allocate the n×n matrix.  Every built scheme is also evaluated on
+a small pair batch (failures must be zero) so a "fast but broken" build
+cannot pass.
 
-Two baselines are reported: the live ``REPRO_BUILD_MODE=scalar`` constructors
-(re-measured every run) and the frozen seed-era build record (the ``build_s``
-column BENCH_e14.json carried before this pipeline landed).  Results are
-emitted as machine-readable JSON (``--json``, default ``BENCH_e11.json`` next
-to the repo root).  ``--quick`` shrinks the run for CI (one small rung);
-``--assert-speedup`` fails the process when any scheme fails routing, when
-the aggregate speedup over the scalar mode falls below ``--min-speedup``
-(default 3 on the full ladder, 1.0 in quick mode), or when the aggregate over
-the seed record — wherever its cells are in scope — falls below 10x (the E11
-acceptance bar).
+Build times are compared against the frozen seed-era build record (the
+``build_s`` column BENCH_e14.json carried before this pipeline landed).
+Results are emitted as machine-readable JSON (``--json``, default
+``BENCH_e11.json`` next to the repo root).  ``--quick`` shrinks the run for
+CI (one small rung); ``--assert-speedup`` fails the process when any scheme
+fails routing, or when the aggregate speedup over the seed record falls
+below 10x (the E11 acceptance bar) on a run that covers every seeded rung.
 
 Usage::
 
@@ -40,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import time
 
 from repro.construction.context import BuildContext
@@ -54,16 +46,13 @@ from common import bench_meta, default_json_path, write_bench_json
 
 DEFAULT_SIZES = [200, 1000, 5000, 20000]
 QUICK_SIZES = [200]
-DEFAULT_SCALAR_CAP = 5000
 EVAL_PAIRS = 200
 
 #: Seed-era construction times (seconds) for the identical build cells —
 #: the ``build_s`` column of BENCH_e14.json as committed by the forwarding
 #: PR, i.e. the same barabasi-albert/seed-42/k=2 builds (AGM with the same
 #: scaled experiment constants) measured *before* the vectorized pipeline
-#: landed.  The ladder reports the trajectory against both baselines: the
-#: living scalar mode (re-measured every run) and this frozen seed record.
-#: Cells are limited to rungs the ladder still runs on the dense backend —
+#: landed.  Cells are limited to rungs the ladder still runs on the dense backend —
 #: the seed record was measured dense, and the seed could not build the four
 #: quadratic-constructor schemes at n=20000 in reasonable time at all (which
 #: is why those rows were missing from BENCH_e14.json until this ladder).
@@ -98,7 +87,7 @@ def build_once(name: str, graph, oracle, seed: int, parallel) -> tuple:
     """
     import gc
 
-    context = BuildContext(graph, oracle=oracle, seed=seed, parallel=parallel)
+    context = BuildContext(graph, oracle=oracle, parallel=parallel)
     gc.collect()
     gc.disable()
     try:
@@ -118,35 +107,27 @@ def main() -> None:
                         choices=list(SCHEME_NAMES))
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--family", default="barabasi-albert")
-    parser.add_argument("--scalar-cap", type=int, default=DEFAULT_SCALAR_CAP,
-                        help="largest n on which the scalar baseline also runs")
     parser.add_argument("--parallel", type=int, default=None,
                         help="worker threads for the BuildContext fan-out")
     parser.add_argument("--pairs", type=int, default=EVAL_PAIRS,
                         help="evaluation pairs per built scheme (sanity gate)")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: one small rung")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="aggregate speedup over the live scalar mode the "
-                             "--assert-speedup gate requires (default 3, "
-                             "quick mode 1.0; the seed-record bar is a "
-                             "separate hard 10x)")
     parser.add_argument("--assert-speedup", action="store_true",
                         help="exit non-zero unless every scheme routes with "
-                             "zero failures and the aggregate construction "
-                             "speedup meets --min-speedup")
+                             "zero failures and, on runs covering every "
+                             "seeded rung, the aggregate speedup over the "
+                             "seed record is at least 10x")
     parser.add_argument("--json", default=None,
                         help="where to write the JSON rows "
                              "(default: BENCH_e11.json beside the repo root)")
     args = parser.parse_args()
 
     sizes = args.sizes or (QUICK_SIZES if args.quick else DEFAULT_SIZES)
-    min_speedup = args.min_speedup if args.min_speedup is not None \
-        else (1.0 if args.quick else 3.0)
     json_path = args.json or default_json_path(__file__, "BENCH_e11.json")
 
-    print("# E11: construction ladder, vectorized pipeline vs scalar baseline")
-    header = (f"{'n':>6} {'scheme':>15} {'vect_s':>8} {'scalar_s':>9} "
+    print("# E11: construction ladder, array-native pipeline vs seed record")
+    header = (f"{'n':>6} {'scheme':>15} {'build_s':>8} {'seed_s':>9} "
               f"{'speedup':>8} {'failures':>8} {'backend':>8}")
     print(header)
     print("-" * len(header))
@@ -160,52 +141,38 @@ def main() -> None:
         sim = RoutingSimulator(graph, oracle=oracle)
         pairs = sim.sample_pairs(min(args.pairs, n), seed=args.seed + 1)
         for name in args.schemes:
-            os.environ["REPRO_BUILD_MODE"] = "vectorized"
-            vect_s, scheme = build_once(name, graph, oracle, args.seed + 2,
+            build_s, scheme = build_once(name, graph, oracle, args.seed + 2,
                                         args.parallel)
             report = sim.evaluate(scheme, pairs=pairs)
             del scheme  # keep the next timed build free of this one's footprint
-            scalar_s = None
-            if n <= args.scalar_cap:
-                os.environ["REPRO_BUILD_MODE"] = "scalar"
-                scalar_s, _ = build_once(name, graph, oracle, args.seed + 2,
-                                         args.parallel)
-                os.environ["REPRO_BUILD_MODE"] = "vectorized"
             seed_s = SEED_BUILD_SECONDS.get((n, name)) \
                 if args.family == "barabasi-albert" and args.seed == 42 else None
             row = {
                 "n": n,
                 "scheme": name,
                 "backend": oracle.backend_name,
-                "vectorized_s": round(vect_s, 4),
-                "scalar_s": round(scalar_s, 4) if scalar_s is not None else None,
+                "vectorized_s": round(build_s, 4),
                 "seed_s": seed_s,
-                "speedup": round(scalar_s / vect_s, 2) if scalar_s else None,
-                "speedup_vs_seed": round(seed_s / vect_s, 2) if seed_s else None,
+                "speedup_vs_seed": round(seed_s / build_s, 2) if seed_s else None,
                 "failures": report.failures,
                 "avg_stretch": report.avg_stretch,
                 "max_table_bits": report.max_table_bits,
             }
             rows.append(row)
-            scalar_str = f"{scalar_s:9.1f}" if scalar_s is not None else "        -"
-            speedup_str = f"{row['speedup']:7.1f}x" if row["speedup"] else "       -"
-            print(f"{n:>6} {name:>15} {vect_s:>8.1f} {scalar_str} "
+            seed_str = f"{seed_s:9.1f}" if seed_s is not None else "        -"
+            speedup_str = f"{row['speedup_vs_seed']:7.1f}x" \
+                if row["speedup_vs_seed"] else "       -"
+            print(f"{n:>6} {name:>15} {build_s:>8.1f} {seed_str} "
                   f"{speedup_str} {report.failures:>8} {oracle.backend_name:>8}")
 
-    both = [r for r in rows if r["scalar_s"] is not None]
-    total_scalar = sum(r["scalar_s"] for r in both)
-    total_vect = sum(r["vectorized_s"] for r in both)
-    aggregate = total_scalar / total_vect if total_vect else float("inf")
     seeded = [r for r in rows if r["seed_s"] is not None]
     total_seed = sum(r["seed_s"] for r in seeded)
-    total_vect_seeded = sum(r["vectorized_s"] for r in seeded)
-    aggregate_vs_seed = total_seed / total_vect_seeded if total_vect_seeded \
+    total_build_seeded = sum(r["vectorized_s"] for r in seeded)
+    aggregate_vs_seed = total_seed / total_build_seeded if total_build_seeded \
         else None
-    print(f"\naggregate construction speedup vs the scalar mode "
-          f"(sum scalar / sum vectorized, dual-mode rungs): {aggregate:.1f}x")
     if aggregate_vs_seed is not None:
-        print(f"aggregate construction speedup vs the seed record "
-              f"(sum seed / sum vectorized, recorded cells): "
+        print(f"\naggregate construction speedup vs the seed record "
+              f"(sum seed / sum build, recorded cells): "
               f"{aggregate_vs_seed:.1f}x")
 
     payload = {
@@ -214,9 +181,7 @@ def main() -> None:
         "sizes": sizes,
         "schemes": args.schemes,
         "seed": args.seed,
-        "scalar_cap": args.scalar_cap,
         "eval_pairs": args.pairs,
-        "aggregate_speedup": round(aggregate, 2),
         "aggregate_speedup_vs_seed": round(aggregate_vs_seed, 2)
         if aggregate_vs_seed is not None else None,
         "rows": rows,
@@ -227,15 +192,7 @@ def main() -> None:
 
     if args.assert_speedup:
         broken = [r for r in rows if r["failures"]]
-        assert not broken, f"routing failures after vectorized build: {broken}"
-        assert both, ("--assert-speedup needs at least one rung at or below "
-                      "--scalar-cap, otherwise the speedup gate is vacuous")
-        # the gate: vectorized must beat the scalar mode by --min-speedup in
-        # aggregate, and — whenever seed-era cells are in scope — beat the
-        # seed record by >= 10x (the E11 ladder acceptance bar)
-        assert aggregate >= min_speedup, (
-            f"aggregate construction speedup {aggregate:.2f}x below the "
-            f"required {min_speedup:.2f}x")
+        assert not broken, f"routing failures after build: {broken}"
         # the 10x bar is an aggregate over the whole seed record (dominated
         # by the n=5000 rung), so it only gates runs covering every seeded
         # rung — partial --sizes runs skip it instead of failing spuriously
@@ -244,8 +201,7 @@ def main() -> None:
             assert aggregate_vs_seed >= 10.0, (
                 f"aggregate speedup vs the seed record {aggregate_vs_seed:.2f}x "
                 f"fell below 10x")
-        print(f"assertions passed: zero failures, aggregate >= "
-              f"{min_speedup:.1f}x vs scalar mode"
+        print("assertions passed: zero failures"
               + (f", {aggregate_vs_seed:.1f}x vs seed record"
                  if aggregate_vs_seed is not None else ""))
 

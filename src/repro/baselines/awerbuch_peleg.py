@@ -50,8 +50,7 @@ class AwerbuchPelegRouting(RoutingSchemeInstance):
         self.oracle = exact_distance_oracle(graph, oracle)
         self.name_bits = int(name_bits)
         self._build_seed = seed  # kept for rebuild_spec / churn repair
-        self._build(seed, context or BuildContext(graph, oracle=self.oracle,
-                                                  seed=seed))
+        self._build(seed, context or BuildContext(graph, oracle=self.oracle))
 
     # ------------------------------------------------------------------ #
     # construction

@@ -27,8 +27,6 @@ radius matters), emits the ``(x, v, next hop)`` index arrays of a
 pass, and the same compiled object serves both the scalar ``route`` loop and
 the lockstep engine.  Landmark trees come from the shared
 :class:`~repro.construction.context.BuildContext` SPT forest.
-``REPRO_BUILD_MODE=scalar`` restores the original per-destination
-Python-heap loop for the build-parity tests.
 """
 
 from __future__ import annotations
@@ -38,10 +36,9 @@ from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
-from repro.construction.context import BuildContext, SPTJob, scalar_build_mode
+from repro.construction.context import BuildContext, SPTJob
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, dijkstra,
-                                          exact_distance_oracle)
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.forwarding import NextHopTable
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
@@ -76,7 +73,7 @@ class CowenRouting(RoutingSchemeInstance):
             landmarks = [0]
         self.landmarks: List[int] = sorted(landmarks)
 
-        self._build(context or BuildContext(graph, oracle=self.oracle, seed=seed))
+        self._build(context or BuildContext(graph, oracle=self.oracle))
 
     # ------------------------------------------------------------------ #
     # construction
@@ -91,10 +88,7 @@ class CowenRouting(RoutingSchemeInstance):
         self.home: Dict[int, int] = {v: int(ids[v]) for v in range(n)}
 
         # clusters: x stores a next hop for every v with d(x, v) < d(v, A)
-        if scalar_build_mode():
-            self._cluster_table = self._build_clusters_scalar()
-        else:
-            self._cluster_table = self._build_clusters(context)
+        self._cluster_table = self._build_clusters(context)
         port_bits = bits_for_id(max(graph.max_degree(), 1)) if graph.num_edges else 1
         counts = self._cluster_table.entries_per_node()
         for x in range(n):
@@ -102,9 +96,7 @@ class CowenRouting(RoutingSchemeInstance):
                                   count=int(counts[x]))
 
         # landmark trees with Lemma 5 routing, grown as one batched forest
-        trees = context.spt_trees([SPTJob(a) for a in self.landmarks]) \
-            if not scalar_build_mode() else \
-            [context.spt_tree(a) for a in self.landmarks]
+        trees = context.spt_trees([SPTJob(a) for a in self.landmarks])
         self._trees: Dict[int, CompactTreeRouting] = {}
         for a, tree in zip(self.landmarks, trees):
             self._trees[a] = CompactTreeRouting(tree, k=2)
@@ -154,21 +146,6 @@ class CowenRouting(RoutingSchemeInstance):
 
         return NextHopTable.from_arrays(n, cat(nodes_parts), cat(dest_parts),
                                         cat(hop_parts))
-
-    def _build_clusters_scalar(self) -> NextHopTable:
-        """Original per-destination Python loop (build-parity reference)."""
-        graph = self.graph
-        n = graph.n
-        per_node: List[Dict[Hashable, int]] = [dict() for _ in range(n)]
-        for v in range(n):
-            dist, parent = dijkstra(graph, v)
-            name = graph.name_of(v)
-            for x in range(n):
-                if x == v or not np.isfinite(dist[x]):
-                    continue
-                if dist[x] < self.dist_to_landmarks[v] - 1e-12:
-                    per_node[x][name] = int(parent[x])
-        return NextHopTable.from_name_dicts(graph, per_node)
 
     # ------------------------------------------------------------------ #
     # labels

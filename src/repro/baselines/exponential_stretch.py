@@ -32,10 +32,9 @@ import math
 import numpy as np
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.construction.context import BuildContext, SPTJob, scalar_build_mode
+from repro.construction.context import BuildContext, SPTJob
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                          shortest_path_tree)
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.error_reporting import DictionaryTreeRouting
@@ -109,8 +108,7 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
         self.name_bits = int(name_bits)
         self.responsibility_factor = float(responsibility_factor)
         self._build_seed = seed  # kept for rebuild_spec / churn repair
-        self._build(seed, context or BuildContext(graph, oracle=self.oracle,
-                                                  seed=seed))
+        self._build(seed, context or BuildContext(graph, oracle=self.oracle))
 
     # ------------------------------------------------------------------ #
     # construction
@@ -163,12 +161,7 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
                         if responsibility else 0.0
                     jobs.append(SPTJob(w, responsibility, limit))
                     job_keys.append((i, w))
-        if scalar_build_mode():
-            trees = [shortest_path_tree(graph, job.root, members=job.members)
-                     for job in jobs]
-        else:
-            trees = context.spt_trees(jobs)
-        for (i, w), tree in zip(job_keys, trees):
+        for (i, w), tree in zip(job_keys, context.spt_trees(jobs)):
             tree_names = {v: names[v] for v in tree.nodes}
             self._tree_key[(i, w)] = DictionaryTreeRouting(
                 tree, tree_names, name_bits=self.name_bits,

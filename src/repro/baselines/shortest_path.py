@@ -12,8 +12,7 @@ destination is exactly ``x``'s next hop *toward* it.  The matrix doubles as
 the compiled forwarding table
 (:class:`~repro.routing.forwarding.DenseNextHopTable` wraps the same array),
 so compiling is free and churn repair patches scheme and engine state with
-one write.  ``REPRO_BUILD_MODE=scalar`` rebuilds through the original
-per-destination Python-heap Dijkstra loop for the build-parity tests.
+one write.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from typing import Hashable, Optional
 
 import numpy as np
 
-from repro.construction.context import BuildContext, scalar_build_mode
+from repro.construction.context import BuildContext
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, dijkstra, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.storage import alloc_array, memory_budget
@@ -63,11 +62,7 @@ class ShortestPathRouting(RoutingSchemeInstance):
         #: memmap-backed above the REPRO_MEMORY_BUDGET (40 GB at n=100k)
         self._next_hop: np.ndarray = alloc_array((graph.n, graph.n), np.int32,
                                                  fill=-1)
-        if scalar_build_mode():
-            counts = self._build_scalar()
-        else:
-            counts = self._build()
-        self._charge_tables(counts)
+        self._charge_tables(self._build())
 
     def _build(self) -> np.ndarray:
         """Fill the next-hop matrix with one kernel call per destination block.
@@ -93,19 +88,6 @@ class ShortestPathRouting(RoutingSchemeInstance):
             # toward t; sources with no path (and t itself) stay -1
             self._next_hop[:, targets] = np.where(pred < 0, -1, pred).T
             counts += (pred >= 0).sum(axis=0)
-        return counts
-
-    def _build_scalar(self) -> np.ndarray:
-        """Original per-destination Python-heap loop (build-parity reference)."""
-        graph = self.graph
-        counts = np.zeros(graph.n, dtype=np.int64)
-        for target in range(graph.n):
-            # A single Dijkstra from the *destination* gives every source's
-            # next hop at once (the parent pointer points toward the target).
-            dist, parent = dijkstra(graph, target)
-            reachable = np.isfinite(dist) & (parent >= 0)
-            self._next_hop[reachable, target] = parent[reachable]
-            counts[reachable] += 1
         return counts
 
     def _charge_tables(self, counts: Optional[np.ndarray] = None) -> None:

@@ -31,10 +31,9 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.construction.context import BuildContext, SPTJob, scalar_build_mode
+from repro.construction.context import BuildContext, SPTJob
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                          shortest_path_tree)
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.compact_labeled import CompactTreeRouting
@@ -73,7 +72,7 @@ class ThorupZwickRouting(RoutingSchemeInstance):
             levels.append(kept)
         self.levels = levels
 
-        self._build(context or BuildContext(graph, oracle=self.oracle, seed=seed))
+        self._build(context or BuildContext(graph, oracle=self.oracle))
 
     # ------------------------------------------------------------------ #
     # construction
@@ -146,41 +145,28 @@ class ThorupZwickRouting(RoutingSchemeInstance):
         self.pivot, dist_to_level = self._level_structure()
         self._trees: Dict[Tuple[int, int], CompactTreeRouting] = {}
         self._members: Dict[Tuple[int, int], frozenset] = {}
-        if scalar_build_mode():
-            for (i, w), _, members in self._iter_used_clusters(self.pivot,
+        # batched forest: one kernel call per chunk of cluster roots, each
+        # call limited to its chunk's farthest member — small low-level
+        # clusters become local searches instead of full-graph Dijkstras
+        jobs: List[SPTJob] = []
+        keys: List[Tuple[Tuple[int, int], frozenset]] = []
+        for (i, w), row_w, members in self._iter_used_clusters(self.pivot,
                                                                dist_to_level):
-                self._build_cluster_tree(i, w, members)
-        else:
-            # batched forest: one kernel call per chunk of cluster roots, each
-            # call limited to its chunk's farthest member — small low-level
-            # clusters become local searches instead of full-graph Dijkstras
-            jobs: List[SPTJob] = []
-            keys: List[Tuple[Tuple[int, int], frozenset]] = []
-            for (i, w), row_w, members in self._iter_used_clusters(self.pivot,
-                                                                   dist_to_level):
-                member_list = sorted(set(members))
-                limit = float(row_w[member_list].max()) if member_list else 0.0
-                jobs.append(SPTJob(w, member_list, limit))
-                keys.append(((i, w), frozenset(members)))
-            for (key, member_set), tree in zip(keys, context.spt_trees(jobs)):
-                routing = CompactTreeRouting(tree, k=max(self.k, 2))
-                self._trees[key] = routing
-                self._members[key] = member_set
-            self.tables.charge_structures(
-                "cluster_tree_tables",
-                ((r.tree.nodes, r.table_bits_list())
-                 for r in self._trees.values()))
+            member_list = sorted(set(members))
+            limit = float(row_w[member_list].max()) if member_list else 0.0
+            jobs.append(SPTJob(w, member_list, limit))
+            keys.append(((i, w), frozenset(members)))
+        for (key, member_set), tree in zip(keys, context.spt_trees(jobs)):
+            routing = CompactTreeRouting(tree, k=max(self.k, 2))
+            self._trees[key] = routing
+            self._members[key] = member_set
+        self.tables.charge_structures(
+            "cluster_tree_tables",
+            ((r.tree.nodes, r.table_bits_list())
+             for r in self._trees.values()))
         landmark_bits = bits_for_id(max(n, 2))
         for v in range(n):
             self.tables[v].charge("pivot_pointers", landmark_bits, count=k)
-
-    def _build_cluster_tree(self, i: int, w: int, members: List[int]) -> None:
-        tree = shortest_path_tree(self.graph, w, members=sorted(set(members)))
-        routing = CompactTreeRouting(tree, k=max(self.k, 2))
-        self._trees[(i, w)] = routing
-        self._members[(i, w)] = frozenset(members)
-        for v, bits in zip(tree.nodes, routing.table_bits_list()):
-            self.tables[v].charge("cluster_tree_tables", bits)
 
     # ------------------------------------------------------------------ #
     # dynamic maintenance

@@ -5,30 +5,24 @@ engine) but preprocessing used to be scalar Python: one Dijkstra per tree or
 cluster, Python set coarsening for covers, per-entry dict passes for next-hop
 tables.  This package makes construction itself batch array work:
 
-* :class:`~repro.construction.context.BuildContext` — the shared per-(graph,
-  seed) build state: batched multi-source shortest-path-tree forests (one
+* :class:`~repro.construction.context.BuildContext` — the shared per-graph
+  build state: batched multi-source shortest-path-tree forests (one
   SciPy kernel call per chunk of roots instead of one call per tree, with
   per-chunk distance limits so small cluster trees stay local searches),
   streamed ball tables in CSR form, vectorized tree assembly that feeds
   :meth:`repro.routing.forwarding.TreeBank.freeze` per-tree slot caches
   directly, and an order-preserving worker-thread ``map`` for independent
   scales / cluster chunks.
-* :func:`~repro.construction.context.scalar_build_mode` — the
-  ``REPRO_BUILD_MODE=scalar`` escape hatch that re-enables the original
-  scalar constructors; the build-parity tests assert the vectorized and
-  scalar paths produce identical schemes.
 
 ``build_matrix`` (the construction sibling of ``run_matrix``) lives in
 :mod:`repro.experiments.harness`.
 """
 
 from repro.construction.context import (BuildContext, SPTJob,
-                                        scalar_build_mode,
                                         tree_from_predecessors)
 
 __all__ = [
     "BuildContext",
     "SPTJob",
-    "scalar_build_mode",
     "tree_from_predecessors",
 ]

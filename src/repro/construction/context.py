@@ -25,14 +25,12 @@ Trees produced here carry their forwarding slot arrays from construction
 (see :meth:`repro.graphs.trees.Tree._compute_dfs`), so a later
 ``TreeBank.freeze`` finds every per-tree cache already populated.
 
-``REPRO_BUILD_MODE=scalar`` switches the schemes back to their original
-scalar constructors; the build-parity suite asserts both paths produce
-identical instances.
+Every scheme has exactly one constructor, built on these primitives; the
+golden build digests (``tests/test_golden_digests.py``) pin its output.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -41,25 +39,13 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.construction.kernels import ancestor_closure
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                          shortest_path_tree)
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.graphs.trees import Tree
 from repro.storage import persist_array
 from repro.utils.validation import require
 
 #: roots per SciPy kernel call in :meth:`BuildContext.spt_trees`
 DEFAULT_SPT_CHUNK = 256
-
-
-def scalar_build_mode() -> bool:
-    """Whether the legacy scalar construction paths are forced.
-
-    Controlled by ``REPRO_BUILD_MODE`` (``vectorized`` is the default;
-    ``scalar`` re-enables the original per-node Python constructors).  The
-    build-parity tests build schemes under both modes and assert the results
-    are identical.
-    """
-    return os.environ.get("REPRO_BUILD_MODE", "vectorized").lower() == "scalar"
 
 
 def limited_dijkstra(csr, sources: Sequence[int], limit: Optional[float] = None,
@@ -102,10 +88,11 @@ def tree_from_predecessors(graph: WeightedGraph, root: int,
                            edge_index: Optional["_EdgeIndex"] = None) -> Tree:
     """Assemble a (pruned) :class:`Tree` from one Dijkstra row, vectorized.
 
-    The scalar path walks each member's parent chain in Python; here the kept
-    set is computed as an ancestor closure with whole-frontier array gathers
-    and the edge weights come from one sorted-key lookup instead of per-edge
-    ``edge_weight`` calls.
+    Where :func:`~repro.graphs.shortest_paths.shortest_path_tree` walks each
+    member's parent chain in Python, here the kept set is computed as an
+    ancestor closure with whole-frontier array gathers and the edge weights
+    come from one sorted-key lookup instead of per-edge ``edge_weight``
+    calls.
     """
     parent = np.where(pred < 0, -1, pred).astype(np.int64)
     n = graph.n
@@ -154,7 +141,7 @@ class _EdgeIndex:
 
 
 class BuildContext:
-    """Batched construction primitives for one ``(graph, seed)``.
+    """Batched construction primitives for one graph.
 
     Parameters
     ----------
@@ -164,9 +151,6 @@ class BuildContext:
         Exact distance oracle (created with automatic backend selection when
         omitted); shared by every primitive so streamed passes reuse one row
         cache.
-    seed:
-        The build seed (carried for diagnostics; schemes keep deriving their
-        unit seeds themselves so serial/parallel orders agree).
     parallel:
         Worker threads for :meth:`map` fan-outs (``None``/``0``/``1`` =
         serial).  The kernel calls release the GIL, so independent scales and
@@ -175,13 +159,10 @@ class BuildContext:
     """
 
     def __init__(self, graph: WeightedGraph, oracle: Optional[DistanceOracle] = None,
-                 seed=None, parallel: Optional[int] = None,
-                 spt_chunk: int = DEFAULT_SPT_CHUNK) -> None:
+                 parallel: Optional[int] = None) -> None:
         self.graph = graph
         self.oracle = exact_distance_oracle(graph, oracle)
-        self.seed = seed
         self.parallel = int(parallel) if parallel else 0
-        self.spt_chunk = max(1, int(spt_chunk))
         self._edge_index: Optional[_EdgeIndex] = None
 
     def edge_index(self) -> "_EdgeIndex":
@@ -221,14 +202,14 @@ class BuildContext:
         if not jobs:
             return []
         if self.graph.num_edges == 0:
-            # no edges: every tree is its lone root (same as the scalar path)
+            # no edges: every tree is its lone root
             return [Tree.single_node(int(job.root)) for job in jobs]
         order = sorted(range(len(jobs)),
                        key=lambda j: (jobs[j].limit is None,
                                       jobs[j].limit if jobs[j].limit is not None
                                       else 0.0, j))
-        chunks = [order[start:start + self.spt_chunk]
-                  for start in range(0, len(order), self.spt_chunk)]
+        chunks = [order[start:start + DEFAULT_SPT_CHUNK]
+                  for start in range(0, len(order), DEFAULT_SPT_CHUNK)]
         csr = self.graph.to_scipy_csr()
         edge_index = self.edge_index()
 
@@ -254,32 +235,18 @@ class BuildContext:
                 trees[j] = tree
         return trees  # type: ignore[return-value]
 
-    def spt_tree(self, root: int, members: Optional[Sequence[int]] = None,
-                 limit: Optional[float] = None) -> Tree:
-        """Single-tree convenience wrapper of :meth:`spt_trees`."""
-        if scalar_build_mode():
-            return shortest_path_tree(self.graph, root, members=members)
-        return self.spt_trees([SPTJob(root, members, limit)])[0]
-
     # ------------------------------------------------------------------ #
     # streamed ball tables
     # ------------------------------------------------------------------ #
-    def ball_csr(self, rho: float,
-                 universe: Optional[Sequence[int]] = None,
-                 allowed_mask: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Balls ``B(v, rho)`` of every universe node as flat CSR arrays.
+    def ball_csr(self, rho: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Balls ``B(v, rho)`` of every node as flat CSR arrays.
 
-        Returns ``(indptr, indices)``: ball of the ``p``-th universe node is
-        ``indices[indptr[p]:indptr[p+1]]`` (sorted global node ids,
-        restricted to ``allowed_mask`` when given).  One streamed row-block
-        pass over the oracle — no per-node Python and no O(n²) residency
-        under the lazy backend.
+        Returns ``(indptr, indices)``: the ball of node ``v`` is
+        ``indices[indptr[v]:indptr[v+1]]`` (sorted node ids).  One streamed
+        row-block pass over the oracle — no per-node Python and no O(n²)
+        residency under the lazy backend.
         """
-        if universe is None:
-            sources = np.arange(self.graph.n, dtype=np.int64)
-        else:
-            sources = np.asarray(list(universe), dtype=np.int64)
+        sources = np.arange(self.graph.n, dtype=np.int64)
         counts = np.zeros(sources.size, dtype=np.int64)
         parts: List[np.ndarray] = []
         block = self.oracle.block_rows()
@@ -296,10 +263,7 @@ class BuildContext:
                 rows = limited_dijkstra(csr, chunk, rho)
             else:
                 rows = self.oracle.rows(chunk)
-            mask = rows <= rho + 1e-12
-            if allowed_mask is not None:
-                mask &= allowed_mask[np.newaxis, :]
-            local_rows, members = np.nonzero(mask)
+            local_rows, members = np.nonzero(rows <= rho + 1e-12)
             counts[start:start + chunk.size] = np.bincount(
                 local_rows, minlength=chunk.size)
             parts.append(members.astype(np.int64))

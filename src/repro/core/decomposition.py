@@ -237,10 +237,6 @@ class NeighborhoodDecomposition:
         """``E(u, i)``."""
         return self.oracle.ball(u, self.e_radius(u, i))
 
-    def e_ball_indices(self, u: int, i: int) -> np.ndarray:
-        """``E(u, i)`` as an index array (zero-copy hot-path variant)."""
-        return self.oracle.ball_indices(u, self.e_radius(u, i))
-
     def guarantee_ball(self, u: int, i: int) -> List[int]:
         """The ball the level-``i`` strategy is guaranteed to cover (F if dense, E if sparse)."""
         return self.f_ball(u, i) if self.is_dense(u, i) else self.e_ball(u, i)

@@ -73,7 +73,7 @@ class DenseStrategy:
         #: (u, i) -> exponent a(u, i) for every dense level
         self.exponent_of: Dict[Tuple[int, int], int] = {}
 
-        self._build(seed, context or BuildContext(graph, oracle=oracle, seed=seed))
+        self._build(seed, context or BuildContext(graph, oracle=oracle))
 
     # ------------------------------------------------------------------ #
     # construction
@@ -119,7 +119,7 @@ class DenseStrategy:
                 else None
             sub_oracle = exact_distance_oracle(
                 subgraph, DistanceOracle(subgraph, backend=sub_backend))
-            sub_context = BuildContext(subgraph, oracle=sub_oracle, seed=seed)
+            sub_context = BuildContext(subgraph, oracle=sub_oracle)
             rho = self.decomposition.radius_of_exponent(j)
             cover: TreeCover = build_tree_cover(subgraph, k, rho, oracle=sub_oracle,
                                                 context=sub_context)

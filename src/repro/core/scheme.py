@@ -23,15 +23,14 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.construction.context import BuildContext, SPTJob, scalar_build_mode
+from repro.construction.context import BuildContext, SPTJob
 from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.dense_strategy import DenseStrategy
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import AGMParams
 from repro.core.sparse_strategy import SparseStrategy
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                          shortest_path_tree)
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.error_reporting import DictionaryTreeRouting
@@ -61,7 +60,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
         self.params = params or AGMParams.paper()
         self.oracle = exact_distance_oracle(graph, oracle)
         self._build_seed = seed  # kept for rebuild_spec / churn repair
-        context = context or BuildContext(graph, oracle=self.oracle, seed=seed)
+        context = context or BuildContext(graph, oracle=self.oracle)
 
         self.decomposition = NeighborhoodDecomposition(
             graph, self.k, oracle=self.oracle, params=self.params)
@@ -103,12 +102,8 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             if len(component) == 1:
                 continue
             jobs.append((index, component, root))
-        if scalar_build_mode():
-            trees = [shortest_path_tree(self.graph, root, members=component)
-                     for _, component, root in jobs]
-        else:
-            trees = context.spt_trees(
-                [SPTJob(root, component) for _, component, root in jobs])
+        trees = context.spt_trees(
+            [SPTJob(root, component) for _, component, root in jobs])
         for (index, component, _), tree in zip(jobs, trees):
             tree_names = {v: names[v] for v in tree.nodes}
             routing = DictionaryTreeRouting(tree, tree_names,

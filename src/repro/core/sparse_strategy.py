@@ -25,13 +25,12 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.construction.context import (BuildContext, SPTJob,
-                                        limited_dijkstra, scalar_build_mode)
+from repro.construction.context import BuildContext, SPTJob, limited_dijkstra
 from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import AGMParams
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.table import TableCollection
 from repro.trees.name_independent import NameIndependentTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
@@ -72,22 +71,17 @@ class SparseStrategy:
         #: center -> Lemma 4 structure on T(center)
         self.trees: Dict[int, NameIndependentTreeRouting] = {}
 
-        context = context or BuildContext(graph, oracle=oracle, seed=seed)
-        if scalar_build_mode():
-            self._build_scalar(seed)
-        else:
-            self._build(seed, context)
+        self._build(seed, context or BuildContext(graph, oracle=oracle))
 
     # ------------------------------------------------------------------ #
-    # construction (vectorized)
+    # construction
     # ------------------------------------------------------------------ #
     def _build(self, seed, context: BuildContext) -> None:
-        """Array-native build: every per-(node, level) loop of the scalar path
-        becomes one masked-matrix operation, and the center trees grow as one
-        batched SPT forest.
+        """Array-native build: each per-(node, level) pass is one
+        masked-matrix operation, and the center trees grow as one batched SPT
+        forest.
 
-        Unlike the original streamed version, no pass here sweeps all ``n``
-        rows unless it truly has to:
+        No pass sweeps all ``n`` rows unless it truly has to:
 
         * centers come from per-level nearest-member tables (``|C_j|`` rows
           per landmark level instead of ``n``) — the highest rank present in
@@ -265,62 +259,6 @@ class SparseStrategy:
                         within = row[nodes_arr] <= radius_of[key] + 1e-12
                         bound = int(digits_of[c][within].max(initial=0))
                         self.bound_of[key] = max(bound, 1)
-
-        self._charge_tables()
-
-    # ------------------------------------------------------------------ #
-    # construction (scalar reference, REPRO_BUILD_MODE=scalar)
-    # ------------------------------------------------------------------ #
-    def _build_scalar(self, seed) -> None:
-        graph, k = self.graph, self.k
-        # 1. centers actually used by some (node, sparse level) pair
-        used_centers: Set[int] = set()
-        for chunk in self.oracle.iter_prefetched_chunks(range(graph.n)):
-            for u in chunk:
-                for i in range(k + 1):
-                    if self.decomposition.is_sparse(u, i):
-                        c = self.landmarks.center(u, i)
-                        self.center_of[(u, i)] = c
-                        used_centers.add(c)
-
-        # 2. which nodes each center serves: v is served by c iff c in S(v)
-        served_by: Dict[int, Set[int]] = defaultdict(set)
-        for chunk in self.oracle.iter_prefetched_chunks(range(graph.n)):
-            for v in chunk:
-                for c in self.landmarks.nearby_union(v):
-                    if c in used_centers:
-                        served_by[c].add(v)
-
-        # 3. build T(c) and its Lemma 4 routing structure for every used center
-        names = graph.names_view()
-        for index, c in enumerate(sorted(used_centers)):
-            members = served_by[c] | {c}
-            tree = shortest_path_tree(graph, c, members=sorted(members))
-            tree_names = {v: names[v] for v in tree.nodes}
-            self.trees[c] = NameIndependentTreeRouting(
-                tree, tree_names, k=k, sigma=self.sigma,
-                name_bits=self.params.name_bits,
-                seed=derive_rng(seed, 101, index),
-            )
-
-        # 4. search bounds b(u, i): the minimal j-bounded search that covers
-        # E(u, i).  Grouped per center: one transient digit vector (0 outside
-        # the tree) turns required_bound into a gather + max over the ball
-        # index array, without holding a vector per tree alive at once.
-        by_center: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-        for key, c in self.center_of.items():
-            by_center[c].append(key)
-        vector = np.zeros(graph.n, dtype=np.int64)
-        for c, keys in by_center.items():
-            routing = self.trees[c]
-            vector[:] = 0
-            for v in routing.tree.nodes:
-                vector[v] = max(routing.digits_of(v), 1)
-            for chunk in self.oracle.iter_prefetched_chunks(keys, source=lambda key: key[0]):
-                for u, i in chunk:
-                    ball = self.decomposition.e_ball_indices(u, i)
-                    bound = int(vector[ball].max(initial=0)) if ball.size else 0
-                    self.bound_of[(u, i)] = max(bound, 1)
 
         self._charge_tables()
 

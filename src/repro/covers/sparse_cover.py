@@ -19,26 +19,26 @@ and are skipped for the remainder of the current *phase* so that the clusters
 produced within one phase stay (kernel-)disjoint, which is what bounds the
 per-node membership.
 
-Two implementations of the coarsening are provided.  The default is
-array-native: balls arrive as flat CSR arrays (one streamed row-block pass
-over the oracle), the ball→center incidence is transposed once, and each
-cluster's "which pending balls touch me" query is a gather over the
-transposed CSR restricted to the cluster's newly absorbed nodes — stamped
-visit arrays replace the per-cluster Python set algebra, whose
-``O(pending² · ball)`` intersection tests dominated every scale of the
-hierarchical baselines.  ``REPRO_BUILD_MODE=scalar`` re-enables the original
-set-based loop; both produce identical clusters in identical order (asserted
-by the build-parity tests).
+The coarsening is array-native and comes in two forms that produce
+identical clusters in identical order; :func:`_choose_cover_mode` picks one
+from sampled ball sizes.  In the csr form, balls arrive as flat CSR arrays
+(one streamed row-block pass over the oracle), the ball→center incidence is
+transposed once, and each cluster's "which pending balls touch me" query is
+a gather over the transposed CSR restricted to the cluster's newly absorbed
+nodes — stamped visit arrays stand in for per-cluster set algebra.  The
+regions form never builds the ball table: clusters grow as min-only
+Dijkstra regions.  ``TestCoverModeParity`` asserts the two forms agree, and
+the golden build digests pin their output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.construction.context import BuildContext, scalar_build_mode
+from repro.construction.context import BuildContext
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.utils.validation import require
@@ -87,7 +87,6 @@ def build_sparse_cover(
     k: int,
     rho: float,
     oracle: Optional[DistanceOracle] = None,
-    nodes: Optional[Sequence[int]] = None,
     context: Optional[BuildContext] = None,
 ) -> SparseCover:
     """Coarsen the ball cover ``{B(v, rho)}`` of ``graph`` into a sparse cover.
@@ -98,11 +97,6 @@ def build_sparse_cover(
         As in Lemma 6.
     oracle:
         Optional pre-computed distance oracle of ``graph``.
-    nodes:
-        Optional node subset: only these nodes' balls must be covered and only
-        these nodes participate (used when covering a subgraph ``G_i`` that was
-        *not* materialized as a separate ``WeightedGraph``).  Defaults to all
-        nodes.
     context:
         Optional shared :class:`BuildContext` (streams the ball table through
         its oracle).
@@ -111,26 +105,11 @@ def build_sparse_cover(
     require(rho > 0, f"rho must be positive, got {rho}")
     if context is None:
         context = BuildContext(graph, oracle=exact_distance_oracle(graph, oracle))
-    oracle = context.oracle
-    if nodes is None:
-        universe = np.arange(graph.n, dtype=np.int64)
-    else:
-        universe = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
-    n_eff = max(universe.size, 2)
-    growth = n_eff ** (1.0 / k)
-
-    if scalar_build_mode():
-        return _coarsen_scalar(oracle, k, rho, universe, growth)
-
-    allowed_mask = None
-    if nodes is not None:
-        allowed_mask = np.zeros(graph.n, dtype=bool)
-        allowed_mask[universe] = True
-    if _choose_cover_mode(graph, k, rho, universe, allowed_mask) == "regions":
-        return _coarsen_regions(graph, k, rho, universe, growth, allowed_mask)
-    indptr, indices = context.ball_csr(rho, universe=universe,
-                                       allowed_mask=allowed_mask)
-    return _coarsen_vectorized(graph.n, k, rho, universe, growth, indptr, indices)
+    growth = max(graph.n, 2) ** (1.0 / k)
+    if _choose_cover_mode(graph, k, rho) == "regions":
+        return _coarsen_regions(graph, k, rho, growth)
+    indptr, indices = context.ball_csr(rho)
+    return _coarsen_vectorized(graph.n, k, rho, growth, indptr, indices)
 
 
 # --------------------------------------------------------------------------- #
@@ -153,38 +132,35 @@ def _gather_csr(indptr: np.ndarray, data: np.ndarray,
     return data[np.repeat(starts, counts) + offsets]
 
 
-def _coarsen_vectorized(n: int, k: int, rho: float, universe: np.ndarray,
-                        growth: float, indptr: np.ndarray,
-                        indices: np.ndarray) -> SparseCover:
+def _coarsen_vectorized(n: int, k: int, rho: float, growth: float,
+                        indptr: np.ndarray, indices: np.ndarray) -> SparseCover:
     """CSR/stamp implementation of the coarsening loop.
 
-    Mirrors the scalar loop decision for decision: the same center order
-    (``min`` of the pending set — universe positions ascend by global id),
-    the same growth test, the same phase bookkeeping.  Per-cluster set
-    algebra is replaced by stamp arrays: ``node_stamp[g] == cluster_id``
-    means global node ``g`` is in the growing cluster, and the transposed
-    ball incidence answers "which pending balls touch the nodes this layer
-    absorbed" with one gather per layer.
+    Each cluster starts at the smallest pending center, grows while a layer
+    multiplies its kernel by ``growth``, and drops every ball it touched
+    from the current phase.  Stamp arrays stand in for set algebra:
+    ``node_stamp[g] == cluster_id`` means node ``g`` is in the growing
+    cluster, and the transposed ball incidence answers "which pending balls
+    touch the nodes this layer absorbed" with one gather per layer.
     """
-    num = universe.size
-    # transpose of the ball incidence: owners_of[g] = universe positions p
-    # with g in ball(p)
+    # transpose of the ball incidence: owners_of[g] = centers p with g in
+    # ball(p)
     member_order = np.argsort(indices, kind="stable")
-    owners = np.repeat(np.arange(num, dtype=np.int64),
+    owners = np.repeat(np.arange(n, dtype=np.int64),
                        np.diff(indptr))[member_order]
     owned_nodes = indices[member_order]
     owners_indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(owned_nodes, minlength=n))))
 
-    remaining = np.ones(num, dtype=bool)
-    pending = np.zeros(num, dtype=bool)
-    node_stamp = np.full(n, -1, dtype=np.int64)       # node in current cluster
-    touch_stamp = np.full(num, -1, dtype=np.int64)    # ball touches current cluster
-    merged_stamp = np.full(num, -1, dtype=np.int64)   # ball already absorbed
+    remaining = np.ones(n, dtype=bool)
+    pending = np.zeros(n, dtype=bool)
+    node_stamp = np.full(n, -1, dtype=np.int64)     # node in current cluster
+    touch_stamp = np.full(n, -1, dtype=np.int64)    # ball touches current cluster
+    merged_stamp = np.full(n, -1, dtype=np.int64)   # ball already absorbed
 
     clusters: List[Cluster] = []
     home: Dict[int, int] = {}
-    remaining_count = num
+    remaining_count = n
 
     def absorb(cid: int, positions: np.ndarray,
                members_out: List[np.ndarray], mark: bool = False) -> np.ndarray:
@@ -220,7 +196,7 @@ def _coarsen_vectorized(n: int, k: int, rho: float, universe: np.ndarray,
         pending_count = int(remaining_count)
         cursor = 0
         while pending_count:
-            # v = min(phase_pending): universe positions ascend by global id
+            # v = the smallest pending center
             cursor += int(np.argmax(pending[cursor:]))
             v = cursor
             cid = len(clusters)
@@ -236,12 +212,11 @@ def _coarsen_vectorized(n: int, k: int, rho: float, universe: np.ndarray,
                     absorb(cid, touch_set, members_parts)
                     member_nodes = np.concatenate(members_parts) \
                         if members_parts else np.zeros(0, dtype=np.int64)
-                    kernel_globals = universe[kernel]
                     clusters.append(Cluster(
-                        index=cid, center=int(universe[v]),
+                        index=cid, center=int(v),
                         nodes=set(member_nodes.tolist()),
-                        kernel_centers=set(kernel_globals.tolist())))
-                    for c in kernel_globals.tolist():
+                        kernel_centers=set(kernel.tolist())))
+                    for c in kernel.tolist():
                         home[c] = cid
                     remaining[kernel] = False
                     remaining_count -= kernel.size
@@ -274,35 +249,29 @@ def _limited_min_dist(csr, sources: np.ndarray, rho: float) -> np.ndarray:
                     limit=limit)
 
 
-def _choose_cover_mode(graph: WeightedGraph, k: int, rho: float,
-                       universe: np.ndarray,
-                       allowed_mask: Optional[np.ndarray]) -> str:
+def _choose_cover_mode(graph: WeightedGraph, k: int, rho: float) -> str:
     """Sample a few ball sizes and pick csr vs regions for this scale.
 
-    The csr table costs one row per universe node (n Dijkstra rows) plus
+    The csr table costs one row per node (n Dijkstra rows) plus
     ``total ball entries × 8`` bytes; region growing costs ``O(k)`` Dijkstra
     passes per *cluster*.  Large sampled balls mean few clusters — regions
     wins; small balls mean ~one cluster per node — the streamed table wins.
     """
-    num = universe.size
-    if num < 2048:
+    n = graph.n
+    if n < 2048:
         return "csr"   # small instance: the table is cheap and exact
-    samples = universe[:: max(num // 8, 1)][:8]
+    samples = range(0, n, max(n // 8, 1))[:8]
     sizes = []
     csr = graph.to_scipy_csr()
     for s in samples:
         row = _limited_min_dist(csr, np.asarray([s], dtype=np.int64), rho)
-        in_ball = row <= rho + 1e-12
-        if allowed_mask is not None:
-            in_ball &= allowed_mask
-        sizes.append(int(np.count_nonzero(in_ball)))
+        sizes.append(int(np.count_nonzero(row <= rho + 1e-12)))
     avg_ball = float(np.mean(sizes)) if sizes else 1.0
     return "regions" if avg_ball >= max(32.0, 4.0 * (k + 2)) else "csr"
 
 
 def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
-                     universe: np.ndarray, growth: float,
-                     allowed_mask: Optional[np.ndarray]) -> SparseCover:
+                     growth: float) -> SparseCover:
     """Ball-table-free coarsening: clusters grow as min-only Dijkstra regions.
 
     Decision-for-decision the same loop as :func:`_coarsen_vectorized` — the
@@ -310,7 +279,7 @@ def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
     queries are answered from the graph instead of a precomputed incidence:
 
     * *absorb*: the union of the fresh kernel balls is exactly the set of
-      allowed nodes within ``rho`` of the fresh centers — one multi-source
+      nodes within ``rho`` of the fresh centers — one multi-source
       ``min_only`` pass from those centers (the multi-source distance is the
       per-source minimum bit-for-bit, so the ball test matches the table);
     * *touching*: a pending ball touches the cluster iff its center is
@@ -323,17 +292,16 @@ def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
     """
     n = graph.n
     csr = graph.to_scipy_csr()
-    num = universe.size
     tol = rho + 1e-12
 
-    remaining = np.ones(num, dtype=bool)
-    pending = np.zeros(num, dtype=bool)
+    remaining = np.ones(n, dtype=bool)
+    pending = np.zeros(n, dtype=bool)
     node_stamp = np.full(n, -1, dtype=np.int64)
-    merged_stamp = np.full(num, -1, dtype=np.int64)
+    merged_stamp = np.full(n, -1, dtype=np.int64)
 
     clusters: List[Cluster] = []
     home: Dict[int, int] = {}
-    remaining_count = num
+    remaining_count = n
 
     while remaining_count:
         pending[:] = remaining
@@ -353,11 +321,8 @@ def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
                 if fresh.size == 0:
                     return
                 merged_stamp[fresh] = cid
-                dist = _limited_min_dist(csr, universe[fresh], rho)
-                in_ball = dist <= tol
-                if allowed_mask is not None:
-                    in_ball &= allowed_mask
-                candidates = np.flatnonzero(in_ball)
+                dist = _limited_min_dist(csr, fresh, rho)
+                candidates = np.flatnonzero(dist <= tol)
                 new_nodes = candidates[node_stamp[candidates] != cid]
                 node_stamp[new_nodes] = cid
                 members_parts.append(new_nodes)
@@ -367,21 +332,19 @@ def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
 
             absorb(kernel, mark=True)
             for _ in range(k + 1):
-                centers = universe[pending]
-                touch_hit = cluster_dist[centers] <= tol
-                touching = np.flatnonzero(pending)[touch_hit]
+                centers = np.flatnonzero(pending)
+                touching = centers[cluster_dist[centers] <= tol]
                 touch_set = np.union1d(touching, kernel)
                 if touch_set.size < growth * kernel.size:
                     absorb(touch_set, mark=False)
                     member_nodes = np.concatenate(members_parts) \
                         if members_parts else np.zeros(0, dtype=np.int64)
                     member_nodes = np.unique(member_nodes)
-                    kernel_globals = universe[kernel]
                     clusters.append(Cluster(
-                        index=cid, center=int(universe[v]),
+                        index=cid, center=int(v),
                         nodes=set(member_nodes.tolist()),
-                        kernel_centers=set(kernel_globals.tolist())))
-                    for c in kernel_globals.tolist():
+                        kernel_centers=set(kernel.tolist())))
+                    for c in kernel.tolist():
                         home[c] = cid
                     remaining[kernel] = False
                     remaining_count -= kernel.size
@@ -396,61 +359,3 @@ def _coarsen_regions(graph: WeightedGraph, k: int, rho: float,
 
     return SparseCover(k=k, rho=rho, clusters=clusters, home=home)
 
-
-# --------------------------------------------------------------------------- #
-# scalar coarsening (REPRO_BUILD_MODE=scalar; the build-parity reference)
-# --------------------------------------------------------------------------- #
-def _coarsen_scalar(oracle: DistanceOracle, k: int, rho: float,
-                    universe_arr: np.ndarray, growth: float) -> SparseCover:
-    universe = [int(v) for v in universe_arr]
-    allowed = set(universe)
-
-    # Pre-compute every ball restricted to the allowed node set.  Sources are
-    # prefetched in blocks so the lazy backend fills its row cache with one
-    # vectorized multi-source call per block instead of a Dijkstra per ball.
-    balls: Dict[int, Set[int]] = {}
-    for chunk in oracle.iter_prefetched_chunks(universe):
-        for v in chunk:
-            balls[v] = {u for u in oracle.ball(v, rho) if u in allowed}
-
-    remaining: Set[int] = set(universe)          # centers whose ball still needs covering
-    clusters: List[Cluster] = []
-    home: Dict[int, int] = {}
-
-    while remaining:
-        phase_pending: Set[int] = set(remaining)  # centers processable in this phase
-        progressed = False
-        while phase_pending:
-            v = min(phase_pending)
-            kernel: Set[int] = {v}
-            cluster_nodes: Set[int] = set(balls[v])
-            # grow while one more layer multiplies the kernel by >= n^{1/k}
-            for _ in range(k + 1):
-                touching = {c for c in phase_pending
-                            if c in remaining and not balls[c].isdisjoint(cluster_nodes)}
-                touching |= kernel
-                if len(touching) < growth * len(kernel):
-                    # final layer: absorb the touching balls into the cluster body,
-                    # but only the current kernel is considered covered
-                    final_nodes = set(cluster_nodes)
-                    for c in touching:
-                        final_nodes |= balls[c]
-                    index = len(clusters)
-                    clusters.append(Cluster(index=index, center=v,
-                                            nodes=final_nodes, kernel_centers=set(kernel)))
-                    for c in kernel:
-                        home[c] = index
-                    remaining -= kernel
-                    phase_pending -= touching
-                    phase_pending -= kernel
-                    progressed = True
-                    break
-                kernel = set(touching)
-                for c in touching:
-                    cluster_nodes |= balls[c]
-            else:  # pragma: no cover - the growth loop always breaks within k+1 rounds
-                raise RuntimeError("sparse cover growth loop failed to terminate")
-        if not progressed:  # pragma: no cover - defensive
-            raise RuntimeError("sparse cover made no progress in a phase")
-
-    return SparseCover(k=k, rho=rho, clusters=clusters, home=home)

@@ -11,25 +11,27 @@ dense routing strategy climbs.
 Cluster trees are built in batches: each chunk of clusters is assembled into
 one block-diagonal CSR matrix (every cluster its own relabeled block, heavy
 edges filtered out) and a single multi-source Dijkstra call — one source per
-block — grows every tree of the chunk at once.  A cluster whose restricted
-subgraph leaves some member unreachable falls back to its unrestricted
-induced subgraph, exactly like the scalar path (``REPRO_BUILD_MODE=scalar``
-keeps the original per-cluster Python-heap Dijkstra for the parity tests).
+block — grows every tree of the chunk at once.  A member that the ``2 rho``
+filter leaves unreachable from its center raises ``ValidationError``: no
+tree within Lemma 6's edge bound spans it.  Covers built by
+:func:`build_sparse_cover` never hit this — a ``rho``-ball holds every node
+on its shortest paths, whose edges weigh at most ``rho``, and a cluster is a
+union of balls that share nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from repro.construction.context import BuildContext, scalar_build_mode
+from repro.construction.context import BuildContext
 from repro.covers.sparse_cover import SparseCover, build_sparse_cover
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, dijkstra, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.graphs.trees import Tree
 from repro.utils.validation import require
 
@@ -42,8 +44,7 @@ CLUSTER_CHUNK = 64
 #: assemble a 6.4M-row block matrix whose dense dist/pred result is
 #: several GB.  The node budget caps the in-flight slab at
 #: ~``sources × budget × 12`` bytes regardless of cluster sizes; chunk
-#: boundaries do not affect the trees (every block is independent), so
-#: the build-parity suite pins bit-identity across chunkings.
+#: boundaries do not affect the trees (every block is independent).
 CHUNK_NODE_BUDGET = 1 << 19
 
 
@@ -81,66 +82,10 @@ class TreeCover:
         """Heaviest tree edge (Lemma 6 bounds it by ``2 rho``)."""
         return max((t.max_edge() for t in self.trees), default=0.0)
 
-    def covers_ball(self, v: int, oracle: DistanceOracle,
-                    nodes: Optional[Sequence[int]] = None) -> bool:
-        """Check that ``B(v, rho)`` (within ``nodes`` if given) lies inside ``home_tree(v)``."""
-        ball = oracle.ball(v, self.rho)
-        if nodes is not None:
-            allowed = set(nodes)
-            ball = [u for u in ball if u in allowed]
+    def covers_ball(self, v: int, oracle: DistanceOracle) -> bool:
+        """Check that ``B(v, rho)`` lies inside ``home_tree(v)``."""
         tree = self.home_tree(v)
-        return all(tree.contains(u) for u in ball)
-
-
-def _cluster_tree(graph: WeightedGraph, center: int, nodes: Sequence[int],
-                  rho: float) -> Tree:
-    """Shortest-path tree of the cluster, using only edges of weight <= 2 rho.
-
-    The scalar reference implementation (one Python-heap Dijkstra per
-    cluster); the default batched path is :func:`_cluster_trees_batched`.
-    """
-    members = sorted(set(int(v) for v in nodes))
-    if len(members) == 1:
-        return Tree.single_node(members[0])
-    member_set = set(members)
-
-    # Restricted Dijkstra inside the cluster, ignoring heavy edges.
-    import heapq
-
-    dist = {v: float("inf") for v in members}
-    parent: Dict[int, int] = {}
-    weight: Dict[int, float] = {}
-    dist[center] = 0.0
-    heap = [(0.0, center)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in graph.neighbors(u):
-            if v not in member_set or w > 2.0 * rho + 1e-12:
-                continue
-            nd = d + w
-            if nd < dist[v] - 1e-15:
-                dist[v] = nd
-                parent[v] = u
-                weight[v] = w
-                heapq.heappush(heap, (nd, v))
-
-    unreachable = [v for v in members if not np.isfinite(dist[v])]
-    if unreachable:
-        # Fall back to the unrestricted induced subgraph: correctness (the
-        # cover property) takes precedence over the small-edge bound, and the
-        # benches report max_edge so any such fallback is visible.
-        sub, mapping = graph.subgraph(members)
-        local_center = mapping.index(center)
-        d2, p2 = dijkstra(sub, local_center)
-        parent = {}
-        weight = {}
-        for local_v, par in enumerate(p2):
-            if par >= 0:
-                parent[mapping[local_v]] = mapping[int(par)]
-                weight[mapping[local_v]] = sub.edge_weight(int(par), local_v)
-    return Tree(root=center, parent=parent, edge_weight=weight)
+        return all(tree.contains(u) for u in oracle.ball(v, self.rho))
 
 
 def _tree_from_local(members: np.ndarray, local_root: int,
@@ -215,20 +160,12 @@ def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,
             local_dist = dist[row, span]
             local_pred = np.where(pred[row, span] < 0, -1,
                                   pred[row, span] - offset).astype(np.int64)
-            if np.isfinite(local_dist).all():
-                tree = _tree_from_local(members, local_root, local_pred,
-                                        weight_index)
-            else:
-                # unreachable under the 2 rho restriction: fall back to the
-                # unrestricted induced subgraph (same rule as the scalar path)
-                sub = csr[members][:, members]
-                d2, p2 = _scipy_dijkstra(sub, directed=False,
-                                         indices=local_root,
-                                         return_predecessors=True)
-                local_pred = np.where(p2 < 0, -1, p2).astype(np.int64)
-                tree = _tree_from_local(members, local_root, local_pred,
-                                        weight_index)
-            out.append((index, tree))
+            require(bool(np.isfinite(local_dist).all()),
+                    f"cluster {index} has members unreachable from center "
+                    f"{int(members[local_root])} over edges of weight <= "
+                    f"2 rho = {2.0 * rho}")
+            out.append((index, _tree_from_local(members, local_root,
+                                                local_pred, weight_index)))
             offset += members.size
         return out
 
@@ -258,18 +195,13 @@ def build_tree_cover(
     k: int,
     rho: float,
     oracle: Optional[DistanceOracle] = None,
-    nodes: Optional[Sequence[int]] = None,
     context: Optional[BuildContext] = None,
 ) -> TreeCover:
-    """Build ``TC_{k,rho}`` of ``graph`` (or of the induced subgraph on ``nodes``)."""
+    """Build ``TC_{k,rho}`` of ``graph``."""
     require(k >= 1, f"k must be >= 1, got {k}")
     if context is None:
         context = BuildContext(graph, oracle=exact_distance_oracle(graph, oracle))
     cover: SparseCover = build_sparse_cover(graph, k, rho, oracle=context.oracle,
-                                            nodes=nodes, context=context)
-    if scalar_build_mode():
-        trees = [_cluster_tree(graph, cluster.center, sorted(cluster.nodes), rho)
-                 for cluster in cover.clusters]
-    else:
-        trees = _cluster_trees_batched(graph, cover, rho, context=context)
+                                            context=context)
+    trees = _cluster_trees_batched(graph, cover, rho, context=context)
     return TreeCover(k=k, rho=rho, trees=trees, home=dict(cover.home))

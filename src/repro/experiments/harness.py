@@ -318,8 +318,7 @@ def build_matrix(
     def build_cell(cell):
         graph_label, graph, k, scheme_name, oracle = cell
         kwargs = dict((scheme_kwargs or {}).get(scheme_name, {}))
-        context = BuildContext(graph, oracle=oracle, seed=seed,
-                               parallel=inner_parallel)
+        context = BuildContext(graph, oracle=oracle, parallel=inner_parallel)
         start = time.perf_counter()
         scheme = build_scheme(scheme_name, graph, k=k, seed=seed, oracle=oracle,
                               context=context, **kwargs)

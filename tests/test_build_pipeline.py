@@ -1,13 +1,12 @@
-"""Build parity: vectorized and parallel construction ≡ the scalar path.
+"""Build pipeline: parallel construction ≡ serial, and the batched primitives.
 
-The vectorized construction pipeline (shared ``BuildContext``, batched SPT
-forests with distance limits, CSR-coarsened sparse covers, array-built
-next-hop tables) must produce *identical* schemes to the legacy scalar
-constructors (``REPRO_BUILD_MODE=scalar``), and the ``build_matrix``
-worker-thread fan-out must be bit-identical to serial builds.  Identity is
-asserted on routes (node for node), space accounting, headers, and the
-compiled forwarding programs, for all six schemes × three graph families ×
-seeds.
+The ``BuildContext`` worker-thread fan-out and the ``build_matrix`` cell
+fan-out must be bit-identical to serial builds: routes (node for node),
+space accounting, headers and the compiled forwarding programs agree for
+all six schemes.  The batched primitives (sparse-cover membership counts,
+distance-limited SPT forests) are checked against plain references.  What
+the single construction path builds is pinned by the golden build digests
+in ``test_golden_digests.py``.
 """
 
 import numpy as np
@@ -21,13 +20,9 @@ from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
 from repro.routing.simulator import RoutingSimulator
 
-FAMILIES = [("erdos-renyi", 72), ("barabasi-albert", 72), ("grid", 64)]
-SEEDS = [3, 11]
 
-
-def _build(name, graph, oracle, seed, mode, monkeypatch, parallel=None):
-    monkeypatch.setenv("REPRO_BUILD_MODE", mode)
-    context = BuildContext(graph, oracle=oracle, seed=seed, parallel=parallel)
+def _build(name, graph, oracle, seed, parallel=None):
+    context = BuildContext(graph, oracle=oracle, parallel=parallel)
     return build_scheme(name, graph, k=2, seed=seed, oracle=oracle,
                         context=context)
 
@@ -49,41 +44,25 @@ def _assert_equivalent(graph, oracle, reference, candidate, pairs):
     spec_a = {k: v for k, v in reference.rebuild_spec().items() if k != "oracle"}
     spec_b = {k: v for k, v in candidate.rebuild_spec().items() if k != "oracle"}
     assert spec_a == spec_b
-    # lockstep engine reports agree field for field across build modes
+    # lockstep engine reports agree field for field
     sim = RoutingSimulator(graph, oracle=oracle)
     rep_a = sim.evaluate(reference, pairs=pairs, engine="lockstep").as_dict()
     rep_b = sim.evaluate(candidate, pairs=pairs, engine="lockstep").as_dict()
     assert rep_a == rep_b
 
 
-@pytest.mark.parametrize("family,n", FAMILIES)
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_vectorized_build_matches_scalar(family, n, scheme, monkeypatch):
-    graph = make_workload(family, n, seed=7)
-    oracle = DistanceOracle(graph)
-    sim = RoutingSimulator(graph, oracle=oracle)
-    pairs = sim.sample_pairs(40, seed=1)
-    for seed in SEEDS:
-        scalar = _build(scheme, graph, oracle, seed, "scalar", monkeypatch)
-        vectorized = _build(scheme, graph, oracle, seed, "vectorized", monkeypatch)
-        _assert_equivalent(graph, oracle, scalar, vectorized, pairs)
-
-
-@pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_parallel_build_is_bit_identical_to_serial(scheme, monkeypatch):
+def test_parallel_build_is_bit_identical_to_serial(scheme):
     graph = make_workload("barabasi-albert", 80, seed=5)
     oracle = DistanceOracle(graph)
     sim = RoutingSimulator(graph, oracle=oracle)
     pairs = sim.sample_pairs(40, seed=2)
-    serial = _build(scheme, graph, oracle, 13, "vectorized", monkeypatch,
-                    parallel=None)
-    parallel = _build(scheme, graph, oracle, 13, "vectorized", monkeypatch,
-                      parallel=3)
+    serial = _build(scheme, graph, oracle, 13, parallel=None)
+    parallel = _build(scheme, graph, oracle, 13, parallel=3)
     _assert_equivalent(graph, oracle, serial, parallel, pairs)
 
 
-def test_build_matrix_rows_and_instances(monkeypatch):
-    monkeypatch.setenv("REPRO_BUILD_MODE", "vectorized")
+def test_build_matrix_rows_and_instances():
     graphs = [("er", make_workload("erdos-renyi", 60, seed=3)),
               ("ba", make_workload("barabasi-albert", 60, seed=4))]
     serial = build_matrix("e11", ["cowen", "thorup-zwick"], graphs, ks=[2],
@@ -105,34 +84,6 @@ def test_build_matrix_rows_and_instances(monkeypatch):
         for (u, v) in sim.sample_pairs(25, seed=6):
             assert scheme.route_by_index(u, v).path == \
                 twin.route_by_index(u, v).path
-
-
-@pytest.mark.parametrize("family,n", FAMILIES)
-@pytest.mark.parametrize("k", [2, 3])
-def test_agm_experiment_params_build_parity(family, n, k, monkeypatch):
-    """Scalar ≡ vectorized for the *non-degenerate* AGM parameterization.
-
-    At the paper's factor-16 nearby landmark count and k<=3, S(v,j) holds
-    every finite member, so the vectorized membership pass exercises only
-    its whole-component fast path.  A small ``landmark_count_factor``
-    forces the streamed top-``nearby`` sweep — the path the e18 ladder
-    runs at scale — and it must stay bit-identical to the scalar build.
-    """
-    from repro.core.params import AGMParams
-
-    graph = make_workload(family, n, seed=7)
-    oracle = DistanceOracle(graph)
-    sim = RoutingSimulator(graph, oracle=oracle)
-    pairs = sim.sample_pairs(40, seed=4)
-    params = AGMParams.experiment(landmark_count_factor=0.02)
-    for seed in SEEDS:
-        monkeypatch.setenv("REPRO_BUILD_MODE", "scalar")
-        scalar = build_scheme("agm", graph, k=k, seed=seed, oracle=oracle,
-                              params=params)
-        monkeypatch.setenv("REPRO_BUILD_MODE", "vectorized")
-        vectorized = build_scheme("agm", graph, k=k, seed=seed, oracle=oracle,
-                                  params=params)
-        _assert_equivalent(graph, oracle, scalar, vectorized, pairs)
 
 
 def test_membership_counts_is_ndarray_and_matches_clusters():

@@ -2,15 +2,16 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.construction.context import BuildContext
-from repro.covers.sparse_cover import (_coarsen_regions, _coarsen_vectorized,
-                                       build_sparse_cover)
-from repro.covers.tree_cover import build_tree_cover
+from repro.covers.sparse_cover import (Cluster, SparseCover, _coarsen_regions,
+                                       _coarsen_vectorized, build_sparse_cover)
+from repro.covers.tree_cover import _cluster_trees_batched, build_tree_cover
 from repro.graphs.generators import erdos_renyi_graph, grid_graph, path_graph
+from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
+from repro.utils.validation import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +59,6 @@ class TestSparseCover:
             seen |= cluster.kernel_centers
         assert seen == set(range(g.n))
 
-    def test_node_subset_restriction(self, grid_and_oracle):
-        g, oracle = grid_and_oracle
-        subset = list(range(0, g.n, 2))
-        cover = build_sparse_cover(g, K, 2.0, oracle=oracle, nodes=subset)
-        assert set(cover.home) == set(subset)
-        for cluster in cover.clusters:
-            assert cluster.nodes <= set(subset)
-
     def test_invalid_arguments(self, grid_and_oracle):
         g, oracle = grid_and_oracle
         with pytest.raises(Exception):
@@ -75,14 +68,13 @@ class TestSparseCover:
 
 
 class TestCoverModeParity:
-    """csr ≡ regions ≡ scalar, decision for decision.
+    """csr ≡ regions, decision for decision.
 
     The region-growing coarsening replaces per-node ball rows with
     multi-source limited Dijkstra layers; it must reproduce the CSR
-    (row-streaming) coarsening's clusters, homes and phases exactly, which
-    in turn must match the scalar reference — across families, k, radii and
-    node subsets.  ``build_sparse_cover`` picks one of the two from sampled
-    ball sizes, so its output must match as well.
+    (row-streaming) coarsening's clusters, homes and phases exactly, across
+    families, k and radii.  ``build_sparse_cover`` picks one of the two from
+    sampled ball sizes, so its output must match as well.
     """
 
     def _canonical(self, cover):
@@ -90,27 +82,20 @@ class TestCoverModeParity:
                            sorted(c.kernel_centers)) for c in cover.clusters)
         return clusters, dict(cover.home)
 
-    def _coarsen(self, mode, graph, oracle, k, radius, nodes=None):
+    def _coarsen(self, mode, graph, oracle, k, radius):
         """One coarsener, called with the inputs ``build_sparse_cover`` prepares."""
-        if nodes is None:
-            universe, allowed = np.arange(graph.n, dtype=np.int64), None
-        else:
-            universe = np.asarray(sorted(set(nodes)), dtype=np.int64)
-            allowed = np.zeros(graph.n, dtype=bool)
-            allowed[universe] = True
-        growth = max(universe.size, 2) ** (1.0 / k)
+        growth = max(graph.n, 2) ** (1.0 / k)
         if mode == "regions":
-            cover = _coarsen_regions(graph, k, radius, universe, growth, allowed)
+            cover = _coarsen_regions(graph, k, radius, growth)
         else:
-            indptr, indices = BuildContext(graph, oracle=oracle).ball_csr(
-                radius, universe=universe, allowed_mask=allowed)
-            cover = _coarsen_vectorized(graph.n, k, radius, universe, growth,
+            indptr, indices = BuildContext(graph, oracle=oracle).ball_csr(radius)
+            cover = _coarsen_vectorized(graph.n, k, radius, growth,
                                         indptr, indices)
         return self._canonical(cover)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.5, 6.0])
-    def test_modes_bit_identical(self, monkeypatch, k, radius):
+    def test_modes_bit_identical(self, k, radius):
         for graph in (grid_graph(6, 6, weights="unit", seed=1),
                       erdos_renyi_graph(60, seed=9),
                       path_graph(40, seed=4)):
@@ -119,22 +104,7 @@ class TestCoverModeParity:
                     for mode in ("csr", "regions")}
             outs["chosen"] = self._canonical(
                 build_sparse_cover(graph, k, radius, oracle=oracle))
-            monkeypatch.setenv("REPRO_BUILD_MODE", "scalar")
-            outs["scalar"] = self._canonical(
-                build_sparse_cover(graph, k, radius, oracle=oracle))
-            monkeypatch.delenv("REPRO_BUILD_MODE", raising=False)
-            assert outs["csr"] == outs["regions"] == outs["chosen"] \
-                == outs["scalar"]
-
-    def test_subset_universe_parity(self):
-        graph = erdos_renyi_graph(70, seed=12)
-        oracle = DistanceOracle(graph)
-        subset = list(range(0, graph.n, 3))
-        outs = {mode: self._coarsen(mode, graph, oracle, 2, 2.0, nodes=subset)
-                for mode in ("csr", "regions")}
-        outs["chosen"] = self._canonical(
-            build_sparse_cover(graph, 2, 2.0, oracle=oracle, nodes=subset))
-        assert outs["csr"] == outs["regions"] == outs["chosen"]
+            assert outs["csr"] == outs["regions"] == outs["chosen"]
 
 
 class TestTreeCover:
@@ -191,8 +161,6 @@ class TestTreeCover:
             assert cover.covers_ball(v, oracle)
 
     def test_disconnected_graph_handled_per_component(self):
-        from repro.graphs.graph import WeightedGraph
-
         g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
         oracle = DistanceOracle(g)
         cover = build_tree_cover(g, 2, 1.0, oracle=oracle)
@@ -201,3 +169,16 @@ class TestTreeCover:
         for tree in cover.trees:
             nodes = set(tree.nodes)
             assert nodes <= {0, 1, 2} or nodes <= {3, 4, 5}
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (1, 2, 5.0)],   # member 2 only reachable over a 5.0 > 2 rho edge
+        [(0, 1, 1.0), (2, 3, 1.0)],   # members 2 and 3 not connected to the center
+    ])
+    def test_cluster_unreachable_under_edge_bound_raises(self, edges):
+        g = WeightedGraph(1 + max(v for _, v, _ in edges), edges)
+        members = set(range(g.n))
+        cover = SparseCover(k=2, rho=1.0, home={v: 0 for v in members},
+                            clusters=[Cluster(index=0, center=0, nodes=members,
+                                              kernel_centers={0})])
+        with pytest.raises(ValidationError):
+            _cluster_trees_batched(g, cover, 1.0)

@@ -1,18 +1,31 @@
-"""Golden digests of compiled forwarding programs and lockstep outcomes.
+"""Golden digests of built schemes, compiled forwarding programs and lockstep outcomes.
 
 Every scheme is built on the small conftest families, compiled, and routed
 over all ordered node pairs.  AGM is also pinned at the benchmark's constant
 sets: ``AGMParams.paper()`` with k=2, and ``experiment(0.05)`` with k=3,
-under which the last-resort fallback fires.  The integer arrays of the
+under which the last-resort fallback fires.  Two more domains pin
+construction itself:
+
+* the build domain: all six schemes on ``make_workload`` graphs
+  (Erdős–Rényi n=72, Barabási–Albert n=72, grid n=64; graph seed 7) with
+  scheme seeds 3 and 11 at k=2, AGM at ``AGMParams.paper()``; plus AGM at
+  ``experiment(landmark_count_factor=0.02)`` with k=2 and k=3, whose small
+  nearby-landmark count drives the streamed top-``nearby`` membership sweep;
+* a disconnected graph (an Erdős–Rényi component, a grid component and an
+  isolated node), which exercises per-component fallback trees and
+  unreachable rows.
+
+For each case the per-node table and label bits, the per-category table
+totals and the header size of the built scheme, the integer arrays of the
 compiled program (tree-bank slots, membership index, next-hop table
 entries) and of the ``run_lockstep(..., materialize=False)`` outcome are
 hashed with sha256 and compared against ``golden_digests.json``.  Only
-integer arrays (and the resolved strategy names) are hashed, so the digests
-do not depend on float summation order across numpy versions.
+integers (and the resolved strategy names) are hashed, so the digests do
+not depend on float summation order across numpy versions.
 
-Any change to construction or forwarding that alters a compiled table or a
-single hop shows up here.  Regenerate the file only for an intended
-behaviour change::
+Any change to construction or forwarding that alters a table size, a
+compiled table or a single hop shows up here.  Regenerate the file only for
+an intended behaviour change::
 
     PYTHONPATH=src python tests/test_golden_digests.py --regenerate
 """
@@ -29,8 +42,11 @@ import numpy as np
 import pytest
 
 from repro.core.params import AGMParams
+from repro.experiments.workloads import make_workload
 from repro.factory import SCHEME_NAMES, build_scheme
-from repro.graphs.generators import grid_graph, random_geometric_graph, ring_of_cliques
+from repro.graphs.generators import (erdos_renyi_graph, grid_graph,
+                                     random_geometric_graph, ring_of_cliques)
+from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.forwarding import run_lockstep
 
@@ -43,6 +59,28 @@ FAMILIES = {
     "small_grid": lambda: grid_graph(6, 6, seed=103),
     "small_cliques": lambda: ring_of_cliques(6, 6, seed=104),
 }
+
+
+def _disconnected_graph() -> WeightedGraph:
+    """An Erdős–Rényi and a grid component plus one isolated node (n=56)."""
+    edges, offset = [], 0
+    for part in (erdos_renyi_graph(30, seed=2), grid_graph(5, 5, seed=3)):
+        edges += [(u + offset, v + offset, w) for u, v, w in part.edges()]
+        offset += part.n
+    return WeightedGraph(offset + 1, edges, seed=4)
+
+
+#: every graph a case can name: the conftest families, the build domain's
+#: graphs and the disconnected graph
+GRAPHS = {
+    **FAMILIES,
+    "erdos-renyi-72": lambda: make_workload("erdos-renyi", 72, seed=7),
+    "barabasi-albert-72": lambda: make_workload("barabasi-albert", 72, seed=7),
+    "grid-64": lambda: make_workload("grid", 64, seed=7),
+    "disconnected-56": _disconnected_graph,
+}
+BUILD_GRAPHS = ["erdos-renyi-72", "barabasi-albert-72", "grid-64"]
+BUILD_SEEDS = [3, 11]
 
 
 def _digest(array) -> str:
@@ -62,21 +100,30 @@ AGM_CONSTANTS = {
 
 
 def compute_digests(scheme_name: str, family: str, k: int = 2,
-                    params: Optional[AGMParams] = None) -> dict:
-    """Digest every integer array of one compiled program and its outcome.
+                    params: Optional[AGMParams] = None,
+                    seed: int = SCHEME_SEED) -> dict:
+    """Digest one built scheme, its compiled program and its outcome.
 
-    ``params`` applies to AGM only and defaults to ``AGMParams.experiment()``.
+    ``family`` names a graph of :data:`GRAPHS`.  ``params`` applies to AGM
+    only and defaults to ``AGMParams.experiment()``.
     """
-    graph = FAMILIES[family]()
+    graph = GRAPHS[family]()
     oracle = DistanceOracle(graph)
     kwargs = {}
     if scheme_name == "agm":
         kwargs["params"] = params if params is not None else AGMParams.experiment()
-    scheme = build_scheme(scheme_name, graph, k=k, seed=SCHEME_SEED,
+    scheme = build_scheme(scheme_name, graph, k=k, seed=seed,
                           oracle=oracle, **kwargs)
+    n = graph.n
+    breakdown = scheme.table_breakdown()
     program = scheme.compiled_forwarding()
     bank = program.bank
     out = {
+        "build.table_bits": _digest([scheme.table_bits(v) for v in range(n)]),
+        "build.table_breakdown": _text_digest(
+            f"{category}={bits}" for category, bits in sorted(breakdown.items())),
+        "build.label_bits": _digest([scheme.label_bits(v) for v in range(n)]),
+        "build.header_bits": _digest([scheme.header_bits()]),
         "bank.node_of_slot": _digest(bank.node_of_slot),
         "bank.dfs_out": _digest(bank.dfs_out),
         "bank.parent_slot": _digest(bank.parent_slot),
@@ -88,7 +135,6 @@ def compute_digests(scheme_name: str, family: str, k: int = 2,
         out[f"table{i}.keys"] = _digest(keys)
         out[f"table{i}.next_hops"] = _digest(next_hops)
 
-    n = graph.n
     src = np.repeat(np.arange(n, dtype=np.int64), n)
     dst = np.tile(np.arange(n, dtype=np.int64), n)
     outcome = run_lockstep(program, src, dst, materialize=False)
@@ -107,11 +153,25 @@ def compute_digests(scheme_name: str, family: str, k: int = 2,
     return out
 
 
+def _build_params(scheme_name: str) -> Optional[AGMParams]:
+    """``build_scheme``'s own AGM default, for the build and disconnected domains."""
+    return AGMParams.paper() if scheme_name == "agm" else None
+
+
 def _cases():
-    """``(case key, scheme, family, k, params)`` of every pinned case."""
-    cases = [(f"{s}/{f}", s, f, 2, None) for s in SCHEME_NAMES for f in FAMILIES]
-    cases += [(f"{prefix}/{f}", "agm", f, k, params)
+    """``(case key, scheme, graph, k, params, seed)`` of every pinned case."""
+    cases = [(f"{s}/{f}", s, f, 2, None, SCHEME_SEED)
+             for s in SCHEME_NAMES for f in FAMILIES]
+    cases += [(f"{prefix}/{f}", "agm", f, k, params, SCHEME_SEED)
               for prefix, (k, params) in AGM_CONSTANTS.items() for f in FAMILIES]
+    cases += [(f"build/{s}/{g}/seed{seed}", s, g, 2, _build_params(s), seed)
+              for s in SCHEME_NAMES for g in BUILD_GRAPHS for seed in BUILD_SEEDS]
+    cases += [(f"build/agm-experiment0.02-k{k}/{g}/seed{seed}", "agm", g, k,
+               AGMParams.experiment(landmark_count_factor=0.02), seed)
+              for k in (2, 3) for g in BUILD_GRAPHS for seed in BUILD_SEEDS]
+    cases += [(f"disconnected/{s}/seed{seed}", s, "disconnected-56", 2,
+               _build_params(s), seed)
+              for s in SCHEME_NAMES for seed in BUILD_SEEDS]
     return cases
 
 
@@ -120,15 +180,16 @@ def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("key,scheme_name,family,k,params", _cases(),
+@pytest.mark.parametrize("key,scheme_name,family,k,params,seed", _cases(),
                          ids=[case[0].replace("/", "-") for case in _cases()])
-def test_digests_match_golden(golden, key, scheme_name, family, k, params):
-    assert compute_digests(scheme_name, family, k=k, params=params) == golden[key]
+def test_digests_match_golden(golden, key, scheme_name, family, k, params, seed):
+    assert compute_digests(scheme_name, family, k=k, params=params,
+                           seed=seed) == golden[key]
 
 
 def _regenerate() -> None:
-    digests = {key: compute_digests(s, f, k=k, params=params)
-               for key, s, f, k, params in _cases()}
+    digests = {key: compute_digests(s, f, k=k, params=params, seed=seed)
+               for key, s, f, k, params, seed in _cases()}
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} cases to {GOLDEN_PATH}")
 
