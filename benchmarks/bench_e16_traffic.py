@@ -6,8 +6,8 @@ Two stages:
 statistics are cross-checked against ground truth and across configurations —
 
 * exact: per-packet stretch/hop arrays (``run_traffic_exact``) vs the
-  streamed histogram and P² quantiles (histogram within its documented
-  relative-error bound, P² within a loose tolerance; count/max/avg exact);
+  streamed histogram quantiles (within their documented relative-error
+  bound; count/max/avg exact);
 * shards: ``shards ∈ {1, 2}`` produce identical official statistics;
 * engines: scalar vs lockstep produce identical statistics.
 
@@ -70,7 +70,6 @@ QUICK_SHARDS = 2
 #: quantile tolerance vs ground truth: histogram buckets are ~0.54% wide;
 #: allow a few buckets of slack for nearest-rank vs interpolated ranks
 HIST_RTOL = max(8 * LOG_QUANTILE_RTOL, 0.02)
-P2_RTOL = 0.05
 
 
 def close(a: float, b: float, rtol: float) -> bool:
@@ -103,11 +102,6 @@ def parity_stage(args) -> dict:
             "histogram": summary[f"stretch_p{q}"],
             "histogram_ok": close(summary[f"stretch_p{q}"], true, HIST_RTOL),
         }
-        p2_key = f"stretch_p2_p{q}"
-        if p2_key in summary:
-            quantile_checks[f"p{q}"]["p2"] = summary[p2_key]
-            quantile_checks[f"p{q}"]["p2_ok"] = close(summary[p2_key], true,
-                                                      P2_RTOL)
 
     exact_fields_ok = (
         int(summary["stretch_count"]) == int(stretch.size)
@@ -117,8 +111,7 @@ def parity_stage(args) -> dict:
         and int(summary["hops_count"]) == int(exact["hops"].size)
         and summary["max_hops"] == float(exact["hops"].max())
     )
-    shard_parity = streamed.summary(include_p2=False) \
-        == sharded.summary(include_p2=False)
+    shard_parity = summary == sharded.summary()
 
     scalar = run_traffic(scheme, model, args.parity_scalar_packets,
                          shards=1, engine="scalar", oracle=oracle)
@@ -126,8 +119,7 @@ def parity_stage(args) -> dict:
                            shards=1, engine="lockstep", oracle=oracle)
     engine_parity = scalar.summary() == lockstep.summary()
 
-    sketch_ok = all(c["histogram_ok"] and c.get("p2_ok", True)
-                    for c in quantile_checks.values())
+    sketch_ok = all(c["histogram_ok"] for c in quantile_checks.values())
     return {
         "n": n,
         "packets": args.parity_packets,
@@ -178,8 +170,7 @@ def throughput_stage(args) -> list:
             "sharded_speedup": round(sharded.pps / single.pps, 3),
             "shards": args.shards,
             "used_processes": sharded.processes,
-            "stats_match": single.summary(include_p2=False)
-            == sharded.summary(include_p2=False),
+            "stats_match": summary == sharded.summary(),
             "delivered": int(summary["delivered"]),
             "failures": int(summary["failures"]),
             "avg_stretch": summary["avg_stretch"],

@@ -2,16 +2,14 @@
 
 The measurement of the fused lockstep executor
 (:mod:`repro.routing.kernels`): every scheme in ``--schemes`` routes
-``--packets`` packets of Zipf-skewed traffic through three configurations —
+``--packets`` packets of Zipf-skewed traffic through two configurations —
 
 * **kernel** — the fused per-program-type cohort executor, single process;
-* **kernel+service** — fused kernels under the steady-state service loop
-  (warm per-shard batch buffers, per-epoch stats flushes);
-* **kernel+shards** — fused kernels across ``--shards`` forked workers with
-  the compiled program and pinned hot distance rows published once in
-  shared memory.
+* **kernel+shards** — fused kernels across ``--shards`` forked workers that
+  share the compiled program and the pinned hot distance rows
+  copy-on-write.
 
-All three runs must produce bit-identical official streamed statistics
+Both runs must produce bit-identical official streamed statistics
 (asserted), so the ladder is a pure throughput comparison.  The JSON also
 records per-core pps (sharded pps divided by the effective core count) and,
 when a ``BENCH_e16.json`` rung is present beside the repo root, the speedup
@@ -85,18 +83,13 @@ def ladder_stage(args, baseline_pps: dict) -> list:
         kernel = run_traffic(scheme, model, args.packets, shards=1,
                              batch_size=args.batch, engine="lockstep",
                              oracle=oracle, profile=args.profile)
-        service = run_traffic(scheme, model, args.packets, shards=1,
-                              batch_size=args.batch, engine="lockstep",
-                              oracle=oracle, service=True)
         sharded = run_traffic(scheme, model, args.packets,
                               shards=args.shards, batch_size=args.batch,
                               engine="lockstep", oracle=oracle)
 
-        official = kernel.summary(include_p2=False)
-        stats_match = all(r.summary(include_p2=False) == official
-                          for r in (service, sharded))
-        cores = min(args.shards, os.cpu_count() or 1)
         summary = kernel.summary()
+        stats_match = sharded.summary() == summary
+        cores = min(args.shards, os.cpu_count() or 1)
         row = {
             "n": args.n,
             "scheme": name,
@@ -106,12 +99,10 @@ def ladder_stage(args, baseline_pps: dict) -> list:
             "batch_size": args.batch,
             "build_s": round(build_s, 2),
             "kernel_pps": round(kernel.pps, 1),
-            "service_pps": round(service.pps, 1),
             "sharded_pps": round(sharded.pps, 1),
             "per_core_pps": round(sharded.pps / cores, 1),
             "shards": args.shards,
             "used_processes": sharded.processes,
-            "used_shared_memory": sharded.shared_memory,
             "stats_match": stats_match,
             "delivered": int(summary["delivered"]),
             "failures": int(summary["failures"]),
@@ -128,8 +119,7 @@ def ladder_stage(args, baseline_pps: dict) -> list:
         e16_note = (f"  vs-e16 {row['e16_speedup']:.2f}x"
                     if "e16_speedup" in row else "")
         print(f"{row['n']:>6} {row['scheme']:>15} "
-              f"kernel {row['kernel_pps']:>9.0f} pps  service "
-              f"{row['service_pps']:>9.0f}  sharded({args.shards}) "
+              f"kernel {row['kernel_pps']:>9.0f} pps  sharded({args.shards}) "
               f"{row['sharded_pps']:>9.0f}  match {stats_match}{e16_note}")
     return rows
 
@@ -150,8 +140,8 @@ def main() -> None:
                         help="record per-stage wall-time breakdowns per run")
     parser.add_argument("--assert-speedup", action="store_true",
                         help="exit non-zero unless statistics are identical "
-                             "across all three configurations and all "
-                             "packets are delivered")
+                             "across both configurations and all packets "
+                             "are delivered")
     parser.add_argument("--json", default=None,
                         help="where to write the JSON rows "
                              "(default: BENCH_e17.json beside the repo root)")
@@ -173,7 +163,7 @@ def main() -> None:
         "benchmark": "e17_throughput",
         "n": args.n,
         "packets_per_run": args.packets,
-        "total_packets_routed": sum(3 * r["packets"] for r in rows),
+        "total_packets_routed": sum(2 * r["packets"] for r in rows),
         "schemes": args.schemes,
         "shards": args.shards,
         "batch_size": args.batch,
@@ -189,7 +179,7 @@ def main() -> None:
     if args.assert_speedup:
         mismatched = [r["scheme"] for r in rows if not r["stats_match"]]
         assert not mismatched, \
-            f"service/sharded statistics diverge from kernel: {mismatched}"
+            f"sharded statistics diverge from kernel: {mismatched}"
         assert_all_delivered(rows)
         print("assertions passed: statistics identical across the ladder, "
               "every packet delivered")

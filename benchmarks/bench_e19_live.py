@@ -7,7 +7,7 @@ program, applies the scenario's churn batch, routes a probe batch on the
 **stale** program over the mutated graph (staleness-window loss: packets
 in flight between failure and repair), repairs the scheme with
 ``maintain()``, recompiles forwarding, and streams the epoch's traffic
-through the service-loop engine.  Reported per (scheme, epoch): events,
+through the traffic engine.  Reported per (scheme, epoch): events,
 staleness-window delivery, repair strategy/seconds, recompile seconds,
 the post-repair SLA delivery rate and the streamed stretch/hop
 statistics.

@@ -3,9 +3,10 @@
 Every bench emitter stamps its payload with :func:`bench_meta` so a committed
 JSON records not just the numbers but the conditions they were measured
 under — peak RSS, the distance-backend and scoring modes in force, the
-memory budget, and whether the JIT kernels were active.  Scale results
-(e18) are meaningless without these: 40 GB of dense rows versus a 16 GB
-budget with memmapped spill produce very different "seconds" columns.
+memory budget and spill counters, the Python version and the core count.
+Scale results (e18) are meaningless without these: 40 GB of dense rows
+versus a 16 GB budget with memmapped spill produce very different
+"seconds" columns.
 """
 
 from __future__ import annotations

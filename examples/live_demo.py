@@ -38,7 +38,7 @@ def single_timeline() -> None:
     print(header)
     print("-" * len(header))
     for rec in timeline.epochs:
-        summary = rec.report.summary(include_p2=False)
+        summary = rec.report.summary()
         prefix = rec.report.stats.stretch_prefix
         print(f"{rec.epoch:>3} {rec.events:>6} "
               f"{rec.stale_delivery_rate:>6.3f} {rec.delivery_rate:>7.4f} "

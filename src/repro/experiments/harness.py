@@ -196,7 +196,6 @@ def run_traffic_matrix(
     engine: str = "lockstep",
     processes: Optional[bool] = None,
     profile: bool = False,
-    service: bool = False,
 ) -> ExperimentResult:
     """Route ``packets`` packets of model traffic through every (scheme, graph, k).
 
@@ -204,8 +203,8 @@ def run_traffic_matrix(
     uniformly sampled pairs evaluated with per-pair bookkeeping, each cell
     streams a seeded :mod:`repro.traffic.models` workload — millions of
     packets if asked — through :func:`repro.traffic.engine.run_traffic`,
-    reducing every batch into streaming statistics (count/sum/max, mergeable
-    quantile histograms, P² sketches) so memory stays O(shards), not
+    reducing every batch into streaming statistics (count/sum/max and
+    exactly mergeable quantile histograms) so memory stays O(shards), not
     O(packets).
 
     Parameters
@@ -217,17 +216,17 @@ def run_traffic_matrix(
         so batches are reproducible cell to cell.
     packets / shards / batch_size:
         Stream volume, round-robin shard count (``shards > 1`` forks worker
-        processes over the shared, spawn-once compiled forwarding program
+        processes that share the compiled forwarding program copy-on-write
         unless ``processes=False``), and streaming granularity.
     engine:
         ``"lockstep"`` / ``"scalar"`` — identical streamed statistics
         either way (the determinism suite asserts it).
     backend:
         Distance-backend spec for each graph's shared scoring oracle.
-    profile / service:
+    profile:
         Forwarded to :func:`repro.traffic.engine.run_traffic` — per-stage
         wall-time breakdown (lands in each row as ``profile_<stage>``
-        columns) and the steady-state service-loop mode.
+        columns).
 
     Returns an :class:`ExperimentResult` whose rows mirror :func:`run_matrix`
     field names where the quantities coincide (``avg_stretch``,
@@ -252,7 +251,7 @@ def run_traffic_matrix(
                 report = run_traffic(scheme, traffic, packets, shards=shards,
                                      batch_size=batch_size, engine=engine,
                                      oracle=oracle, processes=processes,
-                                     profile=profile, service=service)
+                                     profile=profile)
                 row = report.as_row()
                 row.update(graph=graph_label, k=k, n=graph.n,
                            m=graph.num_edges,

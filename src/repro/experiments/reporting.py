@@ -65,7 +65,7 @@ def traffic_table(rows: Sequence[Dict[str, object]],
     """Render traffic-matrix rows with the streamed-statistics column set.
 
     A thin curation over :func:`format_table`: traffic rows carry many more
-    fields (P² diagnostics, hop quantiles, timing) than fit a terminal;
+    fields (hop quantiles, timing, per-stage profiles) than fit a terminal;
     this picks the headline ones in a stable order, keeping only columns at
     least one row actually has.
     """

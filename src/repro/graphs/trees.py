@@ -19,11 +19,10 @@ from repro.utils.validation import require
 class TreeSlotArrays:
     """Per-tree compiled slot arrays (``slot = DFS-in number``).
 
-    Assembled during :meth:`Tree._compute_dfs` so that
-    :meth:`repro.routing.forwarding.TreeBank.freeze` finds every tree's local
-    compilation already cached — the bank's global assembly is then pure
-    vectorized offset arithmetic with no intermediate dict pass.  Attribute
-    layout matches what ``freeze`` consumes (``_TreeSlots`` duck type).
+    Assembled during :meth:`Tree._compute_dfs` and stored on the tree as
+    ``_forwarding_slots``; :meth:`repro.routing.forwarding.TreeBank.freeze`
+    reads them directly, so the bank's global assembly is pure vectorized
+    offset arithmetic with no intermediate dict pass.
     """
 
     __slots__ = ("size", "node_of_slot", "dfs_out", "parent_local")

@@ -2,7 +2,7 @@
 
 The :class:`~repro.live.simulator.LiveSimulator` drives a single seeded
 timeline where million-packet traffic epochs (the streaming engine's
-service loop) interleave with churn event batches and per-scheme
+batch loop) interleave with churn event batches and per-scheme
 ``maintain()`` repairs.  Packets caught between a failure and its repair
 route on *stale* forwarding state over the mutated graph — the staleness
 window — and every epoch emits SLA-style mergeable statistics: delivery

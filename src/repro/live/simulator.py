@@ -3,7 +3,7 @@
 :class:`LiveSimulator` owns a single seeded timeline over one scheme:
 
 * **Epoch 0** is the pre-churn baseline — one traffic epoch through the
-  streaming engine's service loop, nothing else.
+  streaming engine, nothing else.
 * **Every later epoch** replays the live-network cycle: capture the
   compiled forwarding program (the tables routers are *actually* holding),
   apply the scenario's churn batch to the graph, route a probe batch on the
@@ -11,8 +11,7 @@
   in flight between failure and repair), repair the scheme
   (``maintain(delta)`` or a forced full rebuild, priced by its
   :class:`~repro.dynamics.repair.RepairReport`), recompile forwarding, and
-  run the epoch's traffic through :func:`~repro.traffic.engine.run_traffic`
-  with ``service=True``.
+  run the epoch's traffic through :func:`~repro.traffic.engine.run_traffic`.
 
 Staleness-window accounting: a window packet is **delivered** iff the stale
 walk claims ``found``, actually ends at the destination, and every non-self
@@ -204,8 +203,7 @@ class LiveTimeline:
 
     def summary(self) -> Dict[str, object]:
         """Timeline-level SLA headline: merged stats + worst-epoch figures."""
-        out: Dict[str, object] = dict(self.merged_stats().summary(
-            include_p2=False))
+        out: Dict[str, object] = dict(self.merged_stats().summary())
         post_repair = [r for r in self.epochs if r.epoch > 0]
         out.update({
             "epochs": len(self.epochs),
@@ -284,7 +282,6 @@ class LiveSimulator:
                  sample_per_batch: int = 8,
                  num_landmarks: int = 16,
                  repair: str = "maintain",
-                 epoch_batches: Optional[int] = None,
                  seed: SeedLike = 0,
                  verify_determinism: bool = False) -> None:
         require(epochs >= 1, "need at least one churn epoch")
@@ -310,7 +307,6 @@ class LiveSimulator:
         self.sample_per_batch = int(sample_per_batch)
         self.num_landmarks = int(num_landmarks)
         self.repair = repair
-        self.epoch_batches = epoch_batches
         self.seed = seed
         self.verify_determinism = bool(verify_determinism)
         self._event_rng = derive_rng(seed, _EVENT_KEY)
@@ -419,13 +415,12 @@ class LiveSimulator:
 
     # -- traffic epochs ---------------------------------------------------- #
     def _traffic_once(self, model, scorer, *, shards: int,
-                      processes: Optional[bool], service: bool,
+                      processes: Optional[bool],
                       engine: Optional[str] = None) -> TrafficReport:
         return run_traffic(
             self.scheme, model, self.epoch_packets, shards=shards,
             batch_size=self.batch_size, engine=engine or self.engine,
-            oracle=self.oracle, processes=processes, service=service,
-            epoch_batches=self.epoch_batches,
+            oracle=self.oracle, processes=processes,
             scoring=scorer if scorer is not None else "exact")
 
     def _run_epoch_traffic(self, epoch: int):
@@ -437,7 +432,7 @@ class LiveSimulator:
                              sample_per_batch=self.sample_per_batch,
                              num_landmarks=self.num_landmarks)
         report = self._traffic_once(model, scorer, shards=self.shards,
-                                    processes=self.processes, service=True)
+                                    processes=self.processes)
         checked = False
         if self.verify_determinism:
             self._cross_check(epoch, model, scorer, report)
@@ -448,22 +443,19 @@ class LiveSimulator:
                      report: TrafficReport) -> None:
         """Re-derive the epoch summary two independent ways; require identity.
 
-        (a) a different shard split in plain batch mode — partition and
-        service-loop independence; (b) the scalar ``route()`` reference
-        engine — the compiled program and its kernels agree with the
-        protocol.  Scoring is pure in ``(seed, batch_index)``, so the scorer
-        can be reused.
+        (a) a different shard split, in process — partition independence;
+        (b) the scalar ``route()`` reference engine — the compiled program
+        and its kernels agree with the protocol.  Scoring is pure in
+        ``(seed, batch_index)``, so the scorer can be reused.
         """
-        official = report.summary(include_p2=False)
+        official = report.summary()
         other_shards = 2 if self.shards == 1 else 1
         resharded = self._traffic_once(model, scorer, shards=other_shards,
-                                       processes=False, service=False)
-        require(_summaries_identical(official,
-                                     resharded.summary(include_p2=False)),
+                                       processes=False)
+        require(_summaries_identical(official, resharded.summary()),
                 f"epoch {epoch}: official stats changed across shard counts")
         scalar = self._traffic_once(model, scorer, shards=1, processes=False,
-                                    service=True, engine="scalar")
-        require(_summaries_identical(official,
-                                     scalar.summary(include_p2=False)),
+                                    engine="scalar")
+        require(_summaries_identical(official, scalar.summary()),
                 f"epoch {epoch}: official stats changed under the scalar "
                 "reference engine")

@@ -117,43 +117,6 @@ class PacketPlan:
         self.notes = notes
 
 
-class _TreeSlots:
-    """Per-tree compiled slot arrays, cached on the :class:`Tree` object.
-
-    A tree's local compilation (one Python pass over its nodes) is the only
-    per-node Python work in :meth:`TreeBank.freeze`; caching it on the tree
-    means a bank recompiled after churn repair re-slots **only the dirtied
-    trees** — unchanged ``Tree`` objects contribute cached arrays and the
-    global assembly is pure vectorized offset arithmetic.
-    """
-
-    __slots__ = ("size", "node_of_slot", "dfs_out", "parent_local")
-
-    def __init__(self, tree: Tree) -> None:
-        size = tree.size
-        self.size = size
-        self.node_of_slot = np.empty(size, dtype=np.int64)
-        self.dfs_out = np.empty(size, dtype=np.int64)
-        self.parent_local = np.full(size, -1, dtype=np.int64)
-        dfs_in = tree.dfs_in
-        for v in tree.nodes:
-            slot = dfs_in[v]
-            self.node_of_slot[slot] = v
-            self.dfs_out[slot] = tree.dfs_out[v]
-            parent = tree.parent.get(v)
-            if parent is not None:
-                self.parent_local[slot] = dfs_in[parent]
-
-    @classmethod
-    def of(cls, tree: Tree) -> "_TreeSlots":
-        """Cached local compilation of ``tree`` (computed once per tree object)."""
-        cached = getattr(tree, "_forwarding_slots", None)
-        if cached is None or cached.size != tree.size:
-            cached = cls(tree)
-            tree._forwarding_slots = cached
-        return cached
-
-
 class TreeBank:
     """All trees of one scheme as flat structure-of-arrays slot tables.
 
@@ -199,10 +162,11 @@ class TreeBank:
     def freeze(self) -> "TreeBank":
         """Compile the registered trees into flat arrays (idempotent).
 
-        Per-tree slot arrays come from the :class:`_TreeSlots` cache, so only
-        trees never compiled before (or rebuilt by churn repair) pay the
-        Python pass over their nodes; the global assembly below is vectorized
-        offset arithmetic plus one sort of the membership keys.
+        Each tree's slot arrays come from the
+        :class:`~repro.graphs.trees.TreeSlotArrays` it filled during its own
+        DFS (``_forwarding_slots``), so freezing does no per-node Python
+        work; the global assembly below is vectorized offset arithmetic plus
+        one sort of the membership keys.
         """
         if self._frozen:
             return self
@@ -220,7 +184,7 @@ class TreeBank:
         member_slot_parts: List[np.ndarray] = []
         for tree_id, tree in enumerate(self._trees):
             off = int(self.offsets[tree_id])
-            slots = _TreeSlots.of(tree)
+            slots = tree._forwarding_slots
             node_parts.append(slots.node_of_slot)
             dfs_out_parts.append(slots.dfs_out)
             parent_parts.append(np.where(slots.parent_local >= 0,
@@ -271,8 +235,8 @@ class TreeBank:
     def invalidate_caches(self) -> None:
         """Drop every lookup structure derived from the compiled slot arrays.
 
-        Churn repair re-slots trees (``_TreeSlots`` cached per tree object)
-        and recompiles the bank; a bank object that outlives a repair — e.g.
+        Churn repair rebuilds trees (each carrying its own slot arrays) and
+        recompiles the bank; a bank object that outlives a repair — e.g.
         a live program patched mid-timeline — must drop both the dense
         ``(tree, node) -> slot`` membership matrix and the fused kernels'
         per-target root-path memo (``_path_cache``), or post-repair walks

@@ -17,9 +17,8 @@ array lives:
 * Spill files are created under ``REPRO_SPILL_DIR`` (default: the system
   temp dir) and **unlinked immediately** after mapping: the pages live for
   exactly the lifetime of the array, survive ``fork()`` (the mapping is
-  shared, so shard workers read the same physical pages — the
-  :class:`~repro.traffic.shm.SharedArena` deliberately skips memmaps), and
-  can never leak a file past the process.
+  shared, so shard workers read the same physical pages), and can never
+  leak a file past the process.
 * RAM accounting is released when a budgeted array is garbage collected
   (a ``weakref`` finalizer), so transient build scratch does not
   permanently consume the budget.

@@ -2,10 +2,11 @@
 
 ``models`` defines who talks to whom (uniform, Zipf-popular, gravity
 /locality, hotspot-adversarial) as batch-indexed deterministic array
-generators; ``stats`` holds the streaming statistics (per-batch digests,
-mergeable quantile histograms, P² sketches); ``engine`` routes millions of
+generators; ``stats`` holds the streaming statistics (per-batch digests and
+exactly mergeable quantile histograms); ``engine`` routes millions of
 packets per run over the compiled lockstep forwarding layer, optionally
-sharded across forked workers sharing one spawn-once program.
+sharded across forked workers that share the parent's compiled program
+copy-on-write.
 """
 
 from repro.traffic.engine import (
@@ -33,7 +34,6 @@ from repro.traffic.stats import (
     IntHistogram,
     LogHistogram,
     MetricStream,
-    P2Quantile,
     TrafficStats,
 )
 
@@ -45,7 +45,6 @@ __all__ = [
     "LOG_QUANTILE_RTOL",
     "LogHistogram",
     "MetricStream",
-    "P2Quantile",
     "TRAFFIC_MODELS",
     "TRAFFIC_MODEL_NAMES",
     "TrafficModel",

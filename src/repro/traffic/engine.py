@@ -22,12 +22,9 @@ small :class:`TrafficStats` which the parent merges.  With
 ``processes=False`` the same shard partition runs sequentially in-process —
 the merge path is identical, which is what the determinism suite exercises.
 
-Every merged statistic except the P² diagnostics is bit-identical for any
-shard count and either engine (see ``traffic.stats``); a coverage check
-asserts the merged shards streamed exactly the batch set ``0..B-1``.
-
-Set ``REPRO_TRAFFIC_PROCESSES=0`` to globally disable worker processes
-(sandboxes/CI runners where fork is unavailable or undesirable).
+Every merged statistic is bit-identical for any shard count and either
+engine (see ``traffic.stats``); a coverage check asserts the merged shards
+streamed exactly the batch set ``0..B-1``.
 """
 
 from __future__ import annotations
@@ -57,9 +54,6 @@ from repro.utils.validation import require
 #: default packets per batch (the streaming granularity)
 DEFAULT_BATCH_SIZE = 8192
 
-#: default batches per service-loop epoch (one stats flush per epoch)
-DEFAULT_EPOCH_BATCHES = 16
-
 #: memory budget for pinned hot-destination distance rows (bytes)
 HOT_ROW_BYTES = 256 << 20
 
@@ -87,13 +81,11 @@ class _HotRowCache:
 
     __slots__ = ("rank", "rows")
 
-    def __init__(self, oracle: DistanceOracle, hot: np.ndarray, n: int) -> None:
-        hot = np.unique(np.asarray(hot, dtype=np.int64))
-        cap = min(HOT_ROW_CAP, max(int(HOT_ROW_BYTES // max(8 * n, 1)), 1))
-        hot = hot[:cap]
+    def __init__(self, oracle: DistanceOracle, pinned: np.ndarray,
+                 n: int) -> None:
         self.rank = np.full(n, -1, dtype=np.int64)
-        self.rank[hot] = np.arange(hot.size, dtype=np.int64)
-        self.rows = np.ascontiguousarray(oracle.rows(hot))
+        self.rank[pinned] = np.arange(pinned.size, dtype=np.int64)
+        self.rows = np.ascontiguousarray(oracle.rows(pinned))
 
     def pair_distances(self, oracle: DistanceOracle, dst: np.ndarray,
                        src: np.ndarray) -> np.ndarray:
@@ -117,8 +109,11 @@ def hot_row_cache_for(oracle: DistanceOracle, hot: np.ndarray,
     Epoch-structured drivers (the live timeline, scenario runners) call
     :func:`run_traffic` once per epoch with a freshly seeded model whose hot
     set usually has not moved; rebuilding the pinned ``(k, n)`` matrix every
-    epoch re-gathers megabytes of rows for nothing.  The cache is memoized
-    on the oracle itself, keyed by ``(graph.version, hot-set bytes)``:
+    epoch re-gathers megabytes of rows for nothing.  The cache pins the
+    first ``cap`` distinct nodes of the hottest-first ``hot`` array, where
+    ``cap`` is set by :data:`HOT_ROW_BYTES` and :data:`HOT_ROW_CAP`.  It is
+    memoized on the oracle itself, keyed by ``(graph.version, pinned
+    nodes)``:
 
     * **churn invalidates** — any graph mutation bumps ``graph.version``,
       so stale distance rows can never score a post-repair epoch;
@@ -126,37 +121,19 @@ def hot_row_cache_for(oracle: DistanceOracle, hot: np.ndarray,
       head (or a storm re-aiming its hotspots) changes the fingerprint, so
       rows pinned for the *old* crowd are dropped, not silently reused for
       destinations they never covered.
-
-    The memo survives the shared-memory arena: ``SharedArena.close``
-    restores the adopted ``rows`` attribute to the original in-process
-    array before unlinking the block.
     """
-    hot = np.unique(np.asarray(hot, dtype=np.int64))
-    key = (graph.version, hot.tobytes())
+    hot = np.asarray(hot, dtype=np.int64)
+    _, first = np.unique(hot, return_index=True)
+    cap = min(HOT_ROW_CAP, max(int(HOT_ROW_BYTES // max(8 * graph.n, 1)), 1))
+    pinned = np.sort(hot[np.sort(first)[:cap]])
+    key = (graph.version, pinned.tobytes())
     memo = getattr(oracle, "_traffic_hot_memo", None)
     if memo is not None and memo[0] == key:
         return memo[1]
     oracle.prefetch(hot)
-    cache = _HotRowCache(oracle, hot, graph.n)
+    cache = _HotRowCache(oracle, pinned, graph.n)
     oracle._traffic_hot_memo = (key, cache)
     return cache
-
-
-class _BatchBuffers:
-    """Warm per-shard scratch reused across service-loop batches.
-
-    Steady-state service shards route the same batch size forever; the
-    buffers keep the per-batch stretch scratch allocated once per shard
-    instead of once per batch.  Values folded into stats are copies
-    (``stretch[measured]`` is a fancy-index copy), so reuse never aliases
-    anything a later batch could clobber.
-    """
-
-    __slots__ = ("capacity", "stretch")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = int(capacity)
-        self.stretch = np.ones(self.capacity)
 
 
 def num_batches(packets: int, batch_size: int) -> int:
@@ -247,7 +224,6 @@ def _route_batch_scalar(scheme, graph: WeightedGraph, src: np.ndarray,
 def _route_and_score(scheme, program, oracle: DistanceOracle, engine: str,
                      src: np.ndarray, dst: np.ndarray,
                      cache: Optional[_HotRowCache] = None,
-                     buffers: Optional[_BatchBuffers] = None,
                      timings: Optional[Dict[str, float]] = None,
                      scorer=None, batch_index: int = 0):
     """Route one batch, verify it, and score it.
@@ -261,9 +237,8 @@ def _route_and_score(scheme, program, oracle: DistanceOracle, engine: str,
     per-batch certificate sample (``None`` under exact scoring).
 
     Under exact scoring (``scorer=None``) every delivered reachable packet
-    is measured against an exact distance row: ``cache`` serves hot
-    destination rows without touching the oracle; ``buffers`` (service
-    loop) reuses the stretch scratch across batches; both are exact.  A
+    is measured against an exact distance row; ``cache`` serves hot
+    destination rows without touching the oracle.  A
     :mod:`repro.traffic.scoring` scorer replaces the distance-row scoring
     with its own rule (component reachability + sampled / landmark-bounded
     stretch) — delivery accounting stays exact either way.
@@ -288,11 +263,7 @@ def _route_and_score(scheme, program, oracle: DistanceOracle, engine: str,
         shortest = oracle.pair_distances(dst, src)   # symmetric: dst rows reused
     finite = np.isfinite(shortest)
     measured = found & finite
-    if buffers is not None and src.size <= buffers.capacity:
-        stretch = buffers.stretch[:src.size]
-        stretch.fill(1.0)
-    else:
-        stretch = np.ones(src.size)
+    stretch = np.ones(src.size)
     np.divide(costs, shortest, out=stretch, where=measured & (shortest > 0))
     _lap(timings, "score", t0)
     return found, hops, finite, measured, stretch, None
@@ -303,25 +274,16 @@ def stream_shard(scheme: RoutingSchemeInstance, model: TrafficModel,
                  engine: str = "lockstep", shard: int = 0, shards: int = 1,
                  oracle: Optional[DistanceOracle] = None,
                  profile_out: Optional[Dict[str, float]] = None,
-                 service: bool = False,
-                 epoch_batches: Optional[int] = None) -> TrafficStats:
+                 ) -> TrafficStats:
     """Stream one shard's batches (``shard, shard + shards, ...``) to stats.
 
     This is the worker body of the sharded driver and the whole driver when
     ``shards == 1``.  Per batch: regenerate the packets, route them, verify
     every hop, score stretch against exact distances (hot destination rows
     served from the run's pinned cache; the rest prefetched per batch), and
-    fold the reductions into the stats.
-
-    ``service=True`` switches to the steady-state service loop: the shard
-    keeps one warm set of batch buffers and flushes its statistics through a
-    fresh per-epoch :class:`TrafficStats` every ``epoch_batches`` batches,
-    merging epochs into the shard total.  Because epochs partition the
-    shard's batch sequence in index order and ``TrafficStats`` merges are
-    exact, every official statistic is bit-identical to batch mode (the P²
-    diagnostics become epoch-weighted averages — documented as
-    order-dependent).  ``profile_out``, when given, is filled with
-    accumulated per-stage wall seconds (plan/step/verify/score/reduce).
+    fold the reductions into the stats.  ``profile_out``, when given, is
+    filled with accumulated per-stage wall seconds
+    (plan/step/verify/score/reduce).
     """
     graph = scheme.graph
     oracle = oracle or DistanceOracle(graph)
@@ -330,44 +292,25 @@ def stream_shard(scheme: RoutingSchemeInstance, model: TrafficModel,
     cache = _RUN_CONTEXT.get("hot_cache")
     scorer = _RUN_CONTEXT.get("scorer")
     timings: Optional[Dict[str, float]] = {} if profile_out is not None else None
-    total = num_batches(packets, batch_size)
-    my_batches = range(shard, total, shards)
-
-    def run_batches(indices, into: TrafficStats,
-                    buffers: Optional[_BatchBuffers] = None) -> None:
-        for b in indices:
-            size = batch_size_of(b, packets, batch_size)
-            src, dst = model.batch(b, size)
-            found, hops, finite, measured, stretch, errors = _route_and_score(
-                scheme, program, oracle, engine, src, dst,
-                cache=cache, buffers=buffers, timings=timings,
-                scorer=scorer, batch_index=b)
-            t0 = _tick(timings)
-            into.update_batch(
-                b,
-                stretch_values=stretch[measured],
-                hop_values=hops,
-                packets=size,
-                delivered=int(np.count_nonzero(found)),
-                failures=int(np.count_nonzero(~found & finite)),
-                unreachable=int(np.count_nonzero(~finite)),
-                error_values=errors,
-            )
-            _lap(timings, "reduce", t0)
-
-    bounded = bool(getattr(scorer, "bounded", False))
-    stats = TrafficStats(bounded=bounded)
-    if service:
-        epoch = int(epoch_batches or DEFAULT_EPOCH_BATCHES)
-        require(epoch >= 1, "an epoch must cover at least one batch")
-        buffers = _BatchBuffers(batch_size)
-        pending = list(my_batches)
-        for lo in range(0, len(pending), epoch):
-            epoch_stats = TrafficStats(bounded=bounded)
-            run_batches(pending[lo:lo + epoch], epoch_stats, buffers)
-            stats.merge(epoch_stats)
-    else:
-        run_batches(my_batches, stats)
+    stats = TrafficStats(bounded=bool(getattr(scorer, "bounded", False)))
+    for b in range(shard, num_batches(packets, batch_size), shards):
+        size = batch_size_of(b, packets, batch_size)
+        src, dst = model.batch(b, size)
+        found, hops, finite, measured, stretch, errors = _route_and_score(
+            scheme, program, oracle, engine, src, dst,
+            cache=cache, timings=timings, scorer=scorer, batch_index=b)
+        t0 = _tick(timings)
+        stats.update_batch(
+            b,
+            stretch_values=stretch[measured],
+            hop_values=hops,
+            packets=size,
+            delivered=int(np.count_nonzero(found)),
+            failures=int(np.count_nonzero(~found & finite)),
+            unreachable=int(np.count_nonzero(~finite)),
+            error_values=errors,
+        )
+        _lap(timings, "reduce", t0)
     if profile_out is not None and timings:
         for stage, seconds in timings.items():
             profile_out[stage] = profile_out.get(stage, 0.0) + seconds
@@ -390,10 +333,6 @@ class TrafficReport:
     #: per-stage wall seconds (plan/step/verify/score/reduce) summed across
     #: shards; only filled when the run requested ``profile=True``
     profile: Optional[Dict[str, float]] = None
-    #: whether the run used the steady-state service loop
-    service: bool = False
-    #: whether program arrays / hot rows were published via shared memory
-    shared_memory: bool = False
     #: stretch scoring mode ("exact" / "sampled" / "landmark")
     scoring: str = "exact"
 
@@ -402,9 +341,13 @@ class TrafficReport:
         """End-to-end routed packets per second (including verification)."""
         return self.packets / self.seconds if self.seconds > 0 else float("inf")
 
-    def summary(self, include_p2: bool = True) -> Dict[str, float]:
-        """The streamed statistics (see :meth:`TrafficStats.summary`)."""
-        return self.stats.summary(include_p2=include_p2)
+    def summary(self, include_p2: bool = False) -> Dict[str, float]:
+        """The streamed statistics (see :meth:`TrafficStats.summary`).
+
+        ``include_p2`` is accepted and ignored, as on
+        :meth:`TrafficStats.summary`.
+        """
+        return self.stats.summary()
 
     def as_row(self) -> Dict[str, object]:
         """Flat row for :class:`~repro.experiments.harness.ExperimentResult`.
@@ -450,8 +393,6 @@ class TrafficReport:
                 "median_stretch": s["stretch_p50"],
                 "p95_stretch": s["stretch_p95"],
                 "p99_stretch": s["stretch_p99"],
-                "p2_median_stretch": s["stretch_p2_p50"],
-                "p2_p95_stretch": s["stretch_p2_p95"],
             })
         for key in ("avg_score_error", "max_score_error", f"{p}_stderr"):
             if key in s:
@@ -466,9 +407,7 @@ class TrafficReport:
 
 
 def processes_enabled() -> bool:
-    """Whether worker processes may be used on this platform/configuration."""
-    if os.environ.get("REPRO_TRAFFIC_PROCESSES", "") == "0":
-        return False
+    """Whether this platform can fork worker processes."""
     if not hasattr(os, "fork"):
         return False
     try:
@@ -482,18 +421,15 @@ def processes_enabled() -> bool:
 
 def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
                            oracle, profile: bool = False,
-                           service: bool = False,
-                           epoch_batches: Optional[int] = None,
                            ) -> Tuple[TrafficStats, Optional[Dict[str, float]]]:
     """Fork one worker per shard; merge their stats (and stage profiles).
 
     The compiled program / CSR / oracle pages are shared copy-on-write with
-    the parent (fork start method — no pickling of the program, ever), and
-    arrays the caller published through a :class:`~repro.traffic.shm.SharedArena`
-    are true shared memory.  A scheme's ``fallback_uses`` counter grows in
-    the workers' memory, so each worker reports its increment and the
-    parent adds the sum.  A worker failure surfaces as a raised
-    :class:`RuntimeError` with the worker's traceback text.
+    the parent (fork start method — no pickling of the program, ever).  A
+    scheme's ``fallback_uses`` counter grows in the workers' memory, so each
+    worker reports its increment and the parent adds the sum.  A worker
+    failure surfaces as a raised :class:`RuntimeError` with the worker's
+    traceback text.
     """
     import multiprocessing
     import queue as queue_module
@@ -503,16 +439,10 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
 
     def worker(shard_id: int) -> None:
         try:
-            # only non-default extras are forwarded, so tests stubbing
-            # stream_shard with its original signature keep working
-            extra: Dict[str, object] = {}
-            prof: Optional[Dict[str, float]] = None
-            if profile:
-                prof = {}
-                extra["profile_out"] = prof
-            if service:
-                extra["service"] = True
-                extra["epoch_batches"] = epoch_batches
+            # profile_out is forwarded only when profiling, so tests stubbing
+            # stream_shard without it keep working
+            prof: Optional[Dict[str, float]] = {} if profile else None
+            extra = {} if prof is None else {"profile_out": prof}
             before = getattr(scheme, "fallback_uses", 0)
             stats = stream_shard(scheme, model, packets, batch_size=batch_size,
                                  engine=engine, shard=shard_id, shards=shards,
@@ -562,8 +492,6 @@ def _run_sharded_processes(scheme, model, packets, batch_size, engine, shards,
         scheme.fallback_uses += fallbacks
     if failures:
         raise RuntimeError("traffic worker(s) failed:\n" + "\n".join(failures))
-    # merge in shard-id order, not queue-arrival order: the P² diagnostics
-    # fold weighted floats, so a fixed order keeps repeated runs bit-identical
     merged: Optional[TrafficStats] = None
     for shard_id in sorted(per_shard):
         if merged is None:
@@ -585,8 +513,6 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
                 batch_size: int = DEFAULT_BATCH_SIZE, engine: str = "lockstep",
                 oracle: Optional[DistanceOracle] = None,
                 processes: Optional[bool] = None, profile: bool = False,
-                service: bool = False, epoch_batches: Optional[int] = None,
-                shared_memory: Optional[bool] = None,
                 scoring: object = "exact") -> TrafficReport:
     """Route ``packets`` packets of ``model`` traffic through ``scheme``.
 
@@ -595,7 +521,7 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
     shards:
         Number of round-robin batch shards.  With ``processes=True`` (the
         default when ``shards > 1`` and fork is available) each shard is a
-        forked worker over the shared, spawn-once compiled program; with
+        forked worker sharing the compiled program copy-on-write; with
         ``processes=False`` the shards stream sequentially in-process —
         identical partition and merge, no concurrency (testing/debug).
     engine:
@@ -608,17 +534,6 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
     profile:
         Collect per-stage wall seconds (plan/step/verify/score/reduce),
         summed across shards, into ``report.profile``.
-    service / epoch_batches:
-        Steady-state service loop: shards reuse warm batch buffers and
-        flush statistics through per-epoch :class:`TrafficStats` merges
-        every ``epoch_batches`` batches.  Official statistics are
-        bit-identical to batch mode (see :func:`stream_shard`).
-    shared_memory:
-        Publish the compiled program's arrays and the pinned hot
-        destination-distance rows into ``multiprocessing.shared_memory``
-        for the duration of the run (zero-copy across forked shards).
-        Defaults to on exactly when worker processes are used; the
-        ``REPRO_TRAFFIC_SHM=0`` kill-switch overrides everything.
     scoring:
         Stretch scoring mode: ``"exact"`` (the default — every delivered
         packet scored against an exact distance row), ``"sampled"`` or
@@ -663,27 +578,12 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
             hot_cache = hot_row_cache_for(oracle, np.asarray(hot), graph)
         if program is not None:
             # warm each sorted table's per-destination column cache on the
-            # hot set pre-fork so forked shards inherit (and, under shared
-            # memory, share) the dense columns instead of building them
-            # once per worker
+            # hot set pre-fork so forked shards inherit the dense columns
+            # instead of building them once per worker
             for table in program.tables:
                 table.batch_view(np.asarray(hot, dtype=np.int64))
     use_processes = processes if processes is not None else shards > 1
     use_processes = bool(use_processes) and shards > 1 and processes_enabled()
-
-    arena = None
-    use_shm = bool(shared_memory) if shared_memory is not None else use_processes
-    if use_shm:
-        from repro.traffic.shm import SharedArena, shm_enabled
-
-        if shm_enabled():
-            arena = SharedArena()
-            if program is not None:
-                arena.publish_program(program)
-            if hot_cache is not None:
-                arena.adopt(hot_cache, "rows")
-        else:
-            use_shm = False
 
     prof: Optional[Dict[str, float]] = {} if profile else None
     _RUN_CONTEXT["hot_cache"] = hot_cache
@@ -693,26 +593,21 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
         if use_processes:
             stats, worker_prof = _run_sharded_processes(
                 scheme, model, packets, batch_size, engine, shards, oracle,
-                profile=profile, service=service, epoch_batches=epoch_batches)
+                profile=profile)
             if prof is not None and worker_prof:
                 prof.update(worker_prof)
         else:
             stats = stream_shard(scheme, model, packets, batch_size=batch_size,
                                  engine=engine, shard=0, shards=shards,
-                                 oracle=oracle, profile_out=prof,
-                                 service=service, epoch_batches=epoch_batches)
+                                 oracle=oracle, profile_out=prof)
             for shard in range(1, shards):
                 stats.merge(stream_shard(scheme, model, packets,
                                          batch_size=batch_size, engine=engine,
                                          shard=shard, shards=shards,
-                                         oracle=oracle, profile_out=prof,
-                                         service=service,
-                                         epoch_batches=epoch_batches))
+                                         oracle=oracle, profile_out=prof))
     finally:
         _RUN_CONTEXT.pop("hot_cache", None)
         _RUN_CONTEXT.pop("scorer", None)
-        if arena is not None:
-            arena.close()
     seconds = time.perf_counter() - start
 
     expected = set(range(num_batches(packets, batch_size)))
@@ -724,8 +619,7 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
         scheme=scheme.scheme_name, model=model.name, engine=engine,
         packets=packets, shards=shards, batch_size=batch_size,
         processes=use_processes, seconds=seconds, stats=stats,
-        profile=prof, service=bool(service),
-        shared_memory=arena is not None, scoring=scoring_mode)
+        profile=prof, scoring=scoring_mode)
 
 
 def run_traffic_exact(scheme: RoutingSchemeInstance, model: TrafficModel,

@@ -141,17 +141,19 @@ class TrafficModel:
         raise NotImplementedError
 
     def hot_destinations(self) -> np.ndarray:
-        """Destinations likely to dominate this model's traffic (always an array).
+        """Destinations likely to dominate this model's traffic, hottest first.
 
         The sharded engine prefetches these nodes' distance rows **before**
-        forking workers (and publishes them as the zero-copy shared-memory
-        hot-row cache), so under a lazy backend the (identical) Dijkstra
-        fills run once in the parent and reach every worker instead of being
-        recomputed per shard.  The contract is uniform across all bundled
-        models: every model returns an int64 index array — *empty* when the
-        model has no concentrated destination set — so single-vs-sharded
-        comparisons run at equal cache state for every model (asserted by
-        the conformance suite).
+        forking workers and pins them as its hot-row cache, so under a lazy
+        backend the (identical) Dijkstra fills run once in the parent and
+        reach every worker copy-on-write instead of being recomputed per
+        shard.  The order matters: when the cache's memory cap applies it
+        keeps a prefix of this array, so the most popular destination comes
+        first (equally popular ones in any fixed order).  The contract is
+        uniform across all bundled models: every model returns an int64
+        index array — *empty* when the model has no concentrated destination
+        set — so single-vs-sharded comparisons run at equal cache state for
+        every model (asserted by the conformance suite).
         """
         return np.zeros(0, dtype=np.int64)
 
@@ -246,11 +248,12 @@ class GravityTraffic(TrafficModel):
         self._mass = np.power(np.maximum(degrees, 0.0), self.alpha)
         self._nodes, self._cum = self.index.weighted_cdf(self._mass)
         self._build_neighborhoods(int(max_neighbors))
-        # hot-destination contract: the top-k eligible nodes by degree mass —
-        # the heads of the global gravity draw (ties broken by node id)
+        # hot-destination contract: the top-k eligible nodes by degree mass,
+        # heaviest first — the heads of the global gravity draw (ties broken
+        # by node id)
         k = min(64, self._nodes.size)
         order = np.lexsort((self._nodes, -self._mass[self._nodes]))
-        self._hot = np.sort(self._nodes[order[:k]]).astype(np.int64)
+        self._hot = self._nodes[order[:k]].astype(np.int64)
 
     def _build_neighborhoods(self, max_neighbors: int) -> None:
         adj = (self.graph.to_scipy_csr() > 0).astype(np.int32).tocsr()
@@ -438,8 +441,15 @@ class FlashCrowdTraffic(TrafficModel):
         raise NotImplementedError("flash-crowd draws are phase-addressed")
 
     def hot_destinations(self):
-        """Union of every phase's hot set (the full-run cache footprint)."""
-        return np.unique(np.concatenate(self._phase_hot))
+        """Union of every phase's hot set (the full-run cache footprint).
+
+        Ordered by popularity rank across phases — every phase's rank-0
+        node, then every rank-1 node, ... — keeping each node's first
+        occurrence.
+        """
+        by_rank = np.stack(self._phase_hot, axis=1).ravel()
+        _, first = np.unique(by_rank, return_index=True)
+        return by_rank[np.sort(first)]
 
     def describe(self):
         out = super().describe()

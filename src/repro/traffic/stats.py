@@ -2,7 +2,7 @@
 
 The traffic engine never stores per-packet walks: each routed batch is
 reduced on the spot into the structures here, so a run's resident state is
-O(batches + histogram bins), not O(packets).  Three layers cooperate:
+O(batches + histogram bins), not O(packets).  Two layers cooperate:
 
 * **Per-batch digests** — count / sum / sum-of-squares / min / max of every
   metric, keyed by *batch index*.  Reduction at summary time iterates the
@@ -14,13 +14,6 @@ O(batches + histogram bins), not O(packets).  Three layers cooperate:
   for hop counts.  Bucket counts are integers, so merging shard histograms is
   exact and commutative: the official ``p50/p95/p99`` quantiles are identical
   for every shard count.
-* **P² quantile sketches** — the classic Jain–Chlamtac constant-space
-  estimator, maintained per quantile over the *stream order* a shard sees.
-  P² states are order-dependent and cannot be merged exactly; merged runs
-  report the packet-count-weighted average of the shard estimates (exposed as
-  ``*_p2_*`` diagnostics).  Within one stream configuration they are fully
-  deterministic — the scalar and lockstep engines produce identical P²
-  values because they produce identical per-batch metric arrays.
 
 :class:`TrafficStats` bundles the metric streams with the delivery counters
 and owns the cross-shard ``merge`` (shards stream disjoint batch-index sets,
@@ -42,108 +35,6 @@ LOG_BINS_PER_OCTAVE = 128
 
 #: relative accuracy bound of a log-histogram quantile (half a bucket width)
 LOG_QUANTILE_RTOL = 2.0 ** (1.0 / (2 * LOG_BINS_PER_OCTAVE)) - 1.0
-
-#: max observations per batch folded into the P² sketches.  The P² marker
-#: update is a per-observation Python loop — profiling showed it dominating
-#: traffic wall time at production batch sizes — so batches larger than this
-#: feed the sketches a deterministic strided subsample instead.  The digests
-#: and histograms (every *official* statistic) always fold the full batch;
-#: the P² fields are stream-order diagnostics and remain deterministic:
-#: the subsample is a pure function of the batch array, so engines / shard
-#: counts that stream identical batches keep identical P² values.  512 per
-#: batch keeps the sketches fed with thousands of points per million-packet
-#: run while capping the Python loop at ~3% of routing wall time.
-P2_FOLD_CAP = 512
-
-
-class P2Quantile:
-    """The P² (Jain–Chlamtac 1985) streaming estimator of one quantile.
-
-    Five markers track the running min, max, target quantile and the two
-    intermediate quantiles; each observation adjusts marker heights with the
-    piecewise-parabolic update.  O(1) space, O(1) per observation, no storage
-    of the stream.  Estimates are exact until five observations have arrived
-    (the sorted prefix is interpolated directly).
-    """
-
-    __slots__ = ("p", "_heights", "_positions", "_desired", "_increments", "_seen")
-
-    def __init__(self, p: float) -> None:
-        require(0.0 < p < 1.0, f"quantile must be in (0, 1), got {p}")
-        self.p = float(p)
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self._seen = 0
-
-    def update_many(self, values: np.ndarray) -> None:
-        """Fold a batch of observations into the sketch (stream order)."""
-        heights = self._heights
-        positions = self._positions
-        desired = self._desired
-        increments = self._increments
-        for x in np.asarray(values, dtype=float).tolist():
-            self._seen += 1
-            if len(heights) < 5:
-                heights.append(x)
-                if len(heights) == 5:
-                    heights.sort()
-                continue
-            # locate the cell of x and bump marker positions above it
-            if x < heights[0]:
-                heights[0] = x
-                cell = 0
-            elif x >= heights[4]:
-                heights[4] = x
-                cell = 3
-            else:
-                cell = 0
-                while x >= heights[cell + 1]:
-                    cell += 1
-            for i in range(cell + 1, 5):
-                positions[i] += 1.0
-            for i in range(5):
-                desired[i] += increments[i]
-            # adjust the three interior markers toward their desired positions
-            for i in (1, 2, 3):
-                delta = desired[i] - positions[i]
-                below = positions[i] - positions[i - 1]
-                above = positions[i + 1] - positions[i]
-                if (delta >= 1.0 and above > 1.0) or (delta <= -1.0 and below > 1.0):
-                    step = 1.0 if delta >= 1.0 else -1.0
-                    candidate = self._parabolic(i, step)
-                    if heights[i - 1] < candidate < heights[i + 1]:
-                        heights[i] = candidate
-                    else:  # parabolic prediction left the bracket: linear step
-                        j = i + (1 if step > 0 else -1)
-                        heights[i] += step * (heights[j] - heights[i]) \
-                            / (positions[j] - positions[i])
-                    positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        q = self._heights
-        n = self._positions
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-
-    @property
-    def count(self) -> int:
-        """Observations folded in so far."""
-        return self._seen
-
-    def estimate(self) -> float:
-        """Current quantile estimate (NaN before any observation)."""
-        if self._seen == 0:
-            return float("nan")
-        if len(self._heights) < 5 or self._seen <= 5:
-            ordered = sorted(self._heights)
-            rank = self.p * (len(ordered) - 1)
-            lo = int(math.floor(rank))
-            hi = min(lo + 1, len(ordered) - 1)
-            return ordered[lo] + (rank - lo) * (ordered[hi] - ordered[lo])
-        return self._heights[2]
 
 
 class LogHistogram:
@@ -242,22 +133,18 @@ class IntHistogram:
 
 
 class MetricStream:
-    """One metric's streaming state: per-batch digests + histogram + P² bank.
+    """One metric's streaming state: per-batch digests + quantile histogram.
 
     ``kind="log"`` uses the relative-error log histogram (real-valued metrics
     such as stretch); ``kind="int"`` uses exact integer counts (hop counts).
     """
 
-    def __init__(self, kind: str, quantiles: Sequence[float] = (0.5, 0.95, 0.99),
-                 p2_quantiles: Optional[Sequence[float]] = None) -> None:
+    def __init__(self, kind: str,
+                 quantiles: Sequence[float] = (0.5, 0.95, 0.99)) -> None:
         require(kind in ("log", "int"), f"kind must be 'log' or 'int', got {kind!r}")
         self.kind = kind
         self.quantiles = tuple(quantiles)
         self.histogram = LogHistogram() if kind == "log" else IntHistogram()
-        p2_quantiles = self.quantiles if p2_quantiles is None else tuple(p2_quantiles)
-        self._p2: Dict[float, P2Quantile] = {p: P2Quantile(p) for p in p2_quantiles}
-        #: packet-count-weighted P² estimates folded in from merged shards
-        self._p2_merged: Dict[float, Tuple[float, int]] = {}
         #: batch index -> (count, sum, sum of squares, min, max)
         self._digests: Dict[int, Tuple[int, float, float, float, float]] = {}
 
@@ -276,24 +163,8 @@ class MetricStream:
         self._digests[batch_index] = digest
         if values.size:
             self.histogram.update(values)
-            folded = values
-            if folded.size > P2_FOLD_CAP:
-                stride = -(-folded.size // P2_FOLD_CAP)   # ceil division
-                folded = folded[::stride]
-            for sketch in self._p2.values():
-                sketch.update_many(folded)
 
     # -- cross-shard merge ------------------------------------------------ #
-    def _p2_snapshot(self) -> Dict[float, Tuple[float, int]]:
-        """Current (weighted estimate, weight) per quantile, merged view."""
-        out = dict(self._p2_merged)
-        for p, sketch in self._p2.items():
-            if sketch.count:
-                acc, weight = out.get(p, (0.0, 0))
-                out[p] = (acc + sketch.estimate() * sketch.count,
-                          weight + sketch.count)
-        return out
-
     def shift_batches(self, offset: int) -> None:
         """Re-key every digest by ``batch_index + offset``.
 
@@ -307,19 +178,13 @@ class MetricStream:
         self._digests = {b + offset: d for b, d in self._digests.items()}
 
     def merge(self, other: "MetricStream") -> None:
-        """Fold a disjoint shard's stream into this one (exact except P²)."""
+        """Fold a disjoint shard's stream into this one (exact)."""
         require(self.kind == other.kind, "cannot merge streams of different kinds")
         overlap = self._digests.keys() & other._digests.keys()
         require(not overlap,
                 f"shards streamed overlapping batches: {sorted(overlap)[:4]}")
         self._digests.update(other._digests)
         self.histogram.merge(other.histogram)
-        merged = self._p2_snapshot()
-        for p, (acc, weight) in other._p2_snapshot().items():
-            prev_acc, prev_weight = merged.get(p, (0.0, 0))
-            merged[p] = (prev_acc + acc, prev_weight + weight)
-        self._p2_merged = merged
-        self._p2 = {p: P2Quantile(p) for p in self._p2}  # consumed into merged
 
     # -- reductions -------------------------------------------------------- #
     @property
@@ -343,16 +208,8 @@ class MetricStream:
             high = max(high, hi)
         return count, total, total_sq, low, high
 
-    def p2_estimate(self, p: float) -> float:
-        """The P² estimate (or the weighted shard average after a merge)."""
-        snapshot = self._p2_snapshot()
-        if p not in snapshot:
-            return float("nan")
-        acc, weight = snapshot[p]
-        return acc / weight if weight else float("nan")
-
-    def summary(self, prefix: str, include_p2: bool = True) -> Dict[str, float]:
-        """Flat headline stats: avg/min/max plus histogram and P² quantiles."""
+    def summary(self, prefix: str) -> Dict[str, float]:
+        """Flat headline stats: avg/min/max/std plus histogram quantiles."""
         count, total, total_sq, low, high = self._reduce()
         out: Dict[str, float] = {f"{prefix}_count": count}
         if count:
@@ -369,9 +226,6 @@ class MetricStream:
             out[f"std_{prefix}"] = float("nan")
         for q in self.quantiles:
             out[f"{prefix}_p{round(q * 100)}"] = self.histogram.quantile(q)
-        if include_p2:
-            for p in sorted(set(self._p2) | set(self._p2_merged)):
-                out[f"{prefix}_p2_p{round(p * 100)}"] = self.p2_estimate(p)
         return out
 
 
@@ -450,8 +304,8 @@ class TrafficStats:
     Holds the stretch and hop-count :class:`MetricStream` plus integer
     delivery counters.  Memory is O(batches + histogram bins) regardless of
     packet count.  ``merge`` combines shards that streamed disjoint batch
-    sets; every merged field except the P² diagnostics is exactly
-    partition-independent (see the module docstring).
+    sets; every merged field is exactly partition-independent (see the
+    module docstring).
 
     ``bounded`` records whether the stretch stream holds *certified upper
     bounds* (a bounding scorer such as the landmark mode was active) rather
@@ -463,8 +317,7 @@ class TrafficStats:
 
     def __init__(self, bounded: bool = False) -> None:
         self.stretch = MetricStream("log", quantiles=(0.5, 0.95, 0.99))
-        self.hops = MetricStream("int", quantiles=(0.5, 0.95, 0.99),
-                                 p2_quantiles=(0.5, 0.95))
+        self.hops = MetricStream("int", quantiles=(0.5, 0.95, 0.99))
         #: certificate gaps from approximate scoring (empty under exact)
         self.score_error = ErrorDigest()
         #: True when the stretch stream holds certified upper bounds
@@ -534,15 +387,16 @@ class TrafficStats:
         self.unreachable += other.unreachable
         return self
 
-    def summary(self, include_p2: bool = True) -> Dict[str, float]:
+    def summary(self, include_p2: bool = False) -> Dict[str, float]:
         """Flat headline dict (the traffic engine's report payload).
 
-        With ``include_p2=False`` every field is bit-identical across shard
-        counts and engines; the P² fields additionally require a fixed stream
-        partition (they are engine-independent but shard-dependent).  Under
+        Every field is bit-identical across shard counts and engines.  Under
         an approximate scoring mode the certificate-error fields
         (``avg/max/std_score_error``) and the sampling standard error of the
         mean stretch (``{prefix}_stderr``) join the payload.
+
+        ``include_p2`` is accepted and ignored: it selected the retired P²
+        quantile-sketch fields, and the benchmark harness still passes it.
 
         When ``bounded`` is set the stretch fields are emitted under the
         ``stretch_upper`` prefix — they are certified upper bounds, not
@@ -556,8 +410,8 @@ class TrafficStats:
             "unreachable": self.unreachable,
         }
         prefix = self.stretch_prefix
-        out.update(self.stretch.summary(prefix, include_p2=include_p2))
-        out.update(self.hops.summary("hops", include_p2=include_p2))
+        out.update(self.stretch.summary(prefix))
+        out.update(self.hops.summary("hops"))
         error = self.score_error.summary()
         if error:
             out.update(error)

@@ -1,9 +1,10 @@
-"""Library code reads the process environment but never writes it.
+"""Library code reads a fixed set of environment variables and never writes.
 
 A module that sets, pops or updates ``os.environ`` leaks its state into
 every other caller in the process (and into forked workers), so a check
 that flips an env var to pick a code path is a latent cross-test bug.
-This test scans every module under ``src/repro`` for such writes.
+This test scans every module under ``src/repro`` for such writes, and pins
+the ``REPRO_*`` variables it reads: a new knob needs an edit here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ SRC_ROOT = Path(repro.__file__).resolve().parent
 #: ``os.environ`` methods that mutate the mapping
 MUTATORS = {"pop", "popitem", "update", "setdefault", "clear",
             "__setitem__", "__delitem__"}
+
+#: every environment variable the library reads
+ENVIRONMENT_SURFACE = {
+    "REPRO_BENCH_FULL",
+    "REPRO_DENSE_NODE_LIMIT",
+    "REPRO_DISTANCE_BACKEND",
+    "REPRO_MEMORY_BUDGET",
+    "REPRO_ROW_SPILL",
+    "REPRO_ROW_SPILL_BYTES",
+    "REPRO_SPILL_DIR",
+    "REPRO_TOPOLOGY_DIR",
+}
 
 
 def _is_environ(node: ast.AST) -> bool:
@@ -47,6 +60,23 @@ def environ_writes(source: str) -> list:
     return sorted(hits)
 
 
+def environ_reads(source: str) -> set:
+    """Names read through ``os.environ.get(...)`` or ``os.environ[...]``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        key = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" and _is_environ(node.func.value) \
+                and node.args:
+            key = node.args[0]
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value) \
+                and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            names.add(key.value)
+    return names
+
+
 def test_detector_flags_every_write_form():
     source = ("import os\n"
               "os.environ['A'] = '1'\n"
@@ -66,3 +96,10 @@ def test_library_never_writes_os_environ():
         if hits:
             offenders[str(path.relative_to(SRC_ROOT))] = hits
     assert not offenders, f"os.environ writes in library code: {offenders}"
+
+
+def test_library_reads_only_the_pinned_environment():
+    read = set()
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        read |= environ_reads(path.read_text())
+    assert read == ENVIRONMENT_SURFACE

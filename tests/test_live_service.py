@@ -1,4 +1,4 @@
-"""Live-network service tests: stale-state seams, repair invalidation, shm.
+"""Live-network service tests: stale-state seams and repair invalidation.
 
 Covers the seams a live timeline exposes and PR 8 fixed:
 
@@ -11,17 +11,11 @@ Covers the seams a live timeline exposes and PR 8 fixed:
 * :func:`repro.live.stale_window_outcome` — delivery accounting for
   packets routed on stale tables over a mutated graph;
 * :class:`repro.live.LiveSimulator` end to end, including its
-  determinism cross-checks;
-* :class:`repro.traffic.shm.SharedArena` teardown when a forked worker
-  dies mid-epoch: adopted attributes restored, every block unlinked.
+  determinism cross-checks.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +29,6 @@ from repro.live import LiveSimulator, stale_window_outcome
 from repro.routing.forwarding import run_lockstep
 from repro.routing.messages import RouteResult
 from repro.traffic.models import make_traffic_model
-from repro.traffic.shm import SharedArena
 from repro.utils.validation import ValidationError
 
 
@@ -261,46 +254,3 @@ def test_live_matrix_builds_a_fresh_scenario_per_scheme():
               for scheme in ("shortest-path", "cowen")}
     assert events["shortest-path"] == events["cowen"]
     assert sum(events["cowen"]) > 0
-
-
-# -- SharedArena teardown under worker death -------------------------------- #
-
-def _hang_after_read(keys, queue):  # pragma: no cover - runs in child
-    queue.put(int(keys[0]))
-    while True:
-        time.sleep(1)
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="needs a POSIX shared-memory filesystem")
-def test_shared_arena_close_survives_worker_sigkill():
-    """Adopted attrs restored + every block unlinked even if a worker dies."""
-    arena = SharedArena()
-    holder = SimpleNamespace(_keys=np.arange(64, dtype=np.int64))
-    original = holder._keys
-    assert arena.adopt(holder, "_keys")
-    assert holder._keys is not original
-    block_names = list(arena.manifest)
-    assert block_names
-    for name in block_names:
-        assert os.path.exists(f"/dev/shm/{name}")
-
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    worker = ctx.Process(target=_hang_after_read,
-                         args=(holder._keys, queue), daemon=True)
-    worker.start()
-    try:
-        # the worker is alive and holding the shared mapping mid-"epoch"
-        assert queue.get(timeout=30) == 0
-        os.kill(worker.pid, signal.SIGKILL)
-    finally:
-        worker.join(timeout=30)
-    assert not worker.is_alive()
-
-    arena.close()
-    assert holder._keys is original
-    assert arena.num_blocks == 0
-    for name in block_names:
-        assert not os.path.exists(f"/dev/shm/{name}")
-    arena.close()  # idempotent

@@ -14,7 +14,7 @@ from repro.dynamics.events import ChurnEvent, apply_events
 from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.generators import random_geometric_graph
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
 from repro.graphs.trees import Tree
 from repro.routing import kernels
 from repro.routing.forwarding import (LEG_TREE, ForwardingProgram,
@@ -179,6 +179,28 @@ class TestTreeBank:
         assert bank.slot_of(tree_id, inside) >= 0
         assert bank.slots_of(np.asarray([tree_id + 7]),
                              np.asarray([inside]))[0] == -1
+
+    def test_frozen_slots_follow_each_tree_dfs(self, small_geometric,
+                                              geometric_spt):
+        """Slot ``offset + dfs_in(v)`` holds ``v``, its subtree's last DFS
+        number and its parent's slot, in every tree of the bank."""
+        trees = [geometric_spt, shortest_path_tree(small_geometric, 7),
+                 Tree.single_node(3)]
+        bank = TreeBank(small_geometric.n)
+        ids = [bank.add(tree) for tree in trees]
+        bank.freeze()
+        assert bank.num_slots == sum(tree.size for tree in trees)
+        for tree_id, tree in zip(ids, trees):
+            offset = int(bank.offsets[tree_id])
+            for v in tree.nodes:
+                slot = offset + tree.dfs_in[v]
+                assert bank.slot_of(tree_id, v) == slot
+                assert bank.node_of_slot[slot] == v
+                assert bank.dfs_out[slot] == tree.dfs_out[v]
+                parent = tree.parent.get(v)
+                expected = -1 if parent is None \
+                    else offset + tree.dfs_in[parent]
+                assert bank.parent_slot[slot] == expected
 
     def test_empty_bank(self):
         bank = TreeBank(5).freeze()

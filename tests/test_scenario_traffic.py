@@ -148,6 +148,30 @@ class TestHotRowCacheInvalidation:
         c = hot_row_cache_for(oracle, hot, graph)
         assert c is not None  # and is a fresh build for the original set again
 
+    def test_reordered_hot_set_reuses_cache(self):
+        """A re-seeded epoch whose hot set is the same nodes in another
+        order pins the same rows, so the cache is not rebuilt."""
+        graph, oracle, hot = self._oracle_and_hot()
+        a = hot_row_cache_for(oracle, hot, graph)
+        b = hot_row_cache_for(oracle, hot[::-1].copy(), graph)
+        assert a is b
+
+    def test_capped_prefix_change_rebuilds_cache(self, monkeypatch):
+        """Under the row cap the memo follows the pinned hottest prefix:
+        reordering inside the prefix reuses the cache, a new node entering
+        it rebuilds the cache with that node's row."""
+        import repro.traffic.engine as traffic_engine
+
+        monkeypatch.setattr(traffic_engine, "HOT_ROW_CAP", 4)
+        graph, oracle, hot = self._oracle_and_hot()
+        a = hot_row_cache_for(oracle, hot, graph)
+        shuffled = np.concatenate((hot[:4][::-1], hot[4:][::-1]))
+        assert hot_row_cache_for(oracle, shuffled, graph) is a
+        rolled = np.roll(hot, 1)
+        b = hot_row_cache_for(oracle, rolled, graph)
+        assert b is not a
+        assert b.rank[rolled[0]] >= 0 and b.rank[hot[3]] == -1
+
     def test_graph_mutation_rebuilds_cache(self):
         graph, oracle, hot = self._oracle_and_hot()
         a = hot_row_cache_for(oracle, hot, graph)

@@ -186,8 +186,8 @@ class TestMemmapRamParity:
 
     def test_forked_workers_share_spilled_tables(self, monkeypatch,
                                                  parity_graph):
-        # memmap pages are inherited across fork; the SharedArena must skip
-        # re-sharing them and the sharded run must match the inline one
+        # memmap pages are inherited across fork; the forked workers must
+        # read the spilled tables and match the inline run
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1M")
         oracle = DistanceOracle(parity_graph, backend="lazy")
         scheme = build_scheme("shortest-path", parity_graph, k=2, seed=5,
