@@ -11,6 +11,10 @@ construction itself:
   scheme seeds 3 and 11 at k=2, AGM at ``AGMParams.paper()``; plus AGM at
   ``experiment(landmark_count_factor=0.02)`` with k=2 and k=3, whose small
   nearby-landmark count drives the streamed top-``nearby`` membership sweep;
+* the trie shapes of Lemma 4: AGM at ``AGMParams.paper()`` with k=1 (every
+  center tree is a one-digit trie) and k=4, 5 (depth-4 tries with a partial
+  deepest level) on the Barabási–Albert and grid graphs, scheme seeds 3
+  and 11;
 * a disconnected graph (an Erdős–Rényi component, a grid component and an
   isolated node), which exercises per-component fallback trees and
   unreachable rows.
@@ -81,6 +85,9 @@ GRAPHS = {
 }
 BUILD_GRAPHS = ["erdos-renyi-72", "barabasi-albert-72", "grid-64"]
 BUILD_SEEDS = [3, 11]
+#: k and graphs of the Lemma 4 trie-shape cases (``AGMParams.paper()``)
+TRIE_SHAPE_KS = [1, 4, 5]
+TRIE_SHAPE_GRAPHS = ["barabasi-albert-72", "grid-64"]
 
 
 def _digest(array) -> str:
@@ -169,6 +176,10 @@ def _cases():
     cases += [(f"build/agm-experiment0.02-k{k}/{g}/seed{seed}", "agm", g, k,
                AGMParams.experiment(landmark_count_factor=0.02), seed)
               for k in (2, 3) for g in BUILD_GRAPHS for seed in BUILD_SEEDS]
+    cases += [(f"build/agm-paper-k{k}/{g}/seed{seed}", "agm", g, k,
+               AGMParams.paper(), seed)
+              for k in TRIE_SHAPE_KS for g in TRIE_SHAPE_GRAPHS
+              for seed in BUILD_SEEDS]
     cases += [(f"disconnected/{s}/seed{seed}", s, "disconnected-56", 2,
                _build_params(s), seed)
               for s in SCHEME_NAMES for seed in BUILD_SEEDS]
