@@ -1,1 +1,1 @@
-"""Benchmark suite regenerating every experiment in DESIGN.md's index."""
+"""Benchmark suite regenerating the experiments (README, "Experiment matrix")."""

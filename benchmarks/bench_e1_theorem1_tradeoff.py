@@ -1,4 +1,4 @@
-"""E1 — Theorem 1's space-stretch trade-off (DESIGN.md experiment index).
+"""E1 — Theorem 1's space-stretch trade-off (the ``tradeoff`` experiment kind).
 
 For each k, build the AGM scheme on the common workload and measure the
 maximum/average stretch over sampled pairs and the per-node table size; the

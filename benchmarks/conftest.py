@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the experiment tables/figures listed in
-DESIGN.md §2 and records the reproduced rows in ``benchmark.extra_info`` so
-that ``pytest benchmarks/ --benchmark-only`` both times the operations and
-leaves the measured numbers in the report (the source for EXPERIMENTS.md).
+Every benchmark regenerates one of the experiment tables (README,
+"Experiment matrix") and records the reproduced rows in
+``benchmark.extra_info`` so that ``pytest benchmarks/ --benchmark-only`` both
+times the operations and leaves the measured numbers in the report.
 
 Sizes default to the *quick* workloads; set ``REPRO_BENCH_FULL=1`` for the
 larger ones.
@@ -49,7 +49,7 @@ def bench_simulator(bench_graph, bench_oracle):
 
 @pytest.fixture(scope="session")
 def agm_params():
-    """Scaled experiment constants (exponents untouched); see DESIGN.md §3."""
+    """Scaled experiment constants (exponents untouched); see DESIGN.md §3 item 2."""
     return AGMParams.experiment()
 
 

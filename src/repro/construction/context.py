@@ -41,6 +41,7 @@ from repro.construction.kernels import ancestor_closure
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.graphs.trees import Tree
+from repro.hashing.universal import fold_names
 from repro.storage import persist_array
 from repro.utils.validation import require
 
@@ -164,12 +165,24 @@ class BuildContext:
         self.oracle = exact_distance_oracle(graph, oracle)
         self.parallel = int(parallel) if parallel else 0
         self._edge_index: Optional[_EdgeIndex] = None
+        self._folded_names: Optional[np.ndarray] = None
 
     def edge_index(self) -> "_EdgeIndex":
         """Shared sorted-edge-key weight lookup (built once per context)."""
         if self._edge_index is None:
             self._edge_index = _EdgeIndex(self.graph)
         return self._edge_index
+
+    def folded_names(self) -> np.ndarray:
+        """Every node name folded by :func:`~repro.hashing.universal.fold_names`.
+
+        Folded once per context and indexed by node, so the tree
+        dictionaries of a whole build hash each name's fold instead of
+        folding it again per tree.
+        """
+        if self._folded_names is None:
+            self._folded_names = fold_names(self.graph.names_view())
+        return self._folded_names
 
     # ------------------------------------------------------------------ #
     # parallel fan-out

@@ -15,7 +15,7 @@ Modules
 ``scheme``
     The full iterative routing scheme of Theorem 1 (:class:`AGMRoutingScheme`).
 ``analysis``
-    Evaluators for the theoretical bounds, used by benches and EXPERIMENTS.md.
+    Evaluators for the theoretical bounds, used by benches and experiment kinds.
 """
 
 from repro.core.params import AGMParams

@@ -1,10 +1,10 @@
 """Theoretical bounds of the paper, as evaluable functions.
 
-The benches print the measured quantity next to the corresponding bound so
-that EXPERIMENTS.md can record paper-vs-measured for every claim.  All
-"bounds" are asymptotic, so each function exposes its constant factor as a
-parameter; defaults are the constants that appear (explicitly or implicitly)
-in the paper's lemmas.
+The benches and the experiment kinds (README, "Experiment matrix") print the
+measured quantity next to the corresponding bound, paper against measured
+for every claim.  All "bounds" are asymptotic, so each function exposes its
+constant factor as a parameter; defaults are the constants that appear
+(explicitly or implicitly) in the paper's lemmas.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ def lemma11_table_bits(n: int, k: int, constant: float = 1.0) -> float:
 
     Note: the paper's Theorem 1 statement says ``n^{1/k}`` while its own proof
     (via Lemma 11) derives ``n^{3/k}``; the reproduction reports both so the
-    discrepancy is visible (see EXPERIMENTS.md).
+    discrepancy is visible (DESIGN.md §3 item 6; the ``tradeoff`` kind prints
+    both).
     """
     logn = max(math.log2(max(n, 2)), 1.0)
     return constant * (k ** 2) * (n ** (3.0 / k)) * (logn ** 3)

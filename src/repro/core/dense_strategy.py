@@ -13,9 +13,10 @@ large the aspect ratio is.
 Each cover tree carries the Lemma 7 name-independent dictionary so that a
 lookup costs ``O(rad(T))`` and reports misses back to the source.
 
-Lazy materialization (DESIGN.md §3): covers are only built for exponents that
-are the range ``a(u,i)`` of some dense level actually present in the graph;
-other exponents of ``R(u)`` can never be the target of a dense-level search.
+Lazy materialization (DESIGN.md §3 item 1): covers are only built for
+exponents that are the range ``a(u,i)`` of some dense level actually present
+in the graph; other exponents of ``R(u)`` can never be the target of a
+dense-level search.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ class DenseStrategy:
         # the context's workers; seeds derive from the exponent's position in
         # the sorted order, keeping parallel output bit-identical to serial.
         names = graph.names_view()
+        folded = context.folded_names()
 
         def build_exponent(item):
             count, j = item
@@ -129,7 +131,8 @@ class DenseStrategy:
                 tree_names = {v: names[v] for v in global_tree.nodes}
                 routings.append(DictionaryTreeRouting(
                     global_tree, tree_names, name_bits=self.params.name_bits,
-                    seed=derive_rng(seed, 202, count, t_index)))
+                    seed=derive_rng(seed, 202, count, t_index),
+                    folded=folded[global_tree.nodes]))
             home = {mapping[local]: idx for local, idx in cover.home.items()}
             return j, routings, home
 

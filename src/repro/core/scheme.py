@@ -104,11 +104,13 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             jobs.append((index, component, root))
         trees = context.spt_trees(
             [SPTJob(root, component) for _, component, root in jobs])
+        folded = context.folded_names()
         for (index, component, _), tree in zip(jobs, trees):
             tree_names = {v: names[v] for v in tree.nodes}
             routing = DictionaryTreeRouting(tree, tree_names,
                                             name_bits=self.params.name_bits,
-                                            seed=derive_rng(seed, 7, index))
+                                            seed=derive_rng(seed, 7, index),
+                                            folded=folded[tree.nodes])
             self._fallback[index] = routing
             for v in component:
                 self._fallback_of_node[v] = index

@@ -9,7 +9,7 @@ search succeeds whenever the destination is inside the guarantee ball; a miss
 walks back to ``u`` (the error report) and the scheme moves on to the next
 level.
 
-Lazy materialization (documented in DESIGN.md §3): the paper charges every
+Lazy materialization (DESIGN.md §3 item 1): the paper charges every
 node for the trees of *all* its nearby landmarks ``S(u)``; the reproduction
 only materializes trees whose root is actually some node's center ``c(u,i)``
 — the only trees routing can ever touch — and charges exactly the
@@ -195,6 +195,7 @@ class SparseStrategy:
         # reachable, so they run unlimited)
         jobs = [SPTJob(c, sorted(members_of[c]), limit_of[c]) for c in used_centers]
         names = graph.names_view()
+        folded = context.folded_names()
         for index, (c, tree) in enumerate(zip(used_centers,
                                               context.spt_trees(jobs))):
             tree_names = {v: names[v] for v in tree.nodes}
@@ -202,6 +203,7 @@ class SparseStrategy:
                 tree, tree_names, k=k, sigma=self.sigma,
                 name_bits=self.params.name_bits,
                 seed=derive_rng(seed, 101, index),
+                folded=folded[tree.nodes],
             )
 
         # 4. search bounds b(u, i): when the E-radius provably reaches past
@@ -217,11 +219,8 @@ class SparseStrategy:
         max_depth_of: Dict[int, float] = {}
         max_digit_of: Dict[int, int] = {}
         for c, routing in self.trees.items():
-            nodes_arr = np.asarray(routing.tree.nodes, dtype=np.int64)
-            tree_nodes_of[c] = nodes_arr
-            digits_of[c] = np.asarray(
-                [max(routing.digits_of(v), 1) for v in routing.tree.nodes],
-                dtype=np.int64)
+            tree_nodes_of[c] = np.asarray(routing.tree.nodes, dtype=np.int64)
+            digits_of[c] = np.maximum(routing.name_lengths(), 1)
             max_digit_of[c] = int(digits_of[c].max(initial=0))
             depth_of[c] = routing.tree.depth
             max_depth_of[c] = max(routing.tree.depth.values(), default=0.0)

@@ -1,9 +1,10 @@
 """Workload definitions shared by experiments, benches and examples.
 
 A workload is a named, seeded graph instance.  The standard suite mirrors the
-graph families listed in DESIGN.md's experiment index; every entry has a
-``quick`` size (used in CI / default bench runs) and a ``full`` size (used
-when the environment variable ``REPRO_BENCH_FULL`` is set).
+graph families the experiment kinds run on (README, "Experiment matrix");
+every entry has a ``quick`` size (used in CI / default bench runs) and a
+``full`` size (used when the environment variable ``REPRO_BENCH_FULL`` is
+set).
 """
 
 from __future__ import annotations

@@ -122,7 +122,10 @@ class KWiseHash:
 
     def value(self, name: Hashable) -> int:
         """Hash ``name`` to an integer in ``[0, p)`` via Horner evaluation."""
-        x = _fold_name(name)
+        return self.value_of_fold(_fold_name(name))
+
+    def value_of_fold(self, x: int) -> int:
+        """:meth:`value` of the name whose fold (:func:`fold_names`) is ``x``."""
         acc = 0
         for c in reversed(self.coefficients):
             acc = (acc * x + c) % _PRIME
@@ -157,6 +160,19 @@ class DigitHash:
     def digits(self, name: Hashable) -> Tuple[int, ...]:
         """The full digit string ``h(name)`` of length ``length``."""
         return tuple(f.value(name) % self.sigma for f in self._functions)
+
+    def digits_array(self, folded: np.ndarray) -> np.ndarray:
+        """:meth:`digits` of many names at once, from their folds (:func:`fold_names`).
+
+        Row ``r`` of the ``(len(folded), length)`` result is the digit
+        string of the name folded to ``folded[r]``.
+        """
+        folded = np.asarray(folded, dtype=np.uint64)
+        stack = HashStack()
+        first = self.stack_into(stack)
+        rows = np.repeat(np.arange(first, first + self.length), folded.size)
+        values = stack.evaluate(rows, np.tile(folded, self.length))
+        return values.reshape(self.length, folded.size).T
 
     def stack_into(self, stack: "HashStack") -> int:
         """Add the digit functions to ``stack``; returns the first of ``length`` rows.
@@ -198,6 +214,10 @@ class BucketHash:
     def bucket(self, name: Hashable) -> int:
         """Bucket index of ``name`` in ``[0, num_buckets)``."""
         return self._f.value(name) % self.num_buckets
+
+    def bucket_of_fold(self, x: int) -> int:
+        """:meth:`bucket` of the name whose fold (:func:`fold_names`) is ``x``."""
+        return self._f.value_of_fold(x) % self.num_buckets
 
     def stack_into(self, stack: "HashStack") -> int:
         """Add the bucket function to ``stack``; returns its row (:meth:`bucket`)."""

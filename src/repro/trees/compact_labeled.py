@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.graphs.trees import Tree
-from repro.utils.bitsize import BitBudget, bits_for_count, bits_for_id
+from repro.utils.bitsize import BitBudget, bits_for_count, bits_for_id, bits_for_ids
 from repro.utils.validation import require
 
 
@@ -215,7 +215,7 @@ class CompactTreeRouting:
         return self.table_budget(v).total()
 
     def table_bits_list(self) -> List[int]:
-        """``table_bits`` of every node (tree-node order) in one lean pass.
+        """``table_bits`` of every node (tree-node order) as one array expression.
 
         Same integers as :meth:`table_bits` without a per-node
         :class:`BitBudget`; used by construction-time accounting to charge a
@@ -224,22 +224,15 @@ class CompactTreeRouting:
         import numpy as np
 
         idbits = bits_for_count(max(self.m - 1, 1))
-        root = self.tree.root
-        dfs_in = self.tree.dfs_in
-        heavy_counts = np.bincount(
-            self.tree._forwarding_slots.parent_local[
-                np.flatnonzero(self._heavy_of_slot)],
-            minlength=self.m) if self.m else np.zeros(0, dtype=np.int64)
-        out: List[int] = []
-        children = self.tree.children
-        for v in self.tree.nodes:
-            degree = len(children[v]) + (0 if v == root else 1)
-            portbits = bits_for_id(max(degree, 1))
-            bits = 2 * idbits + int(heavy_counts[dfs_in[v]]) * (2 * idbits + portbits)
-            if v != root:
-                bits += portbits
-            out.append(bits)
-        return out
+        slots = self.tree._forwarding_slots
+        parent = slots.parent_local
+        is_child = parent >= 0
+        degree = np.bincount(parent[is_child], minlength=self.m) + is_child
+        portbits = bits_for_ids(np.maximum(degree, 1))
+        heavy = np.bincount(parent[self._heavy_of_slot], minlength=self.m)
+        bits = 2 * idbits + heavy * (2 * idbits + portbits) + is_child * portbits
+        # slot order -> tree-node order (tree.nodes is ascending)
+        return bits[np.argsort(slots.node_of_slot)].tolist()
 
     def max_table_bits(self) -> int:
         """Largest table in the tree (cached)."""

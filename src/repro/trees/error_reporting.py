@@ -37,7 +37,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import BucketHash
+from repro.hashing.universal import BucketHash, fold_names
 from repro.trees.interval_routing import IntervalTreeRouting
 from repro.utils.bitsize import BitBudget, bits_for_count
 from repro.utils.validation import require
@@ -54,7 +54,13 @@ class DictionaryLookupResult:
 
 
 class DictionaryTreeRouting:
-    """Lemma 7 structure for one (cover) tree."""
+    """Lemma 7 structure for one (cover) tree.
+
+    ``folded`` optionally holds the members' names already folded by
+    :func:`~repro.hashing.universal.fold_names`, in ``tree.nodes`` order (a
+    build that folds every graph name once passes them in); the names are
+    folded here when it is omitted.
+    """
 
     def __init__(
         self,
@@ -62,6 +68,7 @@ class DictionaryTreeRouting:
         names: Dict[int, Hashable],
         name_bits: int = 64,
         seed=None,
+        folded: Optional[np.ndarray] = None,
     ) -> None:
         for v in tree.nodes:
             require(v in names, f"missing name for tree node {v}")
@@ -77,9 +84,11 @@ class DictionaryTreeRouting:
         self._dfs_order = tree.nodes_by_dfs()
 
         # responsible node (by DFS index) -> {name: dfs label of the named node}
+        if folded is None:
+            folded = fold_names([self.names[v] for v in tree.nodes])
         self.buckets: Dict[int, Dict[Hashable, int]] = {v: {} for v in tree.nodes}
-        for v in tree.nodes:
-            responsible = self.responsible_node(self.names[v])
+        for v, x in zip(tree.nodes, folded.tolist()):
+            responsible = self._dfs_order[self.bucket_hash.bucket_of_fold(x)]
             self.buckets[responsible][self.names[v]] = self.interval.label_of(v)
 
     # ------------------------------------------------------------------ #

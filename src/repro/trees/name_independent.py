@@ -30,7 +30,25 @@ Construction (following §3.1 of the paper):
   the destination's label the search routes to it, and if the budget ``j`` is
   exhausted the search walks back to the root and reports failure.
 
-Deviation from the paper (documented in DESIGN.md §3): the dictionary is not
+Storage.  Names are assigned in depth order, so the trie is an implicit
+``sigma``-ary heap over depth-order positions: the name ``(x_1..x_j)`` sits at
+``offset_j + value_sigma(x_1..x_j)`` with ``offset_j = 1 + sigma + ... +
+sigma^(j-1)``, and the trie children of position ``p`` are positions
+``sigma*p + 1 .. sigma*p + sigma`` below ``m``.  A structure stores
+
+* two depth-order arrays: the node at each position and its name length;
+* the dictionaries as one CSR pair over holder positions: the targets each
+  holder stores, sorted by node.
+
+Trie children and hash paths are arithmetic on positions
+(:meth:`NameIndependentTreeRouting.trie_path_positions`), and the hash names
+of all members come from one array evaluation of the digit functions over the
+members' folded names (:meth:`~repro.hashing.universal.DigitHash.digits_array`).
+A target ``t`` with a ``d``-digit name is stored by the holders on its hash
+path at depths ``max(d - 1, 0)`` and deeper, so the tables are built without
+a per-node Python loop.
+
+Deviation from the paper (DESIGN.md §3 item 3): the dictionary is not
 truncated to the ``n^{1/k} log n`` closest matching nodes — all matching
 nodes of ``V_{j+1}`` are stored, which guarantees searches never miss; the
 w.h.p. load bound of the paper makes the two choices coincide on all but
@@ -47,10 +65,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import DigitHash
-from repro.trees.compact_labeled import CompactTreeRouting, TreeLabel
+from repro.hashing.universal import DigitHash, fold_names
+from repro.trees.compact_labeled import CompactTreeRouting
 from repro.utils.bitsize import BitBudget, bits_for_count
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 
 @dataclass
@@ -82,6 +100,11 @@ class NameIndependentTreeRouting:
         Bits charged for storing one global name in a dictionary entry.
     seed:
         Randomness for the hash family.
+    folded:
+        The members' names already folded by
+        :func:`~repro.hashing.universal.fold_names`, in ``tree.nodes`` order
+        (a build that folds every graph name once passes them in); folded
+        from ``names`` when omitted.
     """
 
     def __init__(
@@ -92,107 +115,113 @@ class NameIndependentTreeRouting:
         sigma: Optional[int] = None,
         name_bits: int = 64,
         seed=None,
+        folded: Optional[np.ndarray] = None,
     ) -> None:
         require(k >= 1, f"k must be >= 1, got {k}")
-        for v in tree.nodes:
-            require(v in names, f"missing name for tree node {v}")
+        try:
+            member_names = [names[v] for v in tree.nodes]
+        except KeyError as missing:
+            raise ValidationError(
+                f"missing name for tree node {missing.args[0]}") from None
         self.tree = tree
         self.k = int(k)
-        self.m = tree.size
-        self.names = {v: names[v] for v in tree.nodes}
-        self.name_to_node = {name: v for v, name in self.names.items()}
-        require(len(self.name_to_node) == self.m, "tree node names must be unique")
+        self.m = m = tree.size
+        self.name_to_node = dict(zip(member_names, tree.nodes))
+        require(len(self.name_to_node) == m, "tree node names must be unique")
         self.name_bits = int(name_bits)
 
         if sigma is None:
-            sigma = int(math.ceil(self.m ** (1.0 / self.k))) if self.m > 1 else 1
+            sigma = int(math.ceil(m ** (1.0 / self.k))) if m > 1 else 1
         self.sigma = max(1, int(sigma))
 
         self.compact = CompactTreeRouting(tree, k=self.k)
 
-        self._assign_primary_names()
-        self.max_digits = max((len(p) for p in self.primary_name.values()), default=0)
+        # primary names: depth-order position -> node and name length.
+        # tree.nodes is ascending, so a stable sort by depth breaks ties by
+        # node id, the (depth, node) order of Tree.nodes_by_depth
+        nodes = np.asarray(tree.nodes, dtype=np.int64)
+        depth = np.fromiter(map(tree.depth.__getitem__, tree.nodes),
+                            dtype=np.float64, count=m)
+        by_depth = np.argsort(depth, kind="stable")
+        self._order = nodes[by_depth]
+        self._length = np.zeros(m, dtype=np.int64)
+        start, width = 1, 1
+        while start < m:
+            width *= self.sigma
+            self._length[start:start + width] = self._length[start - 1] + 1
+            start += width
+        #: depth-order position of each tree node, in ``tree.nodes`` order
+        self._position = np.empty(m, dtype=np.int64)
+        self._position[by_depth] = np.arange(m, dtype=np.int64)
+
+        self.max_digits = int(self._length[-1])
         hash_length = max(self.max_digits, 1)
-        independence = max(8, int(math.ceil(math.log2(max(self.m, 2)))) + 1)
+        independence = max(8, int(math.ceil(math.log2(max(m, 2)))) + 1)
         self.digit_hash = DigitHash(self.sigma, hash_length, independence=independence, seed=seed)
 
-        self._build_tables()
+        # dictionaries: target t (name length d) is stored by the node named
+        # h(t)[:j] for every j >= max(d - 1, 0) at which that node exists --
+        # the root (j = 0) and the hash-path positions below the tree size
+        if folded is None:
+            folded = fold_names(member_names)
+        digits = self.digit_hash.digits_array(folded)[:, :self.max_digits]
+        path = self.trie_path_positions(digits, np.full(m, self.sigma),
+                                        np.full(m, m))
+        holders = np.concatenate([np.zeros((m, 1), dtype=np.int64), path], axis=1)
+        first = np.maximum(self._length[self._position] - 1, 0)
+        keep = (holders >= 0) & (np.arange(self.max_digits + 1) >= first[:, None])
+        holder = holders[keep]
+        target = np.broadcast_to(nodes[:, None], holders.shape)[keep]
+        by_holder = np.lexsort((target, holder))
+        self._dict_indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(holder, minlength=m), out=self._dict_indptr[1:])
+        self._dict_targets = target[by_holder]
 
     # ------------------------------------------------------------------ #
-    # construction
+    # the trie and the dictionaries
     # ------------------------------------------------------------------ #
-    def _assign_primary_names(self) -> None:
-        """Assign digit-string names by increasing distance from the root."""
-        ordered = self.tree.nodes_by_depth()
-        self.primary_name: Dict[int, Tuple[int, ...]] = {}
-        self.node_of_primary: Dict[Tuple[int, ...], int] = {}
-        idx = 0
-        level = 0
-        level_capacity = 1  # sigma^0 names of length 0 (just the root)
-        current_name: List[int] = []
-        for node in ordered:
-            if idx >= level_capacity:
-                # move to the next digit length
-                level += 1
-                level_capacity = self.sigma ** level if self.sigma > 1 else 1
-                if self.sigma == 1 and level > 0:
-                    level_capacity = 1
-                idx = 0
-            name = self._int_to_digits(idx, level)
-            self.primary_name[node] = name
-            self.node_of_primary[name] = node
-            idx += 1
+    def _position_of(self, v: int) -> int:
+        require(self.tree.contains(v), f"node {v} is not in the tree")
+        return int(self._position[self.tree.index[v]])
 
-    def _int_to_digits(self, value: int, length: int) -> Tuple[int, ...]:
-        digits = [0] * length
-        for pos in range(length - 1, -1, -1):
-            digits[pos] = value % self.sigma if self.sigma > 1 else 0
-            value //= max(self.sigma, 1)
-        return tuple(digits)
+    def _trie_child(self, position: int, digit: int) -> Optional[int]:
+        """Position of the trie child with ``digit`` (``None`` past the tree)."""
+        child = self.sigma * position + 1 + digit
+        return child if child < self.m else None
 
-    def _build_tables(self) -> None:
-        # trie children: primary name (x1..xj) -> for each digit y, the node named (x1..xj,y)
-        self.trie_children: Dict[int, Dict[int, int]] = {v: {} for v in self.tree.nodes}
-        for node, name in self.primary_name.items():
-            if len(name) == 0:
-                continue
-            parent_name = name[:-1]
-            parent = self.node_of_primary.get(parent_name)
-            if parent is not None:
-                self.trie_children[parent][name[-1]] = node
+    def _dictionary_at(self, position: int) -> np.ndarray:
+        return self._dict_targets[self._dict_indptr[position]:
+                                  self._dict_indptr[position + 1]]
 
-        # hash digits of every tree node's global name
-        self.hash_digits: Dict[int, Tuple[int, ...]] = {
-            v: self.digit_hash.digits(self.names[v]) for v in self.tree.nodes
-        }
+    def trie_children_of(self, v: int) -> Dict[int, int]:
+        """The trie children of ``v``: digit ``y`` -> the node named ``name(v) + (y,)``."""
+        position = self._position_of(v)
+        children = {}
+        for digit in range(self.sigma):
+            child = self._trie_child(position, digit)
+            if child is None:
+                break
+            children[digit] = int(self._order[child])
+        return children
 
-        # dictionary: a node with a j-digit primary name stores label entries for
-        # every node with at most j+1 digits whose hash prefix matches its name.
-        # For a fixed target t only one holder exists per prefix length j (the
-        # node whose primary name equals h(t)[:j]), so the construction is
-        # O(m * max_digits) rather than O(m^2).
-        self.dictionary: Dict[int, Dict[Hashable, int]] = {v: {} for v in self.tree.nodes}
-        for target in self.tree.nodes:
-            t_digits = len(self.primary_name[target])
-            t_hash = self.hash_digits[target]
-            for j in range(max(t_digits - 1, 0), self.max_digits + 1):
-                holder = self.node_of_primary.get(t_hash[:j])
-                if holder is not None:
-                    self.dictionary[holder][self.names[target]] = target
+    def dictionary_of(self, v: int) -> np.ndarray:
+        """The targets in ``v``'s dictionary (ascending node ids)."""
+        return self._dictionary_at(self._position_of(v))
 
     # ------------------------------------------------------------------ #
     # storage accounting
     # ------------------------------------------------------------------ #
     def table_budget(self, v: int) -> BitBudget:
         """Bit budget of node ``v``: hash function + Lemma 5 table + labels + dictionary."""
-        require(self.tree.contains(v), f"node {v} is not in the tree")
         b = BitBudget()
         b.add("hash_function", self.digit_hash.storage_bits())
         b.merge(self.compact.table_budget(v), prefix="mu_")
         label_bits = self.compact.max_label_bits()
         digit_bits = bits_for_count(max(self.sigma - 1, 1))
-        b.add("trie_child_labels", digit_bits + label_bits, count=len(self.trie_children[v]))
-        b.add("dictionary", self.name_bits + label_bits, count=len(self.dictionary[v]))
+        b.add("trie_child_labels", digit_bits + label_bits,
+              count=len(self.trie_children_of(v)))
+        b.add("dictionary", self.name_bits + label_bits,
+              count=len(self.dictionary_of(v)))
         return b
 
     def table_bits(self, v: int) -> int:
@@ -200,23 +229,24 @@ class NameIndependentTreeRouting:
         return self.table_budget(v).total()
 
     def table_bits_list(self) -> List[int]:
-        """``table_bits`` of every node (tree-node order) in one lean pass."""
+        """``table_bits`` of every node (tree-node order) as one array expression."""
         hash_bits = self.digit_hash.storage_bits()
         label_bits = self.compact.max_label_bits()
         digit_bits = bits_for_count(max(self.sigma - 1, 1))
-        compact_bits = self.compact.table_bits_list()
-        return [hash_bits + cb
-                + len(self.trie_children[v]) * (digit_bits + label_bits)
-                + len(self.dictionary[v]) * (self.name_bits + label_bits)
-                for v, cb in zip(self.tree.nodes, compact_bits)]
+        entries = np.diff(self._dict_indptr)[self._position]
+        children = np.clip(self.m - (self.sigma * self._position + 1), 0, self.sigma)
+        bits = (hash_bits + np.asarray(self.compact.table_bits_list(), dtype=np.int64)
+                + children * (digit_bits + label_bits)
+                + entries * (self.name_bits + label_bits))
+        return bits.tolist()
 
     def max_table_bits(self) -> int:
         """Largest per-node table."""
-        return max((self.table_bits(v) for v in self.tree.nodes), default=0)
+        return max(self.table_bits_list(), default=0)
 
     def max_dictionary_entries(self) -> int:
         """Largest dictionary at any node (to audit the w.h.p. load bound)."""
-        return max((len(d) for d in self.dictionary.values()), default=0)
+        return int(np.diff(self._dict_indptr).max(initial=0))
 
     def header_bits(self) -> int:
         """Header: destination name + hash digits + a Lemma 5 label once learned."""
@@ -229,23 +259,63 @@ class NameIndependentTreeRouting:
     # ------------------------------------------------------------------ #
     def digits_of(self, v: int) -> int:
         """Number of digits of ``v``'s primary name (its trie depth)."""
-        require(self.tree.contains(v), f"node {v} is not in the tree")
-        return len(self.primary_name[v])
+        return int(self._length[self._position_of(v)])
+
+    def name_lengths(self) -> np.ndarray:
+        """:meth:`digits_of` of every node, in ``tree.nodes`` order."""
+        return self._length[self._position]
 
     def required_bound(self, nodes: Sequence[int]) -> int:
         """The minimal ``j`` such that a ``j``-bounded search finds every node in ``nodes``.
 
         This is the quantity ``b(u, i)`` of §3.2 stores for each sparse level.
         """
-        best = 1
-        for v in nodes:
-            if self.tree.contains(v):
-                best = max(best, max(self.digits_of(v), 1))
-        return best
+        index = [self.tree.index[v] for v in nodes if self.tree.contains(v)]
+        return max(int(self.name_lengths()[index].max(initial=0)), 1)
 
     def contains_name(self, name: Hashable) -> bool:
         """Whether some tree node carries this global name."""
         return name in self.name_to_node
+
+    def _plan(self, target_name: Hashable, j_bound: Optional[int]
+              ) -> Tuple[List[int], bool, Optional[int], int]:
+        """``(waypoints, found, destination, rounds)`` of a bounded search.
+
+        Each round the current trie node either is the destination, knows it
+        from its dictionary (the search heads there), or hands the search to
+        its trie child along the destination's next hash digit; a miss heads
+        back to the root.
+        """
+        if j_bound is None:
+            j_bound = max(self.max_digits, 1)
+        j_bound = max(1, int(j_bound))
+        target = self.name_to_node.get(target_name)
+        target_hash = self.digit_hash.digits(target_name)
+        targets: List[int] = []
+        position = 0
+        for round_no in range(1, j_bound + 1):
+            current = int(self._order[position])
+            if current == target:
+                return targets, True, current, round_no
+            if target is not None:
+                stored = self._dictionary_at(position)
+                at = int(np.searchsorted(stored, target))
+                if at < stored.size and stored[at] == target:
+                    targets.append(target)
+                    return targets, True, target, round_no
+            if round_no == j_bound:
+                break
+            # descend the trie along the destination's hash digits
+            digit = target_hash[round_no - 1] if round_no - 1 < len(target_hash) else 0
+            child = self._trie_child(position, digit)
+            if child is None:
+                break  # the trie has no deeper node on this hash path
+            position = child
+            targets.append(int(self._order[child]))
+        # negative response: report back to the root
+        if position != 0:
+            targets.append(self.tree.root)
+        return targets, False, None, round_no
 
     def search_from_root(self, target_name: Hashable,
                          j_bound: Optional[int] = None) -> BoundedSearchResult:
@@ -254,44 +324,12 @@ class NameIndependentTreeRouting:
         The returned walk starts at the root; on success it ends at the target
         node, otherwise it ends back at the root (the error report).
         """
-        root = self.tree.root
-        if j_bound is None:
-            j_bound = max(self.max_digits, 1)
-        j_bound = max(1, int(j_bound))
-        result = BoundedSearchResult(found=False, path=[root], cost=0.0, rounds_used=0)
-
-        target_hash = self.digit_hash.digits(target_name)
-        current = root
-        for round_no in range(1, j_bound + 1):
-            result.rounds_used = round_no
-            # does the current node know the destination?
-            if self.names[current] == target_name:
-                result.found = True
-                result.destination = current
-                return result
-            known = self.dictionary[current].get(target_name)
-            if known is not None:
-                seg, cost = self.compact.walk(current, known)
-                self._extend(result, seg, cost)
-                result.found = True
-                result.destination = known
-                return result
-            if round_no == j_bound:
-                break
-            # descend the trie along the destination's hash digits
-            digit = target_hash[round_no - 1] if round_no - 1 < len(target_hash) else 0
-            child = self.trie_children[current].get(digit)
-            if child is None:
-                break  # the trie has no deeper node on this hash path
-            seg, cost = self.compact.walk(current, child)
+        targets, found, destination, rounds = self._plan(target_name, j_bound)
+        result = BoundedSearchResult(found=found, path=[self.tree.root], cost=0.0,
+                                     rounds_used=rounds, destination=destination)
+        for waypoint in targets:
+            seg, cost = self.compact.walk(result.path[-1], waypoint)
             self._extend(result, seg, cost)
-            current = child
-        # negative response: report back to the root
-        if current != root:
-            seg, cost = self.compact.walk(current, root)
-            self._extend(result, seg, cost)
-        result.found = False
-        result.destination = None
         return result
 
     def plan_search_from_root(self, target_name: Hashable,
@@ -302,35 +340,12 @@ class NameIndependentTreeRouting:
         Returns ``(targets, found, destination)``: the sequence of tree nodes
         the bounded search heads for in order (trie children along the hash
         digits, then the destination once some dictionary knows it, or back
-        to the root on a miss).  Mirrors :meth:`search_from_root` decision for
-        decision, so the compiled-forwarding walk over these waypoints is
-        identical to the scalar search walk.
+        to the root on a miss).  :meth:`search_from_root` walks exactly these
+        waypoints, so the compiled-forwarding walk over them is identical to
+        the scalar search walk.
         """
-        root = self.tree.root
-        if j_bound is None:
-            j_bound = max(self.max_digits, 1)
-        j_bound = max(1, int(j_bound))
-        targets: List[int] = []
-        target_hash = self.digit_hash.digits(target_name)
-        current = root
-        for round_no in range(1, j_bound + 1):
-            if self.names[current] == target_name:
-                return targets, True, current
-            known = self.dictionary[current].get(target_name)
-            if known is not None:
-                targets.append(known)
-                return targets, True, known
-            if round_no == j_bound:
-                break
-            digit = target_hash[round_no - 1] if round_no - 1 < len(target_hash) else 0
-            child = self.trie_children[current].get(digit)
-            if child is None:
-                break
-            targets.append(child)
-            current = child
-        if current != root:
-            targets.append(root)
-        return targets, False, None
+        targets, found, destination, _ = self._plan(target_name, j_bound)
+        return targets, found, destination
 
     # ------------------------------------------------------------------ #
     # array views (batch planning)
@@ -341,12 +356,8 @@ class NameIndependentTreeRouting:
         ``nodes[p]`` is the node at position ``p`` of the depth order that
         primary names are assigned in and ``name_lengths[p]`` is its trie
         depth; :meth:`trie_path_positions` addresses trie nodes by position.
-        ``primary_name`` is filled in that order, so it is read as is.
         """
-        nodes = np.fromiter(self.primary_name.keys(), dtype=np.int64, count=self.m)
-        lengths = np.fromiter(map(len, self.primary_name.values()),
-                              dtype=np.int64, count=self.m)
-        return nodes, lengths
+        return self._order, self._length
 
     @staticmethod
     def trie_path_positions(digits: np.ndarray, sigma: np.ndarray,

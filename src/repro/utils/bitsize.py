@@ -24,6 +24,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Mapping, Tuple
 
+import numpy as np
+
 #: Number of bits charged for storing one distance value.
 DISTANCE_BITS = 64
 
@@ -47,6 +49,18 @@ def bits_for_id(universe: int) -> int:
     if universe <= 0:
         raise ValueError(f"universe must be positive, got {universe}")
     return max(1, ceil_log2(universe))
+
+
+def bits_for_ids(universe: np.ndarray) -> np.ndarray:
+    """:func:`bits_for_id` of every entry of a positive integer array.
+
+    ``ceil(log2(x))`` is the bit length of ``x - 1``, which ``frexp``
+    returns exactly for integers below ``2^53``.
+    """
+    universe = np.asarray(universe, dtype=np.int64)
+    if universe.size and int(universe.min()) <= 0:
+        raise ValueError("universe must be positive")
+    return np.maximum(np.frexp((universe - 1).astype(np.float64))[1], 1).astype(np.int64)
 
 
 def bits_for_distance() -> int:

@@ -121,7 +121,7 @@ class TestSpace:
         The per-node storage of the scheme is bounded by a Δ-independent quantity
         (the number of trees a node can participate in saturates); the measured
         value may drift by a small constant factor because the lazy
-        materialization documented in DESIGN.md §3 only builds the trees routing
+        materialization of DESIGN.md §3 item 1 only builds the trees routing
         actually touches, but it must not exhibit the log Δ growth of the
         hierarchical baselines (that contrast is experiment E3).
         """

@@ -133,7 +133,7 @@ class TestExperimentModules:
         assert len(agm_rows) == 2 and len(ap_rows) == 2
         assert all(r["failures"] == 0 for r in result.rows)
         # the scale-free scheme's tables must grow less than the hierarchical one's,
-        # whose storage tracks log Δ (see EXPERIMENTS.md E3 for the full sweep)
+        # whose storage tracks log Δ (the scale-free kind, E3, runs the full sweep)
         agm_growth = agm_rows[-1]["max_table_bits"] / agm_rows[0]["max_table_bits"]
         ap_growth = ap_rows[-1]["max_table_bits"] / ap_rows[0]["max_table_bits"]
         assert agm_growth < ap_growth

@@ -166,6 +166,21 @@ class TestArrayEvaluators:
         assert _stacked(dh, folded, 4) == [dh.digits(x) for x in names]
         assert _stacked(bh, folded, 1) == [(bh.bucket(x),) for x in names]
 
+    @pytest.mark.parametrize("sigma", [1, 2, 7])
+    def test_digits_array_matches_digits(self, sigma):
+        dh = DigitHash(sigma=sigma, length=4, independence=9, seed=10 + sigma)
+        names = [f"n{i}" for i in range(200)] + [("t", i) for i in range(50)]
+        got = dh.digits_array(universal.fold_names(names))
+        assert got.shape == (len(names), 4)
+        assert [tuple(row) for row in got.tolist()] == [dh.digits(x) for x in names]
+        assert dh.digits_array(np.zeros(0, dtype=np.uint64)).shape == (0, 4)
+
+    def test_values_of_folds_match_values_of_names(self):
+        bh = BucketHash(29, seed=11)
+        names = [0, -3, 2**70, "x", ("y", 2)] + list(range(100))
+        folds = universal.fold_names(names).tolist()
+        assert [bh.bucket_of_fold(x) for x in folds] == [bh.bucket(x) for x in names]
+
     def test_stack_mixes_functions_of_different_degree(self):
         dh = DigitHash(sigma=6, length=3, independence=12, seed=8)
         bh = BucketHash(11, independence=8, seed=9)

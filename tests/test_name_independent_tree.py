@@ -1,14 +1,21 @@
 """Tests for Lemma 4: name-independent error-reporting tree routing."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.analysis import lemma4_table_bits
+from repro.core.params import AGMParams
+from repro.experiments.workloads import make_workload
+from repro.factory import build_scheme
 from repro.graphs.generators import random_tree_graph
 from repro.graphs.shortest_paths import shortest_path_tree
 from repro.graphs.trees import Tree
+from repro.hashing import universal
 from repro.trees.name_independent import NameIndependentTreeRouting
+from repro.utils.bitsize import bits_for_count
 
 
 def build(m=50, k=2, seed=3):
@@ -28,27 +35,192 @@ def setup_k3():
     return build(m=60, k=3, seed=4)
 
 
+# ---------------------------------------------------------------------- #
+# the dict-based construction, kept as the reference for the array layout
+# ---------------------------------------------------------------------- #
+def reference_tables(tree, names, sigma, digit_hash):
+    """Lemma 4's tables built node by node, as dicts.
+
+    Returns ``(primary_name, trie_children, hash_digits, dictionary)``:
+    primary names assigned in ``(depth, node)`` order with ``sigma^j`` names
+    of each length ``j``; each node's trie children by digit; every node's
+    hash digits; and each holder's dictionary (name -> node) of the targets
+    with at most one more digit whose hash prefix is the holder's name.
+    """
+    primary_name, node_of_primary = {}, {}
+    index, level, capacity = 0, 0, 1
+    for node in tree.nodes_by_depth():
+        if index >= capacity:
+            level += 1
+            capacity = sigma ** level
+            index = 0
+        digits, value = [0] * level, index
+        for pos in range(level - 1, -1, -1):
+            digits[pos] = value % sigma
+            value //= sigma
+        primary_name[node] = tuple(digits)
+        node_of_primary[tuple(digits)] = node
+        index += 1
+    max_digits = max(len(name) for name in primary_name.values())
+
+    trie_children = {v: {} for v in tree.nodes}
+    for node, name in primary_name.items():
+        if name:
+            trie_children[node_of_primary[name[:-1]]][name[-1]] = node
+
+    hash_digits = {v: digit_hash.digits(names[v]) for v in tree.nodes}
+    dictionary = {v: {} for v in tree.nodes}
+    for target in tree.nodes:
+        t_hash = hash_digits[target]
+        for j in range(max(len(primary_name[target]) - 1, 0), max_digits + 1):
+            holder = node_of_primary.get(t_hash[:j])
+            if holder is not None:
+                dictionary[holder][names[target]] = target
+    return primary_name, trie_children, hash_digits, dictionary
+
+
+def reference_plan(routing, tables, names, target_name, j_bound):
+    """The bounded search's waypoints over the reference dicts."""
+    _, trie_children, _, dictionary = tables
+    root = routing.tree.root
+    target_hash = routing.digit_hash.digits(target_name)
+    targets, current = [], root
+    for round_no in range(1, j_bound + 1):
+        if names[current] == target_name:
+            return targets, True, current
+        known = dictionary[current].get(target_name)
+        if known is not None:
+            return targets + [known], True, known
+        if round_no == j_bound:
+            break
+        digit = target_hash[round_no - 1] if round_no - 1 < len(target_hash) else 0
+        child = trie_children[current].get(digit)
+        if child is None:
+            break
+        targets.append(child)
+        current = child
+    if current != root:
+        targets.append(root)
+    return targets, False, None
+
+
+def random_tree(m, unit_weights, seed):
+    """A random rooted tree on ``m`` nodes; unit weights give many depth ties."""
+    rng = np.random.default_rng(seed)
+    parent = {v: int(rng.integers(0, v)) for v in range(1, m)}
+    weight = {v: 1.0 if unit_weights else float(rng.uniform(1.0, 10.0))
+              for v in parent}
+    return Tree(root=0, parent=parent, edge_weight=weight)
+
+
+#: explicit alphabet sizes and tree sizes: 1, 2, sigma, sigma + 1 and a
+#: partial deepest level (1 + 3 + 9 full levels, then 5 of 27)
+SIGMAS = [None, 1, 3]
+SIZES = [1, 2, 3, 4, 18]
+
+
+class TestArrayLayoutMatchesReference:
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    @pytest.mark.parametrize("sigma", SIGMAS)
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_tables_and_searches(self, k, m, sigma, unit_weights):
+        seed = 1000 * k + 10 * m + (sigma or 0) + unit_weights
+        tree = random_tree(m, unit_weights, seed)
+        rng = np.random.default_rng(seed)
+        names = {v: int(x) for v, x in zip(tree.nodes, rng.integers(1, 2**60, size=m))}
+        routing = NameIndependentTreeRouting(tree, names, k=k, sigma=sigma, seed=seed)
+        tables = reference_tables(tree, names, routing.sigma, routing.digit_hash)
+        primary_name, trie_children, hash_digits, dictionary = tables
+
+        lengths = [len(primary_name[v]) for v in tree.nodes]
+        assert [routing.digits_of(v) for v in tree.nodes] == lengths
+        assert routing.name_lengths().tolist() == lengths
+        assert routing.max_digits == max(lengths)
+        order, order_lengths = routing.trie_layout()
+        assert order.tolist() == tree.nodes_by_depth()
+        assert order_lengths.tolist() == [len(primary_name[v]) for v in order.tolist()]
+        for v in tree.nodes:
+            assert routing.trie_children_of(v) == trie_children[v]
+            assert routing.dictionary_of(v).tolist() == sorted(dictionary[v].values())
+        digits = routing.digit_hash.digits_array(
+            universal.fold_names([names[v] for v in tree.nodes]))
+        assert [tuple(row) for row in digits.tolist()] == \
+            [hash_digits[v] for v in tree.nodes]
+
+        hash_bits = routing.digit_hash.storage_bits()
+        label_bits = routing.compact.max_label_bits()
+        digit_bits = bits_for_count(max(routing.sigma - 1, 1))
+        expected_bits = [
+            hash_bits + routing.compact.table_bits(v)
+            + len(trie_children[v]) * (digit_bits + label_bits)
+            + len(dictionary[v]) * (routing.name_bits + label_bits)
+            for v in tree.nodes]
+        assert routing.compact.table_bits_list() == \
+            [routing.compact.table_bits(v) for v in tree.nodes]
+        assert routing.table_bits_list() == expected_bits
+        assert [routing.table_bits(v) for v in tree.nodes] == expected_bits
+        assert routing.max_dictionary_entries() == \
+            max(len(d) for d in dictionary.values())
+
+        for target_name in list(names.values()) + ["not-a-member"]:
+            for j_bound in range(1, routing.max_digits + 2):
+                assert routing.plan_search_from_root(target_name, j_bound) == \
+                    reference_plan(routing, tables, names, target_name, j_bound)
+
+
+def test_agm_build_folds_each_graph_name_once(monkeypatch):
+    # Lemma 4 trees, Lemma 7 cover trees and the fallback trees all hash
+    # member names; the build folds each graph name once and shares it
+    calls = Counter()
+    fold = universal._fold_name
+
+    def counting_fold(name):
+        calls[name] += 1
+        return fold(name)
+
+    monkeypatch.setattr(universal, "_fold_name", counting_fold)
+    graph = make_workload("barabasi-albert", 72, seed=7)
+    scheme = build_scheme("agm", graph, k=4, seed=3, params=AGMParams.paper())
+    assert scheme.sparse.trees and scheme.dense.covers
+    assert set(calls) <= set(graph.names_view())
+    assert max(calls.values()) == 1
+
+
+def primary_names(routing):
+    """Primary names read off the array trie: a child extends its parent's name by its digit."""
+    names = {routing.tree.root: ()}
+    pending = [routing.tree.root]
+    while pending:
+        v = pending.pop()
+        for digit, child in routing.trie_children_of(v).items():
+            names[child] = names[v] + (digit,)
+            pending.append(child)
+    return names
+
+
 class TestPrimaryNames:
     def test_root_has_empty_name(self, setup_k2):
         _, tree, routing = setup_k2
-        assert routing.primary_name[tree.root] == ()
+        assert primary_names(routing)[tree.root] == ()
+        assert routing.trie_layout()[0][0] == tree.root
 
     def test_names_unique_and_lengths_bounded(self, setup_k2):
         _, tree, routing = setup_k2
-        names = list(routing.primary_name.values())
-        assert len(set(names)) == tree.size
-        assert all(len(name) <= routing.max_digits for name in names)
+        names = primary_names(routing)
+        assert len(set(names.values())) == len(names) == tree.size
+        assert all(len(name) == routing.digits_of(v) <= routing.max_digits
+                   for v, name in names.items())
 
     def test_closer_nodes_get_shorter_names(self, setup_k2):
         _, tree, routing = setup_k2
         ordered = tree.nodes_by_depth()
-        lengths = [len(routing.primary_name[v]) for v in ordered]
+        lengths = [routing.digits_of(v) for v in ordered]
         assert lengths == sorted(lengths)
 
     def test_level_capacity_respected(self, setup_k2):
         _, _, routing = setup_k2
-        from collections import Counter
-        by_len = Counter(len(p) for p in routing.primary_name.values())
+        by_len = Counter(len(p) for p in primary_names(routing).values())
         for length, count in by_len.items():
             if length > 0:
                 assert count <= routing.sigma ** length

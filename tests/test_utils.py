@@ -8,6 +8,7 @@ from repro.utils.bitsize import (
     bits_for_count,
     bits_for_distance,
     bits_for_id,
+    bits_for_ids,
     ceil_log2,
     kib,
 )
@@ -97,6 +98,13 @@ class TestBitsize:
         assert bits_for_id(1024) == 10
         with pytest.raises(ValueError):
             bits_for_id(0)
+
+    def test_bits_for_ids_matches_bits_for_id(self):
+        powers = 2 ** np.arange(11, 41)
+        universe = np.concatenate([np.arange(1, 2050), powers - 1, powers, powers + 1])
+        assert bits_for_ids(universe).tolist() == [bits_for_id(int(x)) for x in universe]
+        with pytest.raises(ValueError):
+            bits_for_ids(np.asarray([3, 0]))
 
     def test_bits_for_distance_constant(self):
         assert bits_for_distance() == 64
