@@ -27,8 +27,8 @@ def test_e7_lemma4_search(benchmark, quick, k):
     worst_stretch = 0.0
     for r in results:
         node = r.destination
-        if node is not None and tree.depth[node] > 0:
-            worst_stretch = max(worst_stretch, r.cost / tree.depth[node])
+        if node is not None and tree.depth_of(node) > 0:
+            worst_stretch = max(worst_stretch, r.cost / tree.depth_of(node))
     record(
         benchmark,
         experiment="E7",

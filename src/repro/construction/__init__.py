@@ -9,10 +9,11 @@ tables.  This package makes construction itself batch array work:
   build state: batched multi-source shortest-path-tree forests (one
   SciPy kernel call per chunk of roots instead of one call per tree, with
   per-chunk distance limits so small cluster trees stay local searches),
-  streamed ball tables in CSR form, vectorized tree assembly that feeds
-  :meth:`repro.routing.forwarding.TreeBank.freeze` per-tree slot caches
-  directly, and an order-preserving worker-thread ``map`` for independent
-  scales / cluster chunks.
+  streamed ball tables in CSR form, one
+  :func:`~repro.graphs.trees.build_forest` pass per chunk of trees (whose
+  slot arrays :meth:`repro.routing.forwarding.TreeBank.freeze`
+  concatenates as they are), and an order-preserving worker-thread ``map``
+  for independent scales / cluster chunks.
 
 ``build_matrix`` (the construction sibling of ``run_matrix``) lives in
 :mod:`repro.experiments.harness`.

@@ -21,9 +21,10 @@ primitives so all six schemes share them:
   *index* (never from execution order), so parallel builds are bit-identical
   to serial ones.
 
-Trees produced here carry their forwarding slot arrays from construction
-(see :meth:`repro.graphs.trees.Tree._compute_dfs`), so a later
-``TreeBank.freeze`` finds every per-tree cache already populated.
+Each chunk's trees come out of one :func:`~repro.graphs.trees.build_forest`
+pass, which computes every tree's DFS slot arrays and depths at once; a
+tree is a view over its slice of the chunk's arrays, and a later
+``TreeBank.freeze`` concatenates those slices as they are.
 
 Every scheme has exactly one constructor, built on these primitives; the
 golden build digests (``tests/test_golden_digests.py``) pin its output.
@@ -40,10 +41,9 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from repro.construction.kernels import ancestor_closure
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
-from repro.graphs.trees import Tree
+from repro.graphs.trees import Tree, build_forest
 from repro.hashing.universal import fold_names
 from repro.storage import persist_array
-from repro.utils.validation import require
 
 #: roots per SciPy kernel call in :meth:`BuildContext.spt_trees`
 DEFAULT_SPT_CHUNK = 256
@@ -83,41 +83,56 @@ class SPTJob(NamedTuple):
     limit: Optional[float] = None
 
 
-def tree_from_predecessors(graph: WeightedGraph, root: int,
-                           dist: np.ndarray, pred: np.ndarray,
-                           members: Optional[Sequence[int]] = None,
-                           edge_index: Optional["_EdgeIndex"] = None) -> Tree:
-    """Assemble a (pruned) :class:`Tree` from one Dijkstra row, vectorized.
+def _kept_rows(root: int, dist: np.ndarray, pred: np.ndarray,
+               members: Optional[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Kept nodes (ascending) of one pruned tree and their parents.
 
-    Where :func:`~repro.graphs.shortest_paths.shortest_path_tree` walks each
-    member's parent chain in Python, here the kept set is computed as an
-    ancestor closure with whole-frontier array gathers and the edge weights
-    come from one sorted-key lookup instead of per-edge ``edge_weight``
-    calls.
+    The kept set is the root plus everything reachable, or, given
+    ``members``, their ancestor closure, computed with whole-frontier array
+    gathers.  The root's parent is ``-1``.
     """
-    parent = np.where(pred < 0, -1, pred).astype(np.int64)
-    n = graph.n
-    keep = np.zeros(n, dtype=bool)
+    keep = np.zeros(dist.size, dtype=bool)
     keep[root] = True
     if members is None:
         keep |= np.isfinite(dist)
     else:
         frontier = np.unique(np.asarray(list(members), dtype=np.int64))
         frontier = frontier[np.isfinite(dist[frontier])]
-        ancestor_closure(frontier, parent, keep)
+        ancestor_closure(frontier, pred, keep)
     kept = np.flatnonzero(keep)
-    children = kept[kept != root]
-    if children.size == 0:
-        return Tree.single_node(int(root))
-    parents_of = parent[children]
-    require(bool((parents_of >= 0).all()),
-            "kept tree node without a predecessor (pruning bug)")
+    parents = pred[kept].astype(np.int64)
+    parents[parents < 0] = -1
+    return kept, parents
+
+
+def _forest_of(roots: Sequence[int], kept: List[Tuple[np.ndarray, np.ndarray]],
+               edge_index: "_EdgeIndex") -> List[Tree]:
+    """One :func:`build_forest` call over the kept rows of many trees."""
+    sizes = [nodes.size for nodes, _ in kept]
+    nodes = np.concatenate([nodes for nodes, _ in kept])
+    parents = np.concatenate([parents for _, parents in kept])
+    weights = np.zeros(nodes.size)
+    linked = parents >= 0
+    weights[linked] = edge_index.weights(parents[linked], nodes[linked])
+    return build_forest(roots, np.repeat(np.arange(len(kept)), sizes), nodes,
+                        parents, weights)
+
+
+def tree_from_predecessors(graph: WeightedGraph, root: int,
+                           dist: np.ndarray, pred: np.ndarray,
+                           members: Optional[Sequence[int]] = None,
+                           edge_index: Optional["_EdgeIndex"] = None) -> Tree:
+    """Assemble a (pruned) :class:`Tree` from one Dijkstra row, vectorized.
+
+    A one-tree call of the :func:`~repro.graphs.trees.build_forest` pass
+    that :meth:`BuildContext.spt_trees` runs per chunk: the kept set is an
+    ancestor closure over array gathers and the edge weights come from one
+    sorted-key lookup.
+    """
     if edge_index is None:
         edge_index = _EdgeIndex(graph)
-    weights = edge_index.weights(parents_of, children)
-    return Tree(root=int(root),
-                parent=dict(zip(children.tolist(), parents_of.tolist())),
-                edge_weight=dict(zip(children.tolist(), weights.tolist())))
+    return _forest_of([root], [_kept_rows(root, dist, pred, members)],
+                      edge_index)[0]
 
 
 class _EdgeIndex:
@@ -216,7 +231,9 @@ class BuildContext:
             return []
         if self.graph.num_edges == 0:
             # no edges: every tree is its lone root
-            return [Tree.single_node(int(job.root)) for job in jobs]
+            roots = [int(job.root) for job in jobs]
+            return build_forest(roots, np.arange(len(roots)), roots,
+                                np.full(len(roots), -1), np.zeros(len(roots)))
         order = sorted(range(len(jobs)),
                        key=lambda j: (jobs[j].limit is None,
                                       jobs[j].limit if jobs[j].limit is not None
@@ -234,13 +251,9 @@ class BuildContext:
             # under a tight REPRO_MEMORY_BUDGET the per-chunk SPT forest rows
             # spill too, so a whole build streams through the budget
             dist, pred = persist_array(dist), persist_array(pred)
-            out = []
-            for local, j in enumerate(chunk):
-                job = jobs[j]
-                out.append((j, tree_from_predecessors(
-                    self.graph, int(job.root), dist[local], pred[local],
-                    members=job.members, edge_index=edge_index)))
-            return out
+            kept = [_kept_rows(root, dist[local], pred[local], jobs[j].members)
+                    for local, (j, root) in enumerate(zip(chunk, roots))]
+            return list(zip(chunk, _forest_of(roots, kept, edge_index)))
 
         trees: List[Optional[Tree]] = [None] * len(jobs)
         for part in self.map(run_chunk, chunks):

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hashing.universal import HashStack, fold_names
+from repro.hashing.universal import HashStack
 from repro.routing.forwarding import LEG_TREE, TreeBank
 from repro.routing.kernels import BatchPlans
 from repro.trees.error_reporting import DictionaryTreeRouting
@@ -96,7 +96,7 @@ class AGMBatchPlanner:
         self._scheme = scheme
         self.n, self.k = n, k
         self.bank = bank.freeze()
-        self.folded = fold_names(graph.names_view())
+        self.folded = scheme.folded_names
 
         num_trees = bank.num_trees
         self.hashes = HashStack()
@@ -112,11 +112,8 @@ class AGMBatchPlanner:
         for routing in scheme.sparse.trees.values():
             tree = tree_id_of[id(routing)]
             nodes, lengths = routing.trie_layout()
-            offset = int(bank.offsets[tree])
-            in_slot_order = bank.node_of_slot[offset:offset + nodes.size]
-            by_node = np.argsort(in_slot_order)
-            slots = offset + by_node[np.searchsorted(in_slot_order, nodes,
-                                                     sorter=by_node)]
+            slots = int(bank.offsets[tree]) \
+                + routing.tree.dfs_in[routing.tree.positions(nodes)]
             trie_parts.append(slots)
             self.slot_depth[slots] = lengths
             self.trie_base[tree] = base

@@ -31,19 +31,11 @@ from repro.core.params import AGMParams
 from repro.covers.tree_cover import TreeCover, build_tree_cover
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
-from repro.graphs.trees import Tree
 from repro.routing.table import TableCollection
 from repro.trees.error_reporting import DictionaryTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
 from repro.utils.rng import derive_rng
 from repro.utils.validation import require
-
-
-def translate_tree(tree: Tree, mapping: List[int]) -> Tree:
-    """Map a tree over subgraph-local indices back to global node indices."""
-    parent = {mapping[c]: mapping[p] for c, p in tree.parent.items()}
-    weights = {mapping[c]: w for c, w in tree.edge_weight.items()}
-    return Tree(root=mapping[tree.root], parent=parent, edge_weight=weights)
 
 
 class DenseStrategy:
@@ -123,18 +115,17 @@ class DenseStrategy:
                 subgraph, DistanceOracle(subgraph, backend=sub_backend))
             sub_context = BuildContext(subgraph, oracle=sub_oracle)
             rho = self.decomposition.radius_of_exponent(j)
+            # built in global node ids: the cover's trees are the routing trees
             cover: TreeCover = build_tree_cover(subgraph, k, rho, oracle=sub_oracle,
-                                                context=sub_context)
+                                                context=sub_context, mapping=mapping)
             routings: List[DictionaryTreeRouting] = []
-            for t_index, local_tree in enumerate(cover.trees):
-                global_tree = translate_tree(local_tree, mapping)
-                tree_names = {v: names[v] for v in global_tree.nodes}
+            for t_index, tree in enumerate(cover.trees):
+                tree_names = {v: names[v] for v in tree.nodes}
                 routings.append(DictionaryTreeRouting(
-                    global_tree, tree_names, name_bits=self.params.name_bits,
+                    tree, tree_names, name_bits=self.params.name_bits,
                     seed=derive_rng(seed, 202, count, t_index),
-                    folded=folded[global_tree.nodes]))
-            home = {mapping[local]: idx for local, idx in cover.home.items()}
-            return j, routings, home
+                    folded=folded[tree.node_ids]))
+            return j, routings, cover.home
 
         for j, routings, home in context.map(build_exponent,
                                              list(enumerate(sorted(needed)))):

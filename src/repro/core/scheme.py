@@ -75,6 +75,9 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             self.params, self.tables, seed=derive_rng(seed, 3), context=context)
         self._build_fallback(seed, context)
         self._charge_base_tables()
+        #: every node name folded once for the build; the batch planner
+        #: hashes these instead of folding the names again
+        self.folded_names = context.folded_names()
 
         #: diagnostic counters (per-instance, reset-able)
         self.fallback_uses = 0
@@ -110,7 +113,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             routing = DictionaryTreeRouting(tree, tree_names,
                                             name_bits=self.params.name_bits,
                                             seed=derive_rng(seed, 7, index),
-                                            folded=folded[tree.nodes])
+                                            folded=folded[tree.node_ids])
             self._fallback[index] = routing
             for v in component:
                 self._fallback_of_node[v] = index

@@ -203,7 +203,7 @@ class SparseStrategy:
                 tree, tree_names, k=k, sigma=self.sigma,
                 name_bits=self.params.name_bits,
                 seed=derive_rng(seed, 101, index),
-                folded=folded[tree.nodes],
+                folded=folded[tree.node_ids],
             )
 
         # 4. search bounds b(u, i): when the E-radius provably reaches past
@@ -213,24 +213,19 @@ class SparseStrategy:
         # inf beyond — both sides of the <= radius test unchanged) feeds the
         # same masked gather as before
         shrink = self.params.sparse_shrink
-        tree_nodes_of: Dict[int, np.ndarray] = {}
         digits_of: Dict[int, np.ndarray] = {}
-        depth_of: Dict[int, Dict[int, float]] = {}
-        max_depth_of: Dict[int, float] = {}
         max_digit_of: Dict[int, int] = {}
         for c, routing in self.trees.items():
-            tree_nodes_of[c] = np.asarray(routing.tree.nodes, dtype=np.int64)
             digits_of[c] = np.maximum(routing.name_lengths(), 1)
             max_digit_of[c] = int(digits_of[c].max(initial=0))
-            depth_of[c] = routing.tree.depth
-            max_depth_of[c] = max(routing.tree.depth.values(), default=0.0)
         slow_keys: List[Tuple[int, int]] = []
         for u, i in sorted(self.center_of):
             c = self.center_of[(u, i)]
+            tree = self.trees[c].tree
             radius = d_min * (2.0 ** float(ranges[u, i + 1])) / shrink
-            reach = depth_of[c].get(u)
-            if reach is not None and \
-                    radius >= (reach + max_depth_of[c]) * (1 + 1e-9) + 1e-9:
+            at = tree.find(u)
+            if at >= 0 and radius >= (float(tree.depth[at]) + tree.radius()) \
+                    * (1 + 1e-9) + 1e-9:
                 self.bound_of[(u, i)] = max(max_digit_of[c], 1)
             else:
                 slow_keys.append((u, i))
@@ -254,8 +249,8 @@ class SparseStrategy:
                     row = rows[local]
                     for key in by_u[u]:
                         c = self.center_of[key]
-                        nodes_arr = tree_nodes_of[c]
-                        within = row[nodes_arr] <= radius_of[key] + 1e-12
+                        within = row[self.trees[c].tree.node_ids] \
+                            <= radius_of[key] + 1e-12
                         bound = int(digits_of[c][within].max(initial=0))
                         self.bound_of[key] = max(bound, 1)
 
@@ -370,14 +365,6 @@ def _extend_walk(walk: List[int], cost: float, segment: List[int], tree
     for node in segment:
         prev = walk[-1]
         if node != prev:
-            cost += _tree_edge_weight(tree, prev, node)
+            cost += tree.edge_weight(prev, node)
         walk.append(node)
     return walk, cost
-
-
-def _tree_edge_weight(tree, a: int, b: int) -> float:
-    if tree.parent.get(a) == b:
-        return tree.edge_weight[a]
-    if tree.parent.get(b) == a:
-        return tree.edge_weight[b]
-    raise RuntimeError(f"({a}, {b}) is not an edge of the sparse-strategy tree")

@@ -11,18 +11,23 @@ dense routing strategy climbs.
 Cluster trees are built in batches: each chunk of clusters is assembled into
 one block-diagonal CSR matrix (every cluster its own relabeled block, heavy
 edges filtered out) and a single multi-source Dijkstra call — one source per
-block — grows every tree of the chunk at once.  A member that the ``2 rho``
-filter leaves unreachable from its center raises ``ValidationError``: no
-tree within Lemma 6's edge bound spans it.  Covers built by
-:func:`build_sparse_cover` never hit this — a ``rho``-ball holds every node
-on its shortest paths, whose edges weigh at most ``rho``, and a cluster is a
-union of balls that share nodes.
+block — grows every tree of the chunk at once.  One
+:func:`~repro.graphs.trees.build_forest` pass then turns the chunk's
+predecessor rows into trees, and one more builds every single-member
+cluster.  A cover of an induced subgraph is built directly in the host
+graph's node ids (``mapping``), so no tree is built twice.
+
+A member that the ``2 rho`` filter leaves unreachable from its center raises
+``ValidationError``: no tree within Lemma 6's edge bound spans it.  Covers
+built by :func:`build_sparse_cover` never hit this — a ``rho``-ball holds
+every node on its shortest paths, whose edges weigh at most ``rho``, and a
+cluster is a union of balls that share nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +37,7 @@ from repro.construction.context import BuildContext
 from repro.covers.sparse_cover import SparseCover, build_sparse_cover
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
-from repro.graphs.trees import Tree
+from repro.graphs.trees import Tree, build_forest
 from repro.utils.validation import require
 
 #: clusters per block-diagonal kernel call
@@ -68,11 +73,10 @@ class TreeCover:
 
     def max_membership(self) -> int:
         """Largest number of trees any node belongs to (Lemma 6's sparsity)."""
-        counts: Dict[int, int] = {}
-        for t in self.trees:
-            for v in t.nodes:
-                counts[v] = counts.get(v, 0) + 1
-        return max(counts.values()) if counts else 0
+        if not self.trees:
+            return 0
+        members = np.concatenate([t.node_ids for t in self.trees])
+        return int(np.unique(members, return_counts=True)[1].max())
 
     def max_radius(self) -> float:
         """Largest tree radius (Lemma 6 bounds it by ``O(k) * rho``)."""
@@ -85,45 +89,36 @@ class TreeCover:
     def covers_ball(self, v: int, oracle: DistanceOracle) -> bool:
         """Check that ``B(v, rho)`` lies inside ``home_tree(v)``."""
         tree = self.home_tree(v)
-        return all(tree.contains(u) for u in oracle.ball(v, self.rho))
-
-
-def _tree_from_local(members: np.ndarray, local_root: int,
-                     pred: np.ndarray, edge_index) -> Tree:
-    """Translate one block's local predecessor row into a global Tree.
-
-    Weights come from the context's shared sorted-edge-key lookup (the
-    restricted subgraph keeps original weights for every surviving edge).
-    """
-    local_children = np.flatnonzero(pred >= 0)
-    if local_children.size == 0:
-        return Tree.single_node(int(members[local_root]))
-    local_parents = pred[local_children]
-    children = members[local_children]
-    parents = members[local_parents]
-    weights = edge_index.weights(parents, children)
-    return Tree(root=int(members[local_root]),
-                parent=dict(zip(children.tolist(), parents.tolist())),
-                edge_weight=dict(zip(children.tolist(), weights.tolist())))
+        return bool((tree.positions(oracle.ball(v, self.rho)) >= 0).all())
 
 
 def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,
-                           rho: float,
-                           context: Optional[BuildContext] = None) -> List[Tree]:
-    """Grow every cluster tree of ``cover``, one kernel call per cluster chunk."""
-    from repro.construction.context import _EdgeIndex
+                           rho: float, context: BuildContext,
+                           mapping: np.ndarray) -> List[Tree]:
+    """Grow every cluster tree of ``cover``, one forest per cluster chunk.
 
+    Trees carry ``mapping[v]`` for graph node ``v``; weights come from the
+    context's shared sorted-edge-key lookup (the ``2 rho`` restriction keeps
+    original weights for every surviving edge).
+    """
     csr = graph.to_scipy_csr()
-    weight_index = context.edge_index() if context is not None else _EdgeIndex(graph)
+    weight_index = context.edge_index()
     jobs = []  # (cluster_index, members array, local root)
+    singles = []  # (cluster_index, node)
     trees: List[Optional[Tree]] = [None] * len(cover.clusters)
     for cluster in cover.clusters:
         members = np.asarray(sorted(cluster.nodes), dtype=np.int64)
         if members.size == 1:
-            trees[cluster.index] = Tree.single_node(int(members[0]))
+            singles.append((cluster.index, int(members[0])))
             continue
         local_root = int(np.searchsorted(members, cluster.center))
         jobs.append((cluster.index, members, local_root))
+    if singles:
+        roots = mapping[[v for _, v in singles]]
+        for (index, _), tree in zip(singles, build_forest(
+                roots, np.arange(roots.size), roots, np.full(roots.size, -1),
+                np.zeros(roots.size))):
+            trees[index] = tree
 
     def run_chunk(chunk) -> List[tuple]:
         # manual induced-submatrix assembly: row-slice the global CSR, then
@@ -153,21 +148,31 @@ def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,
                                      return_predecessors=True)
         dist = np.atleast_2d(dist)
         pred = np.atleast_2d(pred)
-        out = []
+        # every member of every block is a row: block-local predecessors
+        # become graph nodes, then the ids the trees carry
+        parents = np.full(offset, -1, dtype=np.int64)
         offset = 0
         for row, (index, members, local_root) in enumerate(chunk):
             span = slice(offset, offset + members.size)
-            local_dist = dist[row, span]
-            local_pred = np.where(pred[row, span] < 0, -1,
-                                  pred[row, span] - offset).astype(np.int64)
-            require(bool(np.isfinite(local_dist).all()),
+            require(bool(np.isfinite(dist[row, span]).all()),
                     f"cluster {index} has members unreachable from center "
                     f"{int(members[local_root])} over edges of weight <= "
                     f"2 rho = {2.0 * rho}")
-            out.append((index, _tree_from_local(members, local_root,
-                                                local_pred, weight_index)))
+            local = pred[row, span]
+            linked = local >= 0
+            parents[span][linked] = members[local[linked] - offset]
             offset += members.size
-        return out
+        nodes = np.concatenate([members for _, members, _ in chunk])
+        linked = parents >= 0
+        weights = np.zeros(offset)
+        weights[linked] = weight_index.weights(parents[linked], nodes[linked])
+        parents[linked] = mapping[parents[linked]]
+        roots = mapping[[members[root] for _, members, root in chunk]]
+        forest = build_forest(
+            roots, np.repeat(np.arange(len(chunk)),
+                             [members.size for _, members, _ in chunk]),
+            mapping[nodes], parents, weights)
+        return [(index, tree) for (index, _, _), tree in zip(chunk, forest)]
 
     chunks = []
     current: List[tuple] = []
@@ -182,9 +187,7 @@ def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,
         current_nodes += size
     if current:
         chunks.append(current)
-    mapper = context.map if context is not None else (
-        lambda fn, items: [fn(item) for item in items])
-    for part in mapper(run_chunk, chunks):
+    for part in context.map(run_chunk, chunks):
         for index, tree in part:
             trees[index] = tree
     return trees  # type: ignore[return-value]
@@ -196,12 +199,25 @@ def build_tree_cover(
     rho: float,
     oracle: Optional[DistanceOracle] = None,
     context: Optional[BuildContext] = None,
+    mapping: Optional[Sequence[int]] = None,
 ) -> TreeCover:
-    """Build ``TC_{k,rho}`` of ``graph``."""
+    """Build ``TC_{k,rho}`` of ``graph``.
+
+    ``mapping[v]`` is the id the cover's trees and ``home`` give graph node
+    ``v`` (the identity when omitted).  For an induced subgraph, pass the
+    ascending mapping :meth:`~repro.graphs.graph.WeightedGraph.subgraph`
+    returns: the trees then come out in host-graph ids with the same DFS
+    orders as in subgraph ids.
+    """
     require(k >= 1, f"k must be >= 1, got {k}")
     if context is None:
         context = BuildContext(graph, oracle=exact_distance_oracle(graph, oracle))
+    ids = np.arange(graph.n, dtype=np.int64) if mapping is None \
+        else np.asarray(mapping, dtype=np.int64)
+    require(ids.size == graph.n and bool((np.diff(ids) > 0).all()),
+            "mapping must give every graph node an ascending id")
     cover: SparseCover = build_sparse_cover(graph, k, rho, oracle=context.oracle,
                                             context=context)
-    trees = _cluster_trees_batched(graph, cover, rho, context=context)
-    return TreeCover(k=k, rho=rho, trees=trees, home=dict(cover.home))
+    trees = _cluster_trees_batched(graph, cover, rho, context, ids)
+    home = {int(ids[v]): index for v, index in cover.home.items()}
+    return TreeCover(k=k, rho=rho, trees=trees, home=home)

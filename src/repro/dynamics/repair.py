@@ -109,12 +109,12 @@ def tree_is_intact(graph: WeightedGraph, tree: Tree, root_row: np.ndarray,
     the rebuild.  The tolerance absorbs float summation-order differences
     between tree depths and the Dijkstra kernel.
     """
-    for child, parent in tree.parent.items():
-        if not graph.has_edge(parent, child):
+    parents = tree.parent_ids()
+    linked = parents >= 0
+    if linked.any():
+        # a missing edge reads as weight 0, which no tree edge has
+        current = np.asarray(graph.to_scipy_csr()[parents[linked],
+                                                  tree.node_ids[linked]]).ravel()
+        if not np.array_equal(current, tree.weight[linked]):
             return False
-        if graph.edge_weight(parent, child) != tree.edge_weight[child]:
-            return False
-    for v in tree.nodes:
-        if abs(tree.depth[v] - root_row[v]) > atol:
-            return False
-    return True
+    return bool((np.abs(tree.depth - root_row[tree.node_ids]) <= atol).all())

@@ -340,8 +340,9 @@ class WeightedGraph:
         """Induced subgraph on ``nodes``.
 
         Returns ``(subgraph, mapping)`` where ``mapping[i]`` is the original
-        index of subgraph node ``i``.  Node names are carried over, so routing
-        by name keeps working inside the subgraph.
+        index of subgraph node ``i``; ``mapping`` ascends, so relabeling
+        keeps every id order.  Node names are carried over, so routing by
+        name keeps working inside the subgraph.
         """
         nodes = sorted(set(int(v) for v in nodes))
         require(len(nodes) >= 1, "subgraph needs at least one node")

@@ -23,7 +23,7 @@ from the graph size unless the caller picks one.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
@@ -35,7 +35,7 @@ from repro.graphs.backends import (
     resolve_backend,
 )
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.trees import Tree
+from repro.graphs.trees import Tree, build_forest
 from repro.utils.validation import check_index, require
 
 
@@ -165,15 +165,12 @@ def shortest_path_tree(
             while v != -1 and v not in keep:
                 keep.add(v)
                 v = int(parent[v])
-    parent_map: Dict[int, int] = {}
-    weight_map: Dict[int, float] = {}
-    for v in keep:
-        if v == root:
-            continue
-        p = int(parent[v])
-        parent_map[v] = p
-        weight_map[v] = graph.edge_weight(p, v)
-    return Tree(root=int(root), parent=parent_map, edge_weight=weight_map)
+    nodes = np.asarray(sorted(keep), dtype=np.int64)
+    parents = np.where(nodes == root, -1, parent[nodes])
+    weights = [graph.edge_weight(int(p), int(v)) if p >= 0 else 0.0
+               for v, p in zip(nodes, parents)]
+    return build_forest([root], np.zeros(nodes.size, dtype=np.int64), nodes,
+                        parents, weights)[0]
 
 
 def exact_distance_oracle(graph: WeightedGraph,

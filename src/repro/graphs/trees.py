@@ -1,53 +1,165 @@
-"""Rooted weighted trees.
+"""Rooted weighted trees, built many at a time as one forest of arrays.
 
 All tree-routing schemes (Lemmas 4, 5 and 7, plus the cover trees of
 Lemma 6) operate on a :class:`Tree`: a rooted, weighted tree whose node set
-is a subset of a host graph's nodes.  The class exposes the structural
-queries those schemes need — DFS intervals, subtree sizes, depths (weighted
-distance from the root along tree edges), distance-from-root orderings,
-radius, and heaviest edge — plus tree-path queries used by the simulator to
-verify that a routing walk actually followed tree edges.
+is a subset of a host graph's nodes.  :func:`build_forest` builds a whole
+chunk of trees in one level-synchronous numpy pass: from the kept nodes of
+every tree, given as ``(tree, node, parent, weight)`` rows, it computes each
+tree's DFS slots (preorder, children in ascending id), depths (parent depth
+plus edge weight) and subtree extents.  A :class:`Tree` is a view over its
+slice of those arrays, and every way of making one goes through that pass.
+
+The arrays come in two orders:
+
+* **node order** — the members in ascending id (:attr:`Tree.nodes`,
+  :attr:`Tree.node_ids`); :attr:`~Tree.dfs_in`, :attr:`~Tree.depth` and
+  :attr:`~Tree.weight` follow it;
+* **slot order** — ``slot = DFS-in number``, the root at slot 0;
+  :attr:`~Tree.node_of_slot`, :attr:`~Tree.parent_local` and
+  :attr:`~Tree.dfs_out` follow it, and
+  :meth:`repro.routing.forwarding.TreeBank.freeze` concatenates them as
+  they are.
+
+The scalar queries (membership, parents, children, tree paths) serve the
+reference ``route()`` implementations and the checks that a routing walk
+followed tree edges.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from repro.utils.validation import require
+import numpy as np
+
+from repro.utils.validation import ValidationError, require
 
 
-class TreeSlotArrays:
-    """Per-tree compiled slot arrays (``slot = DFS-in number``).
+class _Forest(NamedTuple):
+    """The arrays of one forest build; tree ``t`` owns rows ``start[t]`` to
+    ``start[t + 1]`` of every other field."""
 
-    Assembled during :meth:`Tree._compute_dfs` and stored on the tree as
-    ``_forwarding_slots``; :meth:`repro.routing.forwarding.TreeBank.freeze`
-    reads them directly, so the bank's global assembly is pure vectorized
-    offset arithmetic with no intermediate dict pass.
+    start: np.ndarray
+    node_ids: np.ndarray
+    dfs_in: np.ndarray
+    depth: np.ndarray
+    weight: np.ndarray
+    node_of_slot: np.ndarray
+    parent_local: np.ndarray
+    dfs_out: np.ndarray
+
+
+def _forest_arrays(roots, tree, node, parent, weight) -> _Forest:
+    """The level-synchronous pass behind :func:`build_forest`."""
+    roots = np.asarray(roots, dtype=np.int64)
+    tree = np.asarray(tree, dtype=np.int64)
+    node = np.asarray(node, dtype=np.int64)
+    parent = np.asarray(parent, dtype=np.int64)
+    rows = node.size
+    stride = max(int(node.max(initial=0)), int(parent.max(initial=0)),
+                 int(roots.max(initial=0))) + 1
+    key = tree * stride + node
+    require(bool((np.diff(key) > 0).all()),
+            "forest rows must be sorted by (tree, node) without repeats")
+    start = np.searchsorted(tree, np.arange(roots.size + 1))
+
+    def rows_of(keys: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(key, keys)
+        found = at < rows
+        found[found] = key[at[found]] == keys[found]
+        return np.where(found, at, -1)
+
+    root_row = rows_of(np.arange(roots.size) * stride + roots)
+    require(bool((root_row >= 0).all()), "every tree must hold its root")
+    require(bool((parent[root_row] < 0).all()), "the root cannot have a parent")
+    linked = parent >= 0
+    weight = np.where(linked, np.asarray(weight, dtype=np.float64), 0.0)
+    require(bool((weight[linked] > 0).all()), "tree edge weights must be positive")
+    parent_row = np.full(rows, -1, dtype=np.int64)
+    parent_row[linked] = rows_of(tree[linked] * stride + parent[linked])
+
+    # children of every row, grouped by parent in ascending node id
+    kids = np.flatnonzero(parent_row >= 0)
+    by_parent = kids[np.argsort(parent_row[kids], kind="stable")]
+    first = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent_row[kids], minlength=rows), out=first[1:])
+
+    # top-down by hop depth: each level's depths add one edge weight to
+    # final parent depths, the same float operation as a scalar DFS
+    depth = np.zeros(rows)
+    levels = []
+    frontier = root_row
+    reached = frontier.size
+    while frontier.size:
+        count = first[frontier + 1] - first[frontier]
+        parents = frontier[count > 0]
+        count = count[count > 0]
+        if parents.size == 0:
+            break
+        group = np.cumsum(count) - count
+        total = int(group[-1] + count[-1])
+        frontier = by_parent[np.repeat(first[parents] - group, count)
+                             + np.arange(total)]
+        depth[frontier] = np.repeat(depth[parents], count) + weight[frontier]
+        levels.append((parents, count, group, frontier))
+        reached += total
+    # every non-root row has one parent, so a cycle or a parent outside the
+    # tree leaves rows that no level reaches
+    require(reached == rows, "tree is not connected to its root")
+
+    size = np.ones(rows, dtype=np.int64)
+    for parents, count, group, level in reversed(levels):
+        size[parents] += np.add.reduceat(size[level], group)
+    # preorder: a child starts after its parent and its earlier siblings
+    dfs_in = np.zeros(rows, dtype=np.int64)
+    for parents, count, group, level in levels:
+        before = np.cumsum(size[level]) - size[level]
+        dfs_in[level] = np.repeat(dfs_in[parents] + 1 - before[group],
+                                  count) + before
+
+    slot = start[tree] + dfs_in
+    node_of_slot = np.empty(rows, dtype=np.int64)
+    node_of_slot[slot] = node
+    dfs_out = np.empty(rows, dtype=np.int64)
+    dfs_out[slot] = dfs_in + size - 1
+    parent_local = np.full(rows, -1, dtype=np.int64)
+    parent_local[slot[kids]] = dfs_in[parent_row[kids]]
+    return _Forest(start, node, dfs_in, depth, weight, node_of_slot,
+                   parent_local, dfs_out)
+
+
+def build_forest(roots: Sequence[int], tree: Sequence[int], nodes: Sequence[int],
+                 parents: Sequence[int], weights: Sequence[float]) -> List["Tree"]:
+    """Build many trees in one pass over their rows.
+
+    Row ``r`` says that node ``nodes[r]`` of tree ``tree[r]`` hangs off node
+    ``parents[r]`` by an edge of weight ``weights[r]``; a root's parent is
+    ``-1`` and its weight is ignored.  Trees are numbered ``0 ..
+    len(roots) - 1``, tree ``t`` is rooted at ``roots[t]``, and the rows
+    are sorted by ``(tree, node)``.
+
+    Raises :class:`~repro.utils.validation.ValidationError` when a root has
+    a parent, an edge weight is not positive, or a node is not reached from
+    its root (a cycle, or a parent outside the tree).
     """
-
-    __slots__ = ("size", "node_of_slot", "dfs_out", "parent_local")
-
-    def __init__(self, size: int) -> None:
-        import numpy as np
-
-        self.size = size
-        self.node_of_slot = np.empty(size, dtype=np.int64)
-        self.dfs_out = np.empty(size, dtype=np.int64)
-        self.parent_local = np.full(size, -1, dtype=np.int64)
+    forest = _forest_arrays(roots, tree, nodes, parents, weights)
+    bounds = forest.start.tolist()
+    return [Tree._view(forest, root, bounds[t], bounds[t + 1])
+            for t, root in enumerate(np.asarray(roots).tolist())]
 
 
 class Tree:
     """A rooted weighted tree over (a subset of) graph node indices.
 
-    Parameters
-    ----------
-    root:
-        Graph index of the root.
-    parent:
-        Mapping ``child -> parent`` over graph indices (the root must not
-        appear as a key).
-    edge_weight:
-        Mapping ``child -> weight of (child, parent(child))``.
+    Built from ``child -> parent`` and ``child -> weight`` mappings over
+    graph indices (the root must not appear as a key); :func:`build_forest`
+    builds many at once.
+
+    Attributes in node order (``nodes`` ascending): ``node_ids``, ``dfs_in``
+    (slot of each node), ``depth`` (weighted distance from the root) and
+    ``weight`` (edge to the parent, 0 at the root).  Attributes in slot
+    order: ``node_of_slot``, ``parent_local`` (slot of the parent, -1 at the
+    root) and ``dfs_out`` (last slot of the subtree).
     """
 
     def __init__(
@@ -57,169 +169,170 @@ class Tree:
         edge_weight: Dict[int, float],
     ) -> None:
         require(root not in parent, "the root cannot have a parent")
-        self.parent: Dict[int, int] = {int(c): int(p) for c, p in parent.items()}
-        self.edge_weight: Dict[int, float] = {int(c): float(w) for c, w in edge_weight.items()}
-        require(self.parent.keys() == self.edge_weight.keys(),
+        require(parent.keys() == edge_weight.keys(),
                 "every child needs exactly one edge weight")
-        require(not self.edge_weight or min(self.edge_weight.values()) > 0,
-                "tree edge weights must be positive")
-        self.root = int(root)
+        nodes = sorted({int(v) for v in parent} | {int(p) for p in parent.values()}
+                       | {int(root)})
+        forest = _forest_arrays(
+            [root], np.zeros(len(nodes), dtype=np.int64), nodes,
+            [parent.get(v, -1) for v in nodes],
+            [edge_weight.get(v, 0.0) for v in nodes])
+        self._bind(forest, int(root), 0, len(nodes))
 
-        node_set = set(self.parent) | set(self.parent.values()) | {self.root}
-        self.nodes: List[int] = sorted(node_set)
-        self.index: Dict[int, int] = {v: i for i, v in enumerate(self.nodes)}
-        self.size = len(self.nodes)
+    @classmethod
+    def _view(cls, forest: _Forest, root: int, lo: int, hi: int) -> "Tree":
+        tree = cls.__new__(cls)
+        tree._bind(forest, root, lo, hi)
+        return tree
 
-        self.children: Dict[int, List[int]] = {v: [] for v in self.nodes}
-        for child, par in self.parent.items():
-            self.children[par].append(child)
-        for v in self.children:
-            self.children[v].sort()
-
-        self._validate_connected()
-        self._compute_depths()
-        self._compute_dfs()
-
-    # ------------------------------------------------------------------ #
-    # construction-time computations
-    # ------------------------------------------------------------------ #
-    def _validate_connected(self) -> None:
-        # every non-root node has exactly one parent edge, so reaching all
-        # ``size`` nodes from the root rules out both cycles and disconnection
-        reached = 1
-        stack = [self.root]
-        children = self.children
-        while stack:
-            kids = children[stack.pop()]
-            reached += len(kids)
-            stack.extend(kids)
-        require(reached == self.size, "tree is not connected to its root")
-
-    def _compute_depths(self) -> None:
-        self.depth: Dict[int, float] = {self.root: 0.0}
-        self.hop_depth: Dict[int, int] = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                self.depth[c] = self.depth[u] + self.edge_weight[c]
-                self.hop_depth[c] = self.hop_depth[u] + 1
-                stack.append(c)
-
-    def _compute_dfs(self) -> None:
-        """Iterative DFS assigning pre/post intervals and subtree sizes.
-
-        The same pass fills :class:`TreeSlotArrays` (cached as
-        ``_forwarding_slots``), so compiling this tree into a
-        :class:`~repro.routing.forwarding.TreeBank` later needs no further
-        per-node Python work.
-        """
-        self.dfs_in: Dict[int, int] = {}
-        self.dfs_out: Dict[int, int] = {}
-        self.subtree_size: Dict[int, int] = {}
-        slots = TreeSlotArrays(self.size)
-        counter = 0
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                last = self.dfs_in[node]
-                size = 1
-                for c in self.children[node]:
-                    last = max(last, self.dfs_out[c])
-                    size += self.subtree_size[c]
-                self.dfs_out[node] = last
-                self.subtree_size[node] = size
-                slots.dfs_out[self.dfs_in[node]] = last
-            else:
-                self.dfs_in[node] = counter
-                slots.node_of_slot[counter] = node
-                parent = self.parent.get(node)
-                if parent is not None:
-                    slots.parent_local[counter] = self.dfs_in[parent]
-                counter += 1
-                stack.append((node, True))
-                for c in reversed(self.children[node]):
-                    stack.append((c, False))
-        self._forwarding_slots = slots
+    def _bind(self, forest: _Forest, root: int, lo: int, hi: int) -> None:
+        """Make this tree the view of rows ``lo`` to ``hi`` of ``forest``."""
+        self.root = root
+        self.size = hi - lo
+        self.node_ids = forest.node_ids[lo:hi]
+        self.dfs_in = forest.dfs_in[lo:hi]
+        self.depth = forest.depth[lo:hi]
+        self.weight = forest.weight[lo:hi]
+        self.node_of_slot = forest.node_of_slot[lo:hi]
+        self.parent_local = forest.parent_local[lo:hi]
+        self.dfs_out = forest.dfs_out[lo:hi]
+        self.nodes: List[int] = self.node_ids.tolist()
 
     # ------------------------------------------------------------------ #
-    # structural queries
+    # membership and per-node lookups
     # ------------------------------------------------------------------ #
+    def find(self, v: int) -> int:
+        """Position of node ``v`` in :attr:`nodes` (``-1`` when absent)."""
+        at = bisect_left(self.nodes, v)
+        return at if at < self.size and self.nodes[at] == v else -1
+
     def contains(self, v: int) -> bool:
         """Whether graph node ``v`` belongs to the tree."""
-        return v in self.index
+        return self.find(v) >= 0
 
+    def positions(self, nodes) -> np.ndarray:
+        """:meth:`find` for an array of nodes."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        at = np.searchsorted(self.node_ids, nodes)
+        found = at < self.size
+        found[found] = self.node_ids[at[found]] == nodes[found]
+        return np.where(found, at, -1)
+
+    def position(self, v: int) -> int:
+        """Position of node ``v`` in :attr:`nodes` (raises when absent)."""
+        at = self.find(v)
+        require(at >= 0, f"node {v} is not in the tree")
+        return at
+
+    def slot(self, v: int) -> int:
+        """DFS-in number of node ``v``."""
+        return int(self.dfs_in[self.position(v)])
+
+    def depth_of(self, v: int) -> float:
+        """Weighted distance from the root to node ``v``."""
+        return float(self.depth[self.position(v)])
+
+    def parent_of(self, v: int) -> int:
+        """Parent of node ``v`` (``-1`` for the root)."""
+        up = int(self.parent_local[self.slot(v)])
+        return int(self.node_of_slot[up]) if up >= 0 else -1
+
+    def parent_ids(self) -> np.ndarray:
+        """Parent of every node, in node order (``-1`` for the root)."""
+        up = self.parent_local[self.dfs_in]
+        return np.where(up >= 0, self.node_of_slot[up], -1)
+
+    def child_slots(self, slot: int) -> np.ndarray:
+        """Slots of the children of ``slot``, in ascending node id."""
+        lo, hi = slot + 1, int(self.dfs_out[slot]) + 1
+        return lo + np.flatnonzero(self.parent_local[lo:hi] == slot)
+
+    def children_of(self, v: int) -> List[int]:
+        """Children of node ``v`` in ascending id."""
+        return self.node_of_slot[self.child_slots(self.slot(v))].tolist()
+
+    def edge_weight(self, a: int, b: int) -> float:
+        """Weight of the tree edge ``{a, b}`` (raises if it is not one)."""
+        i, j = self.find(a), self.find(b)
+        if i >= 0 and j >= 0:
+            sa, sb = self.dfs_in[i], self.dfs_in[j]
+            if self.parent_local[sa] == sb:
+                return float(self.weight[i])
+            if self.parent_local[sb] == sa:
+                return float(self.weight[j])
+        raise ValidationError(f"({a}, {b}) is not a tree edge")
+
+    # ------------------------------------------------------------------ #
+    # whole-tree queries
+    # ------------------------------------------------------------------ #
     def radius(self) -> float:
         """Weighted eccentricity of the root: ``max_v depth(v)``."""
-        return max(self.depth.values()) if self.depth else 0.0
+        return float(self.depth.max())
 
     def max_edge(self) -> float:
         """Heaviest tree edge weight (0 for a single-node tree)."""
-        return max(self.edge_weight.values()) if self.edge_weight else 0.0
-
-    def total_weight(self) -> float:
-        """Sum of tree edge weights."""
-        return float(sum(self.edge_weight.values()))
+        return float(self.weight.max())
 
     def nodes_by_depth(self) -> List[int]:
         """Nodes sorted by (weighted distance from root, node index).
 
         This is the ordering Lemma 4 uses to assign primary names.
         """
-        return sorted(self.nodes, key=lambda v: (self.depth[v], v))
+        return self.node_ids[np.argsort(self.depth, kind="stable")].tolist()
 
     def nodes_by_dfs(self) -> List[int]:
         """Nodes sorted by DFS-in number."""
-        return sorted(self.nodes, key=lambda v: self.dfs_in[v])
+        return self.node_of_slot.tolist()
 
+    # ------------------------------------------------------------------ #
+    # tree paths
+    # ------------------------------------------------------------------ #
     def is_ancestor(self, a: int, b: int) -> bool:
         """Whether ``a`` is an ancestor of ``b`` (every node is its own ancestor)."""
-        return self.dfs_in[a] <= self.dfs_in[b] <= self.dfs_out[a]
+        sa, sb = self.slot(a), self.slot(b)
+        return sa <= sb <= int(self.dfs_out[sa])
 
     def child_toward(self, a: int, b: int) -> Optional[int]:
         """The child of ``a`` whose subtree contains ``b`` (None if ``a==b`` or unrelated)."""
         if a == b or not self.is_ancestor(a, b):
             return None
-        for c in self.children[a]:
-            if self.is_ancestor(c, b):
-                return c
-        return None
+        kids = self.child_slots(self.slot(a))
+        at = np.searchsorted(kids, self.slot(b), side="right") - 1
+        return int(self.node_of_slot[kids[at]])
+
+    def _climb(self, slot: int, stop: int) -> List[int]:
+        """Slots from ``slot`` up to (excluding) its ancestor ``stop``."""
+        out = []
+        while slot != stop:
+            out.append(slot)
+            slot = int(self.parent_local[slot])
+        return out
+
+    def _lca_slot(self, u: int, v: int) -> int:
+        su, s = self.slot(u), self.slot(v)
+        while not s <= su <= self.dfs_out[s]:
+            s = int(self.parent_local[s])
+        return s
 
     def path_to_root(self, v: int) -> List[int]:
         """The node sequence from ``v`` up to the root (inclusive)."""
-        out = [v]
-        while out[-1] != self.root:
-            out.append(self.parent[out[-1]])
-        return out
+        return self.node_of_slot[self._climb(self.slot(v), -1)].tolist()
 
     def lca(self, u: int, v: int) -> int:
         """Lowest common ancestor of ``u`` and ``v``."""
-        ancestors = set(self.path_to_root(u))
-        x = v
-        while x not in ancestors:
-            x = self.parent[x]
-        return x
+        return int(self.node_of_slot[self._lca_slot(u, v)])
 
     def path(self, u: int, v: int) -> List[int]:
         """The unique tree path from ``u`` to ``v`` (inclusive)."""
-        a = self.lca(u, v)
-        up = []
-        x = u
-        while x != a:
-            up.append(x)
-            x = self.parent[x]
-        down = []
-        x = v
-        while x != a:
-            down.append(x)
-            x = self.parent[x]
-        return up + [a] + list(reversed(down))
+        a = self._lca_slot(u, v)
+        down = self._climb(self.slot(v), a)
+        slots = self._climb(self.slot(u), a) + [a] + down[::-1]
+        return self.node_of_slot[slots].tolist()
 
     def tree_distance(self, u: int, v: int) -> float:
         """Weighted length of the tree path between ``u`` and ``v``."""
         a = self.lca(u, v)
-        return self.depth[u] + self.depth[v] - 2.0 * self.depth[a]
+        return self.depth_of(u) + self.depth_of(v) - 2.0 * self.depth_of(a)
 
     def next_hop(self, u: int, v: int) -> int:
         """The tree neighbor of ``u`` on the tree path toward ``v``."""
@@ -228,16 +341,7 @@ class Tree:
             child = self.child_toward(u, v)
             assert child is not None
             return child
-        return self.parent[u]
-
-    def tree_neighbors(self, u: int) -> List[Tuple[int, float]]:
-        """Tree-adjacent nodes of ``u`` with edge weights (parent first)."""
-        out: List[Tuple[int, float]] = []
-        if u != self.root:
-            out.append((self.parent[u], self.edge_weight[u]))
-        for c in self.children[u]:
-            out.append((c, self.edge_weight[c]))
-        return out
+        return self.parent_of(u)
 
     # ------------------------------------------------------------------ #
     # builders

@@ -162,11 +162,10 @@ class TreeBank:
     def freeze(self) -> "TreeBank":
         """Compile the registered trees into flat arrays (idempotent).
 
-        Each tree's slot arrays come from the
-        :class:`~repro.graphs.trees.TreeSlotArrays` it filled during its own
-        DFS (``_forwarding_slots``), so freezing does no per-node Python
-        work; the global assembly below is vectorized offset arithmetic plus
-        one sort of the membership keys.
+        Each tree is a view over slot arrays its forest build already
+        computed (``node_of_slot``, ``dfs_out``, ``parent_local``), so
+        freezing does no per-node Python work; the global assembly below is
+        vectorized offset arithmetic plus one sort of the membership keys.
         """
         if self._frozen:
             return self
@@ -184,13 +183,12 @@ class TreeBank:
         member_slot_parts: List[np.ndarray] = []
         for tree_id, tree in enumerate(self._trees):
             off = int(self.offsets[tree_id])
-            slots = tree._forwarding_slots
-            node_parts.append(slots.node_of_slot)
-            dfs_out_parts.append(slots.dfs_out)
-            parent_parts.append(np.where(slots.parent_local >= 0,
-                                         slots.parent_local + off, -1))
-            member_key_parts.append(tree_id * self.n + slots.node_of_slot)
-            member_slot_parts.append(np.arange(off, off + slots.size, dtype=np.int64))
+            node_parts.append(tree.node_of_slot)
+            dfs_out_parts.append(tree.dfs_out)
+            parent_parts.append(np.where(tree.parent_local >= 0,
+                                         tree.parent_local + off, -1))
+            member_key_parts.append(tree_id * self.n + tree.node_ids)
+            member_slot_parts.append(off + tree.dfs_in)
 
         def cat(parts: List[np.ndarray]) -> np.ndarray:
             return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)

@@ -32,9 +32,12 @@ is free and costs no table space.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.graphs.trees import Tree
 from repro.utils.bitsize import BitBudget, bits_for_count, bits_for_id, bits_for_ids
@@ -93,35 +96,24 @@ class CompactTreeRouting:
         # Heavy classification straight from the tree's slot arrays:
         # slot = DFS-in number, so subtree_size(slot) = dfs_out - slot + 1 and
         # the heavy test is one vectorized comparison over all child slots.
-        # Full labels and port lists are materialized lazily per node — a
-        # construction only pays O(m) array work plus one light-edge counting
-        # scan, not a Python tuple/list build per node.
-        import numpy as np
-
-        slots = tree._forwarding_slots
+        # A light child adds one light edge to every label in its subtree,
+        # the slot range [child, dfs_out[child]], so the per-slot light-edge
+        # counts are one prefix sum.  Labels and port lists are materialized
+        # lazily per node.
         size = self.m
-        subtree = slots.dfs_out - np.arange(size, dtype=np.int64) + 1
-        parent_local = slots.parent_local
+        subtree = tree.dfs_out - np.arange(size, dtype=np.int64) + 1
+        parent_local = tree.parent_local
         child_slots = np.flatnonzero(parent_local >= 0)
         heavy_of_slot = np.zeros(size, dtype=bool)
         heavy_of_slot[child_slots] = (
             subtree[child_slots] * self.b >= subtree[parent_local[child_slots]])
-        self._node_of_slot = slots.node_of_slot
         self._heavy_of_slot = heavy_of_slot
-
-        # light-edge count per slot: one preorder scan (parents precede
-        # children in slot order)
-        counts = [0] * size
-        parents_list = parent_local.tolist()
-        heavy_list = heavy_of_slot.tolist()
-        for s in range(size):
-            p = parents_list[s]
-            if p >= 0:
-                counts[s] = counts[p] + (0 if heavy_list[s] else 1)
-        self._light_count_of_slot = counts
+        light = child_slots[~heavy_of_slot[child_slots]]
+        steps = (np.bincount(light, minlength=size + 1)
+                 - np.bincount(tree.dfs_out[light] + 1, minlength=size + 1))
+        self._light_count_of_slot = np.cumsum(steps[:size])
 
         self.heavy_children = _HeavyChildren(self)
-        self._ports: Dict[int, List[int]] = {}
         self._labels: Dict[int, TreeLabel] = {}
         self._max_label_bits: Optional[int] = None
         self._max_table_bits: Optional[int] = None
@@ -130,15 +122,11 @@ class CompactTreeRouting:
     # construction
     # ------------------------------------------------------------------ #
     def _ports_of(self, v: int) -> List[int]:
-        """Sorted tree-neighbor list of ``v`` (lazy; children are pre-sorted)."""
-        ports = self._ports.get(v)
-        if ports is None:
-            import bisect
-
-            ports = list(self.tree.children[v])
-            if v != self.tree.root:
-                bisect.insort(ports, self.tree.parent[v])
-            self._ports[v] = ports
+        """Sorted tree-neighbor list of ``v`` (children come sorted)."""
+        ports = self.tree.children_of(v)
+        parent = self.tree.parent_of(v)
+        if parent >= 0:
+            bisect.insort(ports, parent)
         return ports
 
     def _port_to(self, v: int, neighbor: int) -> int:
@@ -147,11 +135,14 @@ class CompactTreeRouting:
     def _neighbor_on_port(self, v: int, port: int) -> int:
         return self._ports_of(v)[port]
 
+    def _heavy_child_slots(self, slot: int) -> np.ndarray:
+        kids = self.tree.child_slots(slot)
+        return kids[self._heavy_of_slot[kids]]
+
     def _heavy_children_of(self, v: int) -> List[int]:
         """Heavy children of ``v`` in ascending id order (lazy per node)."""
-        tree = self.tree
-        dfs_in = tree.dfs_in
-        return [c for c in tree.children[v] if self._heavy_of_slot[dfs_in[c]]]
+        slots = self._heavy_child_slots(self.tree.slot(v))
+        return self.tree.node_of_slot[slots].tolist()
 
     # ------------------------------------------------------------------ #
     # public queries
@@ -162,31 +153,31 @@ class CompactTreeRouting:
         The light-edge list is collected by one walk up the root path —
         identical content and order (root first) to the eager construction.
         """
-        require(self.tree.contains(v), f"node {v} is not in the tree")
         label = self._labels.get(v)
         if label is None:
             tree = self.tree
-            dfs_in = tree.dfs_in
+            slot = tree.slot(v)
             entries: List[Tuple[int, int]] = []
-            node = v
-            while node != tree.root:
-                parent = tree.parent[node]
-                if not self._heavy_of_slot[dfs_in[node]]:
-                    entries.append((dfs_in[parent], self._port_to(parent, node)))
+            node = slot
+            while node:
+                parent = int(tree.parent_local[node])
+                if not self._heavy_of_slot[node]:
+                    entries.append((parent, self._port_to(
+                        int(tree.node_of_slot[parent]),
+                        int(tree.node_of_slot[node]))))
                 node = parent
-            label = TreeLabel(dfs_in[v], tuple(reversed(entries)))
+            label = TreeLabel(slot, tuple(reversed(entries)))
             self._labels[v] = label
         return label
 
     def max_light_edges(self) -> int:
         """Largest number of light-edge entries in any label (should be <= k)."""
-        return max(self._light_count_of_slot, default=0)
+        return int(self._light_count_of_slot.max(initial=0))
 
     def label_bits(self, v: int) -> int:
         """Size in bits of ``v``'s label (no label materialization needed)."""
-        require(self.tree.contains(v), f"node {v} is not in the tree")
         idbits = bits_for_count(max(self.m - 1, 1))
-        return idbits + self._light_count_of_slot[self.tree.dfs_in[v]] * 2 * idbits
+        return idbits + int(self._light_count_of_slot[self.tree.slot(v)]) * 2 * idbits
 
     def max_label_bits(self) -> int:
         """Largest label size (cached)."""
@@ -195,15 +186,11 @@ class CompactTreeRouting:
             self._max_label_bits = idbits + self.max_light_edges() * 2 * idbits
         return self._max_label_bits
 
-    def _degree(self, v: int) -> int:
-        return len(self.tree.children[v]) + (0 if v == self.tree.root else 1)
-
     def table_budget(self, v: int) -> BitBudget:
         """Bit budget of node ``v``'s routing table."""
-        require(self.tree.contains(v), f"node {v} is not in the tree")
         b = BitBudget()
         idbits = bits_for_count(max(self.m - 1, 1))
-        portbits = bits_for_id(max(self._degree(v), 1))
+        portbits = bits_for_id(max(len(self._ports_of(v)), 1))
         b.add("own_interval", 2 * idbits)
         if v != self.tree.root:
             b.add("parent_port", portbits)
@@ -221,18 +208,15 @@ class CompactTreeRouting:
         :class:`BitBudget`; used by construction-time accounting to charge a
         whole tree at once.
         """
-        import numpy as np
-
         idbits = bits_for_count(max(self.m - 1, 1))
-        slots = self.tree._forwarding_slots
-        parent = slots.parent_local
+        parent = self.tree.parent_local
         is_child = parent >= 0
         degree = np.bincount(parent[is_child], minlength=self.m) + is_child
         portbits = bits_for_ids(np.maximum(degree, 1))
         heavy = np.bincount(parent[self._heavy_of_slot], minlength=self.m)
         bits = 2 * idbits + heavy * (2 * idbits + portbits) + is_child * portbits
-        # slot order -> tree-node order (tree.nodes is ascending)
-        return bits[np.argsort(slots.node_of_slot)].tolist()
+        # slot order -> tree-node order
+        return bits[self.tree.dfs_in].tolist()
 
     def max_table_bits(self) -> int:
         """Largest table in the tree (cached)."""
@@ -250,20 +234,20 @@ class CompactTreeRouting:
     # ------------------------------------------------------------------ #
     def next_hop(self, current: int, label: TreeLabel) -> Optional[int]:
         """Next tree node toward the destination carrying ``label`` (None = arrived)."""
-        require(self.tree.contains(current), f"node {current} is not in the tree")
+        tree = self.tree
         t_in = label.dfs_in
-        c_in = self.tree.dfs_in[current]
-        c_out = self.tree.dfs_out[current]
+        c_in = tree.slot(current)
         if t_in == c_in:
             return None
-        if not (c_in <= t_in <= c_out):
-            require(current != self.tree.root,
+        if not (c_in <= t_in <= tree.dfs_out[c_in]):
+            require(current != tree.root,
                     "destination label does not belong to this tree")
-            return self.tree.parent[current]
+            return int(tree.node_of_slot[tree.parent_local[c_in]])
         # destination is in our subtree: heavy child or light edge from the label
-        for c in self.heavy_children[current]:
-            if self.tree.dfs_in[c] <= t_in <= self.tree.dfs_out[c]:
-                return c
+        heavy = self._heavy_child_slots(c_in)
+        at = np.searchsorted(heavy, t_in, side="right") - 1
+        if at >= 0 and t_in <= tree.dfs_out[heavy[at]]:
+            return int(tree.node_of_slot[heavy[at]])
         for origin, port in label.light_edges:
             if origin == c_in:
                 return self._neighbor_on_port(current, port)
@@ -281,14 +265,7 @@ class CompactTreeRouting:
             nxt = self.next_hop(current, label)
             if nxt is None:
                 return path, cost
-            cost += self._edge_weight(current, nxt)
+            cost += self.tree.edge_weight(current, nxt)
             path.append(nxt)
             current = nxt
         raise RuntimeError("compact tree routing walk did not terminate")
-
-    def _edge_weight(self, a: int, b: int) -> float:
-        if self.tree.parent.get(a) == b:
-            return self.tree.edge_weight[a]
-        if self.tree.parent.get(b) == a:
-            return self.tree.edge_weight[b]
-        raise RuntimeError(f"({a}, {b}) is not a tree edge")

@@ -81,15 +81,15 @@ class DictionaryTreeRouting:
 
         self.interval = IntervalTreeRouting(tree)
         self.bucket_hash = BucketHash(self.m, seed=seed)
-        self._dfs_order = tree.nodes_by_dfs()
+        self._dfs_order = tree.node_of_slot.tolist()
 
         # responsible node (by DFS index) -> {name: dfs label of the named node}
         if folded is None:
             folded = fold_names([self.names[v] for v in tree.nodes])
         self.buckets: Dict[int, Dict[Hashable, int]] = {v: {} for v in tree.nodes}
-        for v, x in zip(tree.nodes, folded.tolist()):
+        for v, x, label in zip(tree.nodes, folded.tolist(), tree.dfs_in.tolist()):
             responsible = self._dfs_order[self.bucket_hash.bucket_of_fold(x)]
-            self.buckets[responsible][self.names[v]] = self.interval.label_of(v)
+            self.buckets[responsible][self.names[v]] = label
 
     # ------------------------------------------------------------------ #
     # structure queries

@@ -18,10 +18,12 @@ is p") used by the Lemma 7 dictionary construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.utils.bitsize import BitBudget, bits_for_count, bits_for_id
+from repro.utils.bitsize import BitBudget, bits_for_count, bits_for_id, bits_for_ids
 from repro.utils.validation import require
 
 
@@ -31,19 +33,16 @@ class IntervalTreeRouting:
     def __init__(self, tree: Tree) -> None:
         self.tree = tree
         self.m = tree.size
-        # dfs_index -> graph node (the inverse of the label map)
-        self._by_dfs: Dict[int, int] = {tree.dfs_in[v]: v for v in tree.nodes}
 
     # -- labels ---------------------------------------------------------- #
     def label_of(self, v: int) -> int:
         """The routing label of tree node ``v`` (its DFS-in number)."""
-        require(self.tree.contains(v), f"node {v} is not in the tree")
-        return self.tree.dfs_in[v]
+        return self.tree.slot(v)
 
     def node_with_label(self, label: int) -> int:
         """The tree node whose DFS-in number is ``label``."""
-        require(label in self._by_dfs, f"no tree node has DFS index {label}")
-        return self._by_dfs[label]
+        require(0 <= label < self.m, f"no tree node has DFS index {label}")
+        return int(self.tree.node_of_slot[label])
 
     def label_bits(self) -> int:
         """Bits per label."""
@@ -52,7 +51,6 @@ class IntervalTreeRouting:
     # -- per-node storage -------------------------------------------------- #
     def table_bits(self, v: int) -> int:
         """Declared table size of tree node ``v``."""
-        require(self.tree.contains(v), f"node {v} is not in the tree")
         budget = self.table_budget(v)
         return budget.total()
 
@@ -60,34 +58,30 @@ class IntervalTreeRouting:
         """Detailed bit budget of node ``v``'s interval table."""
         b = BitBudget()
         idbits = bits_for_count(max(self.m - 1, 1))
-        degree = len(self.tree.children[v]) + (0 if v == self.tree.root else 1)
+        num_children = len(self.tree.children_of(v))
+        degree = num_children + (0 if v == self.tree.root else 1)
         portbits = bits_for_id(max(degree, 1))
         b.add("own_interval", 2 * idbits)
         if v != self.tree.root:
             b.add("parent_port", portbits)
-        b.add("child_intervals", (2 * idbits + portbits), count=len(self.tree.children[v]))
+        b.add("child_intervals", (2 * idbits + portbits), count=num_children)
         return b
 
     def table_bits_list(self) -> List[int]:
-        """``table_bits`` of every node (tree-node order) in one lean pass.
+        """``table_bits`` of every node (tree-node order) as one array expression.
 
-        Same integers as :meth:`table_bits`, but computed as plain arithmetic
-        without a :class:`BitBudget` per node — construction-time accounting
-        charges whole trees at once.
+        Same integers as :meth:`table_bits`, without a :class:`BitBudget`
+        per node — construction-time accounting charges whole trees at once.
+        Child counts come from the parent slots.
         """
         idbits = bits_for_count(max(self.m - 1, 1))
-        root = self.tree.root
-        children = self.tree.children
-        out: List[int] = []
-        for v in self.tree.nodes:
-            num_children = len(children[v])
-            degree = num_children + (0 if v == root else 1)
-            portbits = bits_for_id(max(degree, 1))
-            bits = 2 * idbits + num_children * (2 * idbits + portbits)
-            if v != root:
-                bits += portbits
-            out.append(bits)
-        return out
+        parent = self.tree.parent_local
+        is_child = parent >= 0
+        children = np.bincount(parent[is_child], minlength=self.m)
+        portbits = bits_for_ids(np.maximum(children + is_child, 1))
+        bits = 2 * idbits + children * (2 * idbits + portbits) + is_child * portbits
+        # slot order -> tree-node order
+        return bits[self.tree.dfs_in].tolist()
 
     # -- routing ----------------------------------------------------------- #
     def next_hop(self, current: int, target_label: int) -> Optional[int]:
@@ -95,21 +89,21 @@ class IntervalTreeRouting:
 
         Returns ``None`` when ``current`` already is the destination.
         """
-        require(self.tree.contains(current), f"node {current} is not in the tree")
+        tree = self.tree
         t_in = target_label
-        c_in = self.tree.dfs_in[current]
-        c_out = self.tree.dfs_out[current]
+        c_in = tree.slot(current)
         if t_in == c_in:
             return None
-        if c_in <= t_in <= c_out:
-            for child in self.tree.children[current]:
-                if self.tree.dfs_in[child] <= t_in <= self.tree.dfs_out[child]:
-                    return child
+        if c_in <= t_in <= tree.dfs_out[c_in]:
+            kids = tree.child_slots(c_in)
+            at = np.searchsorted(kids, t_in, side="right") - 1
+            if at >= 0 and t_in <= tree.dfs_out[kids[at]]:
+                return int(tree.node_of_slot[kids[at]])
             raise RuntimeError(
                 f"inconsistent intervals: {t_in} inside node {current} but no child matches")
-        require(current != self.tree.root,
-                f"target label {t_in} is outside the tree rooted at {self.tree.root}")
-        return self.tree.parent[current]
+        require(current != tree.root,
+                f"target label {t_in} is outside the tree rooted at {tree.root}")
+        return int(tree.node_of_slot[tree.parent_local[c_in]])
 
     def walk(self, source: int, target_label: int) -> Tuple[List[int], float]:
         """Full walk (node sequence, weighted cost) from ``source`` to the label."""
@@ -120,14 +114,7 @@ class IntervalTreeRouting:
             nxt = self.next_hop(current, target_label)
             if nxt is None:
                 return path, cost
-            cost += self._edge_weight(current, nxt)
+            cost += self.tree.edge_weight(current, nxt)
             path.append(nxt)
             current = nxt
         raise RuntimeError("interval routing walk did not terminate")
-
-    def _edge_weight(self, a: int, b: int) -> float:
-        if self.tree.parent.get(a) == b:
-            return self.tree.edge_weight[a]
-        if self.tree.parent.get(b) == a:
-            return self.tree.edge_weight[b]
-        raise RuntimeError(f"({a}, {b}) is not a tree edge")

@@ -137,12 +137,10 @@ class NameIndependentTreeRouting:
         self.compact = CompactTreeRouting(tree, k=self.k)
 
         # primary names: depth-order position -> node and name length.
-        # tree.nodes is ascending, so a stable sort by depth breaks ties by
-        # node id, the (depth, node) order of Tree.nodes_by_depth
-        nodes = np.asarray(tree.nodes, dtype=np.int64)
-        depth = np.fromiter(map(tree.depth.__getitem__, tree.nodes),
-                            dtype=np.float64, count=m)
-        by_depth = np.argsort(depth, kind="stable")
+        # tree.node_ids is ascending, so a stable sort by depth breaks ties
+        # by node id, the (depth, node) order of Tree.nodes_by_depth
+        nodes = tree.node_ids
+        by_depth = np.argsort(tree.depth, kind="stable")
         self._order = nodes[by_depth]
         self._length = np.zeros(m, dtype=np.int64)
         start, width = 1, 1
@@ -181,8 +179,7 @@ class NameIndependentTreeRouting:
     # the trie and the dictionaries
     # ------------------------------------------------------------------ #
     def _position_of(self, v: int) -> int:
-        require(self.tree.contains(v), f"node {v} is not in the tree")
-        return int(self._position[self.tree.index[v]])
+        return int(self._position[self.tree.position(v)])
 
     def _trie_child(self, position: int, digit: int) -> Optional[int]:
         """Position of the trie child with ``digit`` (``None`` past the tree)."""
@@ -270,8 +267,8 @@ class NameIndependentTreeRouting:
 
         This is the quantity ``b(u, i)`` of §3.2 stores for each sparse level.
         """
-        index = [self.tree.index[v] for v in nodes if self.tree.contains(v)]
-        return max(int(self.name_lengths()[index].max(initial=0)), 1)
+        at = self.tree.positions(nodes)
+        return max(int(self.name_lengths()[at[at >= 0]].max(initial=0)), 1)
 
     def contains_name(self, name: Hashable) -> bool:
         """Whether some tree node carries this global name."""

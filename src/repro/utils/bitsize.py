@@ -31,9 +31,15 @@ DISTANCE_BITS = 64
 
 
 def ceil_log2(x: float) -> int:
-    """Return ``ceil(log2(x))`` for ``x >= 1`` (0 for ``x <= 1``)."""
+    """Return ``ceil(log2(x))`` for ``x >= 1`` (0 for ``x <= 1``).
+
+    Exact for integers of any size: ``ceil(log2(x))`` is the bit length of
+    ``x - 1``.
+    """
     if x <= 1:
         return 0
+    if isinstance(x, (int, np.integer)):
+        return (int(x) - 1).bit_length()
     return int(math.ceil(math.log2(x)))
 
 
@@ -54,13 +60,17 @@ def bits_for_id(universe: int) -> int:
 def bits_for_ids(universe: np.ndarray) -> np.ndarray:
     """:func:`bits_for_id` of every entry of a positive integer array.
 
-    ``ceil(log2(x))`` is the bit length of ``x - 1``, which ``frexp``
-    returns exactly for integers below ``2^53``.
+    ``ceil(log2(x))`` is the bit length of ``x - 1``: the exponent ``frexp``
+    returns, less one where rounding to float carried ``x - 1`` up to the
+    next power of two (possible from ``2^53`` on).
     """
     universe = np.asarray(universe, dtype=np.int64)
     if universe.size and int(universe.min()) <= 0:
         raise ValueError("universe must be positive")
-    return np.maximum(np.frexp((universe - 1).astype(np.float64))[1], 1).astype(np.int64)
+    rest = universe - 1
+    length = np.frexp(rest.astype(np.float64))[1].astype(np.int64)
+    length -= (rest >> np.maximum(length - 1, 0)) == 0
+    return np.maximum(length, 1)
 
 
 def bits_for_distance() -> int:

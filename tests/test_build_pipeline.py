@@ -114,5 +114,6 @@ def test_spt_forest_with_limits_matches_reference_trees():
         references.append(shortest_path_tree(graph, root, members=members))
     for tree, reference in zip(context.spt_trees(jobs), references):
         assert tree.root == reference.root
-        assert tree.parent == reference.parent
-        assert tree.edge_weight == reference.edge_weight
+        assert tree.nodes == reference.nodes
+        assert tree.parent_ids().tolist() == reference.parent_ids().tolist()
+        assert tree.weight.tolist() == reference.weight.tolist()

@@ -181,15 +181,15 @@ class TestIncrementalMatchesFullRebuild:
         assert report.reused_trees > 0  # most clusters untouched by 2 failures
         reused = [r.tree for r in scheme._trees.values()
                   if id(r.tree) in old_trees]
-        assert reused and all(hasattr(t, "_forwarding_slots") for t in reused)
+        assert reused and all(t.node_of_slot.size == t.size for t in reused)
 
     def test_tree_is_intact_detects_breakage(self):
         graph = grid_graph(5, 5, seed=93)
         oracle = DistanceOracle(graph, backend="dense")
         tree = shortest_path_tree(graph, 0)
         assert tree_is_intact(graph, tree, oracle.row(0))
-        child = next(iter(tree.parent))
-        graph.remove_edge(tree.parent[child], child)
+        child = next(v for v in tree.nodes if v != tree.root)
+        graph.remove_edge(tree.parent_of(child), child)
         assert not tree_is_intact(graph, tree, oracle.row(0))
 
 

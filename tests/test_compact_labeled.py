@@ -42,7 +42,7 @@ class TestCorrectness:
             for t in tree.nodes[::3]:
                 path, cost = routing.walk(tree.root, t)
                 assert path[-1] == t
-                assert cost == pytest.approx(tree.depth[t])
+                assert cost == pytest.approx(tree.depth_of(t))
 
     def test_next_hop_at_destination_is_none(self, random_tree):
         routing = CompactTreeRouting(random_tree, k=2)
@@ -54,7 +54,7 @@ class TestCorrectness:
         s, t = random_tree.nodes[1], random_tree.nodes[-1]
         path, _ = routing.walk(s, t)
         for a, b in zip(path, path[1:]):
-            assert random_tree.parent.get(a) == b or random_tree.parent.get(b) == a
+            assert random_tree.parent_of(a) == b or random_tree.parent_of(b) == a
 
     def test_single_node_tree(self):
         routing = CompactTreeRouting(Tree.single_node(4), k=2)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.construction.context import BuildContext
@@ -181,4 +182,4 @@ class TestTreeCover:
                             clusters=[Cluster(index=0, center=0, nodes=members,
                                               kernel_centers={0})])
         with pytest.raises(ValidationError):
-            _cluster_trees_batched(g, cover, 1.0)
+            _cluster_trees_batched(g, cover, 1.0, BuildContext(g), np.arange(g.n))

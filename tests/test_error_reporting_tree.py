@@ -78,7 +78,7 @@ class TestLookup:
         result = routing.lookup(tree.nodes[2], graph.name_of(tree.nodes[-2]))
         for a, b in zip(result.path, result.path[1:]):
             if a != b:
-                assert tree.parent.get(a) == b or tree.parent.get(b) == a
+                assert tree.parent_of(a) == b or tree.parent_of(b) == a
 
     def test_lookup_self(self, setup):
         graph, tree, routing = setup
@@ -99,7 +99,7 @@ class TestStorage:
             bits = routing.table_bits(v)
             assert bits > 0
             # interval table + hash + a handful of bucket entries
-            degree = len(tree.children[v]) + 1
+            degree = len(tree.children_of(v)) + 1
             assert bits <= 4000 + degree * 64
 
     def test_budget_fields(self, setup):

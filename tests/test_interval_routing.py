@@ -62,14 +62,14 @@ class TestRouting:
         s, t = geometric_spt.nodes[2], geometric_spt.nodes[-3]
         path, _ = routing.walk(s, routing.label_of(t))
         for a, b in zip(path, path[1:]):
-            assert geometric_spt.parent.get(a) == b or geometric_spt.parent.get(b) == a
+            assert geometric_spt.parent_of(a) == b or geometric_spt.parent_of(b) == a
 
 
 class TestStorage:
     def test_table_bits_scale_with_degree(self, routing, geometric_spt):
         for v in geometric_spt.nodes:
             bits = routing.table_bits(v)
-            degree = len(geometric_spt.children[v]) + (0 if v == geometric_spt.root else 1)
+            degree = len(geometric_spt.children_of(v)) + (0 if v == geometric_spt.root else 1)
             assert bits >= degree  # at least one bit per incident tree edge
             assert bits <= (degree + 1) * 3 * max(geometric_spt.size.bit_length(), 1) + 64
 
@@ -77,7 +77,7 @@ class TestStorage:
         root_budget = routing.table_budget(geometric_spt.root).breakdown()
         assert "own_interval" in root_budget
         assert "parent_port" not in root_budget
-        leaf = next(v for v in geometric_spt.nodes if not geometric_spt.children[v])
+        leaf = next(v for v in geometric_spt.nodes if not geometric_spt.children_of(v))
         leaf_budget = routing.table_budget(leaf).breakdown()
         assert leaf_budget["child_intervals"] == 0
         assert "parent_port" in leaf_budget

@@ -193,13 +193,13 @@ class TestTreeBank:
         for tree_id, tree in zip(ids, trees):
             offset = int(bank.offsets[tree_id])
             for v in tree.nodes:
-                slot = offset + tree.dfs_in[v]
+                slot = offset + tree.slot(v)
                 assert bank.slot_of(tree_id, v) == slot
                 assert bank.node_of_slot[slot] == v
-                assert bank.dfs_out[slot] == tree.dfs_out[v]
-                parent = tree.parent.get(v)
-                expected = -1 if parent is None \
-                    else offset + tree.dfs_in[parent]
+                assert bank.dfs_out[slot] == tree.dfs_out[tree.slot(v)]
+                parent = tree.parent_of(v)
+                expected = -1 if parent < 0 \
+                    else offset + tree.slot(parent)
                 assert bank.parent_slot[slot] == expected
 
     def test_empty_bank(self):
@@ -427,7 +427,7 @@ def _path_program(graph):
 
     def planner(source: int, destination: int) -> PacketPlan:
         legs = [table_leg(0, strategy="table", phases=1)]
-        if destination in tree.index:
+        if tree.contains(destination):
             legs.insert(0, tree_leg(tree_id, destination, strategy="tree",
                                     terminal=True))
         return PacketPlan(legs, "gave-up", 2)

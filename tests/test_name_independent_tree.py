@@ -171,7 +171,8 @@ class TestArrayLayoutMatchesReference:
 
 def test_agm_build_folds_each_graph_name_once(monkeypatch):
     # Lemma 4 trees, Lemma 7 cover trees and the fallback trees all hash
-    # member names; the build folds each graph name once and shares it
+    # member names, and so does the compiled batch planner; the build folds
+    # each graph name once and shares it with the compiled program
     calls = Counter()
     fold = universal._fold_name
 
@@ -182,6 +183,7 @@ def test_agm_build_folds_each_graph_name_once(monkeypatch):
     monkeypatch.setattr(universal, "_fold_name", counting_fold)
     graph = make_workload("barabasi-albert", 72, seed=7)
     scheme = build_scheme("agm", graph, k=4, seed=3, params=AGMParams.paper())
+    scheme.compiled_forwarding()
     assert scheme.sparse.trees and scheme.dense.covers
     assert set(calls) <= set(graph.names_view())
     assert max(calls.values()) == 1
@@ -249,7 +251,7 @@ class TestSearch:
             if v == tree.root:
                 continue
             result = routing.search_from_root(graph.name_of(v))
-            assert result.cost <= bound_factor * tree.depth[v] + 1e-9
+            assert result.cost <= bound_factor * tree.depth_of(v) + 1e-9
 
     def test_search_for_missing_name_reports_error_to_root(self, setup_k2):
         _, tree, routing = setup_k2
@@ -283,7 +285,7 @@ class TestSearch:
         graph, tree, routing = setup_k3
         j = 2
         eligible = [v for v in tree.nodes if routing.digits_of(v) <= j - 1]
-        max_depth = max(tree.depth[v] for v in eligible)
+        max_depth = max(tree.depth_of(v) for v in eligible)
         deep = [v for v in tree.nodes if routing.digits_of(v) > j]
         for v in deep[:20]:
             result = routing.search_from_root(graph.name_of(v), j_bound=j)
@@ -296,7 +298,7 @@ class TestSearch:
         result = routing.search_from_root(graph.name_of(v))
         for a, b in zip(result.path, result.path[1:]):
             if a != b:
-                assert tree.parent.get(a) == b or tree.parent.get(b) == a
+                assert tree.parent_of(a) == b or tree.parent_of(b) == a
 
 
 class TestStorage:

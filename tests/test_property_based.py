@@ -110,7 +110,7 @@ class TestShortestPathProperties:
         tree = shortest_path_tree(graph, 0)
         assert tree.size == graph.n
         for v in tree.nodes:
-            assert tree.depth[v] == pytest.approx(oracle.dist(0, v), abs=1e-6)
+            assert tree.depth_of(v) == pytest.approx(oracle.dist(0, v), abs=1e-6)
 
     @SLOW
     @given(connected_weighted_graphs())

@@ -82,7 +82,7 @@ class TestShortestPathTree:
         dist, _ = dijkstra(small_geometric, 0)
         assert tree.size == int(np.count_nonzero(np.isfinite(dist)))
         for v in tree.nodes:
-            assert tree.depth[v] == pytest.approx(dist[v])
+            assert tree.depth_of(v) == pytest.approx(dist[v])
 
     def test_members_pruning_keeps_paths(self, diamond):
         tree = shortest_path_tree(diamond, 0, members=[3])
@@ -92,7 +92,7 @@ class TestShortestPathTree:
     def test_within_restriction(self, diamond):
         tree = shortest_path_tree(diamond, 0, within=[0, 2, 3])
         assert 1 not in tree.nodes
-        assert tree.depth[3] == pytest.approx(6.0)
+        assert tree.depth_of(3) == pytest.approx(6.0)
 
 
 class TestDistanceOracle:

@@ -1,15 +1,23 @@
 """Tests for the sparse and dense neighborhood routing strategies (§3.1-3.6)."""
 
+import gc
+
 import pytest
 
+from repro.core import dense_strategy
 from repro.core.decomposition import NeighborhoodDecomposition
-from repro.core.dense_strategy import DenseStrategy, translate_tree
+from repro.core.dense_strategy import DenseStrategy
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import AGMParams
 from repro.core.sparse_strategy import SparseStrategy
+from repro.covers.tree_cover import build_tree_cover
+from repro.experiments.workloads import make_workload
+from repro.factory import build_scheme
 from repro.graphs.generators import dumbbell_graph
-from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
+from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.trees import Tree
 from repro.routing.table import TableCollection
+from repro.utils.validation import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -168,13 +176,51 @@ class TestDenseStrategy:
                     assert v in population
 
 
-class TestTranslateTree:
-    def test_translation_preserves_structure(self, small_geometric):
+class TestGlobalIdCover:
+    def test_cover_in_global_ids_is_the_local_cover_mapped(self, small_geometric):
         sub, mapping = small_geometric.subgraph(list(range(0, small_geometric.n, 2)))
-        local = shortest_path_tree(sub, 0)
-        global_tree = translate_tree(local, mapping)
-        assert global_tree.size == local.size
-        assert global_tree.root == mapping[local.root]
-        assert global_tree.radius() == pytest.approx(local.radius())
-        for child, parent in local.parent.items():
-            assert global_tree.parent[mapping[child]] == mapping[parent]
+        rho = sub.max_weight()
+        local = build_tree_cover(sub, 2, rho)
+        cover = build_tree_cover(sub, 2, rho, mapping=mapping)
+        assert max(tree.size for tree in local.trees) > 1
+        assert len(cover.trees) == len(local.trees)
+        for tree, ref in zip(cover.trees, local.trees):
+            assert tree.root == mapping[ref.root]
+            assert tree.nodes == [mapping[v] for v in ref.nodes]
+            assert tree.parent_ids().tolist() == \
+                [mapping[p] if p >= 0 else -1 for p in ref.parent_ids().tolist()]
+            assert tree.radius() == ref.radius()
+            # an ascending mapping keeps every DFS order
+            assert tree.nodes_by_dfs() == [mapping[v] for v in ref.nodes_by_dfs()]
+        assert cover.home == {mapping[v]: index for v, index in local.home.items()}
+
+    def test_mapping_must_ascend(self, small_geometric):
+        sub, mapping = small_geometric.subgraph(list(range(0, small_geometric.n, 2)))
+        with pytest.raises(ValidationError):
+            build_tree_cover(sub, 2, sub.max_weight(), mapping=mapping[::-1])
+
+    def test_dense_build_constructs_one_tree_per_cover_tree(self, monkeypatch):
+        # every Tree the build makes stays reachable from the scheme or from
+        # the covers captured here, so the live count is the number built
+        covers = []
+
+        def capture(*args, **kwargs):
+            covers.append(build_tree_cover(*args, **kwargs))
+            return covers[-1]
+
+        def live_trees() -> int:
+            gc.collect()
+            return sum(isinstance(obj, Tree) for obj in gc.get_objects())
+
+        monkeypatch.setattr(dense_strategy, "build_tree_cover", capture)
+        before = live_trees()
+        scheme = build_scheme("agm", make_workload("barabasi-albert", 72, seed=7),
+                              k=4, seed=3, params=AGMParams.paper())
+        cover_trees = sum(len(cover.trees) for cover in covers)
+        assert cover_trees > 0
+        assert live_trees() - before == \
+            len(scheme.sparse.trees) + cover_trees + len(scheme._fallback)
+        routing_trees = [routing.tree for routings in scheme.dense.covers.values()
+                         for routing in routings]
+        assert {id(t) for t in routing_trees} == \
+            {id(t) for cover in covers for t in cover.trees}

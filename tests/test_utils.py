@@ -83,6 +83,20 @@ class TestBitsize:
         assert ceil_log2(3) == 2
         assert ceil_log2(1024) == 10
 
+    def test_ceil_log2_exact_near_powers_of_two(self):
+        # math.log2 rounds 2**49 + 1 down to 49.0; the bit length does not
+        for j in range(1, 63):
+            assert ceil_log2(2 ** j - 1) == (j if j > 1 else 0)
+            assert ceil_log2(2 ** j) == j
+            assert ceil_log2(2 ** j + 1) == j + 1
+        assert bits_for_id(2 ** 49 + 1) == 50
+
+    def test_bits_for_ids_matches_bits_for_id_near_powers_of_two(self):
+        universe = np.asarray([2 ** j + d for j in range(1, 63) for d in (-1, 0, 1)],
+                              dtype=np.int64)
+        assert bits_for_ids(universe).tolist() == \
+            [bits_for_id(int(x)) for x in universe]
+
     def test_bits_for_count_boundaries(self):
         assert bits_for_count(0) == 1
         assert bits_for_count(1) == 1
