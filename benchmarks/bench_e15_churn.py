@@ -11,10 +11,10 @@ statistics are re-derived through the scalar ``route()`` reference engine and
 a different shard split; a mismatch raises.
 
 The run happens **twice on the same seed**: once with ``repair="maintain"``
-(incremental where the scheme supports it — shortest-path patches its
-``NextHopTable`` columns in place, Thorup–Zwick re-slots only dirtied trees
-in its ``TreeBank``) and once with ``repair="full"`` (forced full rebuild).
-The summary prices incremental repair against the full recompile per scheme.
+(incremental where the scheme supports it — Thorup–Zwick re-slots only
+dirtied trees in its ``TreeBank``; every other scheme rebuilds) and once with
+``repair="full"`` (forced full rebuild).  The summary prices each scheme's
+``maintain`` against the full recompile.
 
 Reported per (mode, epoch, scheme): events applied, stale delivery rate,
 post-repair delivery rate and stretch drift (average stretch minus the
@@ -59,7 +59,7 @@ QUICK_PAIRS = 120
 
 #: schemes whose maintain() is incremental — the bench asserts these beat
 #: the forced full rebuild
-INCREMENTAL_SCHEMES = ("shortest-path", "thorup-zwick")
+INCREMENTAL_SCHEMES = ("thorup-zwick",)
 
 
 def scheme_kwargs(n: int) -> dict:
@@ -197,16 +197,9 @@ def main() -> None:
             if scheme not in args.schemes:
                 continue
             cell = summary[scheme]
-            # Since the construction pipeline vectorized full rebuilds, a
-            # flap-heavy batch that dirties (nearly) every column leaves an
-            # incremental path nothing to skip: shortest-path detects that
-            # case and bails out to the scratch path, so under this scenario
-            # the gate bounds its overhead (classification + bail) instead of
-            # demanding an outright win — gentler churn still prunes columns
-            # without any Dijkstra.  Thorup–Zwick's margin likewise only
-            # rejects a real regression (incremental grossly above full).
-            margin = 2.0 if scheme == "shortest-path" else 1.15
-            assert cell["incremental_repair_s"] < margin * cell["full_rebuild_s"], (
+            # the margin only rejects a real regression (incremental grossly
+            # above full)
+            assert cell["incremental_repair_s"] < 1.15 * cell["full_rebuild_s"], (
                 f"incremental repair of {scheme} regressed against the full "
                 f"rebuild: {cell}")
         print("assertions passed: determinism checks everywhere, full "

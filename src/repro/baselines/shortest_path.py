@@ -11,8 +11,12 @@ matrix column by column — the predecessor of ``x`` on the path *from* the
 destination is exactly ``x``'s next hop *toward* it.  The matrix doubles as
 the compiled forwarding table
 (:class:`~repro.routing.forwarding.DenseNextHopTable` wraps the same array),
-so compiling is free and churn repair patches scheme and engine state with
-one write.
+so compiling is free.
+
+Churn repair is the inherited full rebuild
+(:func:`repro.dynamics.repair.full_rebuild`): a flap batch on a scale-free
+graph moves nearly every destination column, so a per-column repair would
+have little of the blocked build left to skip.
 """
 
 from __future__ import annotations
@@ -90,160 +94,12 @@ class ShortestPathRouting(RoutingSchemeInstance):
             counts += (pred >= 0).sum(axis=0)
         return counts
 
-    def _charge_tables(self, counts: Optional[np.ndarray] = None) -> None:
+    def _charge_tables(self, counts: np.ndarray) -> None:
         graph = self.graph
         port_bits = bits_for_id(max(graph.max_degree(), 1)) if graph.num_edges else 1
-        if counts is None:
-            counts = self._entry_counts()
         for u in range(graph.n):
             self.tables[u].charge("next_hop_entries", self.name_bits + port_bits,
                                   count=int(counts[u]))
-
-    def _entry_counts(self) -> np.ndarray:
-        """Per-source live-entry counts, row-blocked so the comparison
-        temporary stays ~256 MB rather than a full n×n bool (10 GB at
-        n=100k, defeating the memory budget)."""
-        n = self.graph.n
-        counts = np.empty(n, dtype=np.int64)
-        block = max(1, (1 << 28) // max(n, 1))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            counts[start:stop] = (self._next_hop[start:stop] >= 0).sum(axis=1)
-        return counts
-
-    # ------------------------------------------------------------------ #
-    # dynamic maintenance
-    # ------------------------------------------------------------------ #
-    def maintain(self, delta=None):
-        """Incremental repair: revalidate entries, recompute dirty columns only.
-
-        Every ``(source, destination)`` next-hop entry is checked against
-        fresh shortest-path distances with array gathers — an entry ``x -> p``
-        toward ``t`` survives iff the edge ``(x, p)`` still exists and
-        ``w(x, p) + d(p, t) == d(x, t)``.  A destination is *dirty* (full
-        column recompute by one vectorized multi-source Dijkstra) only when a
-        still-connected pair needs rerouting; columns whose only damage is
-        entries from now-disconnected sources are pruned without any
-        Dijkstra.  Scheme state and compiled forwarding program share the
-        same next-hop matrix, so one column write repairs both — the
-        forwarding program survives the event batch.  Cost: ``O(entries)``
-        array work plus Dijkstras for dirty destinations only, versus one
-        Dijkstra per destination for a full rebuild.
-        """
-        import time as _time
-
-        from repro.dynamics.repair import RepairReport, full_rebuild
-
-        if delta is None:
-            return full_rebuild(self, delta)
-        start = _time.perf_counter()
-        graph, oracle = self.graph, self.oracle
-        n = graph.n
-        table = self.compiled_forwarding().tables[0]
-        keys, hops = table.entries()
-        sources_of = keys // n
-        dests_of = keys % n
-
-        # 1. classify every entry with one CSR gather for the edge weights and
-        #    two batched pair-distance gathers (dense: direct matrix fancy
-        #    index; lazy: per-destination grouped row streaming inside
-        #    ``pair_distances``):
-        #    valid        — edge alive and still on a shortest path;
-        #    reroutable   — broken, but source and destination stay connected
-        #                   (the column needs a fresh Dijkstra);
-        #    the rest     — source fell off the component: delete-only.
-        if keys.size:
-            csr = graph.to_scipy_csr()
-            edge_w = np.asarray(csr[sources_of, hops]).ravel() if graph.num_edges \
-                else np.zeros(keys.size)
-            d_x = oracle.pair_distances(dests_of, sources_of)
-            d_p = oracle.pair_distances(dests_of, hops)
-            reachable = np.isfinite(d_x)
-            valid = (edge_w > 0.0) & reachable & np.isclose(
-                edge_w + d_p, d_x, rtol=1e-9, atol=1e-9)
-        else:
-            valid = np.zeros(0, dtype=bool)
-            reachable = np.zeros(0, dtype=bool)
-
-        # 2. dirty destinations (full column recompute): a broken entry whose
-        #    endpoints are still connected, or a valid-entry count that no
-        #    longer matches the component size (reachability appeared).
-        #    Columns whose only problem is entries from now-disconnected
-        #    sources are merely *pruned* — no Dijkstra needed.
-        comp = graph.component_ids()
-        comp_sizes = np.bincount(comp)
-        expected = comp_sizes[comp] - 1
-        valid_counts = np.bincount(dests_of[valid], minlength=n) if keys.size \
-            else np.zeros(n, dtype=np.int64)
-        broken = ~valid & reachable
-        broken_counts = np.bincount(dests_of[broken], minlength=n) if keys.size \
-            else np.zeros(n, dtype=np.int64)
-        stale = ~valid & ~reachable
-        stale_counts = np.bincount(dests_of[stale], minlength=n) if keys.size \
-            else np.zeros(n, dtype=np.int64)
-        dirty_mask = (valid_counts != expected) | (broken_counts > 0)
-        dirty = np.flatnonzero(dirty_mask)
-        prune = np.flatnonzero(~dirty_mask & (stale_counts > 0))
-
-        # adaptive bail-out: when churn dirtied (nearly) every column, the
-        # per-column patching machinery cannot beat the vectorized full
-        # rebuild it would effectively replicate — classification was cheap,
-        # so hand the batch to the scratch path instead.  The floor keeps
-        # small instances on the incremental path, where patching is
-        # never the bottleneck.
-        if dirty.size >= max(64, int(0.8 * n)):
-            return full_rebuild(self, delta)
-
-        # prune-only columns: drop the disconnected sources' entries, keep the
-        # (provably still optimal) rest
-        pruned = 0
-        if prune.size:
-            prune_mask = np.zeros(n, dtype=bool)
-            prune_mask[prune] = True
-            keep = valid & prune_mask[dests_of]
-            table.replace_destinations(prune.tolist(), keys[keep], hops[keep])
-            pruned = int(np.count_nonzero(stale & prune_mask[dests_of]))
-
-        # 3. recompute the dirty columns with one vectorized kernel call; the
-        #    write patches the scheme matrix and the compiled table at once
-        patched = 0
-        if dirty.size:
-            from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-            pred_block = np.atleast_2d(_scipy_dijkstra(
-                graph.to_scipy_csr(), directed=False, indices=dirty,
-                return_predecessors=True)[1])
-            new_keys = []
-            new_hops = []
-            for local, t in enumerate(dirty.tolist()):
-                pred = pred_block[local]
-                reach = np.flatnonzero(pred >= 0)
-                new_keys.append(reach * n + t)
-                new_hops.append(pred[reach])
-            patched = table.replace_destinations(
-                dirty.tolist(),
-                np.concatenate(new_keys) if new_keys else np.zeros(0, dtype=np.int64),
-                np.concatenate(new_hops) if new_hops else np.zeros(0, dtype=np.int64))
-        if dirty.size or prune.size:
-            # re-account the per-node space charge
-            port_bits = bits_for_id(max(graph.max_degree(), 1)) \
-                if graph.num_edges else 1
-            counts = self._entry_counts()
-            for u in range(n):
-                self.tables[u].recharge("next_hop_entries",
-                                        self.name_bits + port_bits,
-                                        count=int(counts[u]))
-        # the live program was patched in place (its dense table shares the
-        # scheme's next-hop matrix): drop every derived lookup cache so the
-        # next batch rebuilds them from the repaired columns
-        self.compiled_forwarding().invalidate_caches()
-        return RepairReport(
-            scheme=self.scheme_name, strategy="incremental",
-            seconds=_time.perf_counter() - start,
-            patched_entries=int(patched),
-            dirty_destinations=int(dirty.size),
-            details={"checked_entries": int(keys.size),
-                     "pruned_entries": int(pruned)})
 
     def compile_forwarding(self):
         """Wrap the next-hop matrix as a dense compiled table (zero copy)."""

@@ -12,7 +12,7 @@ layered between ``routing/`` and ``experiments/``:
 ``repair``
     :func:`full_rebuild` (the generic safe repair behind
     ``RoutingSchemeInstance.maintain``), the :class:`RepairReport` cost
-    record, and shared helpers for the schemes' incremental paths.
+    record, and :func:`tree_is_intact` for Thorup–Zwick's incremental path.
 ``scenario``
     Named churn scenarios (flap-heavy, degradation, partition-and-heal and
     the traffic-steering adversarial ones) composing any workload family.

@@ -4,20 +4,15 @@
 always-correct repair is :func:`full_rebuild`: re-run the scheme's own
 construction on the mutated graph (same parameters and seed, recovered via
 ``rebuild_spec()``) and adopt the fresh state in place, so every live
-reference to the instance keeps working.  Schemes with exploitable structure
-override ``maintain`` with cheaper incremental paths:
+reference to the instance keeps working.  Every scheme but one repairs this
+way.
 
-* :class:`~repro.baselines.shortest_path.ShortestPathRouting` validates every
-  compiled next-hop entry against fresh distances with array gathers, then
-  recomputes only the *dirty destination columns* (one vectorized multi-source
-  Dijkstra) and patches them into the live
-  :class:`~repro.routing.forwarding.NextHopTable` — the compiled forwarding
-  program survives the event batch un-recompiled.
-* :class:`~repro.baselines.thorup_zwick.ThorupZwickRouting` rebuilds only the
-  cluster trees whose member set changed or whose tree stopped being a
-  shortest-path tree (:func:`tree_is_intact`); reused trees keep their
-  routing labels and their cached forwarding slot arrays, so the recompiled
-  tree bank re-slots only the dirtied trees.
+:class:`~repro.baselines.thorup_zwick.ThorupZwickRouting` overrides
+``maintain`` with an incremental path: it rebuilds only the cluster trees
+whose member set changed or whose tree stopped being a shortest-path tree
+(:func:`tree_is_intact`); reused trees keep their routing labels and their
+cached forwarding slot arrays, so the recompiled tree bank re-slots only the
+dirtied trees.
 
 Every path returns a :class:`RepairReport` so churn runners can account the
 repair cost of each event batch.
@@ -27,7 +22,7 @@ from __future__ import annotations
 
 import inspect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
@@ -49,23 +44,18 @@ class RepairReport:
     seconds: float
     rebuilt_trees: int = 0
     reused_trees: int = 0
-    patched_entries: int = 0
     dirty_destinations: int = 0
-    details: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         """Flat dict for tabular reporting."""
-        out = {
+        return {
             "scheme": self.scheme,
             "strategy": self.strategy,
             "seconds": self.seconds,
             "rebuilt_trees": self.rebuilt_trees,
             "reused_trees": self.reused_trees,
-            "patched_entries": self.patched_entries,
             "dirty_destinations": self.dirty_destinations,
         }
-        out.update(self.details)
-        return out
 
 
 def full_rebuild(scheme: "RoutingSchemeInstance",

@@ -119,7 +119,6 @@ class EpochRecord:
     repair_seconds: float
     rebuilt_trees: int
     reused_trees: int
-    patched_entries: int
     dirty_destinations: int
     recompile_seconds: float
     report: TrafficReport
@@ -160,7 +159,6 @@ class EpochRecord:
             "repair_seconds": round(self.repair_seconds, 4),
             "rebuilt_trees": self.rebuilt_trees,
             "reused_trees": self.reused_trees,
-            "patched_entries": self.patched_entries,
             "dirty_destinations": self.dirty_destinations,
             "recompile_seconds": round(self.recompile_seconds, 4),
             "delivery_rate": self.delivery_rate,
@@ -359,8 +357,8 @@ class LiveSimulator:
         timeline.epochs.append(EpochRecord(
             epoch=0, events=0, stale_packets=0, stale_delivered=0,
             repair_strategy="baseline", repair_seconds=0.0,
-            rebuilt_trees=0, reused_trees=0, patched_entries=0,
-            dirty_destinations=0, recompile_seconds=0.0, report=report,
+            rebuilt_trees=0, reused_trees=0, dirty_destinations=0,
+            recompile_seconds=0.0, report=report,
             determinism_checked=checked))
 
         for epoch in range(1, self.epochs + 1):
@@ -397,7 +395,6 @@ class LiveSimulator:
                 repair_seconds=repair_report.seconds,
                 rebuilt_trees=repair_report.rebuilt_trees,
                 reused_trees=repair_report.reused_trees,
-                patched_entries=repair_report.patched_entries,
                 dirty_destinations=repair_report.dirty_destinations,
                 recompile_seconds=recompile_seconds, report=report,
                 determinism_checked=checked))

@@ -235,7 +235,7 @@ class TreeBank:
 
         Churn repair rebuilds trees (each carrying its own slot arrays) and
         recompiles the bank; a bank object that outlives a repair — e.g.
-        a live program patched mid-timeline — must drop both the dense
+        the pre-repair program a caller still holds — must drop both the dense
         ``(tree, node) -> slot`` membership matrix and the fused kernels'
         per-target root-path memo (``_path_cache``), or post-repair walks
         would resolve entries and replay descents against pre-repair state.
@@ -332,61 +332,20 @@ class NextHopTable:
     def num_entries(self) -> int:
         return int(self._keys.size)
 
-    @property
-    def keys(self) -> np.ndarray:
-        """Sorted ``node * n + destination`` keys (read-only; do not mutate)."""
-        return self._keys
-
-    @property
-    def next_hops(self) -> np.ndarray:
-        """Next hops parallel to :attr:`keys` (read-only; do not mutate)."""
-        return self._next
-
     def entries(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(keys, next_hops)`` in one call (repair-pass convenience)."""
+        """Sorted ``node * n + destination`` keys and their next hops.
+
+        Both arrays are the table's own storage: read-only, do not mutate.
+        """
         return self._keys, self._next
 
-    def replace_destinations(self, destinations: Sequence[int],
-                             keys: np.ndarray, next_hops: np.ndarray) -> int:
-        """Swap out every row whose destination is in ``destinations``.
-
-        All existing entries pointing at those destinations are dropped and
-        the replacement ``(key, next_hop)`` rows are merged in, preserving the
-        sorted-key invariant.  This is the churn-repair primitive: a scheme
-        whose incremental ``maintain()`` recomputed a few destination columns
-        patches them here instead of recompiling the whole table, so the
-        compiled forwarding program survives the event batch.  Returns the
-        number of rows inserted.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        next_hops = np.asarray(next_hops, dtype=np.int64)
-        require(keys.shape == next_hops.shape,
-                "replacement keys and next hops must have equal length")
-        dirty = np.zeros(self.n, dtype=bool)
-        dirty[np.asarray(list(destinations), dtype=np.int64)] = True
-        if keys.size:
-            require(bool(dirty[keys % self.n].all()),
-                    "replacement rows must target the replaced destinations")
-        keep = ~dirty[self._keys % self.n] if self._keys.size \
-            else np.zeros(0, dtype=bool)
-        merged_keys = np.concatenate([self._keys[keep], keys])
-        merged_next = np.concatenate([self._next[keep], next_hops])
-        order = np.argsort(merged_keys, kind="stable")
-        self._keys = merged_keys[order]
-        self._next = merged_next[order]
-        # the cached destination columns snapshot the old entries — drop
-        # them wholesale so the next batch_view rebuilds from live rows
-        self.invalidate_columns()
-        return int(keys.size)
-
     def invalidate_columns(self) -> None:
-        """Drop the per-destination column cache (stale after a repair).
+        """Drop the per-destination column cache.
 
-        Any :class:`_SortedTableView` built before this call keeps its own
-        references to the old arrays — views are per-batch objects and must
-        be rebuilt via :meth:`batch_view` after a repair; the engines do this
-        every batch, so dropping the table-side cache here is what guarantees
-        post-repair batches see the patched rows.
+        The cache is derived from this table's rows, which nothing mutates
+        after construction; program-level invalidation calls this so a
+        program that outlives a repair keeps no derived state.  Views built
+        earlier keep their own references — the engines build one per batch.
         """
         self._col_rank = None
         self._cols = None
@@ -477,10 +436,10 @@ class DenseNextHopTable:
     keys alone.  This variant keeps the matrix directly (``-1`` marks absent
     entries), which is the minimal full-table representation — 4 bytes per
     pair — and shares the same batch interface as :class:`NextHopTable`, so
-    the lockstep engine and the churn-repair path are agnostic to which one a
-    scheme compiled.  ``keys`` / ``next_hops`` materialize the sorted-key
-    view on demand (row-major order of a matrix *is* key order); they are
-    meant for repair passes at churn scale, not for ``n = 20000`` hot loops.
+    the lockstep engine is agnostic to which one a scheme compiled.
+    :meth:`entries` materializes the sorted-key view on demand (row-major
+    order of a matrix *is* key order); it is meant for digests, not for
+    ``n = 20000`` hot loops.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -498,49 +457,18 @@ class DenseNextHopTable:
     def num_entries(self) -> int:
         return int(np.count_nonzero(self._matrix >= 0))
 
-    @property
-    def keys(self) -> np.ndarray:
-        """Sorted ``node * n + destination`` keys (materialized on demand)."""
-        return np.flatnonzero(self._matrix.ravel() >= 0).astype(np.int64)
-
-    @property
-    def next_hops(self) -> np.ndarray:
-        """Next hops parallel to :attr:`keys` (materialized on demand)."""
-        flat = self._matrix.ravel()
-        return flat[flat >= 0].astype(np.int64)
-
     def entries(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(keys, next_hops)`` with one matrix scan instead of two."""
+        """Sorted keys and next hops of the present entries, in one scan."""
         flat = self._matrix.ravel()
         mask = flat >= 0
         return (np.flatnonzero(mask).astype(np.int64),
                 flat[mask].astype(np.int64))
 
-    def replace_destinations(self, destinations: Sequence[int],
-                             keys: np.ndarray, next_hops: np.ndarray) -> int:
-        """Swap out every column in ``destinations`` (see :class:`NextHopTable`)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        next_hops = np.asarray(next_hops, dtype=np.int64)
-        require(keys.shape == next_hops.shape,
-                "replacement keys and next hops must have equal length")
-        dirty = np.asarray(list(destinations), dtype=np.int64)
-        if keys.size:
-            dirty_mask = np.zeros(self.n, dtype=bool)
-            dirty_mask[dirty] = True
-            require(bool(dirty_mask[keys % self.n].all()),
-                    "replacement rows must target the replaced destinations")
-        self._matrix[:, dirty] = -1
-        if keys.size:
-            self._matrix[keys // self.n, keys % self.n] = next_hops
-        self.invalidate_columns()
-        return int(keys.size)
-
     def invalidate_columns(self) -> None:
         """Interface parity with :meth:`NextHopTable.invalidate_columns`.
 
         The dense table has no derived cache: views gather through a ravel
-        *view* of the live matrix, so in-place column patches are coherent
-        by construction.  Kept as an explicit no-op so program-level
+        *view* of the matrix.  Kept as an explicit no-op so program-level
         invalidation can treat every table uniformly.
         """
 
@@ -663,14 +591,14 @@ class ForwardingProgram:
         return self._planner(source, destination)
 
     def invalidate_caches(self) -> None:
-        """Drop every derived lookup cache after an in-place repair.
+        """Drop every derived lookup cache of this program.
 
-        ``maintain()`` implementations that patch a *live* program —
-        replacing table destination columns or re-slotting trees without
-        recompiling — must call this so the fused-kernel per-destination
-        column caches, the dense membership matrix, and the root-path memo
-        are rebuilt from the repaired state on the next batch.  Idempotent
-        and cheap; caches repopulate lazily.
+        An incremental ``maintain()`` that recompiles must call this on the
+        program it replaces (Thorup–Zwick does): a caller still holding the
+        pre-repair program then cannot resolve entries through the
+        per-destination column caches, the dense membership matrix or the
+        root-path memo built before the repair.  Idempotent and cheap; caches
+        repopulate lazily.
         """
         self.bank.invalidate_caches()
         for table in self.tables:

@@ -82,10 +82,10 @@ class RoutingSchemeInstance(abc.ABC):
         scheme on the mutated graph through
         :func:`repro.dynamics.repair.full_rebuild`, which re-runs this
         instance's construction (same parameters and seed, via
-        :meth:`rebuild_spec`) and adopts the fresh state in place.  Schemes
-        whose structure admits cheaper repair (patching ``NextHopTable``
-        columns, re-slotting only dirtied trees) override this and fall back
-        to the default only when ``delta`` is ``None``.  Always returns a
+        :meth:`rebuild_spec`) and adopts the fresh state in place.  A scheme
+        whose structure admits cheaper repair overrides this (Thorup–Zwick
+        rebuilds only the cluster trees churn dirtied) and falls back to the
+        default only when ``delta`` is ``None``.  Always returns a
         :class:`repro.dynamics.repair.RepairReport` with the wall-time and
         strategy so churn runners can report repair cost per event batch.
         """

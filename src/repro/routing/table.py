@@ -47,11 +47,6 @@ class RoutingTable:
         """Charge bits without storing data (e.g. for a shared hash function)."""
         self.budget.add(category, bits, count)
 
-    def recharge(self, category: str, bits: int, count: int = 1) -> None:
-        """Replace the whole ``category`` charge (incremental-repair re-accounting)."""
-        self.budget.reset(category)
-        self.budget.add(category, bits, count)
-
     def size_bits(self) -> int:
         """Total declared size of this table."""
         return self.budget.total()

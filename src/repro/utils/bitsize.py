@@ -99,10 +99,6 @@ class BitBudget:
             raise ValueError("bits and count must be non-negative")
         self.fields[name] += bits * count
 
-    def reset(self, name: str) -> None:
-        """Forget everything charged under ``name`` (churn repair re-charges it)."""
-        self.fields.pop(name, None)
-
     def merge(self, other: "BitBudget", prefix: str = "") -> None:
         """Fold another budget into this one, optionally namespacing it."""
         for name, bits in other.fields.items():

@@ -6,7 +6,7 @@ be valid walks on the mutated graph (checked against a *freshly built*
 oracle and simulator, not the repaired scheme's own state) with stretch
 within the scheme's advertised bound, and the scalar and lockstep engines
 must stay observationally identical.  Also covers the repair plumbing itself
-(full rebuild vs incremental equivalence, NextHopTable patching, TreeBank
+(full rebuild vs incremental equivalence, shortest-path's rebuild, TreeBank
 re-slotting) and the pair-sampler edge cases churn creates (disconnected
 components, shortfalls, self-pairs).
 """
@@ -128,7 +128,7 @@ class TestPostRepairInvariants:
 class TestIncrementalMatchesFullRebuild:
     """Incremental repair must be observationally equal to a fresh build."""
 
-    @pytest.mark.parametrize("scheme_name", ["shortest-path", "thorup-zwick"])
+    @pytest.mark.parametrize("scheme_name", ["thorup-zwick"])
     def test_same_reports_as_scratch_instance(self, scheme_name):
         graph = random_geometric_graph(42, seed=88)
         oracle = DistanceOracle(graph, backend="dense")
@@ -152,22 +152,19 @@ class TestIncrementalMatchesFullRebuild:
                     "p95_stretch", "failures", "max_label_bits"):
             assert repaired[key] == pytest.approx(rebuilt[key], rel=1e-9), key
 
-    def test_next_hop_table_patched_in_place(self):
+    def test_shortest_path_repairs_by_full_rebuild(self):
         graph = random_geometric_graph(36, seed=91)
         scheme = build_scheme("shortest-path", graph, k=2, seed=1,
                               oracle=DistanceOracle(graph, backend="dense"))
         program = scheme.compiled_forwarding()
-        delta = apply_events(graph, edge_failures(graph, 3, seed=2))
-        report = scheme.maintain(delta)
-        assert report.strategy == "incremental"
-        assert report.dirty_destinations > 0
-        # the compiled program object survived the event batch
-        assert scheme.compiled_forwarding() is program
-        # and its patched table matches the repaired scalar dicts exactly
-        rebuilt = scheme.compile_forwarding().tables[0]
-        live = program.tables[0]
-        np.testing.assert_array_equal(live.keys, rebuilt.keys)
-        np.testing.assert_array_equal(live.next_hops, rebuilt.next_hops)
+        events = (edge_failures(graph, 3, seed=2)
+                  + weight_perturbations(graph, 3, seed=3))
+        report = scheme.maintain(apply_events(graph, events))
+        assert report.strategy == "full-rebuild"
+        assert scheme.compiled_forwarding() is not program
+        fresh = build_scheme("shortest-path", graph, k=2, seed=1,
+                             oracle=DistanceOracle(graph, backend="dense"))
+        np.testing.assert_array_equal(scheme._next_hop, fresh._next_hop)
 
     def test_tree_bank_reslots_only_dirty_trees(self):
         graph = random_geometric_graph(48, seed=92)

@@ -4,8 +4,8 @@ Covers the seams a live timeline exposes and PR 8 fixed:
 
 * churn -> ``maintain()`` -> route parity: lockstep walks must match the
   scalar ``route()`` reference *across a repair boundary* (a stale
-  per-destination column cache or ``TreeBank`` slot matrix surviving an
-  in-place patch would silently diverge here);
+  per-destination column cache or ``TreeBank`` slot matrix surviving a
+  repair would silently diverge here);
 * the cache-invalidation API itself (``invalidate_columns`` /
   ``invalidate_caches``);
 * :func:`repro.live.stale_window_outcome` — delivery accounting for
@@ -51,7 +51,7 @@ def _flap_events(graph, count: int = 4):
 
 @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
 def test_repair_route_parity_with_scalar(scheme_name):
-    """Lockstep walks match scalar ``route()`` after an in-place repair."""
+    """Lockstep walks match scalar ``route()`` after a repair."""
     graph, oracle, scheme = _build(scheme_name)
     # warm the live program (and any lazy caches) with a pre-churn batch
     program = scheme.compiled_forwarding()
@@ -110,21 +110,16 @@ def test_program_invalidation_cascades():
 
 
 def test_incremental_maintain_invalidates_live_program():
-    """An in-place patch must clear the program's derived caches."""
-    graph, _, scheme = _build("shortest-path")
+    """An incremental repair must clear the replaced program's caches."""
+    graph, _, scheme = _build("thorup-zwick")
     program = scheme.compiled_forwarding()
-    # the dense table's ravel views stay coherent by construction; the
-    # observable derived cache on this program is the bank's slot matrix
     program.bank._slot_matrix = np.zeros((3, 3), dtype=np.int64)
-    # perturb one edge: small dirty set keeps the incremental path
     u, v, w = next(graph.edges())
     delta = apply_events(graph, [ChurnEvent("perturb", u, v, weight=2 * w)])
     report = scheme.maintain(delta)
-    if report.strategy == "incremental":
-        assert scheme.compiled_forwarding() is program
-        assert program.bank._slot_matrix is None
-    else:  # bailed to scratch: the old program must have been dropped
-        assert scheme.compiled_forwarding() is not program
+    assert report.strategy == "incremental"
+    assert program.bank._slot_matrix is None
+    assert scheme.compiled_forwarding() is not program
 
 
 def test_stale_window_outcome_accounting():

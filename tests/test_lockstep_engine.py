@@ -270,23 +270,6 @@ class TestNextHopTable:
         assert np.array_equal(view.lookup(nodes, dests),
                               dense.lookup(nodes, dests))
 
-    def test_replace_destinations_invalidates_column_cache(self):
-        """The churn-repair patch primitive must drop cached columns, or a
-        repaired table would keep serving pre-repair next hops."""
-        table, n = self._random_table(seed=7)
-        dests = np.arange(n, dtype=np.int64)
-        table.batch_view(dests)      # build columns for every destination
-        victim = int(table.keys[0] % n)
-        nodes = np.arange(n, dtype=np.int64)
-        new_keys = nodes * n + victim
-        table.replace_destinations([victim], new_keys,
-                                   np.full(n, (victim + 1) % n, dtype=np.int64))
-        view = table.batch_view(dests)
-        got = view.lookup(nodes, np.full(n, victim, dtype=np.int64))
-        assert (got == (victim + 1) % n).all()
-        assert np.array_equal(got, table.lookup(nodes,
-                                                np.full(n, victim)))
-
 
 class TestCompiledProgramShape:
     def test_program_describe(self, agm_k2):

@@ -172,8 +172,8 @@ class TestChurnEngineParityProperties:
             self, graph, scheme_name, seed):
         """Scalar vs lockstep parity under mutation.
 
-        After every event batch + ``maintain()`` — which patches NextHopTable
-        columns / re-slots TreeBank trees for the incremental schemes — both
+        After every event batch + ``maintain()`` — which rebuilds, or
+        re-slots only the dirtied TreeBank trees for Thorup–Zwick — both
         engines must produce identical walks (node for node) and identical
         found/strategy metadata on a random pair sample.
         """
