@@ -126,9 +126,13 @@ class TestPostRepairInvariants:
 
 
 class TestIncrementalMatchesFullRebuild:
-    """Incremental repair must be observationally equal to a fresh build."""
+    """Repair, incremental or by rebuild, must equal a fresh build."""
 
-    @pytest.mark.parametrize("scheme_name", ["thorup-zwick"])
+    #: the strategy each scheme's ``maintain`` takes on a mixed event batch
+    REPAIR_STRATEGY = {"shortest-path": "full-rebuild",
+                       "thorup-zwick": "incremental"}
+
+    @pytest.mark.parametrize("scheme_name", ["shortest-path", "thorup-zwick"])
     def test_same_reports_as_scratch_instance(self, scheme_name):
         graph = random_geometric_graph(42, seed=88)
         oracle = DistanceOracle(graph, backend="dense")
@@ -138,7 +142,7 @@ class TestIncrementalMatchesFullRebuild:
                   + node_detachments(graph, 1, seed=23))
         delta = apply_events(graph, events)
         report = scheme.maintain(delta)
-        assert report.strategy == "incremental"
+        assert report.strategy == self.REPAIR_STRATEGY[scheme_name]
 
         scratch = build_scheme(scheme_name, graph, k=2, seed=9,
                                oracle=DistanceOracle(graph, backend="dense"))
@@ -165,6 +169,39 @@ class TestIncrementalMatchesFullRebuild:
         fresh = build_scheme("shortest-path", graph, k=2, seed=1,
                              oracle=DistanceOracle(graph, backend="dense"))
         np.testing.assert_array_equal(scheme._next_hop, fresh._next_hop)
+
+    def test_shortest_path_rebuild_recharges_tables(self):
+        # a detached node leaves every other node one destination short:
+        # the repaired tables must charge the fresh build's entries, not
+        # the pre-churn ones
+        graph = random_geometric_graph(36, seed=94)
+        scheme = build_scheme("shortest-path", graph, k=2, seed=1,
+                              oracle=DistanceOracle(graph, backend="dense"))
+        before = [scheme.tables.table_bits(u) for u in range(graph.n)]
+        scheme.maintain(apply_events(graph, node_detachments(graph, 1, seed=6)))
+        fresh = build_scheme("shortest-path", graph, k=2, seed=1,
+                             oracle=DistanceOracle(graph, backend="dense"))
+        after = [scheme.tables.table_bits(u) for u in range(graph.n)]
+        assert after == [fresh.tables.table_bits(u) for u in range(graph.n)]
+        assert sum(after) < sum(before)
+        for u in range(graph.n):
+            assert scheme.tables[u].breakdown() == fresh.tables[u].breakdown()
+
+    def test_shortest_path_empty_batch_keeps_tables(self):
+        graph = random_geometric_graph(36, seed=95)
+        scheme = build_scheme("shortest-path", graph, k=2, seed=1,
+                              oracle=DistanceOracle(graph, backend="dense"))
+        next_hop = scheme._next_hop.copy()
+        bits = [scheme.tables.table_bits(u) for u in range(graph.n)]
+        keys, hops = scheme.compiled_forwarding().tables[0].entries()
+        keys, hops = keys.copy(), hops.copy()
+        report = scheme.maintain(apply_events(graph, []))
+        assert report.scheme == "shortest-path"
+        np.testing.assert_array_equal(scheme._next_hop, next_hop)
+        assert [scheme.tables.table_bits(u) for u in range(graph.n)] == bits
+        new_keys, new_hops = scheme.compiled_forwarding().tables[0].entries()
+        np.testing.assert_array_equal(new_keys, keys)
+        np.testing.assert_array_equal(new_hops, hops)
 
     def test_tree_bank_reslots_only_dirty_trees(self):
         graph = random_geometric_graph(48, seed=92)
