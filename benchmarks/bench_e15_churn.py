@@ -8,24 +8,19 @@ of ``--pairs`` uniform packets is routed on the scheme's *stale* forwarding
 program (delivery under stale state), the scheme is repaired, and
 ``--pairs`` uniform packets are routed on the repaired tables.  Every epoch's
 statistics are re-derived through the scalar ``route()`` reference engine and
-a different shard split; a mismatch raises.
+a different shard split; a mismatch raises.  Every scheme repairs by
+``maintain()``, a full rebuild on the mutated graph.
 
-The run happens **twice on the same seed**: once with ``repair="maintain"``
-(incremental where the scheme supports it — Thorup–Zwick re-slots only
-dirtied trees in its ``TreeBank``; every other scheme rebuilds) and once with
-``repair="full"`` (forced full rebuild).  The summary prices each scheme's
-``maintain`` against the full recompile.
-
-Reported per (mode, epoch, scheme): events applied, stale delivery rate,
+Reported per (epoch, scheme): events applied, stale delivery rate,
 post-repair delivery rate and stretch drift (average stretch minus the
 scheme's epoch-0 value), repair seconds + strategy, and forwarding recompile
-seconds.  JSON lands in ``BENCH_e15.json`` next to the repo root so future
-changes have a repair-cost trajectory to compare against.
+seconds; the summary totals each scheme's repair and recompile seconds over
+the churn epochs.  JSON lands in ``BENCH_e15.json`` next to the repo root so
+future changes have a repair-cost trajectory to compare against.
 
 ``--quick`` shrinks the run for CI; ``--assert`` fails the process unless
-every epoch passed the determinism cross-check, post-repair delivery is
-total, and incremental repair beats the full rebuild for the
-incremental-capable schemes.
+every epoch passed the determinism cross-check and post-repair delivery is
+total.
 
 Usage::
 
@@ -40,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 
 from repro.core.params import AGMParams
 from repro.dynamics.scenario import SCENARIO_NAMES
@@ -57,10 +51,6 @@ QUICK_N = 240
 QUICK_EPOCHS = 3
 QUICK_PAIRS = 120
 
-#: schemes whose maintain() is incremental — the bench asserts these beat
-#: the forced full rebuild
-INCREMENTAL_SCHEMES = ("thorup-zwick",)
-
 
 def scheme_kwargs(n: int) -> dict:
     """Per-scheme constructor extras (AGM constants scaled as in E13/E14)."""
@@ -70,9 +60,9 @@ def scheme_kwargs(n: int) -> dict:
     return {"agm": {"params": AGMParams.experiment()}}
 
 
-def run_mode(mode: str, args, family: str = "barabasi-albert") -> list:
+def run(args, family: str = "barabasi-albert") -> list:
     rows = run_live_matrix(
-        f"e15_{mode}",
+        "e15",
         args.schemes,
         workload_factory(family, args.n, seed=args.seed),
         scenario=args.scenario,
@@ -83,13 +73,11 @@ def run_mode(mode: str, args, family: str = "barabasi-albert") -> list:
         seed=args.seed,
         backend=args.backend if args.backend != "auto" else None,
         scheme_kwargs=scheme_kwargs(args.n),
-        repair=mode,
         verify_determinism=True,
     ).rows
     baseline = {row["scheme"]: row["avg_stretch"]
                 for row in rows if row["epoch"] == 0}
     for row in rows:
-        row["mode"] = mode
         row["stretch_drift"] = row["avg_stretch"] - baseline[row["scheme"]]
     return rows
 
@@ -112,8 +100,7 @@ def main() -> None:
                         help="CI smoke mode: small graph, fewer epochs/pairs")
     parser.add_argument("--assert", dest="check", action="store_true",
                         help="exit non-zero unless determinism + delivery "
-                             "hold and incremental repair beats the full "
-                             "rebuild")
+                             "hold")
     parser.add_argument("--json", default=None,
                         help="where to write the JSON rows "
                              "(default: BENCH_e15.json beside the repo root)")
@@ -126,44 +113,30 @@ def main() -> None:
 
     print(f"# E15: churn scenario '{args.scenario}' at n={args.n}, "
           f"{args.epochs} epochs, {args.pairs} packets/epoch")
-    header = (f"{'mode':>8} {'ep':>3} {'scheme':>15} {'events':>6} "
+    header = (f"{'ep':>3} {'scheme':>15} {'events':>6} "
               f"{'stale':>6} {'deliv':>6} {'drift':>7} {'repair':>13} "
               f"{'rep_s':>7} {'recmp_s':>8} {'checked':>7}")
     print(header)
     print("-" * len(header))
 
-    rows = []
-    for mode in ("maintain", "full"):
-        for row in run_mode(mode, args):
-            rows.append(row)
-            print(f"{row['mode']:>8} {row['epoch']:>3} {row['scheme']:>15} "
-                  f"{row['events']:>6} {row['stale_delivery']:>6.2f} "
-                  f"{row['delivery_rate']:>6.2f} {row['stretch_drift']:>+7.3f} "
-                  f"{row['repair_strategy']:>13} {row['repair_seconds']:>7.3f} "
-                  f"{row['recompile_seconds']:>8.3f} "
-                  f"{str(row['determinism_checked']):>7}")
+    rows = run(args)
+    for row in rows:
+        print(f"{row['epoch']:>3} {row['scheme']:>15} "
+              f"{row['events']:>6} {row['stale_delivery']:>6.2f} "
+              f"{row['delivery_rate']:>6.2f} {row['stretch_drift']:>+7.3f} "
+              f"{row['repair_strategy']:>13} {row['repair_seconds']:>7.3f} "
+              f"{row['recompile_seconds']:>8.3f} "
+              f"{str(row['determinism_checked']):>7}")
 
-    # price incremental repair against the forced full rebuild
-    summary = {}
-    for scheme in args.schemes:
-        def total(mode, field):
-            return sum(r[field] for r in rows
-                       if r["scheme"] == scheme and r["mode"] == mode
-                       and r["epoch"] > 0)
-        incremental = total("maintain", "repair_seconds") \
-            + total("maintain", "recompile_seconds")
-        full = total("full", "repair_seconds") + total("full", "recompile_seconds")
-        summary[scheme] = {
-            "incremental_repair_s": round(incremental, 4),
-            "full_rebuild_s": round(full, 4),
-            "speedup": round(full / incremental, 2) if incremental > 0 else None,
-        }
-    print("\nrepair cost over all epochs (repair + forwarding recompile):")
+    summary = {scheme: {field: round(sum(r[field] for r in rows
+                                         if r["scheme"] == scheme
+                                         and r["epoch"] > 0), 4)
+                        for field in ("repair_seconds", "recompile_seconds")}
+               for scheme in args.schemes}
+    print("\nrepair cost over all churn epochs:")
     for scheme, cell in summary.items():
-        tag = " (incremental)" if scheme in INCREMENTAL_SCHEMES else ""
-        print(f"  {scheme:>15}: maintain {cell['incremental_repair_s']:.3f}s vs "
-              f"full {cell['full_rebuild_s']:.3f}s "
-              f"-> {cell['speedup']}x{tag}")
+        print(f"  {scheme:>15}: repair {cell['repair_seconds']:.3f}s, "
+              f"recompile {cell['recompile_seconds']:.3f}s")
 
     payload = {
         "benchmark": "e15_churn",
@@ -193,18 +166,8 @@ def main() -> None:
                        and r["delivery_rate"] < 1.0]
         assert not undelivered, (
             f"post-repair delivery incomplete: {undelivered[:3]}")
-        for scheme in INCREMENTAL_SCHEMES:
-            if scheme not in args.schemes:
-                continue
-            cell = summary[scheme]
-            # the margin only rejects a real regression (incremental grossly
-            # above full)
-            assert cell["incremental_repair_s"] < 1.15 * cell["full_rebuild_s"], (
-                f"incremental repair of {scheme} regressed against the full "
-                f"rebuild: {cell}")
         print("assertions passed: determinism checks everywhere, full "
-              "post-repair delivery, incremental repair cheaper than full "
-              "rebuild")
+              "post-repair delivery")
 
 
 if __name__ == "__main__":

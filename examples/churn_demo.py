@@ -1,11 +1,12 @@
-"""Dynamic-network churn demo: failures, incremental repair, named scenarios.
+"""Dynamic-network churn demo: failures, repair, named scenarios.
 
 Walks through the churn subsystem on a small ISP-like geometric network:
 
 1. apply a hand-rolled event batch (a link failure, a congestion spike and a
    node outage) through ``apply_events`` and watch a live scheme break —
    its pairs, routed on the forwarding program captured before the batch,
-   die at the failed links — then repair itself with ``maintain()``;
+   die at the failed links — then repair itself with ``maintain()`` (a
+   full rebuild on the mutated graph);
 2. run every named scenario over two schemes with ``run_live_matrix`` and
    print stretch drift, delivery under stale state, and repair cost per
    event batch.
@@ -62,8 +63,7 @@ def single_batch_walkthrough() -> None:
     print(f"stale delivery rate: {delivered.mean():.2f}")
 
     report = scheme.maintain(delta)
-    print(f"repair: {report.strategy} in {report.seconds * 1000:.1f} ms "
-          f"(rebuilt {report.rebuilt_trees} trees, reused {report.reused_trees})")
+    print(f"repair: {report.strategy} in {report.seconds * 1000:.1f} ms")
     pairs = simulator.sample_pairs(150, seed=3, on_shortfall="warn")
     post = simulator.evaluate_batch(scheme, pairs)
     print(f"post-repair: avg stretch {post.avg_stretch:.3f}, "

@@ -143,23 +143,20 @@ class ThorupZwickRouting(RoutingSchemeInstance):
     def _build(self, context: BuildContext) -> None:
         n, k = self.graph.n, self.k
         self.pivot, dist_to_level = self._level_structure()
-        self._trees: Dict[Tuple[int, int], CompactTreeRouting] = {}
-        self._members: Dict[Tuple[int, int], frozenset] = {}
         # batched forest: one kernel call per chunk of cluster roots, each
         # call limited to its chunk's farthest member — small low-level
         # clusters become local searches instead of full-graph Dijkstras
         jobs: List[SPTJob] = []
-        keys: List[Tuple[Tuple[int, int], frozenset]] = []
-        for (i, w), row_w, members in self._iter_used_clusters(self.pivot,
-                                                               dist_to_level):
+        keys: List[Tuple[int, int]] = []
+        for key, row_w, members in self._iter_used_clusters(self.pivot,
+                                                            dist_to_level):
             member_list = sorted(set(members))
             limit = float(row_w[member_list].max()) if member_list else 0.0
-            jobs.append(SPTJob(w, member_list, limit))
-            keys.append(((i, w), frozenset(members)))
-        for (key, member_set), tree in zip(keys, context.spt_trees(jobs)):
-            routing = CompactTreeRouting(tree, k=max(self.k, 2))
-            self._trees[key] = routing
-            self._members[key] = member_set
+            jobs.append(SPTJob(key[1], member_list, limit))
+            keys.append(key)
+        self._trees: Dict[Tuple[int, int], CompactTreeRouting] = {
+            key: CompactTreeRouting(tree, k=max(self.k, 2))
+            for key, tree in zip(keys, context.spt_trees(jobs))}
         self.tables.charge_structures(
             "cluster_tree_tables",
             ((r.tree.nodes, r.table_bits_list())
@@ -167,82 +164,6 @@ class ThorupZwickRouting(RoutingSchemeInstance):
         landmark_bits = bits_for_id(max(n, 2))
         for v in range(n):
             self.tables[v].charge("pivot_pointers", landmark_bits, count=k)
-
-    # ------------------------------------------------------------------ #
-    # dynamic maintenance
-    # ------------------------------------------------------------------ #
-    def maintain(self, delta=None):
-        """Incremental repair: rebuild only the cluster trees churn dirtied.
-
-        The level sampling is a property of the node set, so it survives any
-        edge churn; pivots and cluster memberships are recomputed from fresh
-        distance rows (vectorized, C-speed), and a cluster tree is rebuilt
-        only when its member set changed or the old tree stopped being a
-        shortest-path tree under the new weights (``tree_is_intact``).  A
-        reused tree keeps its ``CompactTreeRouting`` labels *and* its cached
-        forwarding slot arrays, so the recompiled :class:`TreeBank` re-slots
-        only the dirtied trees.
-        """
-        import time
-
-        from repro.dynamics.repair import RepairReport, full_rebuild, tree_is_intact
-        from repro.routing.table import TableCollection
-
-        if delta is None:
-            return full_rebuild(self, delta)
-        start = time.perf_counter()
-        n, k = self.graph.n, self.k
-        old_trees, old_members = self._trees, self._members
-        self.pivot, dist_to_level = self._level_structure()
-        self._trees, self._members = {}, {}
-        self.tables = TableCollection(n)
-        rebuilt = reused = 0
-        # classify first, then grow every dirtied tree in one batched SPT
-        # forest (same chunked, radius-limited kernel path as _build); dict
-        # insertion order is preserved via placeholders
-        jobs: List[SPTJob] = []
-        pending: List[Tuple[Tuple[int, int], frozenset]] = []
-        for (i, w), row_w, members in self._iter_used_clusters(self.pivot,
-                                                               dist_to_level):
-            member_set = frozenset(members)
-            old = old_trees.get((i, w))
-            if (old is not None and old_members.get((i, w)) == member_set
-                    and tree_is_intact(self.graph, old.tree, row_w)):
-                self._trees[(i, w)] = old
-                self._members[(i, w)] = member_set
-                for v, bits in zip(old.tree.nodes, old.table_bits_list()):
-                    self.tables[v].charge("cluster_tree_tables", bits)
-                reused += 1
-            else:
-                member_list = sorted(set(members))
-                limit = float(row_w[member_list].max()) if member_list else 0.0
-                jobs.append(SPTJob(w, member_list, limit))
-                pending.append(((i, w), member_set))
-                self._trees[(i, w)] = None  # placeholder keeps cluster order
-                rebuilt += 1
-        if jobs:
-            context = BuildContext(self.graph, oracle=self.oracle)
-            for (key, member_set), tree in zip(pending, context.spt_trees(jobs)):
-                routing = CompactTreeRouting(tree, k=max(self.k, 2))
-                self._trees[key] = routing
-                self._members[key] = member_set
-                for v, bits in zip(tree.nodes, routing.table_bits_list()):
-                    self.tables[v].charge("cluster_tree_tables", bits)
-        landmark_bits = bits_for_id(max(n, 2))
-        for v in range(n):
-            self.tables[v].charge("pivot_pointers", landmark_bits, count=k)
-        stale_program = getattr(self, "_compiled_program", None)
-        if stale_program is not None:
-            # a holder routing on the pre-repair program keeps consistent
-            # (stale) state; its derived caches must still be dropped so a
-            # post-repair replay through the same object cannot resolve
-            # entries against pre-repair slot/column snapshots
-            stale_program.invalidate_caches()
-        self._compiled_program = None  # replan over the patched tree set
-        return RepairReport(
-            scheme=self.scheme_name, strategy="incremental",
-            seconds=time.perf_counter() - start,
-            rebuilt_trees=rebuilt, reused_trees=reused)
 
     # ------------------------------------------------------------------ #
     # labels

@@ -1,4 +1,4 @@
-"""Dynamic-network churn subsystem: events, incremental repair, scenarios.
+"""Dynamic-network churn subsystem: events, repair, scenarios.
 
 Real compact-routing deployments face link failures, weight churn and node
 outages; this package opens that workload axis for the whole library.  It is
@@ -10,9 +10,9 @@ layered between ``routing/`` and ``experiments/``:
     :class:`~repro.graphs.graph.WeightedGraph` in place and returns the
     :class:`~repro.dynamics.events.GraphDelta` that repair consumes.
 ``repair``
-    :func:`full_rebuild` (the generic safe repair behind
-    ``RoutingSchemeInstance.maintain``), the :class:`RepairReport` cost
-    record, and :func:`tree_is_intact` for Thorup–Zwick's incremental path.
+    :func:`full_rebuild` (the one repair behind every scheme's
+    ``RoutingSchemeInstance.maintain``) and the :class:`RepairReport` cost
+    record.
 ``scenario``
     Named churn scenarios (flap-heavy, degradation, partition-and-heal and
     the traffic-steering adversarial ones) composing any workload family.
@@ -30,7 +30,7 @@ from repro.dynamics.events import (
     random_event_batch,
     weight_perturbations,
 )
-from repro.dynamics.repair import RepairReport, full_rebuild, tree_is_intact
+from repro.dynamics.repair import RepairReport, full_rebuild
 from repro.dynamics.scenario import (
     SCENARIO_NAMES,
     ChurnScenario,
@@ -48,7 +48,6 @@ __all__ = [
     "random_event_batch",
     "RepairReport",
     "full_rebuild",
-    "tree_is_intact",
     "ChurnScenario",
     "SCENARIO_NAMES",
     "make_scenario",

@@ -7,10 +7,10 @@ graph's mutation API (``remove_edge`` / ``add_edge`` / ``set_edge_weight`` /
 bumps the graph's mutation version so live distance backends self-heal.
 
 Applying a *batch* of events through :func:`apply_events` yields a
-:class:`GraphDelta` — the record scheme repair (``maintain(delta)``) consumes
-to decide what is dirty.  Event batches are the unit of churn: one batch is
-one epoch of a scenario, and schemes are repaired once per batch, not once
-per event.
+:class:`GraphDelta` — the record scheme repair (``maintain(delta)``) reads
+to decide whether anything changed.  Event batches are the unit of churn:
+one batch is one epoch of a scenario, and schemes are repaired once per
+batch, not once per event.
 
 The stream builders at the bottom (:func:`edge_failures`,
 :func:`weight_perturbations`, ...) sample events from the *live* graph with a

@@ -377,7 +377,6 @@ def run_live_matrix(
     scoring: str = "exact",
     sample_per_batch: int = 8,
     num_landmarks: int = 16,
-    repair: str = "maintain",
     verify_determinism: bool = False,
 ) -> ExperimentResult:
     """Run the live-network timeline for every scheme; one row per epoch.
@@ -393,7 +392,7 @@ def run_live_matrix(
 
     Rows carry the union of :meth:`repro.live.EpochRecord.as_row` fields:
     the epoch number, churn/repair accounting (``events``,
-    ``repair_strategy``, ``repair_seconds``, ``rebuilt_trees``, ...),
+    ``repair_strategy``, ``repair_seconds``, ``recompile_seconds``),
     staleness-window loss (``stale_delivery``, ``stale_loss``), the SLA
     delivery rate and the traffic engine's streamed delivery/stretch/hop
     statistics.  Timeline-level summaries (exact cross-epoch merges plus
@@ -405,7 +404,7 @@ def run_live_matrix(
     result.metadata.update(scenario=scenario, model=model, k=k,
                            epochs=epochs, epoch_packets=epoch_packets,
                            stale_packets=stale_packets, seed=seed,
-                           engine=engine, repair=repair, scoring=scoring)
+                           engine=engine, scoring=scoring)
     timelines: Dict[str, dict] = {}
     for scheme_name in schemes:
         graph = graph_factory()
@@ -426,8 +425,7 @@ def run_live_matrix(
             stale_packets=stale_packets, shards=shards,
             processes=processes, engine=engine, scoring=scoring,
             sample_per_batch=sample_per_batch, num_landmarks=num_landmarks,
-            repair=repair, seed=seed,
-            verify_determinism=verify_determinism)
+            seed=seed, verify_determinism=verify_determinism)
         timeline = simulator.run()
         for row in timeline.rows():
             row.update(scenario=timeline.scenario, n=graph.n, k=k,

@@ -473,7 +473,7 @@ def run_live_timeline(quick: bool = True, seed: int = 0, *,
                       model_kwargs: Optional[Mapping[str, Any]] = None,
                       scheme_kwargs: Optional[Mapping[str, Mapping[str, Any]]] = None,
                       shards: int = 1, engine: str = "lockstep",
-                      scoring: str = "exact", repair: str = "maintain",
+                      scoring: str = "exact",
                       verify_determinism: bool = False,
                       name: str = "live") -> ExperimentResult:
     """The live-network timeline kind: churn scenario x traffic x repair.
@@ -506,12 +506,11 @@ def run_live_timeline(quick: bool = True, seed: int = 0, *,
         model_kwargs=dict(model_kwargs or {}),
         engine=engine,
         scoring=scoring,
-        repair=repair,
         verify_determinism=verify_determinism,
     )
     result.metadata["columns"] = [
         "scheme", "epoch", "events", "delivery_rate", "stale_loss",
-        "avg_stretch", "max_stretch", "rebuilt_trees"]
+        "avg_stretch", "max_stretch"]
     return result
 
 

@@ -279,9 +279,8 @@ class LazyDijkstraBackend(DistanceBackend):
     Rows falling out of the LRU are not discarded: they are **spilled** into
     a :class:`repro.storage.SpilledRowStore` (memmap slots in
     ``REPRO_SPILL_DIR``), so a re-touched cold row is a page-cache read
-    instead of a fresh Dijkstra.  ``REPRO_ROW_SPILL=0`` disables the store
-    and restores the pure-eviction behavior; ``REPRO_ROW_SPILL_BYTES`` caps
-    its footprint.  Spilled rows are cleared together with the RAM cache on
+    instead of a fresh Dijkstra.  ``REPRO_ROW_SPILL_BYTES`` caps its
+    footprint.  Spilled rows are cleared together with the RAM cache on
     graph mutation, so a stale row can never be served.
     """
 
@@ -292,13 +291,10 @@ class LazyDijkstraBackend(DistanceBackend):
         super().__init__(graph)
         require(cache_rows >= 1, "cache_rows must be >= 1")
         require(chunk_rows >= 1, "chunk_rows must be >= 1")
-        from repro.storage import row_spill_enabled
-
         self.cache_rows = int(cache_rows)
         self.chunk_rows = int(chunk_rows)
         self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._orders: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._spill_enabled = row_spill_enabled()
         self._spill = None  # created on first eviction
         # one backend may be shared by run_matrix(parallel=) worker threads;
         # every LRU read-modify (get + move_to_end) must be atomic
@@ -319,7 +315,7 @@ class LazyDijkstraBackend(DistanceBackend):
 
     # -- cache plumbing -------------------------------------------------- #
     def _spill_store(self):
-        if self._spill is None and self._spill_enabled:
+        if self._spill is None:
             from repro.storage import SpilledRowStore
 
             self._spill = SpilledRowStore(self.n)
@@ -344,10 +340,8 @@ class LazyDijkstraBackend(DistanceBackend):
             while len(self._rows) > self.cache_rows:
                 evicted, evicted_row = self._rows.popitem(last=False)
                 self._orders.pop(evicted, None)
-                store = self._spill_store()
-                if store is not None:
-                    store.put(evicted, evicted_row)
-                    self.row_spills += 1
+                self._spill_store().put(evicted, evicted_row)
+                self.row_spills += 1
 
     def _compute(self, sources: List[int]) -> np.ndarray:
         from repro.graphs.shortest_paths import multi_source_distances

@@ -9,7 +9,7 @@
   apply the scenario's churn batch to the graph, route a probe batch on the
   **stale** program over the mutated graph (the staleness window — packets
   in flight between failure and repair), repair the scheme
-  (``maintain(delta)`` or a forced full rebuild, priced by its
+  (``maintain(delta)``, priced by its
   :class:`~repro.dynamics.repair.RepairReport`), recompile forwarding, and
   run the epoch's traffic through :func:`~repro.traffic.engine.run_traffic`.
 
@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.dynamics.events import apply_events
-from repro.dynamics.repair import RepairReport, full_rebuild
 from repro.dynamics.scenario import (
     STRUCTURE_KEY_NS,
     ChurnScenario,
@@ -117,9 +116,6 @@ class EpochRecord:
     stale_delivered: int
     repair_strategy: str
     repair_seconds: float
-    rebuilt_trees: int
-    reused_trees: int
-    dirty_destinations: int
     recompile_seconds: float
     report: TrafficReport
     #: True when this epoch's official stats were re-derived under a
@@ -157,9 +153,6 @@ class EpochRecord:
             "stale_loss": self.stale_loss_rate,
             "repair_strategy": self.repair_strategy,
             "repair_seconds": round(self.repair_seconds, 4),
-            "rebuilt_trees": self.rebuilt_trees,
-            "reused_trees": self.reused_trees,
-            "dirty_destinations": self.dirty_destinations,
             "recompile_seconds": round(self.recompile_seconds, 4),
             "delivery_rate": self.delivery_rate,
             "determinism_checked": self.determinism_checked,
@@ -255,7 +248,8 @@ class LiveSimulator:
         ``"exact"`` / ``"sampled"`` / ``"landmark"``; approximate scorers
         are rebuilt per epoch (their landmark rows snapshot the graph).
     repair:
-        ``"maintain"`` (scheme-incremental where available) or ``"full"``.
+        Only ``"maintain"``: every scheme repairs through its own
+        ``maintain(delta)``, a full rebuild unless the batch changed nothing.
     verify_determinism:
         Re-run every epoch's traffic under a different shard split and
         through the scalar ``route()`` reference engine, requiring
@@ -285,8 +279,8 @@ class LiveSimulator:
         require(epochs >= 1, "need at least one churn epoch")
         require(epoch_packets >= 1, "need at least one packet per epoch")
         require(stale_packets >= 0, "stale_packets must be non-negative")
-        require(repair in ("maintain", "full"),
-                f"repair must be 'maintain' or 'full', got {repair!r}")
+        require(repair == "maintain",
+                f"repair must be 'maintain', got {repair!r}")
         self.scheme = scheme
         self.graph: WeightedGraph = scheme.graph
         self.oracle = oracle or DistanceOracle(self.graph)
@@ -304,7 +298,6 @@ class LiveSimulator:
         self.scoring = scoring
         self.sample_per_batch = int(sample_per_batch)
         self.num_landmarks = int(num_landmarks)
-        self.repair = repair
         self.seed = seed
         self.verify_determinism = bool(verify_determinism)
         self._event_rng = derive_rng(seed, _EVENT_KEY)
@@ -357,7 +350,6 @@ class LiveSimulator:
         timeline.epochs.append(EpochRecord(
             epoch=0, events=0, stale_packets=0, stale_delivered=0,
             repair_strategy="baseline", repair_seconds=0.0,
-            rebuilt_trees=0, reused_trees=0, dirty_destinations=0,
             recompile_seconds=0.0, report=report,
             determinism_checked=checked))
 
@@ -378,10 +370,7 @@ class LiveSimulator:
 
             stale_delivered = self._stale_window(stale_program, stale_model)
 
-            if self.repair == "full":
-                repair_report = full_rebuild(self.scheme, delta)
-            else:
-                repair_report = self.scheme.maintain(delta)
+            repair_report = self.scheme.maintain(delta)
             start = time.perf_counter()
             self.scheme.compiled_forwarding()
             recompile_seconds = time.perf_counter() - start
@@ -393,9 +382,6 @@ class LiveSimulator:
                 stale_delivered=stale_delivered,
                 repair_strategy=repair_report.strategy,
                 repair_seconds=repair_report.seconds,
-                rebuilt_trees=repair_report.rebuilt_trees,
-                reused_trees=repair_report.reused_trees,
-                dirty_destinations=repair_report.dirty_destinations,
                 recompile_seconds=recompile_seconds, report=report,
                 determinism_checked=checked))
         return timeline

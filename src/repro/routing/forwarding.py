@@ -230,22 +230,6 @@ class TreeBank:
         self._slot_matrix = matrix
         return True
 
-    def invalidate_caches(self) -> None:
-        """Drop every lookup structure derived from the compiled slot arrays.
-
-        Churn repair rebuilds trees (each carrying its own slot arrays) and
-        recompiles the bank; a bank object that outlives a repair — e.g.
-        the pre-repair program a caller still holds — must drop both the dense
-        ``(tree, node) -> slot`` membership matrix and the fused kernels'
-        per-target root-path memo (``_path_cache``), or post-repair walks
-        would resolve entries and replay descents against pre-repair state.
-        Both rebuild lazily on the next batch.
-        """
-        self._slot_matrix = None
-        path_cache = getattr(self, "_path_cache", None)
-        if path_cache is not None:
-            path_cache.clear()
-
     # -- queries ---------------------------------------------------------- #
     def slots_of(self, tree_ids: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Slot of each ``(tree, graph node)`` pair; ``-1`` for non-members."""
@@ -338,17 +322,6 @@ class NextHopTable:
         Both arrays are the table's own storage: read-only, do not mutate.
         """
         return self._keys, self._next
-
-    def invalidate_columns(self) -> None:
-        """Drop the per-destination column cache.
-
-        The cache is derived from this table's rows, which nothing mutates
-        after construction; program-level invalidation calls this so a
-        program that outlives a repair keeps no derived state.  Views built
-        earlier keep their own references — the engines build one per batch.
-        """
-        self._col_rank = None
-        self._cols = None
 
     def lookup(self, nodes: np.ndarray, destinations: np.ndarray) -> np.ndarray:
         """Next hop of each ``(node, destination)`` pair; ``-1`` when absent."""
@@ -463,14 +436,6 @@ class DenseNextHopTable:
         mask = flat >= 0
         return (np.flatnonzero(mask).astype(np.int64),
                 flat[mask].astype(np.int64))
-
-    def invalidate_columns(self) -> None:
-        """Interface parity with :meth:`NextHopTable.invalidate_columns`.
-
-        The dense table has no derived cache: views gather through a ravel
-        *view* of the matrix.  Kept as an explicit no-op so program-level
-        invalidation can treat every table uniformly.
-        """
 
     def lookup(self, nodes: np.ndarray, destinations: np.ndarray) -> np.ndarray:
         """Next hop of each ``(node, destination)`` pair; ``-1`` when absent."""
@@ -589,20 +554,6 @@ class ForwardingProgram:
     def plan(self, source: int, destination: int) -> PacketPlan:
         """Plan the legs of one request (both endpoints are node indices)."""
         return self._planner(source, destination)
-
-    def invalidate_caches(self) -> None:
-        """Drop every derived lookup cache of this program.
-
-        An incremental ``maintain()`` that recompiles must call this on the
-        program it replaces (Thorup–Zwick does): a caller still holding the
-        pre-repair program then cannot resolve entries through the
-        per-destination column caches, the dense membership matrix or the
-        root-path memo built before the repair.  Idempotent and cheap; caches
-        repopulate lazily.
-        """
-        self.bank.invalidate_caches()
-        for table in self.tables:
-            table.invalidate_columns()
 
     def describe(self) -> Dict[str, object]:
         """Compiled-state summary (diagnostics / benches)."""

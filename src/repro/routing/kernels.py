@@ -240,9 +240,8 @@ def _run_tree_cohort(bank, idx, cur, tgt, off, budget, node, record) -> np.ndarr
     if down_parts:
         d_idx, d_cur, d_tgt, d_budget = \
             (np.concatenate(p) for p in zip(*down_parts))
-        # memoized per-target root paths; lives on the bank so churn repair
-        # can drop it through TreeBank.invalidate_caches() — replaying a
-        # pre-repair path after a re-slot would silently corrupt descents
+        # memoized per-target root paths, kept on the bank: its slot arrays
+        # never change after freeze(), so a cached path stays valid
         cache = getattr(bank, "_path_cache", None)
         if cache is None:
             cache = bank._path_cache = {}

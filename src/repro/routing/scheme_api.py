@@ -78,20 +78,22 @@ class RoutingSchemeInstance(abc.ABC):
 
         Called once per event batch (after
         :func:`repro.dynamics.events.apply_events` edited ``self.graph`` in
-        place).  The default is the generic safe path — a full rebuild of the
-        scheme on the mutated graph through
-        :func:`repro.dynamics.repair.full_rebuild`, which re-runs this
-        instance's construction (same parameters and seed, via
-        :meth:`rebuild_spec`) and adopts the fresh state in place.  A scheme
-        whose structure admits cheaper repair overrides this (Thorup–Zwick
-        rebuilds only the cluster trees churn dirtied) and falls back to the
-        default only when ``delta`` is ``None``.  Always returns a
+        place).  Every scheme repairs the same way: a full rebuild on the
+        mutated graph through :func:`repro.dynamics.repair.full_rebuild`,
+        which re-runs this instance's construction (same parameters and
+        seed, via :meth:`rebuild_spec`) and adopts the fresh state in place.
+        A ``delta`` that changed no edge leaves the instance and its compiled
+        program as they are (strategy ``"unchanged"``); ``delta=None``
+        always rebuilds.  Returns a
         :class:`repro.dynamics.repair.RepairReport` with the wall-time and
         strategy so churn runners can report repair cost per event batch.
         """
-        from repro.dynamics.repair import full_rebuild
+        from repro.dynamics.repair import RepairReport, full_rebuild
 
-        return full_rebuild(self, delta)
+        if delta is not None and not delta.changed_edges():
+            return RepairReport(scheme=self.scheme_name, strategy="unchanged",
+                                seconds=0.0)
+        return full_rebuild(self)
 
     def rebuild_spec(self) -> Dict[str, object]:
         """Constructor kwargs that recreate this instance on its (mutated) graph.

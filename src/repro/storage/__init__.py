@@ -4,8 +4,7 @@ from repro.storage.memmap import (SPILL_MIN_BYTES, alloc_array, is_memmap,
                                   memory_budget, persist_array,
                                   reset_accounting, spill_array, spill_dir,
                                   storage_report)
-from repro.storage.rowstore import (SpilledRowStore, row_spill_budget,
-                                    row_spill_enabled)
+from repro.storage.rowstore import SpilledRowStore, row_spill_budget
 
 __all__ = [
     "SPILL_MIN_BYTES",
@@ -16,7 +15,6 @@ __all__ = [
     "persist_array",
     "reset_accounting",
     "row_spill_budget",
-    "row_spill_enabled",
     "spill_array",
     "spill_dir",
     "storage_report",

@@ -14,14 +14,10 @@ accounting, live in ``REPRO_SPILL_DIR``, and can never leak a file (the
 backing files are unlinked at creation).  A restore is a page-cache read:
 microseconds against a warm cache, one sequential disk read cold.
 
-Knobs (environment):
-
-* ``REPRO_ROW_SPILL`` — ``0`` disables the store entirely (evictions are
-  discarded, the pre-PR behavior).  Default: enabled.
-* ``REPRO_ROW_SPILL_BYTES`` — byte cap for slot extents (same ``K/M/G/T``
-  suffixes as ``REPRO_MEMORY_BUDGET``).  Once the cap is reached the store
-  recycles its least-recently-touched slot instead of growing.  Default
-  2 GiB — 2500+ rows at n=100k.
+Knob (environment): ``REPRO_ROW_SPILL_BYTES`` — byte cap for slot extents
+(same ``K/M/G/T`` suffixes as ``REPRO_MEMORY_BUDGET``).  Once the cap is
+reached the store recycles its least-recently-touched slot instead of
+growing.  Default 2 GiB — 2500+ rows at n=100k.
 
 The store is **not** a correctness structure: every row it returns is a
 bit-identical copy of what was stored, and the owner must :meth:`clear`
@@ -43,11 +39,6 @@ DEFAULT_SPILL_BYTES = 2 << 30
 
 #: rows per extent allocation — amortizes the mkstemp/mmap syscalls
 EXTENT_ROWS = 256
-
-
-def row_spill_enabled() -> bool:
-    """Whether evicted rows should be spilled (``REPRO_ROW_SPILL`` != 0)."""
-    return os.environ.get("REPRO_ROW_SPILL", "1").strip() != "0"
 
 
 def row_spill_budget() -> int:

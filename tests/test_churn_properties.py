@@ -6,8 +6,8 @@ be valid walks on the mutated graph (checked against a *freshly built*
 oracle and simulator, not the repaired scheme's own state) with stretch
 within the scheme's advertised bound, and the scalar and lockstep engines
 must stay observationally identical.  Also covers the repair plumbing itself
-(full rebuild vs incremental equivalence, shortest-path's rebuild, TreeBank
-re-slotting) and the pair-sampler edge cases churn creates (disconnected
+(every scheme's repair equals a fresh build, an empty batch keeps the scheme
+as it is) and the pair-sampler edge cases churn creates (disconnected
 components, shortfalls, self-pairs).
 """
 
@@ -25,7 +25,6 @@ from repro.dynamics.events import (
     random_event_batch,
     weight_perturbations,
 )
-from repro.dynamics.repair import tree_is_intact
 from repro.dynamics.scenario import SCENARIO_NAMES, make_scenario
 from repro.experiments.harness import run_live_matrix
 from repro.experiments.workloads import workload_factory
@@ -37,7 +36,7 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.live import stale_window_outcome
 from repro.routing.forwarding import run_lockstep
 from repro.routing.simulator import PairSamplingError, RoutingSimulator
@@ -74,7 +73,7 @@ def churn_rounds(graph, scheme, seed, rounds=2, batch=5,
         delta = apply_events(graph, events)
         report = scheme.maintain(delta)
         assert report.seconds >= 0.0
-        assert report.strategy in ("incremental", "full-rebuild")
+        assert report.strategy in ("full-rebuild", "unchanged")
     return scheme
 
 
@@ -125,14 +124,10 @@ class TestPostRepairInvariants:
                                         STRETCH_BOUND[scheme_name])
 
 
-class TestIncrementalMatchesFullRebuild:
-    """Repair, incremental or by rebuild, must equal a fresh build."""
+class TestRepairMatchesFreshBuild:
+    """Every scheme's repair must equal a fresh build on the mutated graph."""
 
-    #: the strategy each scheme's ``maintain`` takes on a mixed event batch
-    REPAIR_STRATEGY = {"shortest-path": "full-rebuild",
-                       "thorup-zwick": "incremental"}
-
-    @pytest.mark.parametrize("scheme_name", ["shortest-path", "thorup-zwick"])
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_same_reports_as_scratch_instance(self, scheme_name):
         graph = random_geometric_graph(42, seed=88)
         oracle = DistanceOracle(graph, backend="dense")
@@ -142,10 +137,13 @@ class TestIncrementalMatchesFullRebuild:
                   + node_detachments(graph, 1, seed=23))
         delta = apply_events(graph, events)
         report = scheme.maintain(delta)
-        assert report.strategy == self.REPAIR_STRATEGY[scheme_name]
+        assert report.strategy == "full-rebuild"
 
         scratch = build_scheme(scheme_name, graph, k=2, seed=9,
                                oracle=DistanceOracle(graph, backend="dense"))
+        # rebuild_spec() recovered every constructor parameter and the seed
+        assert ([scheme.table_bits(u) for u in range(graph.n)]
+                == [scratch.table_bits(u) for u in range(graph.n)])
         sim = fresh_simulator(graph)
         pairs = sim.sample_pairs(80, seed=13, on_shortfall="warn")
         repaired = sim.evaluate_batch(scheme, pairs).as_dict()
@@ -203,28 +201,19 @@ class TestIncrementalMatchesFullRebuild:
         np.testing.assert_array_equal(new_keys, keys)
         np.testing.assert_array_equal(new_hops, hops)
 
-    def test_tree_bank_reslots_only_dirty_trees(self):
-        graph = random_geometric_graph(48, seed=92)
-        scheme = build_scheme("thorup-zwick", graph, k=2, seed=4,
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_empty_batch_keeps_scheme_and_program(self, scheme_name):
+        graph = random_geometric_graph(36, seed=96)
+        scheme = build_scheme(scheme_name, graph, k=2, seed=1,
                               oracle=DistanceOracle(graph, backend="dense"))
-        scheme.compiled_forwarding()
-        old_trees = set(map(id, (r.tree for r in scheme._trees.values())))
-        delta = apply_events(graph, edge_failures(graph, 2, seed=5))
-        report = scheme.maintain(delta)
-        assert report.strategy == "incremental"
-        assert report.reused_trees > 0  # most clusters untouched by 2 failures
-        reused = [r.tree for r in scheme._trees.values()
-                  if id(r.tree) in old_trees]
-        assert reused and all(t.node_of_slot.size == t.size for t in reused)
-
-    def test_tree_is_intact_detects_breakage(self):
-        graph = grid_graph(5, 5, seed=93)
-        oracle = DistanceOracle(graph, backend="dense")
-        tree = shortest_path_tree(graph, 0)
-        assert tree_is_intact(graph, tree, oracle.row(0))
-        child = next(v for v in tree.nodes if v != tree.root)
-        graph.remove_edge(tree.parent_of(child), child)
-        assert not tree_is_intact(graph, tree, oracle.row(0))
+        program = scheme.compiled_forwarding()
+        report = scheme.maintain(apply_events(graph, []))
+        assert report.strategy == "unchanged"
+        assert report.seconds == 0.0
+        assert scheme.compiled_forwarding() is program
+        # without a delta there is nothing to compare against: rebuild
+        assert scheme.maintain().strategy == "full-rebuild"
+        assert scheme.compiled_forwarding() is not program
 
 
 class TestScenarioMatrix:

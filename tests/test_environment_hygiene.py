@@ -26,7 +26,6 @@ ENVIRONMENT_SURFACE = {
     "REPRO_DENSE_NODE_LIMIT",
     "REPRO_DISTANCE_BACKEND",
     "REPRO_MEMORY_BUDGET",
-    "REPRO_ROW_SPILL",
     "REPRO_ROW_SPILL_BYTES",
     "REPRO_SPILL_DIR",
     "REPRO_TOPOLOGY_DIR",

@@ -1,13 +1,7 @@
-"""Live-network service tests: stale-state seams and repair invalidation.
-
-Covers the seams a live timeline exposes and PR 8 fixed:
+"""Live-network service tests: the stale-state seams of a live timeline.
 
 * churn -> ``maintain()`` -> route parity: lockstep walks must match the
-  scalar ``route()`` reference *across a repair boundary* (a stale
-  per-destination column cache or ``TreeBank`` slot matrix surviving a
-  repair would silently diverge here);
-* the cache-invalidation API itself (``invalidate_columns`` /
-  ``invalidate_caches``);
+  scalar ``route()`` reference *across a repair boundary*;
 * :func:`repro.live.stale_window_outcome` — delivery accounting for
   packets routed on stale tables over a mutated graph;
 * :class:`repro.live.LiveSimulator` end to end, including its
@@ -75,53 +69,6 @@ def test_repair_route_parity_with_scalar(scheme_name):
     np.testing.assert_array_equal(outcome.final_nodes, dst)
 
 
-def test_invalidate_columns_drops_column_cache():
-    # cowen compiles to a sorted NextHopTable — the variant that carries
-    # the lazily-warmed per-destination column cache
-    _, _, scheme = _build("cowen")
-    program = scheme.compiled_forwarding()
-    table = program.tables[0]
-    table._cols = np.zeros((2, 3), dtype=np.int64)
-    table._col_rank = np.zeros(4, dtype=np.int64)
-    table.invalidate_columns()
-    assert table._cols is None
-    assert table._col_rank is None
-
-
-def test_tree_bank_invalidate_caches():
-    _, _, scheme = _build("thorup-zwick")
-    bank = scheme.compiled_forwarding().bank
-    bank._slot_matrix = np.zeros((2, 2), dtype=np.int64)
-    bank._path_cache = {(0, 1): np.arange(3)}
-    bank.invalidate_caches()
-    assert bank._slot_matrix is None
-    assert bank._path_cache == {}
-
-
-def test_program_invalidation_cascades():
-    _, _, scheme = _build("cowen")
-    program = scheme.compiled_forwarding()
-    program.bank._slot_matrix = np.zeros((1, 1), dtype=np.int64)
-    for table in program.tables:
-        table._cols = np.zeros((1, 1), dtype=np.int64)
-    program.invalidate_caches()
-    assert program.bank._slot_matrix is None
-    assert all(table._cols is None for table in program.tables)
-
-
-def test_incremental_maintain_invalidates_live_program():
-    """An incremental repair must clear the replaced program's caches."""
-    graph, _, scheme = _build("thorup-zwick")
-    program = scheme.compiled_forwarding()
-    program.bank._slot_matrix = np.zeros((3, 3), dtype=np.int64)
-    u, v, w = next(graph.edges())
-    delta = apply_events(graph, [ChurnEvent("perturb", u, v, weight=2 * w)])
-    report = scheme.maintain(delta)
-    assert report.strategy == "incremental"
-    assert program.bank._slot_matrix is None
-    assert scheme.compiled_forwarding() is not program
-
-
 def test_stale_window_outcome_accounting():
     """Dead-link hops, wrong endpoints and not-found all count as loss."""
     graph = make_graph("barabasi-albert", n=30, seed=2)
@@ -176,7 +123,7 @@ def test_live_simulator_timeline(scheme_name):
         assert 0.0 <= record.stale_delivery_rate <= 1.0
     for record in timeline.epochs[1:]:
         assert record.events > 0
-        assert record.repair_strategy in ("incremental", "full-rebuild")
+        assert record.repair_strategy in ("full-rebuild", "unchanged")
     merged = timeline.merged_stats()
     assert merged.packets == 3 * 1200
     assert merged.delivered == sum(r.report.stats.delivered

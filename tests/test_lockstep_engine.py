@@ -511,12 +511,12 @@ class TestFusedExecutor:
         program = scheme.compiled_forwarding()
         bank = program.bank
         src, dst = _all_pairs(small_geometric.n)
-        bank.invalidate_caches()
+        bank._path_cache = {}
         cold = run_lockstep(program, src, dst, materialize=False)
         assert bank._path_cache
         warm = run_lockstep(program, src, dst, materialize=False)
         monkeypatch.setattr(kernels, "PATH_CACHE_CAP", 0)
-        bank.invalidate_caches()
+        bank._path_cache.clear()
         uncached = run_lockstep(program, src, dst)
         assert bank._path_cache == {}
         _assert_outcome_arrays_equal(cold, warm)

@@ -227,9 +227,7 @@ class TestRowSpillParity:
         return report, exact, backend
 
     @pytest.mark.parametrize("scheme_name", list(SCHEME_NAMES))
-    def test_walks_and_stats_bit_identical(self, monkeypatch, scheme_name,
-                                           graph):
-        monkeypatch.setenv("REPRO_ROW_SPILL", "1")
+    def test_walks_and_stats_bit_identical(self, scheme_name, graph):
         ram_report, ram_exact, _ = self._outputs(graph, scheme_name,
                                                  cache_rows=graph.n + 8)
         spill_report, spill_exact, backend = self._outputs(graph, scheme_name,
@@ -241,12 +239,6 @@ class TestRowSpillParity:
         assert ram_report.summary() == spill_report.summary()
         for key in ("stretch", "hops", "found", "finite"):
             np.testing.assert_array_equal(ram_exact[key], spill_exact[key])
-
-    def test_disabled_store_never_spills(self, monkeypatch, graph):
-        monkeypatch.setenv("REPRO_ROW_SPILL", "0")
-        report, _, backend = self._outputs(graph, "cowen", cache_rows=8)
-        assert backend.row_spills == 0 and backend.row_restores == 0
-        assert backend.row_cache_report()["spill"] is None
 
     def test_spilled_rows_invalidate_on_graph_version_bump(self):
         graph = barabasi_albert_graph(160, seed=33)
