@@ -6,12 +6,15 @@ hop on a shortest path — ``(n-1)`` entries of ``Θ(log n)`` bits each, i.e.
 motivation for compact routing: perfect stretch, unacceptable space.
 
 Construction is array-native: one chunked multi-source Dijkstra pass (one
-kernel call per block of destinations) fills an ``(n, n)`` int32 next-hop
+:meth:`~repro.graphs.shortest_paths.DistanceOracle.shortest_path_forest`
+call per block of destinations) fills an ``(n, n)`` int32 next-hop
 matrix column by column — the predecessor of ``x`` on the path *from* the
 destination is exactly ``x``'s next hop *toward* it.  The matrix doubles as
 the compiled forwarding table
 (:class:`~repro.routing.forwarding.DenseNextHopTable` wraps the same array),
-so compiling is free.
+so compiling is free.  When one block covers every destination, the oracle
+keeps that pass's distance rows for the current graph version, so exact
+stretch scoring after a build or a rebuild runs no Dijkstra of its own.
 
 Churn repair is the inherited full rebuild
 (:func:`repro.dynamics.repair.full_rebuild`): a flap batch on a scale-free
@@ -39,9 +42,11 @@ def sp_block_size(n: int) -> int:
 
     Budget-aware: one in-flight block costs ~``n * 12`` bytes per
     destination (float64 distance row + int32 predecessor row), and the cap
-    keeps that slab under a quarter of ``REPRO_MEMORY_BUDGET`` so the
-    (possibly memmapped) next-hop matrix stays the only full-size object in
-    play.
+    keeps that slab under a quarter of ``REPRO_MEMORY_BUDGET``.  When the
+    build takes several blocks, the (possibly memmapped) next-hop matrix is
+    the only full-size object in play.  When one block covers all ``n``
+    destinations, its distance rows are the all-pairs matrix and the oracle
+    keeps them until the next mutation: at most 4096² float64 (128 MiB).
     """
     budget = memory_budget()
     slab = (4 << 30) if budget is None else budget // 4
@@ -79,18 +84,15 @@ class ShortestPathRouting(RoutingSchemeInstance):
         counts = np.zeros(graph.n, dtype=np.int64)
         if graph.num_edges == 0:
             return counts
-        from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-        csr = graph.to_scipy_csr()
         block = sp_block_size(graph.n)
         for start in range(0, graph.n, block):
             targets = np.arange(start, min(start + block, graph.n))
-            pred = _scipy_dijkstra(csr, directed=False, indices=targets,
-                                   return_predecessors=True)[1]
-            pred = np.atleast_2d(pred)
+            pred = self.oracle.shortest_path_forest(targets)[1]
             # pred[t, x] = node before x on the path from t, i.e. x's next hop
-            # toward t; sources with no path (and t itself) stay -1
-            self._next_hop[:, targets] = np.where(pred < 0, -1, pred).T
+            # toward t; sources with no path (and t itself) stay -1.  Clamped
+            # in place: a temporary would stack on the oracle's kept rows
+            np.maximum(pred, -1, out=pred)
+            self._next_hop[:, targets] = pred.T
             counts += (pred >= 0).sum(axis=0)
         return counts
 

@@ -143,6 +143,13 @@ class DistanceBackend:
         """
         return DEFAULT_CHUNK_ROWS
 
+    def adopt_all_pairs(self, matrix: np.ndarray) -> None:
+        """Offer the exact all-pairs matrix of the current graph version.
+
+        A backend may keep it as its store until the next mutation; the
+        default ignores it.
+        """
+
     def dist(self, u: int, v: int) -> float:
         return float(self.row(u)[v])
 
@@ -219,6 +226,13 @@ class DenseAPSPBackend(DistanceBackend):
         self._order = None
         self._order_rows.clear()
 
+    def adopt_all_pairs(self, matrix: np.ndarray) -> None:
+        # the slot is empty only after a mutation dropped the old matrix; a
+        # matrix already held for this version is identical and stays
+        self._sync()
+        if self._matrix is None:
+            self._matrix = matrix
+
     @property
     def matrix(self) -> np.ndarray:
         """The full APSP matrix, recomputed lazily after graph mutation."""
@@ -282,6 +296,10 @@ class LazyDijkstraBackend(DistanceBackend):
     instead of a fresh Dijkstra.  ``REPRO_ROW_SPILL_BYTES`` caps its
     footprint.  Spilled rows are cleared together with the RAM cache on
     graph mutation, so a stale row can never be served.
+
+    A shortest-path forest from every node hands its distance matrix over
+    (:meth:`adopt_all_pairs`); ``row``, ``rows`` and ``prefetch`` then read
+    it, computing and caching nothing, until the next mutation drops it.
     """
 
     name = "lazy"
@@ -295,6 +313,8 @@ class LazyDijkstraBackend(DistanceBackend):
         self.chunk_rows = int(chunk_rows)
         self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._orders: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        #: all-pairs matrix of the current graph version, if one was adopted
+        self._all_pairs: Optional[np.ndarray] = None
         self._spill = None  # created on first eviction
         # one backend may be shared by run_matrix(parallel=) worker threads;
         # every LRU read-modify (get + move_to_end) must be atomic
@@ -310,8 +330,14 @@ class LazyDijkstraBackend(DistanceBackend):
             super().invalidate()
             self._rows.clear()
             self._orders.clear()
+            self._all_pairs = None
             if self._spill is not None:
                 self._spill.clear()
+
+    def adopt_all_pairs(self, matrix: np.ndarray) -> None:
+        with self._lock:
+            self._sync()
+            self._all_pairs = matrix
 
     # -- cache plumbing -------------------------------------------------- #
     def _spill_store(self):
@@ -359,6 +385,10 @@ class LazyDijkstraBackend(DistanceBackend):
     def row(self, u: int) -> np.ndarray:
         check_index(u, self.n, "u")
         self._sync()
+        all_pairs = self._all_pairs
+        if all_pairs is not None:
+            self.hits += 1
+            return all_pairs[u]
         cached = self._cached_row(u)
         if cached is None:
             cached = self._restore(u)
@@ -371,6 +401,11 @@ class LazyDijkstraBackend(DistanceBackend):
 
     def rows(self, sources: Sequence[int]) -> np.ndarray:
         self._sync()
+        all_pairs = self._all_pairs
+        if all_pairs is not None:
+            sources = np.asarray(sources, dtype=np.int64)
+            self.hits += int(sources.size)
+            return all_pairs[sources]
         sources = [int(s) for s in sources]
         out = np.empty((len(sources), self.n), dtype=float)
         positions: Dict[int, List[int]] = {}
@@ -413,6 +448,8 @@ class LazyDijkstraBackend(DistanceBackend):
         path for the remainder.
         """
         self._sync()
+        if self._all_pairs is not None:
+            return
         with self._lock:
             missing = sorted({int(s) for s in sources if int(s) not in self._rows})
         missing = missing[:self.cache_rows]
@@ -497,6 +534,8 @@ class LazyDijkstraBackend(DistanceBackend):
     def nbytes(self) -> int:
         total = sum(r.nbytes for r in self._rows.values())
         total += sum(o.nbytes for o in self._orders.values())
+        if self._all_pairs is not None:
+            total += self._all_pairs.nbytes
         return int(total)
 
     def row_cache_report(self) -> Dict[str, object]:

@@ -280,6 +280,32 @@ class DistanceOracle:
         """Hint that the rows of ``sources`` are about to be queried (batched fill)."""
         self.backend.prefetch(sources)
 
+    def shortest_path_forest(self, sources: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Distances and predecessors from ``sources`` in one Dijkstra pass.
+
+        ``(dist, pred)``, both ``(len(sources), n)``, equal SciPy's undirected
+        output bit for bit; ``pred`` is negative at each source and at
+        unreachable nodes.  When ``sources`` is every node in order, the
+        backend may keep ``dist`` as its store for the current graph version
+        (:meth:`DistanceBackend.adopt_all_pairs`), so do not mutate it.
+        """
+        n = self.graph.n
+        sources = np.asarray(sources, dtype=np.int64)
+        require(sources.size == 0 or (sources.min() >= 0 and sources.max() < n),
+                "source index out of range")
+        # free what the backend holds for an older graph version (after a
+        # churn event, a whole stale store) before allocating the new forest
+        self.backend._sync()
+        # to_scipy_csr() is symmetric by construction, so the directed kernel
+        # finds the same forest without transposing the matrix and scanning
+        # every edge twice
+        dist, pred = _scipy_dijkstra(self.graph.to_scipy_csr(), directed=True,
+                                     indices=sources, return_predecessors=True)
+        dist, pred = np.atleast_2d(dist), np.atleast_2d(pred)
+        if sources.size == n and np.array_equal(sources, np.arange(n)):
+            self.backend.adopt_all_pairs(dist)
+        return dist, pred
+
     def block_rows(self) -> int:
         """Preferred chunk size for streaming row access under this backend."""
         return self.backend.preferred_block()

@@ -74,9 +74,11 @@ class _HotRowCache:
     contiguous ``(k, n)`` matrix, so per-batch scoring is a single fancy
     gather ``rows[rank[dst], src]`` instead of a per-source group-and-read
     through the oracle.  Distances come from :meth:`DistanceOracle.rows` —
-    the exact arrays the oracle would serve — so scores are bit-identical
-    with and without the cache.  Rows are capped by a memory budget; misses
-    (and every row past the cap) fall back to the oracle unchanged.
+    the exact arrays the oracle would serve, computed by the oracle or
+    taken from the all-pairs matrix it kept from a shortest-path build —
+    so scores are bit-identical with and without the cache.  Rows are
+    capped by a memory budget; misses (and every row past the cap) fall
+    back to the oracle unchanged.
     """
 
     __slots__ = ("rank", "rows")
@@ -121,6 +123,9 @@ def hot_row_cache_for(oracle: DistanceOracle, hot: np.ndarray,
       head (or a storm re-aiming its hotspots) changes the fingerprint, so
       rows pinned for the *old* crowd are dropped, not silently reused for
       destinations they never covered.
+
+    After a one-block shortest-path build on this graph version the oracle
+    already holds every row, so filling the cache runs no Dijkstra.
     """
     hot = np.asarray(hot, dtype=np.int64)
     _, first = np.unique(hot, return_index=True)

@@ -218,7 +218,14 @@ class TestRowSpillParity:
     def _outputs(self, graph, scheme_name, cache_rows):
         backend = LazyDijkstraBackend(graph, cache_rows=cache_rows)
         oracle = DistanceOracle(graph, backend=backend)
-        scheme = build_scheme(scheme_name, graph, k=2, seed=5, oracle=oracle)
+        build_oracle = oracle
+        if scheme_name == "shortest-path":
+            # its build leaves every row of this graph version in the
+            # oracle it builds on, so nothing would spill there: build on a
+            # second oracle and score through the one under test
+            build_oracle = DistanceOracle(graph, backend="lazy")
+        scheme = build_scheme(scheme_name, graph, k=2, seed=5,
+                              oracle=build_oracle)
         model = make_traffic_model("zipf", graph, seed=9, support=48)
         report = run_traffic(scheme, model, 4000, batch_size=512,
                              oracle=oracle)
