@@ -6,9 +6,8 @@ growing ladder ``n ∈ {200, 1000, 5000, 20000}`` through the array-native
 construction pipeline (shared ``BuildContext``: batched SPT forests, CSR ball
 tables, vectorized cover coarsening, array-built next-hop tables).
 
-Each rung uses the scheme's own ``DistanceOracle`` backend auto-selection —
-dense matrix up to the dense-node limit, lazy LRU rows beyond it — so the big
-rungs never allocate the n×n matrix.  Every built scheme is also evaluated on
+Each rung builds on a default ``DistanceOracle`` (the lazy backend), so the
+big rungs never allocate the n×n matrix.  Every built scheme is also evaluated on
 a small pair batch (failures must be zero) so a "fast but broken" build
 cannot pass.
 
@@ -52,10 +51,11 @@ EVAL_PAIRS = 200
 #: the ``build_s`` column of BENCH_e14.json as committed by the forwarding
 #: PR, i.e. the same barabasi-albert/seed-42/k=2 builds (AGM with the same
 #: scaled experiment constants) measured *before* the vectorized pipeline
-#: landed.  Cells are limited to rungs the ladder still runs on the dense backend —
-#: the seed record was measured dense, and the seed could not build the four
-#: quadratic-constructor schemes at n=20000 in reasonable time at all (which
-#: is why those rows were missing from BENCH_e14.json until this ladder).
+#: landed.  Cells are limited to rungs up to n=5000 — the seed record was
+#: measured on the since-deleted dense backend, and the seed could not
+#: build the four quadratic-constructor schemes at n=20000 in reasonable
+#: time at all (which is why those rows were missing from BENCH_e14.json
+#: until this ladder).
 SEED_BUILD_SECONDS = {
     (1000, "agm"): 2.3524, (1000, "awerbuch-peleg"): 1.4633,
     (1000, "cowen"): 7.1094, (1000, "exponential"): 0.158,
@@ -67,9 +67,9 @@ SEED_BUILD_SECONDS = {
 
 
 def scheme_kwargs(name: str, n: int) -> dict:
-    """Per-scheme constructor extras (AGM constants scaled as in E13/E14)."""
+    """Per-scheme constructor extras (AGM constants scaled as in E14)."""
     if name == "agm" and n > 256:
-        # keep |S(u, i)| ~16 at this n (exponents untouched; see E13)
+        # keep |S(u, i)| ~16 at this n (exponents untouched)
         factor = 16.0 / (n * math.log2(max(n, 2)))
         return {"params": AGMParams.experiment(landmark_count_factor=factor)}
     if name == "agm":
@@ -135,8 +135,6 @@ def main() -> None:
     rows = []
     for n in sizes:
         graph = make_workload(args.family, n, seed=args.seed)
-        # the scheme's own backend auto-selection: dense for small rungs,
-        # lazy beyond the dense-node limit — no forced n×n matrix
         oracle = DistanceOracle(graph)
         sim = RoutingSimulator(graph, oracle=oracle)
         pairs = sim.sample_pairs(min(args.pairs, n), seed=args.seed + 1)

@@ -12,12 +12,9 @@ under both engines.  Reported per (n, scheme):
 * ``parity`` — whether the two engines' evaluation reports agree field for
   field (they must; a mismatch is a bug in the compiled-forwarding layer).
 
-The distance backend defaults to ``dense`` regardless of ``n`` so the timed
-region isolates the *evaluation engines*: under the auto-selected lazy
-backend the shared exact-distance computation (identical work in both
-engines) dominates at large ``n`` and masks the routing speedup — backend
-scaling is E13's subject.  Pass ``--backend auto`` to measure the combined
-system instead.
+Both engines score stretch through one shared oracle over the lazy
+distance backend, so the exact-distance work is identical on both sides of
+the speedup.
 
 Results are also emitted as machine-readable JSON (``--json``, default
 ``BENCH_e14.json`` next to the repo root) so future changes have a
@@ -59,9 +56,9 @@ QUICK_PAIRS = 1500
 
 
 def scheme_kwargs(name: str, n: int) -> dict:
-    """Per-scheme constructor extras (AGM constants scaled as in E13)."""
+    """Per-scheme constructor extras (AGM landmark constant scaled with n)."""
     if name == "agm" and n > 256:
-        # keep |S(u, i)| ~16 at this n (exponents untouched; see E13)
+        # keep |S(u, i)| ~16 at this n (exponents untouched)
         factor = 16.0 / (n * math.log2(max(n, 2)))
         return {"params": AGMParams.experiment(landmark_count_factor=factor)}
     if name == "agm":
@@ -118,10 +115,6 @@ def main() -> None:
     parser.add_argument("--schemes", nargs="+", default=list(SCHEME_NAMES),
                         choices=list(SCHEME_NAMES))
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--backend", default="dense",
-                        choices=["auto", "dense", "lazy"],
-                        help="distance backend for the shared oracle "
-                             "(default dense: isolates engine throughput)")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: one small size, fewer pairs")
     parser.add_argument("--assert-speedup", action="store_true",
@@ -145,8 +138,7 @@ def main() -> None:
     rows = []
     for n in sizes:
         graph = make_workload("barabasi-albert", n, seed=args.seed)
-        oracle = DistanceOracle(graph, backend=None if args.backend == "auto"
-                                else args.backend)
+        oracle = DistanceOracle(graph)
         sim = RoutingSimulator(graph, oracle=oracle)
         pairs = sim.sample_pairs(num_pairs, seed=args.seed + 1)
         for name in args.schemes:
@@ -169,10 +161,10 @@ def main() -> None:
         "pairs": num_pairs,
         "schemes": args.schemes,
         "seed": args.seed,
-        "backend": args.backend,
+        "backend": "lazy",
         "aggregate_speedup": round(aggregate, 2),
         "rows": rows,
-        "meta": bench_meta(backend=args.backend),
+        "meta": bench_meta(),
     }
     write_bench_json(json_path, payload)
     print(f"wrote {json_path}")

@@ -53,7 +53,7 @@ QUICK_PAIRS = 120
 
 
 def scheme_kwargs(n: int) -> dict:
-    """Per-scheme constructor extras (AGM constants scaled as in E13/E14)."""
+    """Per-scheme constructor extras (AGM constants scaled as in E14)."""
     if n > 256:
         factor = 16.0 / (n * math.log2(max(n, 2)))
         return {"agm": {"params": AGMParams.experiment(landmark_count_factor=factor)}}
@@ -71,7 +71,6 @@ def run(args, family: str = "barabasi-albert") -> list:
         stale_packets=args.pairs,
         model="uniform",
         seed=args.seed,
-        backend=args.backend if args.backend != "auto" else None,
         scheme_kwargs=scheme_kwargs(args.n),
         verify_determinism=True,
     ).rows
@@ -93,9 +92,6 @@ def main() -> None:
     parser.add_argument("--scenario", default="flap-heavy",
                         choices=list(SCENARIO_NAMES))
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--backend", default="dense",
-                        choices=["auto", "dense", "lazy"],
-                        help="distance backend for the shared oracle")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: small graph, fewer epochs/pairs")
     parser.add_argument("--assert", dest="check", action="store_true",
@@ -149,10 +145,10 @@ def main() -> None:
         "scenario": args.scenario,
         "schemes": args.schemes,
         "seed": args.seed,
-        "backend": args.backend,
+        "backend": "lazy",
         "summary": summary,
         "rows": rows,
-        "meta": bench_meta(backend=args.backend),
+        "meta": bench_meta(),
     }
     write_bench_json(json_path, payload)
     print(f"wrote {json_path}")

@@ -2,7 +2,7 @@
 
 Two stages:
 
-**Parity** (small ``--parity-n`` graph, dense backend): the streamed
+**Parity** (small ``--parity-n`` graph): the streamed
 statistics are cross-checked against ground truth and across configurations —
 
 * exact: per-packet stretch/hop arrays (``run_traffic_exact``) vs the
@@ -80,7 +80,7 @@ def parity_stage(args) -> dict:
     """Small-graph ground-truth and cross-configuration checks."""
     n = args.parity_n
     graph = make_workload("barabasi-albert", n, seed=args.seed)
-    oracle = DistanceOracle(graph, backend="dense")
+    oracle = DistanceOracle(graph)
     scheme = build_scheme("cowen", graph, k=2, seed=args.seed + 2, oracle=oracle)
     model = make_traffic_model("zipf", graph, seed=args.seed + 3,
                                support=min(64, n // 4))
@@ -270,7 +270,7 @@ def main() -> None:
         "speedup_threshold": threshold,
         "parity": parity,
         "rows": rows,
-        "meta": bench_meta(backend="lazy"),
+        "meta": bench_meta(),
     }
     write_bench_json(json_path, payload)
     print(f"wrote {json_path}")

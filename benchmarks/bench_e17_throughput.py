@@ -171,7 +171,7 @@ def main() -> None:
         "seed": args.seed,
         "cpu_count": os.cpu_count(),
         "rows": rows,
-        "meta": bench_meta(backend="lazy"),
+        "meta": bench_meta(),
     }
     write_bench_json(json_path, payload)
     print(f"wrote {json_path}")

@@ -6,8 +6,8 @@ Each ``(n, scheme)`` rung **forks a child process** that
    budget — the shortest-path scheme's 40 GB next-hop matrix at n=100k,
    the ball-CSR tables and SPT forests — spill to anonymous ``np.memmap``
    files instead of resident RAM;
-2. builds the scheme against the **lazy** distance backend (never an
-   n×n matrix — the dense backend refuses above its node limit);
+2. builds the scheme against the **lazy** distance backend, which computes
+   rows on demand (above n=4096 it never holds an n×n matrix);
 3. routes ``--packets`` Zipf packets through the lockstep engine under an
    **approximate scoring mode** (``landmark`` by default: certified stretch
    upper bounds from ALT landmark rows, plus a seeded exact-row sample that
@@ -88,7 +88,6 @@ def scheme_build_kwargs(scheme_name: str, n: int):
 def run_rung(n: int, scheme_name: str, args, queue, spill_dir=None) -> None:
     """Child-process body: build one scheme at one size, route, report."""
     os.environ["REPRO_MEMORY_BUDGET"] = args.budget
-    os.environ["REPRO_DISTANCE_BACKEND"] = "lazy"
     if spill_dir:
         # parent-owned per-rung scratch dir: survives a SIGKILLed child
         # only until the parent's cleanup handler removes it
@@ -299,7 +298,7 @@ def main() -> None:
         "landmarks": args.landmarks,
         "seed": args.seed,
         "rows": rows,
-        "meta": bench_meta(backend="lazy", scoring=args.scoring),
+        "meta": bench_meta(scoring=args.scoring),
     }
     write_bench_json(json_path, payload)
     try:

@@ -71,9 +71,6 @@ def main() -> None:
     parser.add_argument("--family", default="barabasi-albert")
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--backend", default="lazy",
-                        choices=["auto", "dense", "lazy"],
-                        help="distance backend for each scheme's oracle")
     parser.add_argument("--scoring", default=None,
                         choices=["exact", "sampled", "landmark"],
                         help="stretch scoring mode (default: landmark at "
@@ -114,7 +111,6 @@ def main() -> None:
         epoch_packets=args.packets,
         stale_packets=args.stale_packets,
         seed=args.seed,
-        backend=args.backend if args.backend != "auto" else None,
         scoring=scoring,
         verify_determinism=args.verify,
     )
@@ -149,12 +145,12 @@ def main() -> None:
         "schemes": args.schemes,
         "k": args.k,
         "seed": args.seed,
-        "backend": args.backend,
+        "backend": "lazy",
         "scoring": scoring,
         "verify_determinism": args.verify,
         "timelines": result.metadata["timelines"],
         "rows": result.rows,
-        "meta": bench_meta(backend=args.backend),
+        "meta": bench_meta(),
     }
     write_bench_json(json_path, payload)
     print(f"wrote {json_path}")

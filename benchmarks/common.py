@@ -2,7 +2,7 @@
 
 Every bench emitter stamps its payload with :func:`bench_meta` so a committed
 JSON records not just the numbers but the conditions they were measured
-under — peak RSS, the distance-backend and scoring modes in force, the
+under — peak RSS, the distance backend and scoring mode in force, the
 memory budget and spill counters, the Python version and the core count.
 Scale results (e18) are meaningless without these: 40 GB of dense rows
 versus a 16 GB budget with memmapped spill produce very different
@@ -84,13 +84,12 @@ def assert_all_delivered(rows, packets_key: str = "packets") -> None:
                for r in rows if "delivered" in r), "packet accounting mismatch"
 
 
-def bench_meta(backend: Optional[str] = None,
-               scoring: Optional[str] = None) -> Dict[str, object]:
+def bench_meta(scoring: Optional[str] = None) -> Dict[str, object]:
     """Metadata block recorded in every bench payload.
 
-    ``backend``/``scoring`` override the environment-derived defaults when
-    the script chose them explicitly (e.g. e18 forces ``lazy`` + an
-    approximate scoring mode regardless of the environment).
+    ``scoring`` overrides the default ``exact`` mode when the script chose
+    another one (e.g. e18's approximate scoring modes).  The backend is
+    always ``lazy``, the library's one exact distance store.
     """
     from repro.storage import memory_budget, storage_report
 
@@ -98,7 +97,7 @@ def bench_meta(backend: Optional[str] = None,
     report = storage_report()
     return {
         "peak_rss_bytes": peak_rss_bytes(),
-        "backend": backend or os.environ.get("REPRO_DISTANCE_BACKEND", "auto"),
+        "backend": "lazy",
         "scoring": scoring or "exact",
         "memory_budget_bytes": budget,
         "spilled_bytes": report["spilled_bytes"],

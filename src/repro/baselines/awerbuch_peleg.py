@@ -66,6 +66,9 @@ class AwerbuchPelegRouting(RoutingSchemeInstance):
             self.num_scales = max(1, int(math.ceil(math.log2(diameter / d_min))) + 1)
 
         names = graph.names_view()
+        # every scale reads the ball of every node: one all-pairs pass, when
+        # it fits one forest block, serves all of them as row slices
+        oracle.hold_all_pairs()
 
         def build_scale(scale: int):
             """One scale's cover + Lemma 7 structures.

@@ -115,7 +115,7 @@ class CowenRouting(RoutingSchemeInstance):
         if graph.num_edges == 0:
             return NextHopTable(n, np.zeros(0, dtype=np.int64),
                                 np.zeros(0, dtype=np.int64))
-        from repro.construction.context import limited_dijkstra
+        from repro.graphs.shortest_paths import limited_dijkstra
 
         csr = graph.to_scipy_csr()
         dtl = self.dist_to_landmarks

@@ -30,28 +30,12 @@ import numpy as np
 
 from repro.construction.context import BuildContext
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
+                                         forest_block_size)
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
-from repro.storage import alloc_array, memory_budget
+from repro.storage import alloc_array
 from repro.utils.bitsize import bits_for_id
-
-
-def sp_block_size(n: int) -> int:
-    """Destinations per multi-source Dijkstra call in the blocked build.
-
-    Budget-aware: one in-flight block costs ~``n * 12`` bytes per
-    destination (float64 distance row + int32 predecessor row), and the cap
-    keeps that slab under a quarter of ``REPRO_MEMORY_BUDGET``.  When the
-    build takes several blocks, the (possibly memmapped) next-hop matrix is
-    the only full-size object in play.  When one block covers all ``n``
-    destinations, its distance rows are the all-pairs matrix and the oracle
-    keeps them until the next mutation: at most 4096² float64 (128 MiB).
-    """
-    budget = memory_budget()
-    slab = (4 << 30) if budget is None else budget // 4
-    per_dest = max(n, 1) * 12
-    return int(min(4096, max(64, slab // per_dest)))
 
 
 class ShortestPathRouting(RoutingSchemeInstance):
@@ -84,7 +68,10 @@ class ShortestPathRouting(RoutingSchemeInstance):
         counts = np.zeros(graph.n, dtype=np.int64)
         if graph.num_edges == 0:
             return counts
-        block = sp_block_size(graph.n)
+        # when one block covers every destination, the oracle keeps its
+        # distance rows; when it takes several, the (possibly memmapped)
+        # next-hop matrix is the only full-size object in play
+        block = forest_block_size(graph.n)
         for start in range(0, graph.n, block):
             targets = np.arange(start, min(start + block, graph.n))
             pred = self.oracle.shortest_path_forest(targets)[1]

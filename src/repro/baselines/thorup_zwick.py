@@ -103,37 +103,30 @@ class ThorupZwickRouting(RoutingSchemeInstance):
         """Yield ``((i, w), root_row, members)`` for every routable cluster tree.
 
         Only landmarks that are someone's pivot are yielded (those are what
-        routing can actually touch); root rows come one batched fetch per
-        chunk.  A member needs ``d(w, v) < d(v, A_{i+1})``, so on a backend
-        that computes rows on demand the fetch is a *radius-limited* kernel
-        call per chunk (limit = the level's largest ``d(·, A_{i+1})``):
-        level-0 rows become local searches instead of full-graph Dijkstras.
-        Entries beyond the limit come back ``inf``, which the strict
-        ``<`` membership test excludes anyway — identical members either way.
+        routing can actually touch); root rows come one batched
+        :meth:`~repro.graphs.shortest_paths.DistanceOracle.rows_within` fetch
+        per chunk.  A member needs ``d(w, v) < d(v, A_{i+1})``, so the limit
+        is the level's largest ``d(·, A_{i+1})``: unless the oracle holds the
+        all-pairs matrix, level-0 rows become local searches instead of
+        full-graph Dijkstras.  Entries beyond the limit may come back
+        ``inf``, which the strict ``<`` membership test excludes anyway —
+        identical members either way.
         """
         n, k, oracle = self.graph.n, self.k, self.oracle
         used: List[Tuple[int, int]] = sorted({(i, pivot[i][v])
                                               for i in range(k) for v in range(n)})
-        limited = oracle.backend_name == "lazy" and self.graph.num_edges > 0
-        csr = self.graph.to_scipy_csr() if limited else None
         limits = np.full(k + 1, np.inf)
-        if limited:
-            for i in range(k + 1):
-                level = dist_to_level[i]
-                if np.isfinite(level).all():
-                    # a node with d(·, A_i) = inf could join a cluster at any
-                    # distance, so only an everywhere-finite level is bounded
-                    limits[i] = float(level.max())
+        for i in range(k + 1):
+            level = dist_to_level[i]
+            if np.isfinite(level).all():
+                # a node with d(·, A_i) = inf could join a cluster at any
+                # distance, so only an everywhere-finite level is bounded
+                limits[i] = float(level.max())
         block = oracle.block_rows()
         for start in range(0, len(used), block):
             chunk = used[start:start + block]
-            if limited:
-                from repro.construction.context import limited_dijkstra
-
-                limit = float(max(limits[i + 1] for i, _ in chunk))
-                chunk_rows = limited_dijkstra(csr, [w for _, w in chunk], limit)
-            else:
-                chunk_rows = oracle.rows([w for _, w in chunk])
+            limit = float(max(limits[i + 1] for i, _ in chunk))
+            chunk_rows = oracle.rows_within([w for _, w in chunk], limit)
             for (i, w), row_w in zip(chunk, chunk_rows):
                 members = [int(v) for v in
                            np.where(row_w < dist_to_level[i + 1] - 1e-12)[0]]

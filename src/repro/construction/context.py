@@ -36,36 +36,17 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.construction.kernels import ancestor_closure
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
+                                         limited_dijkstra)
 from repro.graphs.trees import Tree, build_forest
 from repro.hashing.universal import fold_names
 from repro.storage import persist_array
 
 #: roots per SciPy kernel call in :meth:`BuildContext.spt_trees`
 DEFAULT_SPT_CHUNK = 256
-
-
-def limited_dijkstra(csr, sources: Sequence[int], limit: Optional[float] = None,
-                     predecessors: bool = False):
-    """Multi-source Dijkstra rows under one shared distance limit.
-
-    The single place the limit margin lives: a node at exactly the limit must
-    still be finalized, so the bound is widened by one relative + absolute
-    epsilon before reaching the kernel.  ``limit=None`` (or ``inf``) runs
-    unbounded.  Returns ``rows`` or ``(rows, preds)`` as 2-D arrays.
-    """
-    limit_arg = np.inf
-    if limit is not None and np.isfinite(limit):
-        limit_arg = float(limit) * (1.0 + 1e-12) + 1e-12
-    out = _scipy_dijkstra(csr, directed=False, indices=list(sources),
-                          return_predecessors=predecessors, limit=limit_arg)
-    if predecessors:
-        return np.atleast_2d(out[0]), np.atleast_2d(out[1])
-    return np.atleast_2d(out)
 
 
 class SPTJob(NamedTuple):
@@ -164,8 +145,8 @@ class BuildContext:
     graph:
         The network being preprocessed.
     oracle:
-        Exact distance oracle (created with automatic backend selection when
-        omitted); shared by every primitive so streamed passes reuse one row
+        Exact distance oracle (a default lazy-backend one when omitted);
+        shared by every primitive so streamed passes reuse one row
         cache.
     parallel:
         Worker threads for :meth:`map` fan-outs (``None``/``0``/``1`` =
@@ -269,26 +250,17 @@ class BuildContext:
 
         Returns ``(indptr, indices)``: the ball of node ``v`` is
         ``indices[indptr[v]:indptr[v+1]]`` (sorted node ids).  One streamed
-        row-block pass over the oracle — no per-node Python and no O(n²)
-        residency under the lazy backend.
+        row-block pass over the oracle's :meth:`~DistanceOracle.rows_within`
+        at limit ``rho`` — no per-node Python, and no O(n²) residency unless
+        the oracle already holds the all-pairs matrix.
         """
         sources = np.arange(self.graph.n, dtype=np.int64)
         counts = np.zeros(sources.size, dtype=np.int64)
         parts: List[np.ndarray] = []
         block = self.oracle.block_rows()
-        # Under a backend that materializes rows on demand, balls only need
-        # distances up to rho: a radius-limited kernel call per block turns a
-        # small-scale pass into a union of local searches instead of a full
-        # APSP-equivalent sweep.  The dense backend's rows are already paid
-        # for, so it streams them unchanged.
-        limited = self.oracle.backend_name == "lazy" and self.graph.num_edges > 0
-        csr = self.graph.to_scipy_csr() if limited else None
         for start in range(0, sources.size, block):
             chunk = sources[start:start + block]
-            if limited:
-                rows = limited_dijkstra(csr, chunk, rho)
-            else:
-                rows = self.oracle.rows(chunk)
+            rows = self.oracle.rows_within(chunk, rho)
             local_rows, members = np.nonzero(rows <= rho + 1e-12)
             counts[start:start + chunk.size] = np.bincount(
                 local_rows, minlength=chunk.size)

@@ -98,12 +98,6 @@ class NeighborhoodDecomposition:
         """The metric radius corresponding to exponent ``j`` (i.e. ``d_min * 2^j``)."""
         return self.d_min * (2.0 ** j)
 
-    def _ball_size(self, u: int, exponent: float) -> int:
-        j = int(exponent)
-        if 0 <= j <= self.max_exp and j == exponent:
-            return int(self._ball_size_table[u, j])
-        return self.oracle.ball_size(u, self.radius_of_exponent(exponent))
-
     def _compute_ranges(self, u: int) -> List[int]:
         """Per-node range recursion (the scalar reference of :meth:`_compute_all_ranges`)."""
         sizes = self._ball_size_table[u]

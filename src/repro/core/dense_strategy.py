@@ -30,7 +30,7 @@ from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.params import AGMParams
 from repro.covers.tree_cover import TreeCover, build_tree_cover
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.table import TableCollection
 from repro.trees.error_reporting import DictionaryTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
@@ -101,18 +101,9 @@ class DenseStrategy:
             if not population:
                 return j, None, None
             subgraph, mapping = graph.subgraph(population)
-            # large G_j subgraphs use the lazy backend outright: the cover
-            # build consumes one radius-limited ball pass plus local cluster
-            # trees, so a full subgraph APSP matrix would mostly go unread.
-            # The configured dense-node limit still caps it from below, so a
-            # memory-tight REPRO_DENSE_NODE_LIMIT is honored here too.
-            from repro.graphs.backends import dense_node_limit
-            from repro.graphs.shortest_paths import DistanceOracle
-
-            sub_backend = "lazy" if subgraph.n > min(2048, dense_node_limit()) \
-                else None
-            sub_oracle = exact_distance_oracle(
-                subgraph, DistanceOracle(subgraph, backend=sub_backend))
+            # the cover build reads one radius-limited ball pass plus local
+            # cluster trees, which the default oracle computes on demand
+            sub_oracle = DistanceOracle(subgraph)
             sub_context = BuildContext(subgraph, oracle=sub_oracle)
             rho = self.decomposition.radius_of_exponent(j)
             # built in global node ids: the cover's trees are the routing trees

@@ -25,12 +25,12 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.construction.context import BuildContext, SPTJob, limited_dijkstra
+from repro.construction.context import BuildContext, SPTJob
 from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import AGMParams
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.shortest_paths import DistanceOracle, limited_dijkstra
 from repro.routing.table import TableCollection
 from repro.trees.name_independent import NameIndependentTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id

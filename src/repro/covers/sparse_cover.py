@@ -238,9 +238,10 @@ def _coarsen_vectorized(n: int, k: int, rho: float, growth: float,
 def _limited_min_dist(csr, sources: np.ndarray, rho: float) -> np.ndarray:
     """Min distance from ``sources`` to every node, exact within ``rho``.
 
-    The limit is widened the same way :meth:`BuildContext.limited_dijkstra`
-    widens it, so every node that could pass the ``<= rho + 1e-12`` ball test
-    is finalized with its exact distance; nodes beyond come back ``inf``.
+    The limit is widened the same way
+    :func:`~repro.graphs.shortest_paths.limited_dijkstra` widens it, so
+    every node that could pass the ``<= rho + 1e-12`` ball test is finalized
+    with its exact distance; nodes beyond come back ``inf``.
     """
     from scipy.sparse.csgraph import dijkstra
 

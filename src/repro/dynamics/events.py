@@ -105,14 +105,6 @@ class GraphDelta:
                     out.append(key)
         return out
 
-    def touched_nodes(self) -> Set[int]:
-        """Every node incident to a changed edge."""
-        nodes: Set[int] = set()
-        for u, v in self.changed_edges():
-            nodes.add(u)
-            nodes.add(v)
-        return nodes
-
 
 def apply_events(graph: WeightedGraph, events: Iterable[ChurnEvent]) -> GraphDelta:
     """Apply one event batch to ``graph`` in order; return the delta.

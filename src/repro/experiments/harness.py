@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.construction.context import BuildContext
 from repro.dynamics.scenario import make_scenario
 from repro.factory import build_scheme
-from repro.graphs.backends import BackendLike
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.metrics import graph_summary
 from repro.graphs.shortest_paths import DistanceOracle
@@ -74,11 +73,10 @@ def evaluate_scheme_on_graph(
     seed: int = 0,
     oracle: Optional[DistanceOracle] = None,
     scheme_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
     engine: str = "lockstep",
 ) -> Dict[str, object]:
     """Build one scheme on one graph and measure stretch, space and build time."""
-    oracle = oracle or DistanceOracle(graph, backend=backend)
+    oracle = oracle or DistanceOracle(graph)
     simulator = RoutingSimulator(graph, oracle=oracle)
     start = time.perf_counter()
     scheme = build_scheme(scheme_name, graph, k=k, seed=seed, oracle=oracle,
@@ -117,7 +115,6 @@ def run_matrix(
     seed: int = 0,
     scheme_kwargs: Optional[Dict[str, dict]] = None,
     parallel: Optional[int] = None,
-    backend: BackendLike = None,
     engine: str = "lockstep",
 ) -> ExperimentResult:
     """Run every (scheme, graph, k) combination.
@@ -133,9 +130,6 @@ def run_matrix(
         Cells of the same graph share one distance oracle/backend; rows are
         returned in the same order as the serial loop and each cell keeps its
         own seed, so results are identical either way.
-    backend:
-        Distance-backend spec forwarded to each graph's shared oracle
-        (``"dense"``, ``"lazy"``, ``None`` for automatic selection).
     engine:
         Evaluation engine per cell: ``"lockstep"`` (compiled forwarding
         tables) or ``"scalar"`` (per-pair ``route()``).  Routes and stretch
@@ -155,7 +149,7 @@ def run_matrix(
 
     if parallel and parallel > 1 and len(graphs) * len(ks) * len(schemes) > 1:
         # interleaved cells need every graph's shared oracle alive at once
-        oracles = [DistanceOracle(graph, backend=backend) for _, graph in graphs]
+        oracles = [DistanceOracle(graph) for _, graph in graphs]
         summaries = [graph_summary(graph, oracle)
                      for (_, graph), oracle in zip(graphs, oracles)]
         cells = [(label, graph, k, scheme_name, oracles[index], summaries[index])
@@ -169,7 +163,7 @@ def run_matrix(
         # released before the next graph starts
         rows = []
         for graph_label, graph in graphs:
-            oracle = DistanceOracle(graph, backend=backend)
+            oracle = DistanceOracle(graph)
             summary = graph_summary(graph, oracle)
             for k in ks:
                 for scheme_name in schemes:
@@ -192,7 +186,6 @@ def run_traffic_matrix(
     seed: int = 0,
     scheme_kwargs: Optional[Dict[str, dict]] = None,
     model_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
     engine: str = "lockstep",
     processes: Optional[bool] = None,
     profile: bool = False,
@@ -221,8 +214,6 @@ def run_traffic_matrix(
     engine:
         ``"lockstep"`` / ``"scalar"`` — identical streamed statistics
         either way (the determinism suite asserts it).
-    backend:
-        Distance-backend spec for each graph's shared scoring oracle.
     profile:
         Forwarded to :func:`repro.traffic.engine.run_traffic` — per-stage
         wall-time breakdown (lands in each row as ``profile_<stage>``
@@ -238,7 +229,7 @@ def run_traffic_matrix(
     result.metadata.update(model=model, packets=packets, shards=shards,
                            batch_size=batch_size, engine=engine)
     for graph_index, (graph_label, graph) in enumerate(graphs):
-        oracle = DistanceOracle(graph, backend=backend)
+        oracle = DistanceOracle(graph)
         traffic = make_traffic_model(model, graph, seed=seed * 1000 + graph_index,
                                      **(model_kwargs or {}))
         for k in ks:
@@ -271,7 +262,6 @@ def build_matrix(
     seed: int = 0,
     scheme_kwargs: Optional[Dict[str, dict]] = None,
     parallel: Optional[int] = None,
-    backend: BackendLike = None,
     keep_instances: bool = False,
 ) -> ExperimentResult:
     """Build every (scheme, graph, k) combination, timing construction only.
@@ -292,9 +282,6 @@ def build_matrix(
     parallel:
         Worker threads for the cell fan-out and the within-cell unit fan-out
         (``None``/``0``/``1`` = fully serial).
-    backend:
-        Distance-backend spec for each graph's shared oracle (``None`` = the
-        scheme's own automatic selection by graph size).
     keep_instances:
         When true, the built scheme instances are returned in
         ``result.metadata["instances"]`` keyed by ``(graph_label, scheme, k)``.
@@ -335,8 +322,7 @@ def build_matrix(
         }
         return row, scheme
 
-    oracles = {id(graph): DistanceOracle(graph, backend=backend)
-               for _, graph in graphs}
+    oracles = {id(graph): DistanceOracle(graph) for _, graph in graphs}
     cells = [(label, graph, k, scheme_name, oracles[id(graph)])
              for label, graph in graphs
              for k in ks
@@ -371,7 +357,6 @@ def run_live_matrix(
     scheme_kwargs: Optional[Dict[str, dict]] = None,
     model_kwargs: Optional[dict] = None,
     scenario_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
     engine: str = "lockstep",
     processes: Optional[bool] = None,
     scoring: str = "exact",
@@ -408,7 +393,7 @@ def run_live_matrix(
     timelines: Dict[str, dict] = {}
     for scheme_name in schemes:
         graph = graph_factory()
-        oracle = DistanceOracle(graph, backend=backend)
+        oracle = DistanceOracle(graph)
         kwargs = (scheme_kwargs or {}).get(scheme_name, {})
         start = time.perf_counter()
         scheme = build_scheme(scheme_name, graph, k=k, seed=seed,

@@ -405,7 +405,6 @@ def run_grid(quick: bool = True, seed: int = 0, *,
              num_pairs: Any = None,
              scheme_kwargs: Optional[Mapping[str, Mapping[str, Any]]] = None,
              engine: str = "lockstep", parallel: Optional[int] = None,
-             backend: Optional[str] = None,
              name: str = "grid") -> ExperimentResult:
     """schemes x graph sources x k, pair-sampled (the run_matrix kind)."""
     num_pairs = parse_count(pick_size(num_pairs, quick, where="num_pairs")
@@ -419,7 +418,6 @@ def run_grid(quick: bool = True, seed: int = 0, *,
         seed=seed,
         scheme_kwargs=resolve_scheme_kwargs(scheme_kwargs),
         parallel=parallel,
-        backend=backend,
         engine=engine,
     )
     result.metadata["columns"] = [
@@ -435,7 +433,7 @@ def run_traffic_grid(quick: bool = True, seed: int = 0, *,
                      packets: Any = None, shards: int = 1,
                      batch_size: Optional[int] = None,
                      scheme_kwargs: Optional[Mapping[str, Mapping[str, Any]]] = None,
-                     engine: str = "lockstep", backend: Optional[str] = None,
+                     engine: str = "lockstep",
                      name: str = "traffic") -> ExperimentResult:
     """The grid streamed under a traffic model with a packet budget."""
     from repro.traffic.engine import DEFAULT_BATCH_SIZE
@@ -454,7 +452,6 @@ def run_traffic_grid(quick: bool = True, seed: int = 0, *,
         seed=seed,
         scheme_kwargs=resolve_scheme_kwargs(scheme_kwargs),
         model_kwargs=dict(model_kwargs or {}),
-        backend=backend,
         engine=engine,
     )
     result.metadata["columns"] = [

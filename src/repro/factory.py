@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.graphs.backends import BackendLike
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.scheme_api import RoutingSchemeInstance
@@ -27,7 +26,6 @@ def build_scheme(
     k: int = 2,
     seed=None,
     oracle: Optional[DistanceOracle] = None,
-    backend: BackendLike = None,
     **kwargs,
 ) -> RoutingSchemeInstance:
     """Build the named routing scheme for ``graph``.
@@ -44,18 +42,13 @@ def build_scheme(
     seed:
         Randomness for the scheme's sampling / hashing.
     oracle:
-        Optional pre-computed distance oracle shared across schemes.
-    backend:
-        Distance-backend spec (``"dense"`` / ``"lazy"`` / ``None`` = auto)
-        used when no ``oracle`` is supplied.  Scheme construction requires an
-        exact backend, so ``"landmark"`` is rejected here.
+        Optional distance oracle shared across schemes (each scheme makes a
+        default one otherwise).  Scheme construction requires exact
+        distances, so an oracle over the landmark backend is rejected — by
+        ``exact_distance_oracle`` inside every scheme constructor.
     kwargs:
         Scheme-specific extras (e.g. ``params`` for "agm").
     """
-    if oracle is None and backend is not None:
-        oracle = DistanceOracle(graph, backend=backend)
-    # exactness is validated by exact_distance_oracle inside every scheme
-    # constructor — no duplicate check here
     # Imports are local so that loading the factory does not drag in every
     # scheme module (and to keep the package import graph acyclic).
     key = name.lower().replace("_", "-")

@@ -10,7 +10,6 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.trees import Tree
 from repro.graphs.backends import (
     BACKEND_NAMES,
-    DenseAPSPBackend,
     DistanceBackend,
     LandmarkApproxBackend,
     LazyDijkstraBackend,
@@ -31,7 +30,6 @@ __all__ = [
     "shortest_path_tree",
     "DistanceOracle",
     "DistanceBackend",
-    "DenseAPSPBackend",
     "LazyDijkstraBackend",
     "LandmarkApproxBackend",
     "resolve_backend",

@@ -1,30 +1,26 @@
 """Pluggable distance backends for :class:`repro.graphs.shortest_paths.DistanceOracle`.
 
-The original reproduction eagerly materialized the full O(n²) all-pairs
-shortest-path matrix for every graph, which caps the system at a few thousand
-nodes.  This module factors the distance store behind a small interface so the
-rest of the library (decomposition, landmarks, both AGM strategies, all
-baselines, covers, the simulator and the experiment harness) never touches a
-raw matrix:
+The distance store sits behind a small interface, so the rest of the library
+(decomposition, landmarks, both AGM strategies, all baselines, covers, the
+simulator and the experiment harness) never touches a raw matrix:
 
-* :class:`DenseAPSPBackend` — the original eager matrix, unchanged semantics;
-  best for small graphs where every row is needed many times.
-* :class:`LazyDijkstraBackend` — per-source rows computed on demand through
-  the SciPy Dijkstra kernel and kept in a bounded LRU cache, with a batched
-  ``prefetch`` that fills many rows in one vectorized call.  Peak memory is
-  ``O(cache_rows · n)`` instead of ``O(n²)`` while every returned distance is
-  bit-identical to the dense matrix row.
+* :class:`LazyDijkstraBackend` — the one exact store.  Per-source rows are
+  computed on demand through the SciPy Dijkstra kernel and kept in a bounded
+  LRU cache (spilling evicted rows to disk), with a batched ``prefetch``
+  that fills many rows in one vectorized call.  When a shortest-path forest
+  from every node has run for the current graph version, the backend holds
+  that all-pairs matrix instead and serves every row from it until the next
+  mutation.
 * :class:`LandmarkApproxBackend` — triangle-inequality upper bounds through a
   small landmark set; inexact, meant for workload generation and sanity
   sweeps at sizes where even one Dijkstra pass per node is too slow.
 
-Backends are selected by name or automatically from the graph size / memory
-budget via :func:`resolve_backend` (see ``DistanceOracle``).
+Backends are selected by name via :func:`resolve_backend` (see
+``DistanceOracle``); the default is the lazy backend.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -35,12 +31,6 @@ import numpy as np
 from repro.graphs.graph import WeightedGraph
 from repro.utils.validation import check_index, require
 
-#: default node count up to which the automatic selection picks the dense
-#: matrix.  At the limit the matrix plus its order cache cost ~1 GB — the
-#: right trade on anything server-class, and an order of magnitude faster for
-#: whole-metric construction passes than recomputing rows per pass.  Hosts
-#: with tighter memory lower it via REPRO_DENSE_NODE_LIMIT.
-DEFAULT_DENSE_NODE_LIMIT = 8192
 #: default LRU capacity (rows) of the lazy backend
 DEFAULT_CACHE_ROWS = 256
 #: chunk size (sources per SciPy call) for streaming passes
@@ -61,13 +51,12 @@ class DistanceStats:
         return self.diameter / self.min_positive
 
 
-def _row_stats(block: np.ndarray) -> DistanceStats:
-    """Diameter / minimum positive distance contribution of a row block."""
-    finite = block[np.isfinite(block)]
-    diameter = float(finite.max()) if finite.size else 0.0
-    positive = finite[finite > 0]
-    min_positive = float(positive.min()) if positive.size else float("inf")
-    return DistanceStats(diameter=diameter, min_positive=min_positive)
+def checked_sources(sources: Sequence[int], n: int) -> np.ndarray:
+    """``sources`` as an int64 array, refusing any index outside ``[0, n)``."""
+    sources = np.asarray(sources, dtype=np.int64)
+    require(sources.size == 0 or (sources.min() >= 0 and sources.max() < n),
+            "source index out of range")
+    return sources
 
 
 class DistanceBackend:
@@ -131,8 +120,7 @@ class DistanceBackend:
 
         Part of the backend protocol: callers issue one ``prefetch`` per
         evaluation round (all sources at once) so a backend can batch the
-        fill into a single multi-source computation.  The default is a no-op
-        (the dense backend already holds every row).
+        fill into a single multi-source computation.  The default is a no-op.
         """
 
     def preferred_block(self) -> int:
@@ -149,6 +137,10 @@ class DistanceBackend:
         A backend may keep it as its store until the next mutation; the
         default ignores it.
         """
+
+    def holds_all_pairs(self) -> bool:
+        """Whether ``rows`` slices an all-pairs matrix held for this graph version."""
+        return False
 
     def dist(self, u: int, v: int) -> float:
         return float(self.row(u)[v])
@@ -170,116 +162,6 @@ class DistanceBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(n={self.n})"
-
-
-class DenseAPSPBackend(DistanceBackend):
-    """The original eager all-pairs matrix (plus the eager stable argsort)."""
-
-    name = "dense"
-
-    def __init__(self, graph: WeightedGraph, matrix: Optional[np.ndarray] = None) -> None:
-        super().__init__(graph)
-        self._matrix: Optional[np.ndarray] = None
-        self._order: Optional[np.ndarray] = None
-        self._order_rows: Dict[int, np.ndarray] = {}
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
-            require(matrix.shape == (graph.n, graph.n),
-                    "distance matrix shape does not match the graph")
-            self._matrix = matrix
-        self._ensure()
-
-    def _ensure(self) -> None:
-        if self._matrix is None:
-            # refuse, with a clear error, any path that would materialize an
-            # n×n float64 matrix past the dense limit — an OOM kill reports
-            # nothing, and auto-selection would never have picked dense here.
-            # A caller-supplied matrix (set in __init__) bypasses this: the
-            # memory is already paid for.
-            limit = dense_node_limit()
-            if self.n > limit:
-                raise ValueError(
-                    f"dense APSP backend refused: n={self.n} exceeds the "
-                    f"dense node limit {limit} (the matrix would take "
-                    f"{8 * self.n * self.n / 2**30:.1f} GiB). Use the 'lazy' "
-                    f"backend, pass a precomputed matrix, or raise "
-                    f"REPRO_DENSE_NODE_LIMIT.")
-            # local import: shortest_paths imports this module at load time
-            from repro.graphs.shortest_paths import all_pairs_distances
-
-            self._matrix = all_pairs_distances(self.graph)
-
-    def _ensure_order(self) -> None:
-        # computed on first order() query: whole-matrix consumers (ball
-        # tables, cover construction) never need it, and the n² log n argsort
-        # rivals the APSP itself in cost
-        if self._order is None:
-            # argsort is stable for equal keys, so sorting by distance with
-            # node index as the implicit secondary key realizes the
-            # lexicographic tie-break of Definition N(u, m, Z).
-            self._order = np.argsort(self.matrix, axis=1, kind="stable")
-            self._order_rows.clear()  # per-row cache now duplicates _order
-
-    def invalidate(self) -> None:
-        super().invalidate()
-        self._matrix = None
-        self._order = None
-        self._order_rows.clear()
-
-    def adopt_all_pairs(self, matrix: np.ndarray) -> None:
-        # the slot is empty only after a mutation dropped the old matrix; a
-        # matrix already held for this version is identical and stays
-        self._sync()
-        if self._matrix is None:
-            self._matrix = matrix
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full APSP matrix, recomputed lazily after graph mutation."""
-        self._sync()
-        self._ensure()
-        return self._matrix
-
-    def row(self, u: int) -> np.ndarray:
-        return self.matrix[u]
-
-    def rows(self, sources: Sequence[int]) -> np.ndarray:
-        return self.matrix[np.asarray(list(sources), dtype=np.int64)]
-
-    def order(self, u: int) -> np.ndarray:
-        self._sync()
-        if self._order is not None:
-            return self._order[u]
-        # a few callers (e.g. per-landmark nearest sets) only ever order a
-        # handful of rows; argsort those individually and escalate to the
-        # full-matrix order only when demand shows it pays for itself
-        cached = self._order_rows.get(u)
-        if cached is not None:
-            return cached
-        if len(self._order_rows) * 8 >= self.n:
-            self._ensure_order()
-            return self._order[u]
-        row_order = np.argsort(self.matrix[u], kind="stable")
-        self._order_rows[u] = row_order
-        return row_order
-
-    def dist(self, u: int, v: int) -> float:
-        return float(self.matrix[u, v])
-
-    def _compute_stats(self) -> DistanceStats:
-        stats = _row_stats(self.matrix)
-        if not np.isfinite(stats.min_positive):
-            # no positive finite distance at all (edgeless graph): the paper
-            # normalizes d_min to 1
-            stats = DistanceStats(diameter=stats.diameter, min_positive=1.0)
-        return stats
-
-    def nbytes(self) -> int:
-        self._ensure()
-        total = int(self._matrix.nbytes)
-        if self._order is not None:
-            total += int(self._order.nbytes)
-        return total
 
 
 class LazyDijkstraBackend(DistanceBackend):
@@ -338,6 +220,10 @@ class LazyDijkstraBackend(DistanceBackend):
         with self._lock:
             self._sync()
             self._all_pairs = matrix
+
+    def holds_all_pairs(self) -> bool:
+        self._sync()
+        return self._all_pairs is not None
 
     # -- cache plumbing -------------------------------------------------- #
     def _spill_store(self):
@@ -403,7 +289,7 @@ class LazyDijkstraBackend(DistanceBackend):
         self._sync()
         all_pairs = self._all_pairs
         if all_pairs is not None:
-            sources = np.asarray(sources, dtype=np.int64)
+            sources = checked_sources(sources, self.n)
             self.hits += int(sources.size)
             return all_pairs[sources]
         sources = [int(s) for s in sources]
@@ -497,7 +383,7 @@ class LazyDijkstraBackend(DistanceBackend):
         min_weight = self.graph.min_weight()
         if not np.isfinite(min_weight) or min_weight <= 0:
             # edgeless graph: all distances are 0 or inf; the paper
-            # normalizes d_min to 1 (mirrors the dense fallback)
+            # normalizes d_min to 1
             return DistanceStats(diameter=0.0, min_positive=1.0)
         return DistanceStats(diameter=self._exact_diameter(),
                              min_positive=float(min_weight))
@@ -649,37 +535,21 @@ class LandmarkApproxBackend(DistanceBackend):
 
 
 #: names accepted by :func:`resolve_backend`
-BACKEND_NAMES = ("auto", "dense", "lazy", "landmark")
+BACKEND_NAMES = ("lazy", "landmark")
 
 BackendLike = Union[str, DistanceBackend, None]
 
 
-def dense_node_limit() -> int:
-    """Node count above which automatic selection switches away from dense."""
-    raw = os.environ.get("REPRO_DENSE_NODE_LIMIT")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_DENSE_NODE_LIMIT
-
-
 def resolve_backend(graph: WeightedGraph, backend: BackendLike = None,
                     **kwargs) -> DistanceBackend:
-    """Turn a backend spec (instance, name, ``None``/"auto") into an instance.
+    """Turn a backend spec (instance, name or ``None``) into an instance.
 
-    ``None``/"auto" consults ``REPRO_DISTANCE_BACKEND`` and then picks dense
-    for graphs up to :func:`dense_node_limit` nodes, lazy beyond it.
+    ``None`` means the lazy backend, the one exact store.
     """
     if isinstance(backend, DistanceBackend):
         require(backend.graph is graph, "backend was built for a different graph")
         return backend
-    name = (backend or os.environ.get("REPRO_DISTANCE_BACKEND") or "auto").lower()
-    if name == "auto":
-        name = "dense" if graph.n <= dense_node_limit() else "lazy"
-    if name == "dense":
-        return DenseAPSPBackend(graph, **kwargs)
+    name = (backend or "lazy").lower()
     if name == "lazy":
         return LazyDijkstraBackend(graph, **kwargs)
     if name == "landmark":

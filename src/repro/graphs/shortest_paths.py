@@ -6,18 +6,19 @@ Two engines are provided:
   predecessor array and supports a *cutoff* radius and a *restriction* to a
   node subset — both are needed when growing balls and building cluster trees
   inside induced subgraphs;
-* a batch engine (:func:`all_pairs_distances`) built on
-  :func:`scipy.sparse.csgraph.dijkstra`, used for the all-pairs distance
-  matrix that drives the sparse/dense decomposition (profiling showed the
-  APSP matrix is the dominant preprocessing cost, and the SciPy kernel is
-  ~40x faster than the Python loop for the graph sizes used in the benches).
+* batch engines built on :func:`scipy.sparse.csgraph.dijkstra`: multi-source
+  rows (:func:`multi_source_distances`), the same rows under a shared
+  distance limit (:func:`limited_dijkstra`), and the distance-plus-predecessor
+  forest of :meth:`DistanceOracle.shortest_path_forest`.  The SciPy kernel is
+  ~40x faster than the Python loop for the graph sizes used in the benches.
 
 :class:`DistanceOracle` answers the ball / nearest-set queries (``B(u, r)``
-and ``N(u, m, Z)``) that the paper's definitions use.  Since the
-distance-backend refactor it is a thin façade over a pluggable
-:class:`repro.graphs.backends.DistanceBackend` — eager dense matrix, lazy
-LRU-cached per-source rows, or landmark upper bounds — chosen automatically
-from the graph size unless the caller picks one.
+and ``N(u, m, Z)``) that the paper's definitions use.  It is a thin façade
+over a :class:`repro.graphs.backends.DistanceBackend`: the lazy backend, the
+one exact store, unless the caller passes the approximate landmark backend.
+A forest pass from every node leaves its all-pairs matrix in the lazy
+backend until the next mutation; :func:`forest_block_size` decides when one
+such pass fits in memory.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from repro.graphs.backends import (
     BackendLike,
-    DenseAPSPBackend,
     DistanceBackend,
+    checked_sources,
     resolve_backend,
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.trees import Tree, build_forest
+from repro.storage import memory_budget
 from repro.utils.validation import check_index, require
 
 
@@ -102,7 +104,12 @@ def single_source_distances(graph: WeightedGraph, source: int) -> np.ndarray:
 
 
 def all_pairs_distances(graph: WeightedGraph) -> np.ndarray:
-    """All-pairs shortest-path distance matrix (``inf`` across components)."""
+    """All-pairs shortest-path distance matrix (``inf`` across components).
+
+    The library itself never calls it: builds go through
+    :class:`DistanceOracle`.  It stays exported as the independent reference
+    that tests compare the oracle's rows, balls and orders against.
+    """
     mat = graph.to_scipy_csr()
     if graph.num_edges == 0:
         out = np.full((graph.n, graph.n), np.inf)
@@ -121,6 +128,41 @@ def multi_source_distances(graph: WeightedGraph, sources: Sequence[int]) -> np.n
     mat = graph.to_scipy_csr()
     out = _scipy_dijkstra(mat, directed=False, indices=sources)
     return np.atleast_2d(out)
+
+
+def limited_dijkstra(csr, sources: Sequence[int], limit: Optional[float] = None,
+                     predecessors: bool = False):
+    """Multi-source Dijkstra rows under one shared distance limit.
+
+    The single place the limit margin lives: a node at exactly the limit must
+    still be finalized, so the bound is widened by one relative + absolute
+    epsilon before reaching the kernel.  ``limit=None`` (or ``inf``) runs
+    unbounded.  Returns ``rows`` or ``(rows, preds)`` as 2-D arrays.
+    """
+    limit_arg = np.inf
+    if limit is not None and np.isfinite(limit):
+        limit_arg = float(limit) * (1.0 + 1e-12) + 1e-12
+    out = _scipy_dijkstra(csr, directed=False, indices=list(sources),
+                          return_predecessors=predecessors, limit=limit_arg)
+    if predecessors:
+        return np.atleast_2d(out[0]), np.atleast_2d(out[1])
+    return np.atleast_2d(out)
+
+
+def forest_block_size(n: int) -> int:
+    """Sources per :meth:`DistanceOracle.shortest_path_forest` call.
+
+    Budget-aware: one in-flight block costs ~``n * 12`` bytes per source
+    (float64 distance row + int32 predecessor row), and the cap keeps that
+    slab under a quarter of ``REPRO_MEMORY_BUDGET``.  When one block covers
+    all ``n`` sources, its distance rows are the all-pairs matrix that the
+    lazy backend holds until the next mutation: at most 4096² float64
+    (128 MiB).
+    """
+    budget = memory_budget()
+    slab = (4 << 30) if budget is None else budget // 4
+    per_source = max(n, 1) * 12
+    return int(min(4096, max(64, slab // per_source)))
 
 
 def shortest_path_tree(
@@ -178,16 +220,16 @@ def exact_distance_oracle(graph: WeightedGraph,
     """The oracle a routing-scheme construction may use: exact distances only.
 
     Every scheme (and scheme building block) funnels its default-oracle
-    creation through here, so an approximate backend — whether passed
-    explicitly or forced globally via ``REPRO_DISTANCE_BACKEND=landmark`` —
-    is rejected instead of silently producing wrong tables and stretch.
+    creation through here, so an oracle over the approximate landmark
+    backend is rejected instead of silently producing wrong tables and
+    stretch.
     """
     if oracle is None:
         oracle = DistanceOracle(graph)
     require(oracle.exact,
             f"routing-scheme construction needs exact distances; the "
-            f"{oracle.backend_name!r} backend is approximate (unset "
-            f"REPRO_DISTANCE_BACKEND or pass an exact oracle)")
+            f"{oracle.backend_name!r} backend is approximate (pass an oracle "
+            f"over the default lazy backend)")
     return oracle
 
 
@@ -198,56 +240,31 @@ class DistanceOracle:
     (``B(u, r)``, ``N(u, m, Z)``, pair batches, global stats) from the
     backend's row / order primitives.  The per-source ordering of all nodes by
     (distance, node-index) realizes the paper's lexicographic tie-break for
-    ``N(u, m, Z)`` identically under every exact backend.
+    ``N(u, m, Z)``.
 
     Parameters
     ----------
     graph:
         The graph.
-    matrix:
-        Optional pre-computed APSP matrix; forces the dense backend
-        (backwards-compatible with the pre-refactor constructor).
     backend:
-        A backend instance, a name (``"dense"``, ``"lazy"``, ``"landmark"``,
-        ``"auto"``), or ``None`` for automatic selection by graph size
-        (see ``REPRO_DISTANCE_BACKEND`` / ``REPRO_DENSE_NODE_LIMIT``).
+        A backend instance, a name (``"lazy"``, ``"landmark"``), or ``None``
+        for the lazy backend.
     """
 
-    def __init__(self, graph: WeightedGraph, matrix: Optional[np.ndarray] = None,
-                 backend: BackendLike = None) -> None:
+    def __init__(self, graph: WeightedGraph, backend: BackendLike = None) -> None:
         self.graph = graph
-        if matrix is not None:
-            require(backend is None or backend == "dense",
-                    "an explicit matrix implies the dense backend")
-            self.backend: DistanceBackend = DenseAPSPBackend(graph, matrix=matrix)
-        else:
-            self.backend = resolve_backend(graph, backend)
+        self.backend: DistanceBackend = resolve_backend(graph, backend)
 
     # -- backend introspection ------------------------------------------ #
     @property
     def backend_name(self) -> str:
-        """Name of the active backend (``dense`` / ``lazy`` / ``landmark``)."""
+        """Name of the active backend (``lazy`` / ``landmark``)."""
         return self.backend.name
 
     @property
     def exact(self) -> bool:
         """Whether distances are exact shortest-path distances."""
         return self.backend.exact
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full APSP matrix — only available on the dense backend.
-
-        Code that needs whole-matrix access should prefer the streaming
-        ``rows`` / ``iter_row_blocks`` API, which works under every backend.
-        """
-        dense = self.backend
-        if isinstance(dense, DenseAPSPBackend):
-            return dense.matrix
-        raise AttributeError(
-            f"the {self.backend_name!r} backend does not materialize the full "
-            "matrix; use rows()/iter_row_blocks() or build the oracle with "
-            "backend='dense'")
 
     def nbytes(self) -> int:
         """Resident memory of the distance store (approximate)."""
@@ -290,9 +307,7 @@ class DistanceOracle:
         (:meth:`DistanceBackend.adopt_all_pairs`), so do not mutate it.
         """
         n = self.graph.n
-        sources = np.asarray(sources, dtype=np.int64)
-        require(sources.size == 0 or (sources.min() >= 0 and sources.max() < n),
-                "source index out of range")
+        sources = checked_sources(sources, n)
         # free what the backend holds for an older graph version (after a
         # churn event, a whole stale store) before allocating the new forest
         self.backend._sync()
@@ -305,6 +320,33 @@ class DistanceOracle:
         if sources.size == n and np.array_equal(sources, np.arange(n)):
             self.backend.adopt_all_pairs(dist)
         return dist, pred
+
+    def hold_all_pairs(self) -> None:
+        """Leave this graph version's all-pairs matrix in the backend, if it fits.
+
+        For passes that read every row, several times over: one
+        :meth:`shortest_path_forest` from every node, run only when a single
+        :func:`forest_block_size` block covers all ``n`` sources and the
+        backend holds no matrix yet.  Above that size the call does nothing,
+        and :meth:`rows_within` keeps computing radius-limited rows.
+        """
+        n = self.graph.n
+        if n and forest_block_size(n) >= n and not self.backend.holds_all_pairs():
+            self.shortest_path_forest(np.arange(n))
+
+    def rows_within(self, sources: Sequence[int], limit: float) -> np.ndarray:
+        """Distance rows of ``sources``, exact at least up to ``limit``.
+
+        Entries beyond ``limit`` are exact or ``inf``.  A backend holding the
+        all-pairs matrix of the current graph version serves the rows as
+        slices; otherwise one radius-limited kernel call computes them, so a
+        small limit makes it a union of local searches rather than full
+        Dijkstras.  Nothing is cached.
+        """
+        if self.backend.holds_all_pairs():
+            return self.backend.rows(sources)
+        sources = checked_sources(sources, self.graph.n)
+        return limited_dijkstra(self.graph.to_scipy_csr(), sources, limit)
 
     def block_rows(self) -> int:
         """Preferred chunk size for streaming row access under this backend."""
@@ -350,9 +392,6 @@ class DistanceOracle:
         require(us.shape == vs.shape, "sources and targets must have equal length")
         if us.size == 0:
             return np.zeros(0)
-        dense = self.backend
-        if isinstance(dense, DenseAPSPBackend):
-            return dense.matrix[us, vs]
         out = np.empty(us.size)
         # group the batch into per-source runs once (O(B log B)) instead of
         # rescanning the whole source array per unique source

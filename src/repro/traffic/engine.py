@@ -534,8 +534,8 @@ def run_traffic(scheme: RoutingSchemeInstance, model: TrafficModel,
         evaluation engines; the streamed statistics are identical under
         either engine.
     oracle:
-        Shared distance oracle for exact stretch scoring (defaults to
-        backend auto-selection by graph size).
+        Shared distance oracle for exact stretch scoring (defaults to a
+        fresh lazy-backend oracle).
     profile:
         Collect per-stage wall seconds (plan/step/verify/score/reduce),
         summed across shards, into ``report.profile``.

@@ -23,7 +23,7 @@ so digest merging is a disjoint dict union).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,10 +187,6 @@ class MetricStream:
         self.histogram.merge(other.histogram)
 
     # -- reductions -------------------------------------------------------- #
-    @property
-    def batch_indices(self) -> List[int]:
-        return sorted(self._digests)
-
     @property
     def count(self) -> int:
         return sum(d[0] for d in self._digests.values())

@@ -1,10 +1,12 @@
-"""Backend-parity tests: every exact backend must be indistinguishable.
+"""Backend tests: the lazy backend against an independent reference.
 
-The lazy backend must agree with the dense matrix to 1e-9 on distances,
-``ball``, ``nearest`` and tie-breaking order across seeded random graphs, and
-all six routing schemes must produce identical routes whichever exact backend
-the shared oracle uses.  The landmark backend is approximate: it must never
-underestimate and must be refused for scheme construction.
+The reference is the all-pairs matrix of :func:`all_pairs_distances` plus a
+stable argsort of every row.  The lazy backend must agree with it to 1e-9 on
+distances, ``ball``, ``nearest`` and tie-breaking order across seeded random
+graphs, with or without a held all-pairs store, and all six routing schemes
+must route identically whatever the oracle's cache size.  The landmark
+backend is approximate: it must never underestimate and must be refused for
+scheme construction.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.thorup_zwick import ThorupZwickRouting
+from repro.construction.context import BuildContext
 from repro.factory import SCHEME_NAMES, build_scheme
 from repro.graphs.backends import (
-    DenseAPSPBackend,
     LandmarkApproxBackend,
     LazyDijkstraBackend,
     resolve_backend,
@@ -26,7 +29,7 @@ from repro.graphs.generators import (
     ring_of_cliques,
 )
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.shortest_paths import DistanceOracle, all_pairs_distances
 from repro.routing.messages import RouteResult
 from repro.routing.simulator import (
     InvalidRouteError,
@@ -46,74 +49,140 @@ def parity_graphs():
     yield WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.5)], seed=306)
 
 
+def reference(graph):
+    """All-pairs distances and every row's stable (distance, node) order."""
+    matrix = all_pairs_distances(graph)
+    return matrix, np.argsort(matrix, axis=1, kind="stable")
+
+
+def reference_diameter(matrix) -> float:
+    finite = matrix[np.isfinite(matrix)]
+    return float(finite.max())
+
+
+def reference_nearest(row, m, candidates):
+    reachable = sorted({int(v) for v in candidates if np.isfinite(row[v])})
+    return sorted(reachable, key=lambda v: (row[v], v))[:m]
+
+
 class TestExactBackendParity:
+    @pytest.mark.parametrize("held", [False, True])
     @pytest.mark.parametrize("index,graph", list(enumerate(parity_graphs())))
-    def test_rows_balls_nearest_and_order_agree(self, index, graph):
-        dense = DistanceOracle(graph, backend="dense")
+    def test_rows_balls_nearest_and_order_agree(self, index, graph, held):
+        matrix, order = reference(graph)
         lazy = DistanceOracle(graph, backend=LazyDijkstraBackend(graph, cache_rows=8))
+        if held:
+            lazy.hold_all_pairs()
+        assert lazy.backend.holds_all_pairs() == held
         rng = np.random.default_rng(400 + index)
-        assert dense.diameter() == pytest.approx(lazy.diameter(), abs=1e-9)
-        assert dense.min_positive_distance() == pytest.approx(
-            lazy.min_positive_distance(), abs=1e-9)
+        assert lazy.diameter() == pytest.approx(reference_diameter(matrix),
+                                                abs=1e-9)
         for u in range(graph.n):
-            np.testing.assert_allclose(lazy.row(u), dense.row(u), atol=1e-9)
+            np.testing.assert_allclose(lazy.row(u), matrix[u], atol=1e-9)
             # identical stable tie-breaking order, not merely equal distances
-            np.testing.assert_array_equal(lazy.nodes_by_distance(u),
-                                          dense.nodes_by_distance(u))
-            radius = float(rng.uniform(0, max(dense.eccentricity(u), 1.0)))
-            assert lazy.ball(u, radius) == dense.ball(u, radius)
-            assert lazy.ball_size(u, radius) == dense.ball_size(u, radius)
+            np.testing.assert_array_equal(lazy.nodes_by_distance(u), order[u])
+            radius = float(rng.uniform(0, max(lazy.eccentricity(u), 1.0)))
+            ball = np.flatnonzero(matrix[u] <= radius + 1e-12).tolist()
+            assert lazy.ball(u, radius) == ball
+            assert lazy.ball_size(u, radius) == len(ball)
             m = int(rng.integers(1, graph.n + 1))
-            assert lazy.nearest(u, m) == dense.nearest(u, m)
+            assert lazy.nearest(u, m) == reference_nearest(matrix[u], m,
+                                                           range(graph.n))
             candidates = [int(v) for v in rng.choice(graph.n, size=graph.n // 2,
                                                      replace=False)]
             assert (lazy.nearest(u, m, candidates)
-                    == dense.nearest(u, m, candidates))
+                    == reference_nearest(matrix[u], m, candidates))
 
     def test_pair_distances_agree(self):
         graph = random_geometric_graph(40, seed=311)
-        dense = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         lazy = DistanceOracle(graph, backend="lazy")
         rng = np.random.default_rng(7)
         us = rng.integers(0, graph.n, size=200)
         vs = rng.integers(0, graph.n, size=200)
-        np.testing.assert_allclose(lazy.pair_distances(us, vs),
-                                   dense.pair_distances(us, vs), atol=1e-9)
+        np.testing.assert_allclose(lazy.pair_distances(us, vs), matrix[us, vs],
+                                   atol=1e-9)
 
     def test_iter_row_blocks_covers_matrix(self):
         graph = erdos_renyi_graph(30, seed=312)
-        dense = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         lazy = DistanceOracle(graph, backend=LazyDijkstraBackend(graph, cache_rows=4,
                                                                  chunk_rows=7))
         seen = []
         for chunk, rows in lazy.iter_row_blocks(block=7):
-            np.testing.assert_allclose(rows, dense.matrix[chunk], atol=1e-9)
+            np.testing.assert_allclose(rows, matrix[chunk], atol=1e-9)
             seen.extend(chunk)
         assert seen == list(range(graph.n))
 
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
-    def test_all_schemes_route_identically_under_either_backend(self, scheme_name):
+    def test_all_schemes_route_identically_under_a_tiny_cache(self, scheme_name):
         graph = random_geometric_graph(36, seed=321)
-        dense = DistanceOracle(graph, backend="dense")
-        lazy = DistanceOracle(graph, backend="lazy")
-        scheme_dense = build_scheme(scheme_name, graph, k=2, seed=9, oracle=dense)
-        scheme_lazy = build_scheme(scheme_name, graph, k=2, seed=9, oracle=lazy)
-        pairs = RoutingSimulator(graph, oracle=dense).sample_pairs(80, seed=10)
+        tiny = DistanceOracle(graph, backend=LazyDijkstraBackend(graph,
+                                                                 cache_rows=4))
+        default = DistanceOracle(graph)
+        scheme_tiny = build_scheme(scheme_name, graph, k=2, seed=9, oracle=tiny)
+        scheme_default = build_scheme(scheme_name, graph, k=2, seed=9,
+                                      oracle=default)
+        pairs = RoutingSimulator(graph, oracle=default).sample_pairs(80, seed=10)
         for u, v in pairs:
-            a = scheme_dense.route(u, graph.name_of(v))
-            b = scheme_lazy.route(u, graph.name_of(v))
+            a = scheme_tiny.route(u, graph.name_of(v))
+            b = scheme_default.route(u, graph.name_of(v))
             assert a.path == b.path
             assert a.found == b.found
             assert a.cost == pytest.approx(b.cost, abs=1e-9)
+
+
+class TestHeldStoreParity:
+    """One rule serves ball tables and cluster rows: slices of a held
+    all-pairs store, or radius-limited kernel rows.  Both must give the same
+    members, ties and unreachable nodes included."""
+
+    @pytest.mark.parametrize("index,graph", list(enumerate(parity_graphs())))
+    def test_ball_csr_identical_with_and_without_the_store(self, index, graph):
+        cold = DistanceOracle(graph)
+        held = DistanceOracle(graph)
+        held.hold_all_pairs()
+        assert held.backend.holds_all_pairs()
+        diameter = cold.diameter()
+        radii = [0.0, cold.min_positive_distance(), 0.3 * diameter,
+                 0.7 * diameter, diameter]
+        for rho in radii:
+            cold_ptr, cold_idx = BuildContext(graph, oracle=cold).ball_csr(rho)
+            held_ptr, held_idx = BuildContext(graph, oracle=held).ball_csr(rho)
+            np.testing.assert_array_equal(cold_ptr, held_ptr)
+            np.testing.assert_array_equal(cold_idx, held_idx)
+        assert not cold.backend.holds_all_pairs()
+        assert cold.backend.misses == 0  # limited rows bypass the row cache
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("index,graph", list(enumerate(parity_graphs())))
+    def test_thorup_zwick_clusters_identical_with_and_without_the_store(
+            self, index, graph, k):
+        # a 4-row block keeps low-level chunks apart from the top level,
+        # whose clusters are unbounded, so their fetches are radius-limited
+        oracle = DistanceOracle(graph, backend=LazyDijkstraBackend(graph,
+                                                                   cache_rows=4))
+        scheme = ThorupZwickRouting(graph, k=k, seed=index, oracle=oracle)
+        pivot, dist_to_level = scheme._level_structure()
+
+        def clusters():
+            return [(key, members) for key, _, members
+                    in scheme._iter_used_clusters(pivot, dist_to_level)]
+
+        assert not scheme.oracle.backend.holds_all_pairs()
+        cold = clusters()
+        scheme.oracle.hold_all_pairs()
+        assert scheme.oracle.backend.holds_all_pairs()
+        assert clusters() == cold
 
 
 class TestLazyBackendCache:
     def test_lru_eviction_keeps_results_correct(self):
         graph = erdos_renyi_graph(32, seed=331)
         backend = LazyDijkstraBackend(graph, cache_rows=4)
-        dense = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         for u in list(range(graph.n)) + list(range(graph.n)):
-            np.testing.assert_allclose(backend.row(u), dense.row(u), atol=1e-9)
+            np.testing.assert_allclose(backend.row(u), matrix[u], atol=1e-9)
             assert len(backend._rows) <= 4
         assert backend.misses >= graph.n
         assert backend.nbytes() <= 4 * graph.n * 8 * 2 + 1024
@@ -155,39 +224,32 @@ class TestLazyBackendCache:
         for u in range(graph.n):
             oracle.ball_size(u, 1.0)
         assert backend.nbytes() < graph.n * graph.n * 8 / 4
-        with pytest.raises(AttributeError):
-            _ = oracle.matrix
 
 
 class TestLandmarkApproxBackend:
     def test_upper_bound_and_landmark_exactness(self):
         graph = random_geometric_graph(40, seed=341)
-        dense = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         approx = DistanceOracle(graph, backend=LandmarkApproxBackend(graph,
                                                                      num_landmarks=6))
         assert not approx.exact
         for u in range(graph.n):
-            true_row = dense.row(u)
+            true_row = matrix[u]
             est_row = approx.row(u)
             assert est_row[u] == 0.0
             # upper bound everywhere, finite wherever the true distance is
             mask = np.isfinite(true_row)
             assert np.all(est_row[mask] >= true_row[mask] - 1e-9)
         for landmark in approx.backend.landmarks:
-            np.testing.assert_allclose(approx.row(landmark), dense.row(landmark),
+            np.testing.assert_allclose(approx.row(landmark), matrix[landmark],
                                        atol=1e-9)
 
     def test_scheme_construction_refuses_approximate_backend(self):
         graph = random_geometric_graph(24, seed=342)
-        with pytest.raises(ValueError, match="exact"):
-            build_scheme("agm", graph, k=2, backend="landmark")
-
-    def test_env_forced_landmark_backend_is_rejected_for_schemes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISTANCE_BACKEND", "landmark")
-        graph = random_geometric_graph(24, seed=343)
         for scheme_name in ("agm", "thorup-zwick", "cowen"):
-            with pytest.raises(Exception, match="exact"):
-                build_scheme(scheme_name, graph, k=2, seed=1)
+            with pytest.raises(ValueError, match="exact"):
+                build_scheme(scheme_name, graph, k=2, seed=1,
+                             oracle=DistanceOracle(graph, backend="landmark"))
 
     def test_every_component_receives_a_landmark(self):
         graph = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 2.0)],
@@ -225,20 +287,21 @@ class TestMutationInvalidation:
         oracle.prefetch(range(graph.n))
         u, v, w = next(graph.edges())
         graph.set_edge_weight(u, v, w * 10)
-        fresh = DistanceOracle(graph, backend="dense")
+        matrix, order = reference(graph)
         for s in range(graph.n):
-            np.testing.assert_allclose(oracle.row(s), fresh.row(s), atol=1e-9)
-            np.testing.assert_array_equal(oracle.nodes_by_distance(s),
-                                          fresh.nodes_by_distance(s))
+            np.testing.assert_allclose(oracle.row(s), matrix[s], atol=1e-9)
+            np.testing.assert_array_equal(oracle.nodes_by_distance(s), order[s])
         graph.remove_edge(u, v)
-        fresh = DistanceOracle(graph, backend="dense")
-        np.testing.assert_allclose(oracle.row(u), fresh.row(u), atol=1e-9)
+        matrix, _ = reference(graph)
+        np.testing.assert_allclose(oracle.row(u), matrix[u], atol=1e-9)
 
-    def test_dense_backend_recomputes_matrix_and_stats(self):
+    def test_held_store_and_stats_recomputed_after_mutation(self):
         graph = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
+        oracle.hold_all_pairs()
         assert oracle.diameter() == pytest.approx(2.0)
         graph.add_edge(0, 2, 0.25)
+        assert not oracle.backend.holds_all_pairs()
         assert oracle.dist(0, 2) == pytest.approx(0.25)
         assert oracle.diameter() == pytest.approx(1.0)
         graph.detach_node(2)
@@ -250,9 +313,9 @@ class TestMutationInvalidation:
                                 backend=LandmarkApproxBackend(graph, num_landmarks=5))
         u, v, w = next(graph.edges())
         graph.set_edge_weight(u, v, w * 5)
-        exact = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         for s in range(graph.n):
-            true_row = exact.row(s)
+            true_row = matrix[s]
             est_row = oracle.row(s)
             mask = np.isfinite(true_row)
             assert np.all(est_row[mask] >= true_row[mask] - 1e-9)
@@ -283,44 +346,28 @@ class TestMutationInvalidation:
         u, v, w = next(graph.edges())
         graph.remove_edge(u, v)
         scheme = build_scheme("shortest-path", graph, k=2, oracle=oracle)
-        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph, backend="dense"))
+        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
         report = sim.evaluate_batch(scheme, sim.sample_pairs(60, seed=1))
         assert report.failures == 0
         assert report.max_stretch == pytest.approx(1.0)
 
 
 class TestBackendSelection:
-    def test_auto_picks_dense_for_small_graphs(self):
+    def test_default_is_the_lazy_backend(self):
         graph = erdos_renyi_graph(24, seed=351)
-        assert DistanceOracle(graph).backend_name == "dense"
+        assert isinstance(DistanceOracle(graph).backend, LazyDijkstraBackend)
 
-    def test_auto_respects_node_limit_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_NODE_LIMIT", "8")
-        graph = erdos_renyi_graph(24, seed=352)
-        assert DistanceOracle(graph).backend_name == "lazy"
-
-    def test_explicit_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISTANCE_BACKEND", "lazy")
-        graph = erdos_renyi_graph(16, seed=353)
-        assert DistanceOracle(graph).backend_name == "lazy"
-
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["frobnicate", "dense", "auto"])
+    def test_unknown_name_rejected(self, name):
         graph = erdos_renyi_graph(8, seed=354)
         with pytest.raises(ValueError, match="unknown distance backend"):
-            resolve_backend(graph, "frobnicate")
-
-    def test_matrix_argument_forces_dense(self):
-        graph = erdos_renyi_graph(10, seed=355)
-        matrix = DistanceOracle(graph, backend="dense").matrix
-        oracle = DistanceOracle(graph, matrix=matrix)
-        assert isinstance(oracle.backend, DenseAPSPBackend)
-        assert oracle.backend_name == "dense"
+            resolve_backend(graph, name)
 
 
 class TestVectorizedSampling:
     def test_sample_pairs_exact_count_and_connected(self):
         graph = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.5)], seed=361)
-        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph, backend="dense"))
+        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
         pairs = sim.sample_pairs(200, seed=1)
         assert len(pairs) == 200
         comp = graph.component_ids()
@@ -337,7 +384,7 @@ class TestVectorizedSampling:
 
     def test_verify_walks_rejects_out_of_range_node_ids(self):
         graph = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph, backend="dense"))
+        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
         # a negative id must not wrap onto a real node through the CSR gather
         with pytest.raises(InvalidRouteError, match="outside the graph"):
             sim.verify_walks([RouteResult(found=True, path=[0, -2, 2])], [0], [2])
@@ -346,7 +393,7 @@ class TestVectorizedSampling:
 
     def test_shortfall_raises_by_default_and_warns_on_request(self):
         isolated = WeightedGraph(4, [])  # no connected pair exists
-        sim = RoutingSimulator(isolated, oracle=DistanceOracle(isolated, backend="dense"))
+        sim = RoutingSimulator(isolated, oracle=DistanceOracle(isolated))
         with pytest.raises(PairSamplingError):
             sim.sample_pairs(5, seed=0)
         with pytest.warns(UserWarning, match="no connected pair"):
@@ -382,39 +429,6 @@ class TestVectorizedSampling:
             sim.sample_pairs(2, seed=0, max_batches=0)
 
 
-class TestDenseRefusal:
-    """Regression: any path that would materialize an n×n matrix above the
-    dense node limit must fail fast with a clear error, never OOM.  The
-    mocked-small limit stands in for a genuinely large n."""
-
-    def test_constructor_refuses_above_limit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_NODE_LIMIT", "16")
-        graph = erdos_renyi_graph(24, seed=361)
-        with pytest.raises(ValueError, match="dense APSP backend refused"):
-            DenseAPSPBackend(graph)
-
-    def test_explicit_dense_oracle_refused(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_NODE_LIMIT", "8")
-        graph = erdos_renyi_graph(32, seed=362)
-        with pytest.raises(ValueError, match="REPRO_DENSE_NODE_LIMIT"):
-            DistanceOracle(graph, backend="dense")
-
-    def test_supplied_matrix_bypasses_refusal(self, monkeypatch):
-        graph = erdos_renyi_graph(20, seed=363)
-        matrix = DistanceOracle(graph, backend="dense").matrix
-        monkeypatch.setenv("REPRO_DENSE_NODE_LIMIT", "4")
-        oracle = DistanceOracle(graph, matrix=matrix)
-        assert oracle.backend_name == "dense"
-        np.testing.assert_allclose(oracle.row(0), matrix[0])
-
-    def test_auto_selection_stays_clear_of_refusal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_NODE_LIMIT", "8")
-        graph = erdos_renyi_graph(24, seed=364)
-        oracle = DistanceOracle(graph)
-        assert oracle.backend_name == "lazy"
-        assert np.isfinite(oracle.dist(0, 1))
-
-
 class TestLandmarkRowsCertificate:
     """The landmark scoring mode's inputs: ``landmark_rows`` must be exact
     distance rows, stay exact across churn (version sync), and yield valid
@@ -423,11 +437,11 @@ class TestLandmarkRowsCertificate:
     def test_rows_are_exact_landmark_distances(self):
         graph = random_geometric_graph(36, seed=345)
         backend = LandmarkApproxBackend(graph, num_landmarks=5, seed=3)
-        dense = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         rows = backend.landmark_rows
         assert rows.shape == (len(backend.landmarks), graph.n)
         for i, landmark in enumerate(backend.landmarks):
-            np.testing.assert_allclose(rows[i], dense.row(landmark), atol=1e-9)
+            np.testing.assert_allclose(rows[i], matrix[landmark], atol=1e-9)
 
     def test_rows_resync_after_churn(self):
         graph = random_geometric_graph(36, seed=346)
@@ -437,9 +451,9 @@ class TestLandmarkRowsCertificate:
         graph.set_edge_weight(u, v, w * 6)
         graph.add_edge(u, (v + 1) % graph.n, 0.01)
         rows = backend.landmark_rows
-        dense = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         for i, landmark in enumerate(backend.landmarks):
-            np.testing.assert_allclose(rows[i], dense.row(landmark), atol=1e-9)
+            np.testing.assert_allclose(rows[i], matrix[landmark], atol=1e-9)
         assert not np.allclose(stale, rows)
 
     def test_alt_lower_bound_below_truth_after_churn(self):
@@ -448,10 +462,9 @@ class TestLandmarkRowsCertificate:
         u, v, w = next(graph.edges())
         graph.set_edge_weight(u, v, w * 3)
         rows = backend.landmark_rows
-        dense = DistanceOracle(graph, backend="dense")
         diff = np.abs(rows[:, :, None] - rows[:, None, :])
         bound = np.where(np.isfinite(diff), diff, 0.0).max(axis=0)
-        true = dense.matrix
+        true, _ = reference(graph)
         mask = np.isfinite(true)
         assert np.all(bound[mask] <= true[mask] + 1e-9)
 
@@ -462,9 +475,9 @@ class TestLandmarkRowsCertificate:
         oracle.row(0)                       # warm the approximation cache
         u, v, w = next(graph.edges())
         graph.remove_edge(u, v)
-        exact = DistanceOracle(graph, backend="dense")
+        matrix, _ = reference(graph)
         for s in range(graph.n):
-            true_row = exact.row(s)
+            true_row = matrix[s]
             est_row = oracle.row(s)
             mask = np.isfinite(true_row)
             assert np.all(est_row[mask] >= true_row[mask] - 1e-9)
@@ -473,27 +486,28 @@ class TestLandmarkRowsCertificate:
 class TestLazyStatsFastPath:
     """The lazy backend's pruned eccentricity-bound diameter is *exact*.
 
-    The dense backend computes the diameter from the full matrix; the lazy
-    backend now prunes nodes whose eccentricity upper bound cannot beat the
-    running maximum.  Pruning is a search-order optimization, not an
-    approximation — the two must agree to the last bit, and the minimum
-    positive distance must be the literal smallest edge weight.
+    The reference diameter is the largest finite entry of the all-pairs
+    matrix; the lazy backend prunes nodes whose eccentricity upper bound
+    cannot beat the running maximum.  Pruning is a search-order
+    optimization, not an approximation — the two must agree to the last
+    bit, and the minimum positive distance must be the smallest positive
+    entry of the matrix, which is the literal smallest edge weight.
     """
 
     @pytest.mark.parametrize("index,graph",
                              list(enumerate(parity_graphs())))
-    def test_diameter_bitwise_equal_to_dense(self, index, graph):
-        dense = DistanceOracle(graph, backend="dense")
+    def test_diameter_bitwise_equal_to_reference(self, index, graph):
+        matrix, _ = reference(graph)
         lazy = DistanceOracle(graph,
                               backend=LazyDijkstraBackend(graph, cache_rows=4))
-        assert lazy.diameter() == dense.diameter()
-        assert lazy.min_positive_distance() == dense.min_positive_distance()
+        assert lazy.diameter() == reference_diameter(matrix)
+        assert lazy.min_positive_distance() == matrix[matrix > 0].min()
         assert lazy.min_positive_distance() == graph.min_weight()
 
     def test_edgeless_graph_stats(self):
         graph = WeightedGraph(4, [], seed=1)
         lazy = DistanceOracle(graph,
                               backend=LazyDijkstraBackend(graph, cache_rows=4))
-        dense = DistanceOracle(graph, backend="dense")
-        assert lazy.diameter() == dense.diameter() == 0.0
-        assert lazy.min_positive_distance() == dense.min_positive_distance()
+        assert lazy.diameter() == 0.0
+        # no positive distance at all: the paper normalizes d_min to 1
+        assert lazy.min_positive_distance() == 1.0

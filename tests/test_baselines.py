@@ -164,7 +164,7 @@ class TestExponentialStretch:
     def test_close_destinations_skip_the_landmark_round_trip(self):
         # a close pair here once paid a landmark-tree round trip: stretch 152.9
         graph = random_geometric_graph(36, seed=0)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         scheme = ExponentialStretchRouting(graph, k=2, oracle=oracle, seed=0)
         sim = RoutingSimulator(graph, oracle=oracle)
         report = sim.evaluate_batch(scheme, sim.all_pairs())

@@ -61,7 +61,7 @@ FAMILIES = {
 
 def fresh_simulator(graph: WeightedGraph) -> RoutingSimulator:
     """A simulator over a *freshly built* oracle — the churn-agnostic referee."""
-    return RoutingSimulator(graph, oracle=DistanceOracle(graph, backend="dense"))
+    return RoutingSimulator(graph, oracle=DistanceOracle(graph))
 
 
 def churn_rounds(graph, scheme, seed, rounds=2, batch=5,
@@ -86,7 +86,7 @@ class TestPostRepairInvariants:
         for seed in (1, 2):
             graph = FAMILIES[family](600 + seed)
             scheme = build_scheme(scheme_name, graph, k=2, seed=seed,
-                                  oracle=DistanceOracle(graph, backend="dense"))
+                                  oracle=DistanceOracle(graph))
             churn_rounds(graph, scheme, seed=40 + seed)
             sim = fresh_simulator(graph)
             pairs = sim.sample_pairs(60, seed=seed, on_shortfall="warn")
@@ -101,7 +101,7 @@ class TestPostRepairInvariants:
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_failure_then_recovery_restores_baseline_stretch(self, scheme_name):
         graph = random_geometric_graph(40, seed=77)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         scheme = build_scheme(scheme_name, graph, k=2, seed=3, oracle=oracle)
         sim = RoutingSimulator(graph, oracle=oracle)
         pairs = sim.sample_pairs(50, seed=5)
@@ -130,7 +130,7 @@ class TestRepairMatchesFreshBuild:
     @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
     def test_same_reports_as_scratch_instance(self, scheme_name):
         graph = random_geometric_graph(42, seed=88)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         scheme = build_scheme(scheme_name, graph, k=2, seed=9, oracle=oracle)
         events = (edge_failures(graph, 4, seed=21)
                   + weight_perturbations(graph, 4, seed=22)
@@ -140,7 +140,7 @@ class TestRepairMatchesFreshBuild:
         assert report.strategy == "full-rebuild"
 
         scratch = build_scheme(scheme_name, graph, k=2, seed=9,
-                               oracle=DistanceOracle(graph, backend="dense"))
+                               oracle=DistanceOracle(graph))
         # rebuild_spec() recovered every constructor parameter and the seed
         assert ([scheme.table_bits(u) for u in range(graph.n)]
                 == [scratch.table_bits(u) for u in range(graph.n)])
@@ -157,7 +157,7 @@ class TestRepairMatchesFreshBuild:
     def test_shortest_path_repairs_by_full_rebuild(self):
         graph = random_geometric_graph(36, seed=91)
         scheme = build_scheme("shortest-path", graph, k=2, seed=1,
-                              oracle=DistanceOracle(graph, backend="dense"))
+                              oracle=DistanceOracle(graph))
         program = scheme.compiled_forwarding()
         events = (edge_failures(graph, 3, seed=2)
                   + weight_perturbations(graph, 3, seed=3))
@@ -165,7 +165,7 @@ class TestRepairMatchesFreshBuild:
         assert report.strategy == "full-rebuild"
         assert scheme.compiled_forwarding() is not program
         fresh = build_scheme("shortest-path", graph, k=2, seed=1,
-                             oracle=DistanceOracle(graph, backend="dense"))
+                             oracle=DistanceOracle(graph))
         np.testing.assert_array_equal(scheme._next_hop, fresh._next_hop)
 
     def test_shortest_path_rebuild_recharges_tables(self):
@@ -174,11 +174,11 @@ class TestRepairMatchesFreshBuild:
         # the pre-churn ones
         graph = random_geometric_graph(36, seed=94)
         scheme = build_scheme("shortest-path", graph, k=2, seed=1,
-                              oracle=DistanceOracle(graph, backend="dense"))
+                              oracle=DistanceOracle(graph))
         before = [scheme.tables.table_bits(u) for u in range(graph.n)]
         scheme.maintain(apply_events(graph, node_detachments(graph, 1, seed=6)))
         fresh = build_scheme("shortest-path", graph, k=2, seed=1,
-                             oracle=DistanceOracle(graph, backend="dense"))
+                             oracle=DistanceOracle(graph))
         after = [scheme.tables.table_bits(u) for u in range(graph.n)]
         assert after == [fresh.tables.table_bits(u) for u in range(graph.n)]
         assert sum(after) < sum(before)
@@ -188,7 +188,7 @@ class TestRepairMatchesFreshBuild:
     def test_shortest_path_empty_batch_keeps_tables(self):
         graph = random_geometric_graph(36, seed=95)
         scheme = build_scheme("shortest-path", graph, k=2, seed=1,
-                              oracle=DistanceOracle(graph, backend="dense"))
+                              oracle=DistanceOracle(graph))
         next_hop = scheme._next_hop.copy()
         bits = [scheme.tables.table_bits(u) for u in range(graph.n)]
         keys, hops = scheme.compiled_forwarding().tables[0].entries()
@@ -205,7 +205,7 @@ class TestRepairMatchesFreshBuild:
     def test_empty_batch_keeps_scheme_and_program(self, scheme_name):
         graph = random_geometric_graph(36, seed=96)
         scheme = build_scheme(scheme_name, graph, k=2, seed=1,
-                              oracle=DistanceOracle(graph, backend="dense"))
+                              oracle=DistanceOracle(graph))
         program = scheme.compiled_forwarding()
         report = scheme.maintain(apply_events(graph, []))
         assert report.strategy == "unchanged"
@@ -251,7 +251,7 @@ class TestScenarioMatrix:
     def test_stale_window_counts_broken_walks(self):
         graph = grid_graph(4, 4, seed=41)
         scheme = build_scheme("shortest-path", graph, k=2, seed=1,
-                              oracle=DistanceOracle(graph, backend="dense"))
+                              oracle=DistanceOracle(graph))
         stale_program = scheme.compiled_forwarding()
         pairs = fresh_simulator(graph).sample_pairs(40, seed=2)
         src, dst = (np.asarray(side, dtype=np.int64) for side in zip(*pairs))

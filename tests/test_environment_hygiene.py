@@ -23,8 +23,6 @@ MUTATORS = {"pop", "popitem", "update", "setdefault", "clear",
 #: every environment variable the library reads
 ENVIRONMENT_SURFACE = {
     "REPRO_BENCH_FULL",
-    "REPRO_DENSE_NODE_LIMIT",
-    "REPRO_DISTANCE_BACKEND",
     "REPRO_MEMORY_BUDGET",
     "REPRO_ROW_SPILL_BYTES",
     "REPRO_SPILL_DIR",

@@ -83,16 +83,6 @@ class TestHarness:
             right = {k: v for k, v in right.items() if k != "build_seconds"}
             assert left == right
 
-    def test_run_matrix_lazy_backend_matches_dense(self, small_er):
-        kwargs = dict(schemes=["shortest-path"], graphs=[("er", small_er)],
-                      ks=[2], num_pairs=15, seed=5)
-        dense = run_matrix("dense", backend="dense", **kwargs)
-        lazy = run_matrix("lazy", backend="lazy", **kwargs)
-        for left, right in zip(dense.rows, lazy.rows):
-            left = {k: v for k, v in left.items() if k != "build_seconds"}
-            right = {k: v for k, v in right.items() if k != "build_seconds"}
-            assert left == right
-
 
 class TestReporting:
     def test_format_table_contains_values(self):

@@ -365,8 +365,7 @@ class TestLockstepEdgeCases:
         victim = max(range(graph.n), key=graph.degree) // 2 + 1
         delta = apply_events(graph, [ChurnEvent("detach", victim)])
         scheme.maintain(delta)
-        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph,
-                                                            backend="dense"))
+        sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
         sources = [u for u in range(graph.n) if u != victim][:10]
         pairs = [(u, victim) for u in sources] + [(victim, sources[0])]
         scalar = sim.route_batch(scheme, pairs, engine="scalar")

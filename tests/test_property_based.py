@@ -177,14 +177,13 @@ class TestChurnEngineParityProperties:
         found/strategy metadata on a random pair sample.
         """
         scheme = build_scheme(scheme_name, graph, k=2, seed=seed,
-                              oracle=DistanceOracle(graph, backend="dense"))
+                              oracle=DistanceOracle(graph))
         for batch_index in range(2):
             events = random_event_batch(graph, 3, seed=seed + batch_index,
                                         kinds=("fail", "perturb"))
             delta = apply_events(graph, events)
             scheme.maintain(delta)
-            simulator = RoutingSimulator(
-                graph, oracle=DistanceOracle(graph, backend="dense"))
+            simulator = RoutingSimulator(graph, oracle=DistanceOracle(graph))
             import warnings
 
             with warnings.catch_warnings():

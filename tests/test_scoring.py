@@ -27,7 +27,7 @@ def scoring_graph():
 
 @pytest.fixture(scope="module")
 def scoring_oracle(scoring_graph):
-    return DistanceOracle(scoring_graph, backend="dense")
+    return DistanceOracle(scoring_graph)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from repro.dynamics.events import (
     weight_perturbations,
 )
 from repro.factory import build_scheme
-from repro.graphs import shortest_paths
 from repro.graphs.backends import LazyDijkstraBackend
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -33,6 +32,7 @@ from repro.graphs.generators import (
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, all_pairs_distances
 from repro.live import LiveSimulator
+from repro.utils.validation import ValidationError
 
 
 def _two_components() -> WeightedGraph:
@@ -148,6 +148,21 @@ class TestLazyStore:
         oracle.shortest_path_forest([0, 1])
         assert backend.nbytes() == 0
 
+    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_out_of_range_rows_refused_with_or_without_the_store(self, built,
+                                                                 held, bad):
+        graph, oracle, backend = built
+        if not held:
+            oracle.invalidate()
+        assert backend.holds_all_pairs() == held
+        bad = graph.n if bad == "n" else bad
+        # the held matrix must not wrap -1 onto row n-1 or leak IndexError
+        with pytest.raises(ValidationError):
+            oracle.rows([0, bad])
+        with pytest.raises(ValidationError):
+            oracle.rows_within([bad], 1.0)
+
     @pytest.mark.parametrize("sources", ["prefix", "reversed"])
     def test_partial_or_unordered_sources_keep_nothing(self, sources):
         graph = barabasi_albert_graph(60, seed=19)
@@ -159,34 +174,6 @@ class TestLazyStore:
         assert backend.nbytes() == 0
         oracle.row(0)
         assert backend.misses == 1
-
-
-class TestDenseAdoption:
-    def test_rebuild_reuses_the_forest_matrix(self, monkeypatch):
-        graph = barabasi_albert_graph(120, seed=20)
-        oracle = DistanceOracle(graph, backend="dense")
-        scheme = ShortestPathRouting(graph, oracle=oracle)
-        original = oracle.matrix
-        calls = []
-        real = shortest_paths.all_pairs_distances
-
-        def counting(g):
-            calls.append(g.version)
-            return real(g)
-
-        monkeypatch.setattr(shortest_paths, "all_pairs_distances", counting)
-        # a build on an unchanged version keeps the matrix it already has
-        ShortestPathRouting(graph, oracle=oracle)
-        assert oracle.matrix is original
-        report = scheme.maintain(apply_events(graph, edge_failures(graph, 5,
-                                                                   seed=4)))
-        assert report.strategy == "full-rebuild"
-        np.testing.assert_array_equal(oracle.matrix, real(graph))
-        assert calls == []
-        # without a forest pass in between, a mutation costs one recompute
-        apply_events(graph, edge_failures(graph, 2, seed=5))
-        oracle.matrix
-        assert calls == [graph.version]
 
 
 def test_live_scoring_through_the_build_oracle_matches_a_fresh_oracle():

@@ -128,7 +128,3 @@ class TestDistanceOracle:
         assert oracle.eccentricity(0) == pytest.approx(3.0)
         assert oracle.farthest_of(0, [1, 3]) == pytest.approx(2.0)
         assert oracle.farthest_of(0, []) == 0.0
-
-    def test_rejects_wrong_matrix_shape(self, diamond):
-        with pytest.raises(Exception):
-            DistanceOracle(diamond, matrix=np.zeros((2, 2)))

@@ -219,8 +219,8 @@ class TestRowSpillParity:
         backend = LazyDijkstraBackend(graph, cache_rows=cache_rows)
         oracle = DistanceOracle(graph, backend=backend)
         build_oracle = oracle
-        if scheme_name == "shortest-path":
-            # its build leaves every row of this graph version in the
+        if scheme_name in ("shortest-path", "awerbuch-peleg"):
+            # each build leaves every row of this graph version in the
             # oracle it builds on, so nothing would spill there: build on a
             # second oracle and score through the one under test
             build_oracle = DistanceOracle(graph, backend="lazy")

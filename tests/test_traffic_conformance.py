@@ -191,7 +191,7 @@ class TestTrafficModels:
         model = GravityTraffic(graph, seed=5, locality=1.0, hops=2)
         src, dst = model.batch(2, 2000)
         valid_pairs(graph, src, dst)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         # every packet's endpoints are within 2 hops (unweighted) of each other
         for u, v in set(zip(src.tolist(), dst.tolist())):
             neighbors = {w for w, _ in graph.neighbors(u)}
@@ -292,7 +292,7 @@ class TestStretchCertification:
     def test_streamed_stretch_within_advertised_bound(self, case):
         scheme_name, family, seed, model_name = case
         graph = FAMILIES[family](seed=seed % 97)
-        fresh = DistanceOracle(graph, backend="dense")
+        fresh = DistanceOracle(graph)
         scheme = build_scheme(scheme_name, graph, k=2, seed=seed % 13,
                               oracle=fresh)
         model = make_traffic_model(model_name, graph, seed=seed)
@@ -323,7 +323,7 @@ class TestStretchCertification:
 class TestDeterminism:
     def _scheme_and_model(self, scheme_name="cowen", seed=23):
         graph = random_geometric_graph(40, seed=802)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         scheme = build_scheme(scheme_name, graph, k=2, seed=7, oracle=oracle)
         model = make_traffic_model("zipf", graph, seed=seed)
         return scheme, model, oracle
@@ -439,7 +439,7 @@ class TestThroughputModes:
 
     def _scheme_and_model(self, scheme_name="cowen", seed=23):
         graph = random_geometric_graph(40, seed=802)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         scheme = build_scheme(scheme_name, graph, k=2, seed=7, oracle=oracle)
         model = make_traffic_model("zipf", graph, seed=seed)
         return scheme, model, oracle
@@ -509,7 +509,7 @@ class TestThroughputModes:
 
         monkeypatch.setattr(traffic_engine, "HOT_ROW_CAP", 4)
         graph = random_geometric_graph(40, seed=802)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         hot = ZipfTraffic(graph, seed=23, support=16).hot_destinations()
         cache = traffic_engine.hot_row_cache_for(oracle, hot, graph)
         assert set(np.flatnonzero(cache.rank >= 0).tolist()) \
@@ -530,7 +530,7 @@ class TestTrafficMatrix:
         result = run_traffic_matrix(
             "traffic-smoke", ["cowen", "shortest-path"],
             [("geo", graph)], ks=[2], model="hotspot", packets=2000,
-            batch_size=512, seed=3, backend="dense")
+            batch_size=512, seed=3)
         assert len(result.rows) == 2
         for row in result.rows:
             assert row["engine"] == "lockstep"
@@ -547,7 +547,7 @@ class TestTrafficMatrix:
         """The columns of an exact-scoring traffic row; a new or dropped
         column needs an edit here."""
         graph = random_geometric_graph(36, seed=811)
-        oracle = DistanceOracle(graph, backend="dense")
+        oracle = DistanceOracle(graph)
         scheme = build_scheme("cowen", graph, k=2, seed=7, oracle=oracle)
         model = make_traffic_model("zipf", graph, seed=3)
         row = run_traffic(scheme, model, packets=600, batch_size=256,
