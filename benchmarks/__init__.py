@@ -1,1 +1,1 @@
-"""Benchmark suite regenerating the experiments (README, "Experiment matrix")."""
+"""Benchmarks: the E11 and E14–E19 scripts and the E7–E10 pytest-benchmark files."""

@@ -1,9 +1,12 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the pytest-benchmark files (E7–E10).
 
-Every benchmark regenerates one of the experiment tables (README,
-"Experiment matrix") and records the reproduced rows in
-``benchmark.extra_info`` so that ``pytest benchmarks/ --benchmark-only`` both
-times the operations and leaves the measured numbers in the report.
+Each of those files times one of the paper's tree and cover lemmas and
+records the measured numbers in ``benchmark.extra_info``, so a run both
+times the operations and leaves the numbers in the report.  The files are
+named ``bench_*``, so run each by path, e.g.
+``python -m pytest benchmarks/bench_e9_lemma6_cover.py``.  The paper's
+experiments E1–E5 and E12 run through the matrix runner instead
+(``python -m repro.experiments.matrix configs/e1_tradeoff.json``).
 
 Sizes default to the *quick* workloads; set ``REPRO_BENCH_FULL=1`` for the
 larger ones.
@@ -13,10 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.params import AGMParams
 from repro.experiments.workloads import full_mode, make_workload
 from repro.graphs.shortest_paths import DistanceOracle
-from repro.routing.simulator import RoutingSimulator
 
 
 def pytest_configure(config):
@@ -31,7 +32,7 @@ def quick() -> bool:
 
 @pytest.fixture(scope="session")
 def bench_graph(quick):
-    """The common workload graph used by most benches (random geometric)."""
+    """The workload graph of the E9 and E10 benches (random geometric)."""
     return make_workload("geometric", 64 if quick else 192, seed=11)
 
 
@@ -39,18 +40,6 @@ def bench_graph(quick):
 def bench_oracle(bench_graph):
     """Distance oracle of the common workload graph."""
     return DistanceOracle(bench_graph)
-
-
-@pytest.fixture(scope="session")
-def bench_simulator(bench_graph, bench_oracle):
-    """Simulator bound to the common workload graph."""
-    return RoutingSimulator(bench_graph, oracle=bench_oracle)
-
-
-@pytest.fixture(scope="session")
-def agm_params():
-    """Scaled experiment constants (exponents untouched); see DESIGN.md §3 item 2."""
-    return AGMParams.experiment()
 
 
 def record(benchmark, **info) -> None:

@@ -40,7 +40,7 @@ def single_batch_walkthrough() -> None:
     scheme = build_scheme("thorup-zwick", graph, k=2, seed=1, oracle=oracle)
     pairs = simulator.sample_pairs(150, seed=2)
     print(f"baseline: avg stretch "
-          f"{simulator.evaluate_batch(scheme, pairs).avg_stretch:.3f}")
+          f"{simulator.evaluate(scheme, pairs=pairs).avg_stretch:.3f}")
     # the program routers hold when the failure hits
     stale_program = scheme.compiled_forwarding()
 
@@ -65,7 +65,7 @@ def single_batch_walkthrough() -> None:
     report = scheme.maintain(delta)
     print(f"repair: {report.strategy} in {report.seconds * 1000:.1f} ms")
     pairs = simulator.sample_pairs(150, seed=3, on_shortfall="warn")
-    post = simulator.evaluate_batch(scheme, pairs)
+    post = simulator.evaluate(scheme, pairs=pairs)
     print(f"post-repair: avg stretch {post.avg_stretch:.3f}, "
           f"failures {post.failures}/{post.num_pairs}\n")
 

@@ -1,8 +1,10 @@
-"""Experiment harness: workloads, runner, reporting, and one module per experiment.
+"""Experiment harness: workloads, runner, reporting and the experiment matrix.
 
-Each ``exp_*`` module exposes ``run(quick=True, seed=...) -> ExperimentResult``
-so that the pytest-benchmark wrappers in ``benchmarks/`` and the runnable
-examples can share the exact same code paths.
+The paper's experiments (E1–E5/E6, E12) are kinds of the config-driven
+matrix runner: ``repro.experiments.matrix.kinds`` holds one function per
+kind, ``fn(quick=..., seed=..., **params) -> ExperimentResult``, and
+``configs/`` holds a committed config for each.  Run one with
+``python -m repro.experiments.matrix configs/e1_tradeoff.json``.
 """
 
 from repro.experiments.harness import ExperimentResult, run_matrix, evaluate_scheme_on_graph

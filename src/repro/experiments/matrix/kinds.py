@@ -1,9 +1,11 @@
 """The experiment bodies the matrix runner can execute, keyed by kind name.
 
-The six historical ``exp_*`` modules each carried one of these bodies plus
-its own ad-hoc argument plumbing; the bodies now live here (one function per
-kind, same row-for-row behavior) and the ``exp_*`` entry points are thin
-shims over them.  Three general kinds join them:
+The paper's experiments are kinds here, one function each: ``tradeoff``
+(E1), ``comparison`` (E2), ``scale-free`` (E3), ``stretch-growth`` (E4),
+``lemma-properties`` (E5/E6) and ``ablation`` (E12).  The pair-sampled ones
+score through :meth:`~repro.routing.simulator.RoutingSimulator.evaluate`,
+that is through :func:`repro.traffic.engine.run_traffic`, like every
+traffic run.  Three general kinds join them:
 
 ``grid``
     schemes x graphs x k through :func:`repro.experiments.harness.run_matrix`
@@ -199,13 +201,17 @@ def graph_factory_from_source(source: Any, quick: bool,
 
 
 # ---------------------------------------------------------------------------
-# the six historical experiment bodies (E1, E2, E3, E4, E12, E5/E6)
+# the paper's experiments (E1, E2, E3, E4, E12, E5/E6)
 
 
 def run_tradeoff(quick: bool = True, seed: int = 0,
                  ks: Optional[Sequence[int]] = None,
                  num_pairs: Optional[int] = None) -> ExperimentResult:
-    """E1 — Theorem 1's space–stretch trade-off for the AGM scheme."""
+    """E1 — Theorem 1's space–stretch trade-off for the AGM scheme.
+
+    Per (graph, k): measured stretch and table bits next to the theoretical
+    references (``8k + 4`` stretch, Theorem 1's and Lemma 11's bit bounds).
+    """
     ks = list(ks) if ks is not None else ([1, 2, 3] if quick else [1, 2, 3, 4, 5])
     num_pairs = num_pairs or (60 if quick else 300)
     graphs = [(spec.name, spec.build(quick=quick, seed_offset=seed))
@@ -235,7 +241,12 @@ def run_tradeoff(quick: bool = True, seed: int = 0,
 def run_comparison(quick: bool = True, seed: int = 0, k: int = 3,
                    schemes: Optional[Sequence[str]] = None,
                    num_pairs: Optional[int] = None) -> ExperimentResult:
-    """E2 — the Section 1.3 comparison of all six routing schemes."""
+    """E2 — the Section 1.3 comparison of all six routing schemes.
+
+    One row per (graph, scheme) at a common ``k``: stretch, table, label
+    and header bits.  ``configs/e2_comparison.json`` reproduces it through
+    the matrix runner row for row.
+    """
     schemes = list(schemes) if schemes is not None else list(ALL_SCHEMES)
     num_pairs = num_pairs or (60 if quick else 300)
     suite = standard_suite(quick)[:2] if quick else standard_suite(quick)
@@ -259,7 +270,11 @@ def run_comparison(quick: bool = True, seed: int = 0, k: int = 3,
 def run_scale_free(quick: bool = True, seed: int = 0, k: int = 2,
                    deltas: Optional[Sequence[float]] = None,
                    num_pairs: Optional[int] = None) -> ExperimentResult:
-    """E3 — table size vs aspect ratio (the scale-free claim)."""
+    """E3 — table size vs aspect ratio (the scale-free claim).
+
+    One topology with its weights rescaled to each target Δ: AGM's tables
+    should stay flat while Awerbuch–Peleg's grow with ``log Δ``.
+    """
     if deltas is None:
         deltas = [1e2, 1e4, 1e6] if quick else [1e2, 1e4, 1e6, 1e9, 1e12]
     n = 48 if quick else 96
@@ -284,7 +299,11 @@ def run_scale_free(quick: bool = True, seed: int = 0, k: int = 2,
 def run_stretch_growth(quick: bool = True, seed: int = 0,
                        ks: Optional[Sequence[int]] = None,
                        num_pairs: Optional[int] = None) -> ExperimentResult:
-    """E4 — stretch growth in k: linear (AGM) vs exponential (prior family)."""
+    """E4 — stretch growth in k: linear (AGM) vs exponential (prior family).
+
+    The metadata records each scheme's successive avg-stretch ratios: a
+    linear curve has ratios tending to 1, an exponential one stays near 2.
+    """
     ks = list(ks) if ks is not None else ([1, 2, 3] if quick else [1, 2, 3, 4, 5, 6])
     num_pairs = num_pairs or (50 if quick else 250)
     spec = standard_suite(quick)[0]
@@ -311,7 +330,11 @@ def run_ablation(quick: bool = True, seed: int = 0, k: int = 2,
                  dense_gaps: Optional[Sequence[int]] = None,
                  sparse_shrinks: Optional[Sequence[float]] = None,
                  num_pairs: Optional[int] = None) -> ExperimentResult:
-    """E12 — ablation of the dense-gap and sparse-shrink constants."""
+    """E12 — ablation of the dense-gap and sparse-shrink constants.
+
+    Sweeps Definition 2's dense gap (3) and Lemma 3's sparse shrink (6)
+    around the paper's values; failures should stay at zero throughout.
+    """
     dense_gaps = list(dense_gaps) if dense_gaps is not None else [1, 3, 5]
     sparse_shrinks = list(sparse_shrinks) if sparse_shrinks is not None else [3.0, 6.0, 12.0]
     num_pairs = num_pairs or (40 if quick else 200)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def _format_value(value: object) -> str:
@@ -50,29 +50,6 @@ def format_series(xs: Sequence[object], ys: Sequence[float], x_label: str, y_lab
         bar = "#" * max(1, int(round(width * (y / top)))) if top > 0 else ""
         out.write(f"{_format_value(x):>16} | {bar} {_format_value(y)}\n")
     return out.getvalue()
-
-
-#: default column order for traffic-matrix rows (see ``run_traffic_matrix``)
-TRAFFIC_COLUMNS = (
-    "graph", "scheme", "model", "engine", "shards", "packets", "pps",
-    "delivered", "failures", "unreachable", "avg_stretch", "median_stretch",
-    "p95_stretch", "p99_stretch", "max_stretch", "avg_hops", "p95_hops",
-)
-
-
-def traffic_table(rows: Sequence[Dict[str, object]],
-                  title: Optional[str] = None) -> str:
-    """Render traffic-matrix rows with the streamed-statistics column set.
-
-    A thin curation over :func:`format_table`: traffic rows carry many more
-    fields (hop quantiles, timing, per-stage profiles) than fit a terminal;
-    this picks the headline ones in a stable order, keeping only columns at
-    least one row actually has.
-    """
-    if not rows:
-        return format_table(rows, title=title)
-    columns = [c for c in TRAFFIC_COLUMNS if any(c in row for row in rows)]
-    return format_table(rows, columns=columns, title=title or "traffic")
 
 
 def results_to_csv(rows: Sequence[Dict[str, object]],

@@ -103,22 +103,6 @@ def workload_factory(family: str, n: int,
     return lambda: make_workload(family, n, seed=seed)
 
 
-def traffic_suite(graph: WeightedGraph, seed: int = 0) -> List[tuple]:
-    """One instance of every registered traffic model on ``graph``.
-
-    Returns ``(model_name, TrafficModel)`` pairs with per-model derived
-    seeds — the standard sweep benches and experiments iterate when they
-    want routing quality *under load shape*, not just uniform pairs.  The
-    model registry itself lives in :mod:`repro.traffic.models`; this helper
-    is the workload-layer composition point, like :func:`workload_factory`
-    is for churn scenarios.
-    """
-    from repro.traffic.models import TRAFFIC_MODEL_NAMES, make_traffic_model
-
-    return [(name, make_traffic_model(name, graph, seed=seed + index))
-            for index, name in enumerate(TRAFFIC_MODEL_NAMES)]
-
-
 def standard_suite(quick: bool = True) -> List[WorkloadSpec]:
     """The graph suite used by experiments E1, E2 and E4."""
     specs = [

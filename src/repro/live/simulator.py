@@ -78,7 +78,7 @@ def stale_window_outcome(graph: WeightedGraph, outcome, num_packets: int,
     """Per-packet delivery of a stale-program run over a mutated graph.
 
     The tolerant sibling of
-    :func:`repro.routing.simulator.gather_hop_costs`: a hop over a
+    :func:`repro.traffic.engine.gather_hop_costs`: a hop over a
     now-missing edge is not a scheme bug here — it is a packet dying at a
     failed link — so instead of raising, every packet whose walk uses a
     dead or out-of-range hop is marked undelivered.  A packet is delivered

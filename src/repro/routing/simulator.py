@@ -1,13 +1,18 @@
-"""Batched hop-by-hop evaluation of routing schemes.
+"""Pair-sampled evaluation of routing schemes.
 
-The simulator takes a scheme instance, samples (or receives) source /
-destination pairs, asks the scheme to route each one, **independently
-verifies** the returned walks (consecutive nodes must be graph-adjacent; the
-cost is recomputed from edge weights), and aggregates stretch statistics
-against exact shortest-path distances.
+The simulator samples (or receives) source / destination pairs and measures
+how a scheme routes them.  It does no routing, verification or scoring of
+its own: :meth:`RoutingSimulator.evaluate` runs the pairs through
+:func:`repro.traffic.engine.run_traffic` as one
+:class:`~repro.traffic.models.PairTraffic` stream and reads its
+:class:`EvaluationReport` off the streamed
+:class:`~repro.traffic.stats.TrafficStats`, so a sampled experiment scores
+exactly the way every traffic run and benchmark row does: every hop of every
+walk is checked against the graph, and stretch is measured against exact
+shortest-path distances.
 
-Two evaluation engines are available (``engine=`` on :meth:`evaluate` /
-:meth:`evaluate_batch` / :meth:`route_batch`):
+Two engines are available (``engine=`` on :meth:`RoutingSimulator.evaluate`
+and :meth:`RoutingSimulator.route_batch`):
 
 * ``"scalar"`` — per-pair ``scheme.route()`` calls, the reference engine;
 * ``"lockstep"`` (default) — the scheme's :meth:`compile_forwarding`
@@ -17,17 +22,14 @@ Two evaluation engines are available (``engine=`` on :meth:`evaluate` /
   engine.  A scheme without a compiled form raises ``NotImplementedError``
   here and runs under ``"scalar"`` only.
 
-Either way the data plane is vectorized: pair sampling rejects disconnected
-candidates with one component-id array comparison, walk verification checks
-every hop of every walk through one CSR gather, shortest distances for the
-round are prefetched into the backend in one batched call, and stretch
-statistics are computed with NumPy over the whole batch.
+:meth:`RoutingSimulator.route_batch` returns the verified walks themselves,
+which is what the engine-parity tests compare.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,111 +39,36 @@ from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.forwarding import run_lockstep
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
+from repro.traffic.engine import (  # noqa: F401 - InvalidRouteError re-exported
+    DEFAULT_BATCH_SIZE,
+    InvalidRouteError,
+    resolve_engine_spec,
+    run_traffic,
+    verify_lockstep_walks,
+    verify_scalar_walks,
+)
+from repro.traffic.models import PairTraffic
+from repro.traffic.stats import TrafficStats
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
-
-#: engine names accepted by evaluate / evaluate_batch / route_batch
-ENGINE_NAMES = ("scalar", "lockstep")
-
-
-class InvalidRouteError(RuntimeError):
-    """Raised when a scheme returns a walk that does not exist in the graph."""
 
 
 class PairSamplingError(ValueError):
     """Raised when the requested number of connected pairs cannot be sampled."""
 
 
-def gather_hop_costs(graph: WeightedGraph, packet_idx: np.ndarray,
-                     heads: np.ndarray, tails: np.ndarray,
-                     num_packets: int) -> np.ndarray:
-    """Validate flattened hop arrays and accumulate per-packet walk costs.
-
-    Shared by :meth:`RoutingSimulator.verify_walks` (which flattens Python
-    paths), the lockstep engine (whose hop arrays come out of the run
-    directly, in the same packet-major chronological order — so the
-    accumulated sums are bit-identical between engines) and the traffic
-    engine's batch streaming.  Self-hops (``head == tail``) are ignored,
-    everything else must be a graph edge or :class:`InvalidRouteError` is
-    raised.
-    """
-    costs = np.zeros(num_packets)
-    if packet_idx.size == 0:
-        return costs
-    real = heads != tails
-    heads, tails, packet_idx = heads[real], tails[real], packet_idx[real]
-    if packet_idx.size == 0:
-        return costs
-    # bounds-check before the gather: CSR fancy indexing would wrap
-    # negative ids onto real nodes and certify a non-existent walk
-    out_of_range = ((heads < 0) | (heads >= graph.n)
-                    | (tails < 0) | (tails >= graph.n))
-    if out_of_range.any():
-        bad = int(np.where(out_of_range)[0][0])
-        raise InvalidRouteError(
-            f"walk step ({heads[bad]}, {tails[bad]}) is outside the graph")
-    csr = graph.to_scipy_csr()
-    weights = np.asarray(csr[heads, tails]).ravel()
-    missing = np.where(weights <= 0.0)[0]
-    if missing.size:
-        bad = int(missing[0])
-        raise InvalidRouteError(
-            f"walk uses non-existent edge ({heads[bad]}, {tails[bad]})")
-    np.add.at(costs, packet_idx, weights)
-    return costs
-
-
-def verify_lockstep_walks(graph: WeightedGraph, outcome, num_packets: int,
-                          destinations: np.ndarray) -> np.ndarray:
-    """Validate a lockstep run's hop arrays and endpoint claims; return costs.
-
-    The walk-certification half of lockstep evaluation, shared by the
-    simulator and the traffic engine: every hop must be a graph edge
-    (:func:`gather_hop_costs`) and every packet claiming ``found`` must have
-    ended at its destination.
-    """
-    costs = gather_hop_costs(graph, outcome.hop_index, outcome.hop_heads,
-                             outcome.hop_tails, num_packets)
-    bad = outcome.found & (outcome.final_nodes != destinations)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise InvalidRouteError(
-            f"scheme reports 'found' but walk ends at "
-            f"{int(outcome.final_nodes[i])}, destination is "
-            f"{int(destinations[i])}")
-    return costs
-
-
-def resolve_engine_spec(engine: str) -> str:
-    """Validate an engine name (one of :data:`ENGINE_NAMES`) and return it.
-
-    Shared by the simulator and the traffic engine so both layers accept
-    the same names.
-    """
-    require(engine in ENGINE_NAMES,
-            f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
-    return engine
-
-
-@dataclass
-class PairOutcome:
-    """Evaluation of one routed pair."""
-
-    source: int
-    destination: int
-    shortest: float
-    cost: float
-    stretch: float
-    hops: int
-    found: bool
-    strategy: str
-    phases_used: int
-    max_header_bits: int
-
-
 @dataclass
 class EvaluationReport:
-    """Aggregated routing quality over a set of pairs."""
+    """Routing quality over a set of pairs, read off one traffic run.
+
+    ``failures`` counts packets the scheme did not deliver although a path
+    exists; ``unreachable`` counts pairs with no path at all (never a
+    sampled pair, which is always connected).  The stretch fields cover
+    delivered packets only: ``max_stretch`` and ``avg_stretch`` are exact,
+    ``median_stretch`` and ``p95_stretch`` are the streamed nearest-rank
+    quantiles (within :data:`repro.traffic.stats.LOG_QUANTILE_RTOL`), and
+    all four are NaN when no packet was delivered.
+    """
 
     scheme: str
     n: int
@@ -152,29 +79,15 @@ class EvaluationReport:
     p95_stretch: float
     max_header_bits: int
     failures: int
+    unreachable: int
     max_table_bits: int
     avg_table_bits: float
     max_label_bits: int
     engine: str = "scalar"
-    outcomes: List[PairOutcome] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat dict for tabular reporting (outcomes omitted)."""
-        return {
-            "scheme": self.scheme,
-            "n": self.n,
-            "num_pairs": self.num_pairs,
-            "max_stretch": self.max_stretch,
-            "avg_stretch": self.avg_stretch,
-            "median_stretch": self.median_stretch,
-            "p95_stretch": self.p95_stretch,
-            "max_header_bits": self.max_header_bits,
-            "failures": self.failures,
-            "max_table_bits": self.max_table_bits,
-            "avg_table_bits": self.avg_table_bits,
-            "max_label_bits": self.max_label_bits,
-            "engine": self.engine,
-        }
+        """Flat dict for tabular reporting."""
+        return asdict(self)
 
 
 class RoutingSimulator:
@@ -273,69 +186,11 @@ class RoutingSimulator:
     # verification
     # ------------------------------------------------------------------ #
     def verify_walk(self, result: RouteResult, source: int, destination: int) -> float:
-        """Check the walk is feasible and return its true weighted cost."""
-        path = result.path
-        require(len(path) >= 1, "route result has an empty path")
-        if path[0] != source:
-            raise InvalidRouteError(
-                f"walk starts at {path[0]}, expected source {source}")
-        cost = 0.0
-        for a, b in zip(path, path[1:]):
-            if a == b:
-                continue
-            if not self.graph.has_edge(a, b):
-                raise InvalidRouteError(f"walk uses non-existent edge ({a}, {b})")
-            cost += self.graph.edge_weight(a, b)
-        if result.found and path[-1] != destination:
-            raise InvalidRouteError(
-                f"scheme reports 'found' but walk ends at {path[-1]}, "
-                f"destination is {destination}")
-        return cost
-
-    def verify_walks(self, results: Sequence[RouteResult], sources: Sequence[int],
-                     destinations: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`verify_walk` over a batch; returns true walk costs.
-
-        All hops of all walks are validated through one CSR weight gather:
-        a gathered weight of zero means the edge does not exist (edge weights
-        are strictly positive), so a single comparison flags every infeasible
-        step in the batch.
-        """
-        require(len(results) == len(sources) == len(destinations),
-                "results, sources and destinations must have equal length")
-        if not results:
-            return np.zeros(0)
-        heads: List[int] = []
-        tails: List[int] = []
-        segments: List[int] = []
-        for index, (result, source) in enumerate(zip(results, sources)):
-            path = result.path
-            require(len(path) >= 1, "route result has an empty path")
-            if path[0] != source:
-                raise InvalidRouteError(
-                    f"walk starts at {path[0]}, expected source {source}")
-            for a, b in zip(path, path[1:]):
-                if a == b:
-                    continue
-                heads.append(a)
-                tails.append(b)
-                segments.append(index)
-        costs = self._gather_hop_costs(
-            np.asarray(segments, dtype=np.int64),
-            np.asarray(heads, dtype=np.int64),
-            np.asarray(tails, dtype=np.int64),
-            len(results))
-        for result, destination in zip(results, destinations):
-            if result.found and result.path[-1] != destination:
-                raise InvalidRouteError(
-                    f"scheme reports 'found' but walk ends at {result.path[-1]}, "
-                    f"destination is {destination}")
-        return costs
-
-    def _gather_hop_costs(self, packet_idx: np.ndarray, heads: np.ndarray,
-                          tails: np.ndarray, num_packets: int) -> np.ndarray:
-        """Bound method façade over the module-level :func:`gather_hop_costs`."""
-        return gather_hop_costs(self.graph, packet_idx, heads, tails, num_packets)
+        """Check one walk is feasible and return its true weighted cost."""
+        costs, _ = verify_scalar_walks(self.graph, [result],
+                                       np.asarray([source], dtype=np.int64),
+                                       np.asarray([destination], dtype=np.int64))
+        return float(costs[0])
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -343,121 +198,29 @@ class RoutingSimulator:
     def route_batch(self, scheme: RoutingSchemeInstance,
                     pairs: Sequence[Tuple[int, int]],
                     engine: str = "lockstep") -> List[RouteResult]:
-        """Route every pair and return the verified :class:`RouteResult` list."""
-        pairs = [(int(u), int(v)) for u, v in pairs]
-        sources = np.asarray([u for u, _ in pairs], dtype=np.int64)
-        destinations = np.asarray([v for _, v in pairs], dtype=np.int64)
+        """Route every pair and return the verified :class:`RouteResult` list.
+
+        Each result's ``cost`` is the certified walk cost.  This keeps the
+        walks themselves, so it is the engine-parity harness; measure
+        routing quality with :meth:`evaluate`.
+        """
         engine = resolve_engine_spec(engine)
-        results, _ = self._route_and_verify(scheme, pairs, sources,
-                                            destinations, engine)
-        return results
-
-    def _verify_lockstep(self, outcome, num_pairs: int,
-                         destinations: np.ndarray) -> np.ndarray:
-        """Bound method façade over the module-level :func:`verify_lockstep_walks`."""
-        return verify_lockstep_walks(self.graph, outcome, num_pairs, destinations)
-
-    @staticmethod
-    def _apply_costs(results: List[RouteResult], costs: np.ndarray) -> None:
-        """Fill verified walk costs into materialized results."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        sources, destinations = pairs[:, 0], pairs[:, 1]
+        if engine == "lockstep":
+            outcome = run_lockstep(scheme.compiled_forwarding(), sources,
+                                   destinations, materialize=True)
+            costs = verify_lockstep_walks(self.graph, outcome, len(pairs),
+                                          destinations)
+            results = outcome.results
+        else:
+            names = self.graph.names_view()
+            results = [scheme.route(u, names[v]) for u, v in pairs.tolist()]
+            costs, _ = verify_scalar_walks(self.graph, results, sources,
+                                           destinations)
         for result, cost in zip(results, costs.tolist()):
             result.cost = cost
-
-    def _route_and_verify(self, scheme, pairs, sources, destinations,
-                          engine) -> Tuple[List[RouteResult], np.ndarray]:
-        """Produce verified results + true walk costs under the given engine."""
-        if engine == "lockstep":
-            program = scheme.compiled_forwarding()
-            outcome = run_lockstep(program, sources, destinations, materialize=True)
-            costs = self._verify_lockstep(outcome, len(pairs), destinations)
-            self._apply_costs(outcome.results, costs)
-            return outcome.results, costs
-        names = self.graph.names_view()
-        results = [scheme.route(u, names[v]) for u, v in pairs]
-        costs = self.verify_walks(results, sources, destinations)
-        return results, costs
-
-    def evaluate_batch(
-        self,
-        scheme: RoutingSchemeInstance,
-        pairs: Sequence[Tuple[int, int]],
-        keep_outcomes: bool = False,
-        engine: str = "lockstep",
-    ) -> EvaluationReport:
-        """Route every pair through ``scheme``; verify and score with NumPy.
-
-        Shortest distances for the whole batch come from one vectorized
-        ``pair_distances`` call after a single round-level ``prefetch`` of
-        every source (one multi-source Dijkstra under the lazy backend), walk
-        verification is one CSR gather, and the stretch statistics are array
-        reductions.  Under ``engine="lockstep"`` even the per-hop routing is
-        array work; under ``"scalar"`` the scheme's own ``route`` remains the
-        only per-pair Python.
-        """
-        pairs = [(int(u), int(v)) for u, v in pairs]
-        sources = np.asarray([u for u, _ in pairs], dtype=np.int64)
-        destinations = np.asarray([v for _, v in pairs], dtype=np.int64)
-        engine = resolve_engine_spec(engine)
-        if pairs:
-            # one batched fill of the backend's row cache for the whole round
-            self.oracle.prefetch(np.unique(sources))
-        shortest = self.oracle.pair_distances(sources, destinations)
-
-        if engine == "lockstep":
-            # array fast path: RouteResult objects are only materialized when
-            # the caller wants per-pair outcomes
-            program = scheme.compiled_forwarding()
-            outcome = run_lockstep(program, sources, destinations,
-                                   materialize=keep_outcomes)
-            costs = self._verify_lockstep(outcome, len(pairs), destinations)
-            found = outcome.found
-            max_header = int(outcome.header_bits.max()) if pairs else 0
-            results = outcome.results
-            if results is not None:
-                self._apply_costs(results, costs)
-        else:
-            results, costs = self._route_and_verify(scheme, pairs, sources,
-                                                    destinations, engine)
-            found = np.asarray([r.found for r in results], dtype=bool)
-            max_header = max((r.max_header_bits for r in results), default=0)
-
-        stretches = np.full(len(pairs), np.inf)
-        trivial = found & (shortest <= 0)
-        proper = found & (shortest > 0)
-        stretches[trivial] = 1.0
-        stretches[proper] = costs[proper] / shortest[proper]
-        failures = int(np.count_nonzero(~found))
-
-        outcomes: List[PairOutcome] = []
-        if keep_outcomes and results is not None:
-            for i, ((u, v), result) in enumerate(zip(pairs, results)):
-                outcomes.append(PairOutcome(
-                    source=u, destination=v, shortest=float(shortest[i]),
-                    cost=float(costs[i]), stretch=float(stretches[i]),
-                    hops=result.hops, found=result.found,
-                    strategy=result.strategy, phases_used=result.phases_used,
-                    max_header_bits=result.max_header_bits,
-                ))
-
-        finite = stretches[np.isfinite(stretches)]
-        if finite.size == 0:
-            finite = np.asarray([np.inf])
-        return EvaluationReport(
-            scheme=scheme.scheme_name,
-            n=self.graph.n,
-            num_pairs=len(pairs),
-            max_stretch=float(stretches.max()) if len(pairs) else 0.0,
-            avg_stretch=float(np.mean(finite)),
-            median_stretch=float(np.median(finite)),
-            p95_stretch=float(np.percentile(finite, 95)),
-            max_header_bits=max_header,
-            failures=failures,
-            max_table_bits=scheme.max_table_bits(),
-            avg_table_bits=scheme.avg_table_bits(),
-            max_label_bits=scheme.max_label_bits(),
-            engine=engine,
-            outcomes=outcomes,
-        )
+        return results
 
     def evaluate(
         self,
@@ -465,11 +228,40 @@ class RoutingSimulator:
         pairs: Optional[Sequence[Tuple[int, int]]] = None,
         num_pairs: int = 200,
         seed=None,
-        keep_outcomes: bool = False,
         engine: str = "lockstep",
     ) -> EvaluationReport:
-        """Route every pair through ``scheme`` and aggregate stretch statistics."""
+        """Route every pair through ``scheme`` and report stretch and space.
+
+        ``pairs`` defaults to ``num_pairs`` connected pairs drawn by
+        :meth:`sample_pairs` with ``seed``.  The pairs stream through
+        :func:`~repro.traffic.engine.run_traffic` in one in-process shard,
+        scored against this simulator's oracle.
+        """
+        engine = resolve_engine_spec(engine)
         if pairs is None:
             pairs = self.sample_pairs(num_pairs, seed=seed)
-        return self.evaluate_batch(scheme, pairs, keep_outcomes=keep_outcomes,
-                                   engine=engine)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        stats = TrafficStats()
+        if len(pairs):
+            model = PairTraffic(self.graph, pairs[:, 0], pairs[:, 1],
+                                DEFAULT_BATCH_SIZE)
+            stats = run_traffic(scheme, model, len(pairs), shards=1,
+                                batch_size=DEFAULT_BATCH_SIZE, engine=engine,
+                                oracle=self.oracle, processes=False).stats
+        summary = stats.summary()
+        return EvaluationReport(
+            scheme=scheme.scheme_name,
+            n=self.graph.n,
+            num_pairs=len(pairs),
+            max_stretch=summary["max_stretch"],
+            avg_stretch=summary["avg_stretch"],
+            median_stretch=summary["stretch_p50"],
+            p95_stretch=summary["stretch_p95"],
+            max_header_bits=scheme.header_bits(),
+            failures=summary["failures"],
+            unreachable=summary["unreachable"],
+            max_table_bits=scheme.max_table_bits(),
+            avg_table_bits=scheme.avg_table_bits(),
+            max_label_bits=scheme.max_label_bits(),
+            engine=engine,
+        )

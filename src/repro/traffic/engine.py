@@ -25,6 +25,11 @@ the merge path is identical, which is what the determinism suite exercises.
 Every merged statistic is bit-identical for any shard count and either
 engine (see ``traffic.stats``); a coverage check asserts the merged shards
 streamed exactly the batch set ``0..B-1``.
+
+This is the one code path that routes, verifies and scores packets:
+:meth:`repro.routing.simulator.RoutingSimulator.evaluate` (and through it
+the paper's experiment kinds) runs an explicit pair list through
+:func:`run_traffic` as a :class:`~repro.traffic.models.PairTraffic` model.
 """
 
 from __future__ import annotations
@@ -33,23 +38,21 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.forwarding import run_lockstep
+from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
-from repro.routing.simulator import (
-    InvalidRouteError,
-    gather_hop_costs,
-    resolve_engine_spec,
-    verify_lockstep_walks,
-)
 from repro.traffic.models import TrafficModel
 from repro.traffic.stats import TrafficStats
 from repro.utils.validation import require
+
+#: engine names accepted by run_traffic and the simulator
+ENGINE_NAMES = ("scalar", "lockstep")
 
 #: default packets per batch (the streaming granularity)
 DEFAULT_BATCH_SIZE = 8192
@@ -64,6 +67,111 @@ HOT_ROW_CAP = 4096
 #: memory, so anything placed here before the fork is visible in every
 #: worker without widening :func:`stream_shard`'s public signature)
 _RUN_CONTEXT: Dict[str, object] = {}
+
+
+class InvalidRouteError(RuntimeError):
+    """Raised when a scheme returns a walk that does not exist in the graph."""
+
+
+def resolve_engine_spec(engine: str) -> str:
+    """Validate an engine name (one of :data:`ENGINE_NAMES`) and return it."""
+    require(engine in ENGINE_NAMES,
+            f"engine must be one of {ENGINE_NAMES}, got {engine!r}")
+    return engine
+
+
+def gather_hop_costs(graph: WeightedGraph, packet_idx: np.ndarray,
+                     heads: np.ndarray, tails: np.ndarray,
+                     num_packets: int) -> np.ndarray:
+    """Validate flattened hop arrays and accumulate per-packet walk costs.
+
+    Both engines certify walks here: the lockstep hop arrays come out of the
+    run in packet-major chronological order, and :func:`verify_scalar_walks`
+    flattens materialized paths in the same order, so the accumulated sums
+    are bit-identical between engines.  Self-hops (``head == tail``) are
+    ignored, everything else must be a graph edge or
+    :class:`InvalidRouteError` is raised.
+    """
+    costs = np.zeros(num_packets)
+    if packet_idx.size == 0:
+        return costs
+    real = heads != tails
+    heads, tails, packet_idx = heads[real], tails[real], packet_idx[real]
+    if packet_idx.size == 0:
+        return costs
+    # bounds-check before the gather: CSR fancy indexing would wrap
+    # negative ids onto real nodes and certify a non-existent walk
+    out_of_range = ((heads < 0) | (heads >= graph.n)
+                    | (tails < 0) | (tails >= graph.n))
+    if out_of_range.any():
+        bad = int(np.where(out_of_range)[0][0])
+        raise InvalidRouteError(
+            f"walk step ({heads[bad]}, {tails[bad]}) is outside the graph")
+    csr = graph.to_scipy_csr()
+    weights = np.asarray(csr[heads, tails]).ravel()
+    missing = np.where(weights <= 0.0)[0]
+    if missing.size:
+        bad = int(missing[0])
+        raise InvalidRouteError(
+            f"walk uses non-existent edge ({heads[bad]}, {tails[bad]})")
+    np.add.at(costs, packet_idx, weights)
+    return costs
+
+
+def verify_lockstep_walks(graph: WeightedGraph, outcome, num_packets: int,
+                          destinations: np.ndarray) -> np.ndarray:
+    """Validate a lockstep run's hop arrays and endpoint claims; return costs.
+
+    Every hop must be a graph edge (:func:`gather_hop_costs`) and every
+    packet claiming ``found`` must have ended at its destination.
+    """
+    costs = gather_hop_costs(graph, outcome.hop_index, outcome.hop_heads,
+                             outcome.hop_tails, num_packets)
+    bad = outcome.found & (outcome.final_nodes != destinations)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise InvalidRouteError(
+            f"scheme reports 'found' but walk ends at "
+            f"{int(outcome.final_nodes[i])}, destination is "
+            f"{int(destinations[i])}")
+    return costs
+
+
+def verify_scalar_walks(graph: WeightedGraph, results: Sequence[RouteResult],
+                        sources: np.ndarray, destinations: np.ndarray,
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Certify materialized walks; return per-walk ``(costs, hops)``.
+
+    The scalar engine's counterpart of :func:`verify_lockstep_walks`: each
+    walk must start at its source and, when it claims ``found``, end at its
+    destination, or :class:`InvalidRouteError` is raised.  The paths are
+    flattened into hop arrays and every hop is certified by
+    :func:`gather_hop_costs`; ``hops`` counts the non-self hops.
+    """
+    idx_parts: List[int] = []
+    head_parts: List[int] = []
+    tail_parts: List[int] = []
+    for i, (result, u, v) in enumerate(zip(results, sources.tolist(),
+                                           destinations.tolist())):
+        path = result.path
+        if not path or path[0] != u:
+            raise InvalidRouteError(
+                f"walk starts at {path[0] if path else None}, "
+                f"expected source {u}")
+        if result.found and path[-1] != v:
+            raise InvalidRouteError(
+                f"scheme reports 'found' but walk ends at {path[-1]}, "
+                f"destination is {v}")
+        for a, b in zip(path, path[1:]):
+            idx_parts.append(i)
+            head_parts.append(a)
+            tail_parts.append(b)
+    idx = np.asarray(idx_parts, dtype=np.int64)
+    heads = np.asarray(head_parts, dtype=np.int64)
+    tails = np.asarray(tail_parts, dtype=np.int64)
+    costs = gather_hop_costs(graph, idx, heads, tails, len(results))
+    hops = np.bincount(idx[heads != tails], minlength=len(results))
+    return costs, hops
 
 
 class _HotRowCache:
@@ -196,32 +304,13 @@ def _route_batch_scalar(scheme, graph: WeightedGraph, src: np.ndarray,
     """Reference engine: per-packet ``route()``, identical reductions."""
     t0 = _tick(timings)
     names = graph.names_view()
-    found = np.empty(src.size, dtype=bool)
-    idx_parts: List[int] = []
-    head_parts: List[int] = []
-    tail_parts: List[int] = []
-    for i, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
-        result = scheme.route(u, names[v])
-        found[i] = result.found
-        path = result.path
-        require(len(path) >= 1 and path[0] == u,
-                f"scalar route for ({u}, {v}) does not start at its source")
-        if result.found and path[-1] != v:
-            raise InvalidRouteError(
-                f"scheme reports 'found' but walk ends at {path[-1]}, "
-                f"destination is {v}")
-        for a, b in zip(path, path[1:]):
-            idx_parts.append(i)
-            head_parts.append(a)
-            tail_parts.append(b)
+    results = [scheme.route(u, names[v])
+               for u, v in zip(src.tolist(), dst.tolist())]
+    found = np.fromiter((r.found for r in results), dtype=bool,
+                        count=len(results))
     _lap(timings, "step", t0)
     t0 = _tick(timings)
-    idx = np.asarray(idx_parts, dtype=np.int64)
-    heads = np.asarray(head_parts, dtype=np.int64)
-    tails = np.asarray(tail_parts, dtype=np.int64)
-    costs = gather_hop_costs(graph, idx, heads, tails, src.size)
-    real = heads != tails
-    hops = np.bincount(idx[real], minlength=src.size)
+    costs, hops = verify_scalar_walks(graph, results, src, dst)
     _lap(timings, "verify", t0)
     return found, costs, hops
 

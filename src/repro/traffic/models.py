@@ -9,9 +9,10 @@ A traffic model turns a graph into an endless, deterministic stream of
   arrays — every shard regenerates exactly the packets it was assigned,
 * statistics keyed by batch index are partition-independent.
 
-Every model conditions its pairs on graph connectivity (source and
-destination always share a component, and differ), because the evaluation
-layer measures stretch against finite shortest-path distances.  The models:
+Every generated model conditions its pairs on graph connectivity (source
+and destination always share a component, and differ), because the
+evaluation layer measures stretch against finite shortest-path distances.
+The models:
 
 * :class:`UniformTraffic` — the legacy regime: both endpoints uniform.
 * :class:`ZipfTraffic` — Zipf-popular destinations (rank-``r`` destination
@@ -24,6 +25,8 @@ layer measures stretch against finite shortest-path distances.  The models:
 * :class:`HotspotTraffic` — adversarial concentration: a small hotspot set
   absorbs a fixed fraction of all packets (placement by top degree, low
   degree, or seeded random).
+* :class:`PairTraffic` — an explicit pair list, served in order (the
+  simulator's ``evaluate`` runs sampled or given pairs through it).
 
 All draws are vectorized; per-batch cost is O(size) array work over
 structures precomputed once at model construction.
@@ -457,6 +460,50 @@ class FlashCrowdTraffic(TrafficModel):
                    batches_per_phase=self.batches_per_phase,
                    num_phases=self.num_phases)
         return out
+
+
+class PairTraffic(TrafficModel):
+    """An explicit (source, destination) list served in fixed-size batches.
+
+    Batch ``b`` is pairs ``[b·batch_size, b·batch_size + size)`` of the
+    list, so a run over ``len(sources)`` packets with the same
+    ``batch_size`` routes every pair exactly once, in order, under any
+    shard partition.  A request outside that partition is refused rather
+    than wrapped or resampled.  The pairs are taken as given: the engine
+    counts a disconnected pair as ``unreachable`` instead of scoring it.
+
+    There is no seed (the list is the traffic) and no hot destination set,
+    so no hot-row cache is pinned for it.  Not registered in
+    :data:`TRAFFIC_MODELS`: it cannot be built from a name.
+    """
+
+    name = "pairs"
+
+    def __init__(self, graph: WeightedGraph, sources, destinations,
+                 batch_size: int) -> None:
+        src = np.asarray(sources, dtype=np.int64).ravel()
+        dst = np.asarray(destinations, dtype=np.int64).ravel()
+        require(src.size == dst.size,
+                "sources and destinations must have equal length")
+        require(batch_size > 0, "batch size must be positive")
+        ids = np.concatenate((src, dst))
+        require(bool(((ids >= 0) & (ids < graph.n)).all()),
+                f"pair node ids must lie in [0, {graph.n})")
+        # no TrafficModel.__init__: nothing is drawn, so neither a seed nor
+        # the component index applies
+        self.graph = graph
+        self.sources = src
+        self.destinations = dst
+        self.batch_size = int(batch_size)
+
+    def batch(self, batch_index: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        start = int(batch_index) * self.batch_size
+        held = min(self.batch_size, self.sources.size - start)
+        require(batch_index >= 0 and held > 0 and size == held,
+                f"batch {batch_index} of a {self.sources.size}-pair list "
+                f"in batches of {self.batch_size} cannot serve {size} pairs")
+        return (self.sources[start:start + size],
+                self.destinations[start:start + size])
 
 
 #: registry used by the harness / workloads / benches

@@ -205,7 +205,13 @@ class MetricStream:
         return count, total, total_sq, low, high
 
     def summary(self, prefix: str) -> Dict[str, float]:
-        """Flat headline stats: avg/min/max/std plus histogram quantiles."""
+        """Flat headline stats: avg/min/max/std plus histogram quantiles.
+
+        Each quantile is clamped to the exact ``[min, max]`` of the digests:
+        a log bucket's midpoint can lie above the largest value in it (an
+        all-1.0 stream would otherwise read ``2**(0.5/128)``).  Clamping
+        keeps the relative-error bound and the partition independence.
+        """
         count, total, total_sq, low, high = self._reduce()
         out: Dict[str, float] = {f"{prefix}_count": count}
         if count:
@@ -221,7 +227,9 @@ class MetricStream:
             out[f"max_{prefix}"] = float("nan")
             out[f"std_{prefix}"] = float("nan")
         for q in self.quantiles:
-            out[f"{prefix}_p{round(q * 100)}"] = self.histogram.quantile(q)
+            value = self.histogram.quantile(q)
+            out[f"{prefix}_p{round(q * 100)}"] = \
+                min(max(value, low), high) if count else value
         return out
 
 

@@ -347,7 +347,7 @@ class TestMutationInvalidation:
         graph.remove_edge(u, v)
         scheme = build_scheme("shortest-path", graph, k=2, oracle=oracle)
         sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
-        report = sim.evaluate_batch(scheme, sim.sample_pairs(60, seed=1))
+        report = sim.evaluate(scheme, pairs=sim.sample_pairs(60, seed=1))
         assert report.failures == 0
         assert report.max_stretch == pytest.approx(1.0)
 
@@ -382,14 +382,14 @@ class TestVectorizedSampling:
         assert sim.sample_pairs(50, seed=3) == sim.sample_pairs(50, seed=3)
         assert sim.sample_pairs(50, seed=3) != sim.sample_pairs(50, seed=4)
 
-    def test_verify_walks_rejects_out_of_range_node_ids(self):
+    def test_scalar_walk_check_rejects_out_of_range_node_ids(self):
         graph = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         sim = RoutingSimulator(graph, oracle=DistanceOracle(graph))
         # a negative id must not wrap onto a real node through the CSR gather
         with pytest.raises(InvalidRouteError, match="outside the graph"):
-            sim.verify_walks([RouteResult(found=True, path=[0, -2, 2])], [0], [2])
+            sim.verify_walk(RouteResult(found=True, path=[0, -2, 2]), 0, 2)
         with pytest.raises(InvalidRouteError, match="outside the graph"):
-            sim.verify_walks([RouteResult(found=True, path=[0, 7, 2])], [0], [2])
+            sim.verify_walk(RouteResult(found=True, path=[0, 7, 2]), 0, 2)
 
     def test_shortfall_raises_by_default_and_warns_on_request(self):
         isolated = WeightedGraph(4, [])  # no connected pair exists

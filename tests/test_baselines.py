@@ -167,7 +167,7 @@ class TestExponentialStretch:
         oracle = DistanceOracle(graph)
         scheme = ExponentialStretchRouting(graph, k=2, oracle=oracle, seed=0)
         sim = RoutingSimulator(graph, oracle=oracle)
-        report = sim.evaluate_batch(scheme, sim.all_pairs())
+        report = sim.evaluate(scheme, pairs=sim.all_pairs())
         assert report.failures == 0
         assert report.max_stretch <= 16 * 2 ** 2 + 8
 

@@ -92,9 +92,9 @@ class TestPostRepairInvariants:
             pairs = sim.sample_pairs(60, seed=seed, on_shortfall="warn")
             if not pairs:
                 continue
-            # evaluate_batch verifies every hop of every walk via the fresh
-            # CSR gather; an invalid post-repair walk raises InvalidRouteError
-            report = sim.evaluate_batch(scheme, pairs)
+            # evaluate verifies every hop of every walk via the fresh CSR
+            # gather; an invalid post-repair walk raises InvalidRouteError
+            report = sim.evaluate(scheme, pairs=pairs)
             assert report.failures == 0
             assert report.max_stretch <= STRETCH_BOUND[scheme_name]
 
@@ -105,18 +105,18 @@ class TestPostRepairInvariants:
         scheme = build_scheme(scheme_name, graph, k=2, seed=3, oracle=oracle)
         sim = RoutingSimulator(graph, oracle=oracle)
         pairs = sim.sample_pairs(50, seed=5)
-        before = sim.evaluate_batch(scheme, pairs)
+        before = sim.evaluate(scheme, pairs=pairs)
 
         failures = edge_failures(graph, 5, seed=11)
         delta = apply_events(graph, failures)
         scheme.maintain(delta)
-        mid = sim.evaluate_batch(scheme, pairs)
+        mid = sim.evaluate(scheme, pairs=pairs)
         assert mid.failures == 0  # still delivers inside surviving components
 
         recoveries = edge_recoveries([c for rec in delta.applied
                                       for c in rec.changes])
         scheme.maintain(apply_events(graph, recoveries))
-        after = sim.evaluate_batch(scheme, pairs)
+        after = sim.evaluate(scheme, pairs=pairs)
         assert after.failures == 0
         assert after.max_stretch <= STRETCH_BOUND[scheme_name]
         # the healed topology is the original one: stretch is back in band
@@ -146,8 +146,8 @@ class TestRepairMatchesFreshBuild:
                 == [scratch.table_bits(u) for u in range(graph.n)])
         sim = fresh_simulator(graph)
         pairs = sim.sample_pairs(80, seed=13, on_shortfall="warn")
-        repaired = sim.evaluate_batch(scheme, pairs).as_dict()
-        rebuilt = sim.evaluate_batch(scratch, pairs).as_dict()
+        repaired = sim.evaluate(scheme, pairs=pairs).as_dict()
+        rebuilt = sim.evaluate(scratch, pairs=pairs).as_dict()
         # identical stretch distribution and space accounting — paths may
         # differ only between equal-cost shortest paths
         for key in ("max_stretch", "avg_stretch", "median_stretch",

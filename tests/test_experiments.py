@@ -1,9 +1,15 @@
-"""Tests for the experiment harness, workloads, reporting and the exp_* modules."""
+"""Tests for the experiment harness, workloads, reporting and the paper's kinds."""
 
 import pytest
 
-from repro.experiments import exp_comparison, exp_lemma_properties, exp_scale_free
 from repro.experiments.harness import ExperimentResult, evaluate_scheme_on_graph, run_matrix
+from repro.experiments.matrix.kinds import (
+    run_comparison,
+    run_lemma_properties,
+    run_scale_free,
+    run_stretch_growth,
+    run_tradeoff,
+)
 from repro.experiments.reporting import format_series, format_table, results_to_csv
 from repro.experiments.workloads import (
     WorkloadSpec,
@@ -107,17 +113,32 @@ class TestReporting:
         assert results_to_csv([]) == ""
 
 
-class TestExperimentModules:
-    """Each experiment module must run end-to-end on tiny inputs."""
+class TestExperimentKinds:
+    """Each of the paper's experiment kinds must run end-to-end on tiny inputs."""
 
-    def test_exp_comparison_tiny(self):
-        result = exp_comparison.run(quick=True, seed=1, k=2,
-                                    schemes=["shortest-path", "cowen"], num_pairs=15)
+    def test_comparison_kind_tiny(self):
+        result = run_comparison(quick=True, seed=1, k=2,
+                                schemes=["shortest-path", "cowen"], num_pairs=15)
         assert result.rows
         assert all(r["failures"] == 0 for r in result.rows)
 
-    def test_exp_scale_free_tiny(self):
-        result = exp_scale_free.run(quick=True, seed=1, k=2, deltas=[1e2, 1e12], num_pairs=12)
+    def test_tradeoff_kind_delivers_within_the_linear_envelope(self):
+        # E1 at quick size: four graphs, k = 1..3.  The printed 8k + 4
+        # column is a reference only; the quick run already exceeds it
+        result = run_tradeoff(quick=True, seed=0)
+        assert sorted({r["k"] for r in result.rows}) == [1, 2, 3]
+        for row in result.rows:
+            assert row["failures"] == 0
+            assert row["max_stretch"] <= 16 * row["k"] + 8
+
+    def test_stretch_growth_kind_delivers_every_pair(self):
+        result = run_stretch_growth(quick=True, seed=0)
+        assert {r["scheme"] for r in result.rows} == {"agm", "exponential"}
+        assert all(r["failures"] == 0 for r in result.rows)
+        assert len(result.metadata["agm_avg_stretch_growth_ratios"]) == 2
+
+    def test_scale_free_kind_tiny(self):
+        result = run_scale_free(quick=True, seed=1, k=2, deltas=[1e2, 1e12], num_pairs=12)
         agm_rows = result.filter(scheme="agm")
         ap_rows = result.filter(scheme="awerbuch-peleg")
         assert len(agm_rows) == 2 and len(ap_rows) == 2
@@ -129,8 +150,8 @@ class TestExperimentModules:
         assert agm_growth < ap_growth
         assert agm_growth <= 3.0
 
-    def test_exp_lemma_properties_tiny(self):
-        result = exp_lemma_properties.run(quick=True, seed=1, k=2)
+    def test_lemma_properties_kind_tiny(self):
+        result = run_lemma_properties(quick=True, seed=1, k=2)
         assert result.rows
         for row in result.rows:
             assert row["lemma2_violations"] == 0

@@ -314,7 +314,7 @@ class TestLockstepEdgeCases:
         assert outcome.found.size == 0
         assert outcome.hop_index.size == 0
         assert outcome.results == []
-        report = sim.evaluate_batch(scheme, [], engine="lockstep")
+        report = sim.evaluate(scheme, pairs=[], engine="lockstep")
         assert report.num_pairs == 0 and report.failures == 0
 
     def test_array_inputs_match_list_inputs(self, small_grid):

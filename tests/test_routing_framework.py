@@ -1,5 +1,7 @@
 """Tests for the routing framework: messages, tables, simulator, scheme API."""
 
+import math
+
 import pytest
 
 from repro.graphs.graph import WeightedGraph
@@ -7,6 +9,8 @@ from repro.routing.messages import Header, RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import InvalidRouteError, RoutingSimulator
 from repro.routing.table import RoutingTable, TableCollection
+from repro.traffic.engine import run_traffic
+from repro.traffic.models import make_traffic_model
 
 
 class TestRouteResult:
@@ -114,18 +118,40 @@ class TestSimulator:
         sim = RoutingSimulator(square)
         # A scheme that always walks 0-1-2 regardless of the request:
         scheme = _FixedWalkScheme(square, [0, 1, 2])
-        report = sim.evaluate(scheme, pairs=[(0, 2)], keep_outcomes=True,
-                              engine="scalar")
+        report = sim.evaluate(scheme, pairs=[(0, 2)], engine="scalar")
         assert report.max_stretch == pytest.approx(1.0)
-        assert report.failures == 0
-        assert report.outcomes[0].cost == pytest.approx(2.0)
+        assert report.avg_stretch == pytest.approx(1.0)
+        assert report.failures == 0 and report.unreachable == 0
+        assert report.max_header_bits == 8
+        result, = sim.route_batch(scheme, [(0, 2)], engine="scalar")
+        assert result.cost == pytest.approx(2.0)
 
     def test_evaluate_counts_failures(self, square):
         sim = RoutingSimulator(square)
         scheme = _FixedWalkScheme(square, [0], found=False)
         report = sim.evaluate(scheme, pairs=[(0, 2), (0, 1)], engine="scalar")
-        assert report.failures == 2
-        assert report.max_stretch == float("inf")
+        assert report.failures == 2 and report.unreachable == 0
+        # stretch covers delivered packets only: none here
+        for value in (report.max_stretch, report.avg_stretch,
+                      report.median_stretch, report.p95_stretch):
+            assert math.isnan(value)
+
+    def test_evaluate_counts_disconnected_pairs_as_unreachable(self):
+        graph = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        sim = RoutingSimulator(graph)
+        scheme = _FixedWalkScheme(graph, [0], found=False)
+        report = sim.evaluate(scheme, pairs=[(0, 1), (0, 2), (0, 3)],
+                              engine="scalar")
+        assert report.num_pairs == 3
+        assert report.failures == 1 and report.unreachable == 2
+
+    def test_scalar_traffic_run_raises_invalid_route_for_a_foreign_start(self, square):
+        # every walk starts at node 1, whatever its source
+        scheme = _FixedWalkScheme(square, [1, 2], found=False)
+        model = make_traffic_model("uniform", square, seed=0)
+        with pytest.raises(InvalidRouteError,
+                           match="walk starts at 1, expected source [023]"):
+            run_traffic(scheme, model, 16, engine="scalar")
 
     def test_report_as_dict_roundtrip(self, square):
         sim = RoutingSimulator(square)

@@ -34,6 +34,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
+from repro.routing.simulator import RoutingSimulator
 from repro.traffic.engine import (
     batch_size_of,
     num_batches,
@@ -43,8 +44,10 @@ from repro.traffic.engine import (
 )
 from repro.traffic.models import (
     TRAFFIC_MODEL_NAMES,
+    TRAFFIC_MODELS,
     GravityTraffic,
     HotspotTraffic,
+    PairTraffic,
     ZipfTraffic,
     make_traffic_model,
 )
@@ -52,6 +55,7 @@ from repro.traffic.stats import (
     LOG_QUANTILE_RTOL,
     IntHistogram,
     LogHistogram,
+    MetricStream,
     TrafficStats,
 )
 
@@ -207,6 +211,57 @@ class TestTrafficModels:
             make_traffic_model("carrier-pigeon", graph)
 
 
+class TestPairTraffic:
+    """The explicit-pairs model: a given list, in order, once per run."""
+
+    def test_batches_partition_the_list_in_order(self):
+        graph = random_geometric_graph(30, seed=920)
+        src = np.arange(10) % graph.n
+        dst = (np.arange(10) * 7 + 3) % graph.n
+        model = PairTraffic(graph, src, dst, batch_size=4)
+        got = [model.batch(b, size) for b, size in ((0, 4), (1, 4), (2, 2))]
+        np.testing.assert_array_equal(np.concatenate([s for s, _ in got]), src)
+        np.testing.assert_array_equal(np.concatenate([d for _, d in got]), dst)
+        assert model.hot_destinations().size == 0
+        assert PairTraffic.name not in TRAFFIC_MODELS
+
+    def test_requests_outside_the_partition_refused(self):
+        graph = random_geometric_graph(30, seed=921)
+        model = PairTraffic(graph, np.arange(10), np.arange(10)[::-1],
+                            batch_size=4)
+        for batch_index, size in ((0, 3), (0, 5), (2, 4), (3, 1), (-1, 4)):
+            with pytest.raises(ValueError):
+                model.batch(batch_index, size)
+
+    def test_out_of_range_or_unequal_pairs_refused(self):
+        graph = random_geometric_graph(30, seed=922)
+        for src, dst in (([0, -1], [1, 2]), ([0, 1], [2, graph.n]),
+                         ([0, 1], [2])):
+            with pytest.raises(ValueError):
+                PairTraffic(graph, src, dst, batch_size=8)
+
+    def test_run_routes_every_pair_once_under_any_shard_count(self):
+        graph = random_geometric_graph(40, seed=923)
+        oracle = DistanceOracle(graph)
+        scheme = build_scheme("cowen", graph, k=2, seed=4, oracle=oracle)
+        pairs = np.asarray(RoutingSimulator(graph).sample_pairs(300, seed=5))
+        model = PairTraffic(graph, pairs[:, 0], pairs[:, 1], batch_size=64)
+        single = run_traffic(scheme, model, len(pairs), batch_size=64,
+                             oracle=oracle)
+        sharded = run_traffic(scheme, model, len(pairs), shards=3,
+                              batch_size=64, oracle=oracle, processes=False)
+        assert single.stats.packets == len(pairs)
+        assert single.summary() == sharded.summary()
+        costs = [r.cost for r in RoutingSimulator(graph).route_batch(
+            scheme, pairs.tolist())]
+        stretch = np.asarray(costs) / oracle.pair_distances(pairs[:, 0],
+                                                            pairs[:, 1])
+        assert single.summary()["max_stretch"] == pytest.approx(
+            stretch.max(), rel=1e-12)
+        assert single.summary()["avg_stretch"] == pytest.approx(
+            stretch.mean(), rel=1e-12)
+
+
 # --------------------------------------------------------------------------- #
 # streaming statistics
 # --------------------------------------------------------------------------- #
@@ -262,6 +317,27 @@ class TestStreamingStats:
                            packets=1, delivered=1, failures=0, unreachable=0)
         with pytest.raises(ValueError, match="overlapping"):
             stats.merge(other)
+
+    def test_quantiles_stay_inside_the_observed_range(self):
+        # a stretch-1 stream: the bucket midpoint 2**(0.5/128) lies above
+        # every value, and the reported quantiles must not
+        stats = TrafficStats()
+        stats.update_batch(0, np.ones(64), np.ones(64, dtype=np.int64),
+                           packets=64, delivered=64, failures=0,
+                           unreachable=0)
+        summary = stats.summary()
+        for key in ("stretch_p50", "stretch_p95", "stretch_p99"):
+            assert summary[key] == 1.0
+        rng = np.random.default_rng(14)
+        values = 1.0 + rng.exponential(scale=0.8, size=2000)
+        stream = MetricStream("log")
+        stream.update(0, values)
+        out = stream.summary("x")
+        for q in (0.5, 0.95, 0.99):
+            exact = float(np.quantile(values, q, method="inverted_cdf"))
+            got = out[f"x_p{round(q * 100)}"]
+            assert values.min() <= got <= values.max()
+            assert got == pytest.approx(exact, rel=4 * LOG_QUANTILE_RTOL + 1e-3)
 
     def test_empty_stream_summary_is_defined(self):
         summary = TrafficStats().summary()
@@ -524,7 +600,6 @@ class TestThroughputModes:
 class TestTrafficMatrix:
     def test_run_traffic_matrix_rows_mirror_run_matrix_fields(self):
         from repro.experiments.harness import run_traffic_matrix
-        from repro.experiments.reporting import traffic_table
 
         graph = random_geometric_graph(36, seed=811)
         result = run_traffic_matrix(
@@ -540,8 +615,6 @@ class TestTrafficMatrix:
             for field in ("avg_stretch", "median_stretch", "p95_stretch",
                           "failures", "pps", "avg_hops"):
                 assert field in row
-        table = traffic_table(result.rows)
-        assert "pps" in table and "cowen" in table
 
     def test_exact_traffic_row_schema(self):
         """The columns of an exact-scoring traffic row; a new or dropped
@@ -559,13 +632,3 @@ class TestTrafficMatrix:
             "p95_stretch", "p99_stretch", "avg_hops", "max_hops",
             "median_hops", "p95_hops",
         }
-
-    def test_traffic_suite_builds_every_model(self):
-        from repro.experiments.workloads import traffic_suite
-
-        graph = random_geometric_graph(24, seed=812)
-        suite = traffic_suite(graph, seed=5)
-        assert [name for name, _ in suite] == sorted(TRAFFIC_MODEL_NAMES)
-        for _, model in suite:
-            src, dst = model.batch(0, 50)
-            valid_pairs(graph, src, dst)
