@@ -5,7 +5,7 @@ import pytest
 from benchmarks.conftest import record
 from repro.core.analysis import lemma7_route_bound
 from repro.covers.tree_cover import build_tree_cover
-from repro.trees.error_reporting import DictionaryTreeRouting
+from repro.trees.error_reporting import DictionaryFamily
 
 
 @pytest.mark.bench
@@ -15,7 +15,7 @@ def test_e10_lemma7_lookup(benchmark, bench_graph, bench_oracle):
     cover = build_tree_cover(bench_graph, k, rho, oracle=bench_oracle)
     tree = max(cover.trees, key=lambda t: t.size)
     names = {v: bench_graph.name_of(v) for v in tree.nodes}
-    routing = DictionaryTreeRouting(tree, names, seed=61)
+    routing = DictionaryFamily([tree], names, [61]).routings[0]
     sources = tree.nodes[:: max(tree.size // 10, 1)]
     targets = tree.nodes[:: max(tree.size // 10, 1)]
 

@@ -18,6 +18,7 @@ contrasts it with the flat curve of the scale-free scheme.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 from typing import Dict, Hashable, List, Optional
@@ -28,7 +29,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
-from repro.trees.error_reporting import DictionaryTreeRouting
+from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
 from repro.utils.rng import derive_rng
 from repro.utils.validation import require
@@ -65,37 +66,32 @@ class AwerbuchPelegRouting(RoutingSchemeInstance):
         else:
             self.num_scales = max(1, int(math.ceil(math.log2(diameter / d_min))) + 1)
 
-        names = graph.names_view()
         # every scale reads the ball of every node: one all-pairs pass, when
         # it fits one forest block, serves all of them as row slices
         oracle.hold_all_pairs()
 
-        def build_scale(scale: int):
-            """One scale's cover + Lemma 7 structures.
-
-            Seeds derive from (scale, tree index), so the per-scale fan-out of
-            ``context.map`` is bit-identical to the serial loop.
-            """
+        def build_scale(scale: int) -> TreeCover:
             rho = d_min * (2.0 ** scale)
-            cover: TreeCover = build_tree_cover(graph, self.k, rho, oracle=oracle,
-                                                context=context)
-            routings = []
-            for t_index, tree in enumerate(cover.trees):
-                tree_names = {v: names[v] for v in tree.nodes}
-                routings.append(DictionaryTreeRouting(
-                    tree, tree_names, name_bits=self.name_bits,
-                    seed=derive_rng(seed, scale, t_index)))
-            return routings, dict(cover.home)
+            return build_tree_cover(graph, self.k, rho, oracle=oracle,
+                                    context=context)
 
-        built = context.map(build_scale, range(self.num_scales))
+        covers = context.map(build_scale, range(self.num_scales))
+        # one Lemma 7 family over every scale's cover trees; seeds derive
+        # from (scale, tree index), drawn after the fan-out in that order
+        family = DictionaryFamily(
+            [tree for cover in covers for tree in cover.trees],
+            graph.names_view(),
+            (derive_rng(seed, scale, t_index)
+             for scale, cover in enumerate(covers)
+             for t_index in range(len(cover.trees))),
+            name_bits=self.name_bits, folded=context.folded_names())
+        routings = iter(family.routings)
         #: scale -> list of Lemma 7 structures, one per cover tree
-        self.scales: List[List[DictionaryTreeRouting]] = [r for r, _ in built]
+        self.scales: List[List[DictionaryTreeRouting]] = [
+            list(islice(routings, len(cover.trees))) for cover in covers]
         #: scale -> {node -> index of its home tree}
-        self.home: List[Dict[int, int]] = [h for _, h in built]
-        self.tables.charge_structures(
-            "scale_tree_tables",
-            ((routing.tree.nodes, routing.table_bits_list())
-             for routings in self.scales for routing in routings))
+        self.home: List[Dict[int, int]] = [dict(cover.home) for cover in covers]
+        self.tables.charge_structures("scale_tree_tables", [family.table_bits()])
         scale_bits = bits_for_count(self.num_scales) + bits_for_id(max(graph.n, 2))
         for v in range(graph.n):
             self.tables[v].charge("home_pointers", scale_bits, count=self.num_scales)

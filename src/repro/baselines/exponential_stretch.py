@@ -37,7 +37,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
-from repro.trees.error_reporting import DictionaryTreeRouting
+from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
 from repro.utils.rng import derive_rng, make_rng
 from repro.utils.validation import require
@@ -147,7 +147,6 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
         # responsibility trees with Lemma 7 dictionaries, grown as one batched
         # forest — each (level, landmark) job carries its responsibility ball
         # radius as the kernel limit, so low-level trees stay local searches
-        self._tree_key: Dict[tuple, DictionaryTreeRouting] = {}
         jobs: List[SPTJob] = []
         job_keys: List[tuple] = []
         for i in range(self.k):
@@ -161,15 +160,14 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
                         if responsibility else 0.0
                     jobs.append(SPTJob(w, responsibility, limit))
                     job_keys.append((i, w))
-        for (i, w), tree in zip(job_keys, context.spt_trees(jobs)):
-            tree_names = {v: names[v] for v in tree.nodes}
-            self._tree_key[(i, w)] = DictionaryTreeRouting(
-                tree, tree_names, name_bits=self.name_bits,
-                seed=derive_rng(seed, 11, i, w))
-        self.tables.charge_structures(
-            "responsibility_tables",
-            ((r.tree.nodes, r.table_bits_list())
-             for r in self._tree_key.values()))
+        family = DictionaryFamily(
+            context.spt_trees(jobs), names,
+            (derive_rng(seed, 11, i, w) for i, w in job_keys),
+            name_bits=self.name_bits, folded=context.folded_names())
+        self._tree_key: Dict[tuple, DictionaryTreeRouting] = \
+            dict(zip(job_keys, family.routings))
+        self.tables.charge_structures("responsibility_tables",
+                                      [family.table_bits()])
         landmark_bits = bits_for_id(max(n, 2))
         for v in range(n):
             self.tables[v].charge("nearest_landmarks", landmark_bits, count=self.k)

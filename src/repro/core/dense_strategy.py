@@ -10,8 +10,16 @@ routing on a cover tree of ``G_{a(u,i)}`` finds it.  Because ``|R(v)| = O(k)``
 for every node, each node participates in only ``O(k)`` covers no matter how
 large the aspect ratio is.
 
+When ``V_j`` holds every node, ``G_j`` is the graph itself: its cover is
+built on the host graph with the scheme's own oracle and build context (the
+held all-pairs rows serve its balls), and no copy of the graph, oracle or
+context is made.  A proper subset keeps the induced-subgraph path.
+
 Each cover tree carries the Lemma 7 name-independent dictionary so that a
-lookup costs ``O(rad(T))`` and reports misses back to the source.
+lookup costs ``O(rad(T))`` and reports misses back to the source.  The
+dictionaries of every cover tree of every exponent form one
+:class:`~repro.trees.error_reporting.DictionaryFamily`: one hashing pass and
+one CSR for the whole strategy.
 
 Lazy materialization (DESIGN.md §3 item 1): covers are only built for
 exponents that are the range ``a(u,i)`` of some dense level actually present
@@ -21,6 +29,7 @@ dense-level search.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -32,7 +41,7 @@ from repro.covers.tree_cover import TreeCover, build_tree_cover
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.table import TableCollection
-from repro.trees.error_reporting import DictionaryTreeRouting
+from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
 from repro.utils.rng import derive_rng
 from repro.utils.validation import require
@@ -88,49 +97,51 @@ class DenseStrategy:
         # 2. the extended-range populations V_j = { v : j in R(v) }
         members = self.decomposition.extended_range_members()
 
-        # 3. one tree cover per needed exponent, built on the induced subgraph
-        # G_j.  Exponents are independent build units, so they fan out over
-        # the context's workers; seeds derive from the exponent's position in
-        # the sorted order, keeping parallel output bit-identical to serial.
-        names = graph.names_view()
-        folded = context.folded_names()
-
-        def build_exponent(item):
-            count, j = item
+        # 3. one tree cover per needed exponent, built on G_j.  Exponents are
+        # independent build units, so they fan out over the context's
+        # workers.  A population that covers every node makes G_j the graph
+        # itself, so the cover reads the host graph's oracle and context (the
+        # held all-pairs rows, the shared edge index) instead of a copy.
+        def build_exponent(j: int) -> Optional[TreeCover]:
             population = members.get(j, [])
             if not population:
-                return j, None, None
+                return None
+            rho = self.decomposition.radius_of_exponent(j)
+            if len(population) == graph.n:
+                return build_tree_cover(graph, k, rho, oracle=self.oracle,
+                                        context=context)
             subgraph, mapping = graph.subgraph(population)
             # the cover build reads one radius-limited ball pass plus local
             # cluster trees, which the default oracle computes on demand
             sub_oracle = DistanceOracle(subgraph)
             sub_context = BuildContext(subgraph, oracle=sub_oracle)
-            rho = self.decomposition.radius_of_exponent(j)
             # built in global node ids: the cover's trees are the routing trees
-            cover: TreeCover = build_tree_cover(subgraph, k, rho, oracle=sub_oracle,
-                                                context=sub_context, mapping=mapping)
-            routings: List[DictionaryTreeRouting] = []
-            for t_index, tree in enumerate(cover.trees):
-                tree_names = {v: names[v] for v in tree.nodes}
-                routings.append(DictionaryTreeRouting(
-                    tree, tree_names, name_bits=self.params.name_bits,
-                    seed=derive_rng(seed, 202, count, t_index),
-                    folded=folded[tree.node_ids]))
-            return j, routings, cover.home
+            return build_tree_cover(subgraph, k, rho, oracle=sub_oracle,
+                                    context=sub_context, mapping=mapping)
 
-        for j, routings, home in context.map(build_exponent,
-                                             list(enumerate(sorted(needed)))):
-            if routings is None:
-                continue
-            self.covers[j] = routings
-            self.home_index[j] = home
+        exponents = sorted(needed)
+        covers = context.map(build_exponent, exponents)
 
-        # 4. storage accounting
+        # 4. one Lemma 7 family over every cover tree; seeds derive from the
+        # exponent's position in the sorted order and the tree's index, drawn
+        # after the fan-out in that order, so parallel builds match serial
+        keys = [(count, t_index)
+                for count, cover in enumerate(covers) if cover is not None
+                for t_index in range(len(cover.trees))]
+        family = DictionaryFamily(
+            [tree for cover in covers if cover is not None for tree in cover.trees],
+            graph.names_view(),
+            (derive_rng(seed, 202, count, t_index) for count, t_index in keys),
+            name_bits=self.params.name_bits, folded=context.folded_names())
+        routings = iter(family.routings)
+        for j, cover in zip(exponents, covers):
+            if cover is not None:
+                self.covers[j] = list(islice(routings, len(cover.trees)))
+                self.home_index[j] = cover.home
+
+        # 5. storage accounting
         idbits = bits_for_id(max(graph.n, 2))
-        self.tables.charge_structures(
-            "dense_tree_tables",
-            ((routing.tree.nodes, routing.table_bits_list())
-             for routings in self.covers.values() for routing in routings))
+        self.tables.charge_structures("dense_tree_tables", [family.table_bits()])
         exponent_bits = bits_for_count(self.decomposition.top_exp + 1)
         for (u, i), j in self.exponent_of.items():
             # the node records the exponent and the root w(u, i) of its home tree

@@ -33,7 +33,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
-from repro.trees.error_reporting import DictionaryTreeRouting
+from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
 from repro.utils.rng import derive_rng
 from repro.utils.validation import require
@@ -59,6 +59,10 @@ class AGMRoutingScheme(RoutingSchemeInstance):
         self.k = int(k)
         self.params = params or AGMParams.paper()
         self.oracle = exact_distance_oracle(graph, oracle)
+        # the decomposition, the sparse centers and bounds and the covers of
+        # every whole-graph G_j all read distance rows: one all-pairs pass,
+        # when it fits one forest block, serves them as row slices
+        self.oracle.hold_all_pairs()
         self._build_seed = seed  # kept for rebuild_spec / churn repair
         context = context or BuildContext(graph, oracle=self.oracle)
 
@@ -107,18 +111,14 @@ class AGMRoutingScheme(RoutingSchemeInstance):
             jobs.append((index, component, root))
         trees = context.spt_trees(
             [SPTJob(root, component) for _, component, root in jobs])
-        folded = context.folded_names()
-        for (index, component, _), tree in zip(jobs, trees):
-            tree_names = {v: names[v] for v in tree.nodes}
-            routing = DictionaryTreeRouting(tree, tree_names,
-                                            name_bits=self.params.name_bits,
-                                            seed=derive_rng(seed, 7, index),
-                                            folded=folded[tree.node_ids])
+        family = DictionaryFamily(
+            trees, names, (derive_rng(seed, 7, index) for index, _, _ in jobs),
+            name_bits=self.params.name_bits, folded=context.folded_names())
+        for (index, component, _), routing in zip(jobs, family.routings):
             self._fallback[index] = routing
             for v in component:
                 self._fallback_of_node[v] = index
-            for v, bits in zip(tree.nodes, routing.table_bits_list()):
-                self.tables[v].charge("fallback_tables", bits)
+        self.tables.charge_structures("fallback_tables", [family.table_bits()])
 
     def _charge_base_tables(self) -> None:
         exponent_bits = bits_for_count(self.decomposition.top_exp + 1)

@@ -30,7 +30,7 @@ from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import AGMParams
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, limited_dijkstra
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.table import TableCollection
 from repro.trees.name_independent import NameIndependentTreeRouting
 from repro.utils.bitsize import bits_for_count, bits_for_id
@@ -192,26 +192,23 @@ class SparseStrategy:
         # 3. build T(c) for every used center as one batched SPT forest; each
         # scanned center's limit is its farthest served node, so low-rank
         # center trees are local searches (component centers span everything
-        # reachable, so they run unlimited)
+        # reachable, so they run unlimited); their hash digits come from one
+        # stacked evaluation, with seeds drawn in center order
         jobs = [SPTJob(c, sorted(members_of[c]), limit_of[c]) for c in used_centers]
-        names = graph.names_view()
-        folded = context.folded_names()
-        for index, (c, tree) in enumerate(zip(used_centers,
-                                              context.spt_trees(jobs))):
-            tree_names = {v: names[v] for v in tree.nodes}
-            self.trees[c] = NameIndependentTreeRouting(
-                tree, tree_names, k=k, sigma=self.sigma,
-                name_bits=self.params.name_bits,
-                seed=derive_rng(seed, 101, index),
-                folded=folded[tree.node_ids],
-            )
+        routings = NameIndependentTreeRouting.family(
+            context.spt_trees(jobs),
+            (derive_rng(seed, 101, index) for index in range(len(jobs))),
+            k=k, sigma=self.sigma, name_bits=self.params.name_bits,
+            folded=context.folded_names(), name_index=graph.name_index())
+        self.trees = dict(zip(used_centers, routings))
 
         # 4. search bounds b(u, i): when the E-radius provably reaches past
         # the whole tree (d(u, c) + the tree's max depth, with a generous
         # float margin), the bound is the tree-wide digit max and no row is
-        # touched; otherwise a radius-limited row (exact within the radius,
-        # inf beyond — both sides of the <= radius test unchanged) feeds the
-        # same masked gather as before
+        # touched; otherwise the oracle's rows within the radius (slices of
+        # the held all-pairs store, or radius-limited rows that are exact
+        # within the radius and inf beyond — the <= radius test answers the
+        # same on both) feed the same masked gather as before
         shrink = self.params.sparse_shrink
         digits_of: Dict[int, np.ndarray] = {}
         max_digit_of: Dict[int, int] = {}
@@ -239,12 +236,11 @@ class SparseStrategy:
             u_limit = {u: max(radius_of[key] for key in keys)
                        for u, keys in by_u.items()}
             order = sorted(by_u, key=lambda u: (u_limit[u], u))
-            csr = graph.to_scipy_csr()
             block = self.oracle.block_rows()
             for start in range(0, len(order), block):
                 batch = order[start:start + block]
                 limit = max(u_limit[u] for u in batch)
-                rows = limited_dijkstra(csr, batch, limit)
+                rows = self.oracle.rows_within(batch, limit)
                 for local, u in enumerate(batch):
                     row = rows[local]
                     for key in by_u[u]:
@@ -261,7 +257,7 @@ class SparseStrategy:
         idbits = bits_for_id(max(self.graph.n, 2))
         self.tables.charge_structures(
             "sparse_tree_tables",
-            ((r.tree.nodes, r.table_bits_list()) for r in self.trees.values()))
+            ((r.tree.node_ids, r.table_bits_list()) for r in self.trees.values()))
         for (u, i), c in self.center_of.items():
             level_bits = idbits + bits_for_count(max(routing_max_digits(self.trees[c]), 1))
             self.tables[u].charge("sparse_level_pointers", level_bits)

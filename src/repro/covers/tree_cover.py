@@ -10,8 +10,9 @@ dense routing strategy climbs.
 
 Cluster trees are built in batches: each chunk of clusters is assembled into
 one block-diagonal CSR matrix (every cluster its own relabeled block, heavy
-edges filtered out) and a single multi-source Dijkstra call — one source per
-block — grows every tree of the chunk at once.  One
+edges filtered out) by one array pass (:func:`cluster_block_matrix`), and a
+single multi-source Dijkstra call — one source per block — grows every tree
+of the chunk at once.  One
 :func:`~repro.graphs.trees.build_forest` pass then turns the chunk's
 predecessor rows into trees, and one more builds every single-member
 cluster.  A cover of an induced subgraph is built directly in the host
@@ -38,7 +39,7 @@ from repro.covers.sparse_cover import SparseCover, build_sparse_cover
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
 from repro.graphs.trees import Tree, build_forest
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 
 #: clusters per block-diagonal kernel call
 CLUSTER_CHUNK = 64
@@ -92,6 +93,44 @@ class TreeCover:
         return bool((tree.positions(oracle.ball(v, self.rho)) >= 0).all())
 
 
+def cluster_block_matrix(csr: sp.csr_matrix, blocks: Sequence[np.ndarray],
+                         max_weight: float) -> sp.csr_matrix:
+    """Block-diagonal CSR of the subgraphs induced by ``blocks``, light edges only.
+
+    Block ``b`` is the subgraph of ``csr`` induced by the ascending node
+    array ``blocks[b]``, relabeled ``0 .. size - 1`` and restricted to edges
+    of weight at most ``max_weight``; the blocks sit on the diagonal in
+    order.  One array pass builds it: every member's row is gathered through
+    ``indptr``, and each column finds its block-local index by one
+    ``searchsorted`` on ``block * n + node`` keys (blocks may share nodes,
+    so no single column map serves them all).  The arrays equal those of
+    ``scipy.sparse.block_diag`` over the per-block induced submatrices.
+    """
+    n = csr.shape[0]
+    sizes = np.fromiter((members.size for members in blocks), dtype=np.int64,
+                        count=len(blocks))
+    nodes = np.concatenate(blocks).astype(np.int64) if blocks \
+        else np.zeros(0, dtype=np.int64)
+    block = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    # block-major, ascending members within a block: the keys ascend
+    keys = block * n + nodes
+    starts = csr.indptr[nodes].astype(np.int64)
+    counts = csr.indptr[nodes + 1] - starts
+    row = np.repeat(np.arange(nodes.size, dtype=np.int64), counts)
+    entry = np.repeat(starts - (np.cumsum(counts) - counts), counts) \
+        + np.arange(row.size, dtype=np.int64)
+    weights = csr.data[entry]
+    wanted = block[row] * n + csr.indices[entry]
+    column = np.searchsorted(keys, wanted)
+    keep = column < keys.size
+    keep[keep] = keys[column[keep]] == wanted[keep]
+    keep &= weights <= max_weight + 1e-12
+    indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[keep], minlength=nodes.size), out=indptr[1:])
+    return sp.csr_matrix((weights[keep], column[keep], indptr),
+                         shape=(nodes.size, nodes.size))
+
+
 def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,
                            rho: float, context: BuildContext,
                            mapping: np.ndarray) -> List[Tree]:
@@ -121,57 +160,35 @@ def _cluster_trees_batched(graph: WeightedGraph, cover: SparseCover,
             trees[index] = tree
 
     def run_chunk(chunk) -> List[tuple]:
-        # manual induced-submatrix assembly: row-slice the global CSR, then
-        # keep columns inside the cluster and edges within 2 rho in one mask —
-        # no SciPy column fancy-indexing (which argsorts per cluster)
-        col_map = np.full(graph.n, -1, dtype=np.int64)
-        blocks = []
-        sources = []
-        offset = 0
-        for _, members, local_root in chunk:
-            m = members.size
-            rsel = csr[members]
-            col_map[members] = np.arange(m)
-            local_cols = col_map[rsel.indices]
-            keep = (local_cols >= 0) & (rsel.data <= 2.0 * rho + 1e-12)
-            row_of = np.repeat(np.arange(m), np.diff(rsel.indptr))
-            indptr = np.concatenate(
-                ([0], np.cumsum(np.bincount(row_of[keep], minlength=m))))
-            sub = sp.csr_matrix(
-                (rsel.data[keep], local_cols[keep], indptr), shape=(m, m))
-            col_map[members] = -1
-            blocks.append(sub)
-            sources.append(offset + local_root)
-            offset += m
-        combined = sp.block_diag(blocks, format="csr")
+        blocks = [members for _, members, _ in chunk]
+        sizes = [members.size for members in blocks]
+        combined = cluster_block_matrix(csr, blocks, 2.0 * rho)
+        block = np.repeat(np.arange(len(chunk)), sizes)
+        first = np.cumsum([0] + sizes[:-1])
+        sources = (first + [local_root for _, _, local_root in chunk]).tolist()
         dist, pred = _scipy_dijkstra(combined, directed=False, indices=sources,
                                      return_predecessors=True)
-        dist = np.atleast_2d(dist)
-        pred = np.atleast_2d(pred)
-        # every member of every block is a row: block-local predecessors
+        # every member of every block is a row of its block's source; the
+        # block-diagonal predecessors index the chunk's member array, so they
         # become graph nodes, then the ids the trees carry
-        parents = np.full(offset, -1, dtype=np.int64)
-        offset = 0
-        for row, (index, members, local_root) in enumerate(chunk):
-            span = slice(offset, offset + members.size)
-            require(bool(np.isfinite(dist[row, span]).all()),
-                    f"cluster {index} has members unreachable from center "
-                    f"{int(members[local_root])} over edges of weight <= "
-                    f"2 rho = {2.0 * rho}")
-            local = pred[row, span]
-            linked = local >= 0
-            parents[span][linked] = members[local[linked] - offset]
-            offset += members.size
-        nodes = np.concatenate([members for _, members, _ in chunk])
-        linked = parents >= 0
-        weights = np.zeros(offset)
+        rows = np.arange(block.size)
+        unreachable = ~np.isfinite(np.atleast_2d(dist)[block, rows])
+        if unreachable.any():
+            index, members, local_root = chunk[int(block[np.argmax(unreachable)])]
+            raise ValidationError(
+                f"cluster {index} has members unreachable from center "
+                f"{int(members[local_root])} over edges of weight <= "
+                f"2 rho = {2.0 * rho}")
+        nodes = np.concatenate(blocks)
+        local = np.atleast_2d(pred)[block, rows]
+        linked = local >= 0
+        parents = np.full(block.size, -1, dtype=np.int64)
+        parents[linked] = nodes[local[linked]]
+        weights = np.zeros(block.size)
         weights[linked] = weight_index.weights(parents[linked], nodes[linked])
         parents[linked] = mapping[parents[linked]]
         roots = mapping[[members[root] for _, members, root in chunk]]
-        forest = build_forest(
-            roots, np.repeat(np.arange(len(chunk)),
-                             [members.size for _, members, _ in chunk]),
-            mapping[nodes], parents, weights)
+        forest = build_forest(roots, block, mapping[nodes], parents, weights)
         return [(index, tree) for (index, _, _), tree in zip(chunk, forest)]
 
     chunks = []

@@ -14,7 +14,7 @@ for Dijkstra and hop-by-hop simulation) and lazily as a
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -261,6 +261,14 @@ class WeightedGraph:
         """Name of node ``v``."""
         check_index(v, self.n, "v")
         return self._names[v]
+
+    def name_index(self) -> Mapping[object, int]:
+        """Name -> node index for every node, shared (do not mutate).
+
+        Tree structures of a build resolve names through this one index
+        instead of keeping a dictionary each.
+        """
+        return self._name_to_index
 
     def index_of(self, name: object) -> int:
         """Node index of ``name`` (raises ``KeyError`` for unknown names)."""

@@ -324,7 +324,9 @@ class DistanceOracle:
     def hold_all_pairs(self) -> None:
         """Leave this graph version's all-pairs matrix in the backend, if it fits.
 
-        For passes that read every row, several times over: one
+        For builds that read every row, several times over -- the AGM build
+        (decomposition, sparse centers and bounds, whole-graph ``G_j``
+        covers) and the Awerbuch--Peleg scales: one
         :meth:`shortest_path_forest` from every node, run only when a single
         :func:`forest_block_size` block covers all ``n`` sources and the
         backend holds no matrix yet.  Above that size the call does nothing,

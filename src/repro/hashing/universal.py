@@ -83,18 +83,21 @@ def mulmod_p(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _reduce(total)
 
 
-def horner_mod_p(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate one polynomial per row of ``coefficients`` at ``x`` over ``GF(p)``.
+def horner_mod_p(coefficients: np.ndarray, x: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """Evaluate polynomial ``rows[i]`` of ``coefficients`` at ``x[i]`` over ``GF(p)``.
 
     Row ``r`` holds the coefficients of ``x^0, x^1, ...`` (the layout of
     :attr:`KWiseHash.coefficients`); rows padded with high-degree zeros
-    evaluate exactly like the unpadded polynomial.
+    evaluate exactly like the unpadded polynomial.  Each Horner step
+    gathers one coefficient per entry, so no ``(len(x), degree)`` matrix
+    is built.
     """
     coefficients = np.asarray(coefficients, dtype=np.uint64)
     x = np.asarray(x, dtype=np.uint64)
     acc = np.zeros(x.shape, dtype=np.uint64)
     for column in range(coefficients.shape[1] - 1, -1, -1):
-        acc = mulmod_p(acc, x) + coefficients[:, column]
+        acc = mulmod_p(acc, x) + coefficients[rows, column]
         acc = np.where(acc >= _P64, acc - _P64, acc)
     return acc
 
@@ -116,9 +119,9 @@ class KWiseHash:
         rng = make_rng(seed)
         self.independence = int(independence)
         # The leading coefficient may be zero; independence is unaffected.
-        self.coefficients: List[int] = [
-            int(rng.integers(0, _PRIME)) for _ in range(self.independence)
-        ]
+        # One vectorized draw gives the same values as t scalar draws.
+        self.coefficients: Tuple[int, ...] = tuple(
+            rng.integers(0, _PRIME, size=self.independence).tolist())
 
     def value(self, name: Hashable) -> int:
         """Hash ``name`` to an integer in ``[0, p)`` via Horner evaluation."""
@@ -160,19 +163,6 @@ class DigitHash:
     def digits(self, name: Hashable) -> Tuple[int, ...]:
         """The full digit string ``h(name)`` of length ``length``."""
         return tuple(f.value(name) % self.sigma for f in self._functions)
-
-    def digits_array(self, folded: np.ndarray) -> np.ndarray:
-        """:meth:`digits` of many names at once, from their folds (:func:`fold_names`).
-
-        Row ``r`` of the ``(len(folded), length)`` result is the digit
-        string of the name folded to ``folded[r]``.
-        """
-        folded = np.asarray(folded, dtype=np.uint64)
-        stack = HashStack()
-        first = self.stack_into(stack)
-        rows = np.repeat(np.arange(first, first + self.length), folded.size)
-        values = stack.evaluate(rows, np.tile(folded, self.length))
-        return values.reshape(self.length, folded.size).T
 
     def stack_into(self, stack: "HashStack") -> int:
         """Add the digit functions to ``stack``; returns the first of ``length`` rows.
@@ -241,7 +231,7 @@ class HashStack:
     """
 
     def __init__(self) -> None:
-        self._coefficients: List[List[int]] = []
+        self._coefficients: List[Tuple[int, ...]] = []
         self._moduli: List[int] = []
         self._table: Optional[np.ndarray] = None
         self._modulus: Optional[np.ndarray] = None
@@ -250,7 +240,7 @@ class HashStack:
         """Register ``function`` reduced modulo ``modulus``; returns its row."""
         require(self._table is None, "cannot add rows to a frozen HashStack")
         require(modulus >= 1, "modulus must be >= 1")
-        self._coefficients.append(list(function.coefficients))
+        self._coefficients.append(function.coefficients)
         self._moduli.append(int(modulus))
         return len(self._coefficients) - 1
 
@@ -261,13 +251,15 @@ class HashStack:
             table = np.zeros((len(self._coefficients), width), dtype=np.uint64)
             for r, coefficients in enumerate(self._coefficients):
                 table[r, :len(coefficients)] = coefficients
-            self._table = table
+            # column-major: each Horner step gathers from one column
+            self._table = np.asfortranarray(table)
             self._modulus = np.asarray(self._moduli, dtype=np.uint64)
+            self._coefficients = self._moduli = []
         return self
 
     def evaluate(self, rows: np.ndarray, folded: np.ndarray) -> np.ndarray:
         """``value(name) mod modulus`` of each ``(row, folded name)`` pair (int64)."""
         self.freeze()
         rows = np.asarray(rows, dtype=np.int64)
-        values = horner_mod_p(self._table[rows], folded)
+        values = horner_mod_p(self._table, folded, rows)
         return (values % self._modulus[rows]).astype(np.int64)

@@ -91,16 +91,19 @@ class TableCollection:
     def charge_structures(self, category: str, structures) -> None:
         """Accumulate ``(nodes, bits)`` pairs into one charge per node.
 
-        ``structures`` yields, per routing structure (tree), its node list
-        and the parallel per-node bit list (e.g. ``table_bits_list()``); the
-        whole category lands through :meth:`charge_accumulated` in one pass.
+        ``structures`` yields, per routing structure (a tree, or a whole
+        family of trees), its nodes and the parallel per-node bits (e.g.
+        ``table_bits_list()``); they are concatenated and added in one pass,
+        and the category lands through :meth:`charge_accumulated`.
         """
         import numpy as np
 
+        parts = list(structures)
         accum = np.zeros(len(self.tables), dtype=np.int64)
-        for nodes, bits in structures:
-            np.add.at(accum, np.asarray(nodes, dtype=np.int64),
-                      np.asarray(bits, dtype=np.int64))
+        if parts:
+            np.add.at(accum,
+                      np.concatenate([np.asarray(n, dtype=np.int64) for n, _ in parts]),
+                      np.concatenate([np.asarray(b, dtype=np.int64) for _, b in parts]))
         self.charge_accumulated(category, accum)
 
     def max_bits(self) -> int:

@@ -11,18 +11,20 @@ Four schemes, all operating on a :class:`repro.graphs.trees.Tree`:
 * :class:`NameIndependentTreeRouting` — Lemma 4: name-independent
   error-reporting routing with ``j``-bounded searches from the root.
 * :class:`DictionaryTreeRouting` — Lemma 7: name-independent error-reporting
-  routing whose lookup cost is ``O(rad(T))``, used on cover trees.
+  routing whose lookup cost is ``O(rad(T))``, used on cover trees; a
+  :class:`DictionaryFamily` builds the dictionaries of many trees at once.
 """
 
 from repro.trees.interval_routing import IntervalTreeRouting
 from repro.trees.compact_labeled import CompactTreeRouting
 from repro.trees.name_independent import NameIndependentTreeRouting, BoundedSearchResult
-from repro.trees.error_reporting import DictionaryTreeRouting
+from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
 
 __all__ = [
     "IntervalTreeRouting",
     "CompactTreeRouting",
     "NameIndependentTreeRouting",
     "BoundedSearchResult",
+    "DictionaryFamily",
     "DictionaryTreeRouting",
 ]

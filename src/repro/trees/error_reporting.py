@@ -27,20 +27,39 @@ The per-node space is ``O(deg(v) log m)`` (interval table) plus the expected
 ``O(1)`` (w.h.p. ``O(log n)``) dictionary bucket — the degree term is the
 substitution's deviation from the paper's bound and is reported separately in
 the bit budget.
+
+Storage.  The dictionaries of a whole family of trees (the cover trees of a
+dense strategy, the fallback trees, the scales of a baseline) are built by
+one :class:`DictionaryFamily` in one array pass and held as one CSR:
+
+* the family's *slots* number its trees' nodes tree by tree, a node's slot
+  being its tree's offset plus its DFS index, so bucket ``b`` of tree ``t``
+  is slot ``offset[t] + b``;
+* ``indptr`` over the slots delimits each bucket's entries;
+* three entry arrays hold, per stored name, its fold
+  (:func:`~repro.hashing.universal.fold_names`), its node and that node's
+  DFS label; a bucket's entries are sorted by fold.
+
+Every member's bucket comes from one stacked evaluation of the family's
+bucket hashes, and one ``lexsort`` by (tree, bucket, fold) places the
+entries.  A :class:`DictionaryTreeRouting` is a view of one tree: its tree,
+bucket hash, interval table and slot offset.  A lookup finds a name's entry
+by its fold inside the responsible bucket and then compares names, so two
+names with the same fold stay apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import BucketHash, fold_names
+from repro.hashing.universal import BucketHash, HashStack, _fold_name, fold_names
 from repro.trees.interval_routing import IntervalTreeRouting
-from repro.utils.bitsize import BitBudget, bits_for_count
-from repro.utils.validation import require
+from repro.utils.bitsize import BitBudget
+from repro.utils.validation import ValidationError, require
 
 
 @dataclass
@@ -53,50 +72,155 @@ class DictionaryLookupResult:
     destination: Optional[int] = None
 
 
-class DictionaryTreeRouting:
-    """Lemma 7 structure for one (cover) tree.
+def _concat(arrays: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
 
-    ``folded`` optionally holds the members' names already folded by
-    :func:`~repro.hashing.universal.fold_names`, in ``tree.nodes`` order (a
-    build that folds every graph name once passes them in); the names are
-    folded here when it is omitted.
+
+class DictionaryFamily:
+    """The Lemma 7 structures of many trees, built in one array pass.
+
+    Parameters
+    ----------
+    trees:
+        The family's trees.
+    names:
+        Node -> global name for every tree node (a graph's
+        :meth:`~repro.graphs.graph.WeightedGraph.names_view`, or a dict);
+        held by reference, lookups compare against it.
+    seeds:
+        One bucket-hash seed per tree, consumed in tree order.
+    name_bits:
+        Bits charged for storing one global name in a bucket entry.
+    folded:
+        Every node's name already folded by
+        :func:`~repro.hashing.universal.fold_names`, indexed by node (a
+        build that folds every graph name once passes them in); the members'
+        names are folded here when omitted.
+
+    :attr:`routings` holds one :class:`DictionaryTreeRouting` per tree.
     """
 
-    def __init__(
-        self,
-        tree: Tree,
-        names: Dict[int, Hashable],
-        name_bits: int = 64,
-        seed=None,
-        folded: Optional[np.ndarray] = None,
-    ) -> None:
-        for v in tree.nodes:
-            require(v in names, f"missing name for tree node {v}")
+    def __init__(self, trees: Sequence[Tree], names, seeds: Iterable,
+                 name_bits: int = 64, folded: Optional[np.ndarray] = None) -> None:
+        trees = list(trees)
+        self._names = names
+        self.name_bits = int(name_bits)
+        sizes = np.fromiter((tree.size for tree in trees), dtype=np.int64,
+                            count=len(trees))
+        #: slot of each tree's root; tree t owns slots offsets[t] .. offsets[t+1]
+        self.offsets = np.zeros(len(trees) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.offsets[1:])
+        total = int(self.offsets[-1])
+        nodes = _concat([tree.node_ids for tree in trees])
+        if folded is None:
+            try:
+                folds = fold_names([names[v] for v in nodes.tolist()])
+            except KeyError as missing:
+                raise ValidationError(
+                    f"missing name for tree node {missing.args[0]}") from None
+        else:
+            folds = np.asarray(folded, dtype=np.uint64)[nodes]
+
+        # every member's bucket in one stacked evaluation
+        stack = HashStack()
+        hashes = []
+        for tree, seed in zip(trees, seeds):
+            hashes.append(BucketHash(tree.size, seed=seed))
+            hashes[-1].stack_into(stack)
+        require(len(hashes) == len(trees), "need one seed per tree")
+        tree_of = np.repeat(np.arange(len(trees), dtype=np.int64), sizes)
+        slot = self.offsets[:-1][tree_of] + stack.evaluate(tree_of, folds)
+
+        order = np.lexsort((folds, slot))
+        self.indptr = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slot, minlength=total), out=self.indptr[1:])
+        #: per entry, in (slot, fold) order: the stored name's fold, its node
+        #: and that node's DFS label
+        self.folds = folds[order]
+        self.nodes = nodes[order]
+        self.labels = _concat([tree.dfs_in for tree in trees])[order]
+        self._check_unique(slot[order])
+        self._bits: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.routings = [DictionaryTreeRouting(self, tree, bucket_hash, int(lo))
+                         for tree, bucket_hash, lo in
+                         zip(trees, hashes, self.offsets[:-1].tolist())]
+
+    def _check_unique(self, slots: np.ndarray) -> None:
+        """Entries of one tree with one fold share a bucket: their names must differ."""
+        clash = np.flatnonzero((np.diff(slots) == 0) & (np.diff(self.folds) == 0))
+        runs = {}
+        for e in clash.tolist():
+            runs.setdefault(int(slots[e]), {e}).add(e + 1)
+        for entries in runs.values():
+            names = [self._names[int(self.nodes[e])] for e in entries]
+            require(len(set(names)) == len(names), "tree node names must be unique")
+
+    def find(self, slot: int, fold: int, name: Hashable) -> int:
+        """Index of the entry of ``name`` (folded to ``fold``) in bucket ``slot``; -1 if none."""
+        for e in range(int(self.indptr[slot]), int(self.indptr[slot + 1])):
+            if int(self.folds[e]) == fold and self._names[int(self.nodes[e])] == name:
+                return e
+        return -1
+
+    def table_bits(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(nodes, bits)`` of every member, tree by tree in node order, in one pass.
+
+        Per node: the interval table, the bucket hash and the bucket's
+        entries (the same integers as :meth:`DictionaryTreeRouting.table_bits`).
+        """
+        if self._bits is None:
+            trees = [routing.tree for routing in self.routings]
+            sizes = np.diff(self.offsets)
+            parent, dfs_in, nodes = (
+                _concat([getattr(t, name) for t in trees])
+                for name in ("parent_local", "dfs_in", "node_ids"))
+            entry_bits = np.fromiter(
+                (self.name_bits + r.interval.label_bits() for r in self.routings),
+                dtype=np.int64, count=len(self.routings))
+            hash_bits = np.fromiter(
+                (r.bucket_hash.storage_bits() for r in self.routings),
+                dtype=np.int64, count=len(self.routings))
+            # slot order: interval table plus the bucket's entries
+            slot_bits = (IntervalTreeRouting.slot_table_bits(parent, sizes)
+                         + np.repeat(entry_bits, sizes) * np.diff(self.indptr))
+            base = np.repeat(self.offsets[:-1], sizes)
+            self._bits = (nodes, slot_bits[base + dfs_in] + np.repeat(hash_bits, sizes))
+        return self._bits
+
+
+class DictionaryTreeRouting:
+    """Lemma 7 structure for one tree: a view of its :class:`DictionaryFamily`.
+
+    Built by the family; a lone tree is a family of one::
+
+        DictionaryFamily([tree], names, [seed]).routings[0]
+    """
+
+    def __init__(self, family: DictionaryFamily, tree: Tree,
+                 bucket_hash: BucketHash, offset: int) -> None:
+        self.family = family
         self.tree = tree
         self.m = tree.size
-        self.names = {v: names[v] for v in tree.nodes}
-        self.name_to_node = {name: v for v, name in self.names.items()}
-        require(len(self.name_to_node) == self.m, "tree node names must be unique")
-        self.name_bits = int(name_bits)
-
+        self.name_bits = family.name_bits
         self.interval = IntervalTreeRouting(tree)
-        self.bucket_hash = BucketHash(self.m, seed=seed)
-        self._dfs_order = tree.node_of_slot.tolist()
-
-        # responsible node (by DFS index) -> {name: dfs label of the named node}
-        if folded is None:
-            folded = fold_names([self.names[v] for v in tree.nodes])
-        self.buckets: Dict[int, Dict[Hashable, int]] = {v: {} for v in tree.nodes}
-        for v, x, label in zip(tree.nodes, folded.tolist(), tree.dfs_in.tolist()):
-            responsible = self._dfs_order[self.bucket_hash.bucket_of_fold(x)]
-            self.buckets[responsible][self.names[v]] = label
+        self.bucket_hash = bucket_hash
+        #: family slot of this tree's root (DFS index 0)
+        self.offset = offset
 
     # ------------------------------------------------------------------ #
     # structure queries
     # ------------------------------------------------------------------ #
+    def _entry(self, name: Hashable) -> Tuple[int, int]:
+        """``(bucket, entry)``: the DFS index of ``name``'s responsible node
+        and the family index of its entry there (``-1`` when no tree node
+        carries ``name``)."""
+        fold = _fold_name(name)
+        bucket = self.bucket_hash.bucket_of_fold(fold)
+        return bucket, self.family.find(self.offset + bucket, fold, name)
+
     def responsible_node(self, name: Hashable) -> int:
         """The tree node responsible for storing ``name``'s dictionary entry."""
-        return self._dfs_order[self.bucket_hash.bucket(name)]
+        return int(self.tree.node_of_slot[self.bucket_hash.bucket(name)])
 
     @staticmethod
     def responsible_slots(offsets: np.ndarray, buckets: np.ndarray) -> np.ndarray:
@@ -108,13 +232,23 @@ class DictionaryTreeRouting:
         """
         return np.asarray(offsets, dtype=np.int64) + np.asarray(buckets, dtype=np.int64)
 
+    def _bucket_bounds(self, slot: int) -> Tuple[int, int]:
+        indptr = self.family.indptr
+        return int(indptr[self.offset + slot]), int(indptr[self.offset + slot + 1])
+
+    def dictionary_of(self, v: int) -> np.ndarray:
+        """The nodes whose entries ``v``'s bucket holds (in fold order)."""
+        lo, hi = self._bucket_bounds(self.tree.slot(v))
+        return self.family.nodes[lo:hi]
+
     def max_bucket_entries(self) -> int:
         """Largest dictionary bucket (w.h.p. ``O(log n / log log n)``)."""
-        return max((len(b) for b in self.buckets.values()), default=0)
+        indptr = self.family.indptr[self.offset:self.offset + self.m + 1]
+        return int(np.diff(indptr).max(initial=0))
 
     def contains_name(self, name: Hashable) -> bool:
         """Whether the tree contains a node with this global name."""
-        return name in self.name_to_node
+        return self._entry(name)[1] >= 0
 
     # ------------------------------------------------------------------ #
     # storage accounting
@@ -125,8 +259,9 @@ class DictionaryTreeRouting:
         b = BitBudget()
         b.merge(self.interval.table_budget(v), prefix="interval_")
         b.add("bucket_hash", self.bucket_hash.storage_bits())
-        entry_bits = self.name_bits + bits_for_count(max(self.m - 1, 1))
-        b.add("bucket_entries", entry_bits, count=len(self.buckets[v]))
+        entry_bits = self.name_bits + self.interval.label_bits()
+        lo, hi = self._bucket_bounds(self.tree.slot(v))
+        b.add("bucket_entries", entry_bits, count=hi - lo)
         return b
 
     def table_bits(self, v: int) -> int:
@@ -134,20 +269,17 @@ class DictionaryTreeRouting:
         return self.table_budget(v).total()
 
     def table_bits_list(self) -> List[int]:
-        """``table_bits`` of every node (tree-node order) in one lean pass."""
-        hash_bits = self.bucket_hash.storage_bits()
-        entry_bits = self.name_bits + bits_for_count(max(self.m - 1, 1))
-        interval_bits = self.interval.table_bits_list()
-        return [ib + hash_bits + entry_bits * len(self.buckets[v])
-                for v, ib in zip(self.tree.nodes, interval_bits)]
+        """``table_bits`` of every node (tree-node order), read from the family's pass."""
+        bits = self.family.table_bits()[1]
+        return bits[self.offset:self.offset + self.m].tolist()
 
     def max_table_bits(self) -> int:
         """Largest per-node table in the tree."""
-        return max((self.table_bits(v) for v in self.tree.nodes), default=0)
+        return max(self.table_bits_list(), default=0)
 
     def header_bits(self) -> int:
         """Header: destination name + a DFS label + a small state tag."""
-        return self.name_bits + bits_for_count(max(self.m - 1, 1)) + 8
+        return self.name_bits + self.interval.label_bits() + 8
 
     # ------------------------------------------------------------------ #
     # routing
@@ -164,19 +296,18 @@ class DictionaryTreeRouting:
 
         # leg 1: climb to the root (the paper's dense strategy also starts at the root)
         self._walk_to_label(result, self.interval.label_of(self.tree.root))
-        # leg 2: descend to the responsible node
-        responsible = self.responsible_node(target_name)
-        self._walk_to_label(result, self.interval.label_of(responsible))
+        # leg 2: descend to the responsible node, whose DFS index is the bucket
+        bucket, entry = self._entry(target_name)
+        self._walk_to_label(result, bucket)
         # leg 3: the responsible node either knows the destination or reports a miss
-        entry = self.buckets[responsible].get(target_name)
-        if entry is None:
+        if entry < 0:
             # negative response: travel back to the source
             self._walk_to_label(result, self.interval.label_of(source))
             result.found = False
             return result
-        self._walk_to_label(result, entry)
+        self._walk_to_label(result, int(self.family.labels[entry]))
         result.found = True
-        result.destination = self.interval.node_with_label(entry)
+        result.destination = int(self.family.nodes[entry])
         return result
 
     def lookup_from_root(self, target_name: Hashable) -> DictionaryLookupResult:
@@ -194,13 +325,12 @@ class DictionaryTreeRouting:
         tree leg; the resulting walk is identical to :meth:`lookup`'s.
         """
         require(self.tree.contains(source), f"source {source} is not in the tree")
-        responsible = self.responsible_node(target_name)
-        targets = [self.tree.root, responsible]
-        entry = self.buckets[responsible].get(target_name)
-        if entry is None:
+        bucket, entry = self._entry(target_name)
+        targets = [self.tree.root, int(self.tree.node_of_slot[bucket])]
+        if entry < 0:
             targets.append(source)
             return targets, False, None
-        destination = self.interval.node_with_label(entry)
+        destination = int(self.family.nodes[entry])
         targets.append(destination)
         return targets, True, destination
 

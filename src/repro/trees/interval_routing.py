@@ -67,19 +67,30 @@ class IntervalTreeRouting:
         b.add("child_intervals", (2 * idbits + portbits), count=num_children)
         return b
 
-    def table_bits_list(self) -> List[int]:
-        """``table_bits`` of every node (tree-node order) as one array expression.
+    @staticmethod
+    def slot_table_bits(parent_local: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """:meth:`table_bits` of every slot of many trees laid end to end.
 
-        Same integers as :meth:`table_bits`, without a :class:`BitBudget`
-        per node — construction-time accounting charges whole trees at once.
-        Child counts come from the parent slots.
+        ``parent_local`` concatenates the trees' parent slots
+        (:attr:`Tree.parent_local`, ``-1`` at a root) and ``sizes`` holds
+        their node counts; entry ``offset + s`` is the table of slot ``s``
+        of the tree starting at ``offset``.  One array expression, without a
+        :class:`BitBudget` per node — construction-time accounting charges
+        whole trees and families at once.  Child counts come from the
+        parent slots.
         """
-        idbits = bits_for_count(max(self.m - 1, 1))
-        parent = self.tree.parent_local
-        is_child = parent >= 0
-        children = np.bincount(parent[is_child], minlength=self.m)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        base = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # label_bits() per tree: bits_for_count(x) = bits_for_ids(x + 1)
+        idbits = np.repeat(bits_for_ids(np.maximum(sizes - 1, 1) + 1), sizes)
+        is_child = parent_local >= 0
+        children = np.bincount((base + parent_local)[is_child], minlength=base.size)
         portbits = bits_for_ids(np.maximum(children + is_child, 1))
-        bits = 2 * idbits + children * (2 * idbits + portbits) + is_child * portbits
+        return 2 * idbits + children * (2 * idbits + portbits) + is_child * portbits
+
+    def table_bits_list(self) -> List[int]:
+        """``table_bits`` of every node (tree-node order), from :meth:`slot_table_bits`."""
+        bits = self.slot_table_bits(self.tree.parent_local, [self.m])
         # slot order -> tree-node order
         return bits[self.tree.dfs_in].tolist()
 

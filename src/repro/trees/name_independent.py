@@ -41,9 +41,12 @@ sigma^(j-1)``, and the trie children of position ``p`` are positions
   holder stores, sorted by node.
 
 Trie children and hash paths are arithmetic on positions
-(:meth:`NameIndependentTreeRouting.trie_path_positions`), and the hash names
-of all members come from one array evaluation of the digit functions over the
-members' folded names (:meth:`~repro.hashing.universal.DigitHash.digits_array`).
+(:meth:`NameIndependentTreeRouting.trie_path_positions`), and
+:meth:`NameIndependentTreeRouting.family` evaluates the hash names of every
+member of a build's trees in one stacked pass of their digit functions over
+the members' folded names (a lone tree is a family of one).  Names resolve
+through one name -> node index shared by the family's trees, plus tree
+membership.
 A target ``t`` with a ``d``-digit name is stored by the holders on its hash
 path at depths ``max(d - 1, 0)`` and deeper, so the tables are built without
 a per-node Python loop.
@@ -60,12 +63,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.trees import Tree
-from repro.hashing.universal import DigitHash, fold_names
+from repro.hashing.universal import DigitHash, HashStack, fold_names
 from repro.trees.compact_labeled import CompactTreeRouting
 from repro.utils.bitsize import BitBudget, bits_for_count
 from repro.utils.validation import ValidationError, require
@@ -100,34 +103,91 @@ class NameIndependentTreeRouting:
         Bits charged for storing one global name in a dictionary entry.
     seed:
         Randomness for the hash family.
-    folded:
-        The members' names already folded by
-        :func:`~repro.hashing.universal.fold_names`, in ``tree.nodes`` order
-        (a build that folds every graph name once passes them in); folded
-        from ``names`` when omitted.
+
+    A lone tree is a family of one whose name index holds its own members;
+    a build makes its structures with :meth:`family`, which shares the
+    graph's name index among all its trees.
     """
 
     def __init__(
         self,
         tree: Tree,
-        names: Dict[int, Hashable],
+        names: Mapping[int, Hashable],
         k: int = 2,
         sigma: Optional[int] = None,
         name_bits: int = 64,
         seed=None,
-        folded: Optional[np.ndarray] = None,
     ) -> None:
-        require(k >= 1, f"k must be >= 1, got {k}")
         try:
             member_names = [names[v] for v in tree.nodes]
         except KeyError as missing:
             raise ValidationError(
                 f"missing name for tree node {missing.args[0]}") from None
+        name_index = dict(zip(member_names, tree.nodes))
+        require(len(name_index) == tree.size, "tree node names must be unique")
+        self._layout(tree, k, sigma, name_bits, seed, name_index)
+        self._hash_members([self], fold_names(member_names))
+
+    @classmethod
+    def family(cls, trees: Sequence[Tree], seeds: Iterable, k: int,
+               sigma: Optional[int], name_bits: int, folded: np.ndarray,
+               name_index: Mapping[Hashable, int]
+               ) -> List["NameIndependentTreeRouting"]:
+        """One structure per tree, every member's hash digits in one stacked pass.
+
+        ``seeds`` holds one hash seed per tree, consumed in tree order;
+        ``folded`` is every node's folded name, indexed by node
+        (:meth:`~repro.construction.context.BuildContext.folded_names`), and
+        ``name_index`` maps every name to its node
+        (:meth:`~repro.graphs.graph.WeightedGraph.name_index`); searches
+        resolve a name there, then check tree membership.  Each structure
+        equals the one the constructor builds from the same tree and seed.
+        """
+        routings = []
+        for tree, seed in zip(trees, seeds):
+            routing = cls.__new__(cls)
+            routing._layout(tree, k, sigma, name_bits, seed, name_index)
+            routings.append(routing)
+        if routings:
+            cls._hash_members(routings, np.asarray(folded, dtype=np.uint64)[
+                np.concatenate([r.tree.node_ids for r in routings])])
+        return routings
+
+    @staticmethod
+    def _hash_members(routings: Sequence["NameIndependentTreeRouting"],
+                      member_folds: np.ndarray) -> None:
+        """Every member's hash digits in one stacked pass, then each tree's dictionaries.
+
+        ``member_folds`` holds the members' folded names, tree by tree in
+        ``tree.nodes`` order.
+        """
+        stack = HashStack()
+        firsts = [r.digit_hash.stack_into(stack) for r in routings]
+        sizes = np.fromiter((r.m for r in routings), dtype=np.int64,
+                            count=len(routings))
+        widths = np.fromiter((r.max_digits for r in routings), dtype=np.int64,
+                             count=len(routings))
+        member_tree = np.repeat(np.arange(len(routings)), sizes)
+        member_width = widths[member_tree]
+        member_first = np.asarray(firsts, dtype=np.int64)[member_tree]
+        # digit column j of every member whose tree names that many digits
+        digits = np.zeros((member_tree.size, int(widths.max())), dtype=np.int64)
+        for j in range(digits.shape[1]):
+            sel = np.flatnonzero(member_width > j)
+            digits[sel, j] = stack.evaluate(member_first[sel] + j,
+                                            member_folds[sel])
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        for routing, lo, hi in zip(routings, bounds, bounds[1:]):
+            routing._index_dictionaries(digits[lo:hi, :routing.max_digits])
+
+    def _layout(self, tree: Tree, k: int, sigma: Optional[int], name_bits: int,
+                seed, name_index: Mapping[Hashable, int]) -> None:
+        """Primary names, Lemma 5 tables and the hash family of ``tree``."""
+        require(k >= 1, f"k must be >= 1, got {k}")
         self.tree = tree
+        self._name_index = name_index
         self.k = int(k)
         self.m = m = tree.size
-        self.name_to_node = dict(zip(member_names, tree.nodes))
-        require(len(self.name_to_node) == m, "tree node names must be unique")
         self.name_bits = int(name_bits)
 
         if sigma is None:
@@ -139,9 +199,8 @@ class NameIndependentTreeRouting:
         # primary names: depth-order position -> node and name length.
         # tree.node_ids is ascending, so a stable sort by depth breaks ties
         # by node id, the (depth, node) order of Tree.nodes_by_depth
-        nodes = tree.node_ids
         by_depth = np.argsort(tree.depth, kind="stable")
-        self._order = nodes[by_depth]
+        self._order = tree.node_ids[by_depth]
         self._length = np.zeros(m, dtype=np.int64)
         start, width = 1, 1
         while start < m:
@@ -157,12 +216,15 @@ class NameIndependentTreeRouting:
         independence = max(8, int(math.ceil(math.log2(max(m, 2)))) + 1)
         self.digit_hash = DigitHash(self.sigma, hash_length, independence=independence, seed=seed)
 
-        # dictionaries: target t (name length d) is stored by the node named
-        # h(t)[:j] for every j >= max(d - 1, 0) at which that node exists --
-        # the root (j = 0) and the hash-path positions below the tree size
-        if folded is None:
-            folded = fold_names(member_names)
-        digits = self.digit_hash.digits_array(folded)[:, :self.max_digits]
+    def _index_dictionaries(self, digits: np.ndarray) -> None:
+        """The dictionary CSR from the members' hash digits (``tree.nodes`` rows).
+
+        Target ``t`` (name length ``d``) is stored by the node named
+        ``h(t)[:j]`` for every ``j >= max(d - 1, 0)`` at which that node
+        exists -- the root (``j = 0``) and the hash-path positions below the
+        tree size.
+        """
+        m, nodes = self.m, self.tree.node_ids
         path = self.trie_path_positions(digits, np.full(m, self.sigma),
                                         np.full(m, m))
         holders = np.concatenate([np.zeros((m, 1), dtype=np.int64), path], axis=1)
@@ -270,9 +332,14 @@ class NameIndependentTreeRouting:
         at = self.tree.positions(nodes)
         return max(int(self.name_lengths()[at[at >= 0]].max(initial=0)), 1)
 
+    def _node_named(self, name: Hashable) -> Optional[int]:
+        """The tree node carrying ``name`` (``None`` when no tree node does)."""
+        v = self._name_index.get(name)
+        return v if v is not None and self.tree.find(v) >= 0 else None
+
     def contains_name(self, name: Hashable) -> bool:
         """Whether some tree node carries this global name."""
-        return name in self.name_to_node
+        return self._node_named(name) is not None
 
     def _plan(self, target_name: Hashable, j_bound: Optional[int]
               ) -> Tuple[List[int], bool, Optional[int], int]:
@@ -286,7 +353,7 @@ class NameIndependentTreeRouting:
         if j_bound is None:
             j_bound = max(self.max_digits, 1)
         j_bound = max(1, int(j_bound))
-        target = self.name_to_node.get(target_name)
+        target = self._node_named(target_name)
         target_hash = self.digit_hash.digits(target_name)
         targets: List[int] = []
         position = 0

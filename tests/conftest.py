@@ -23,6 +23,11 @@ from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
 from repro.routing.simulator import RoutingSimulator
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long end-to-end run (an example script at full size)")
+
+
 @pytest.fixture(scope="session")
 def small_geometric() -> WeightedGraph:
     """A connected random geometric graph with ~48 nodes (metric weights)."""

@@ -138,9 +138,9 @@ class TestArrayEvaluators:
     def test_horner_matches_kwise_value(self, identity_fold, independence):
         h = KWiseHash(independence, seed=independence)
         folds = _random_folds(10_000, seed=2)
-        coefficients = np.tile(np.asarray(h.coefficients, dtype=np.uint64),
-                               (len(folds), 1))
-        got = universal.horner_mod_p(coefficients, np.asarray(folds, dtype=np.uint64))
+        coefficients = np.asarray([h.coefficients], dtype=np.uint64)
+        got = universal.horner_mod_p(coefficients, np.asarray(folds, dtype=np.uint64),
+                                     rows=np.zeros(len(folds), dtype=np.int64))
         assert got.tolist() == [h.value(x) for x in folds]
 
     @pytest.mark.parametrize("sigma", [1, 2, 7])
@@ -166,15 +166,6 @@ class TestArrayEvaluators:
         assert _stacked(dh, folded, 4) == [dh.digits(x) for x in names]
         assert _stacked(bh, folded, 1) == [(bh.bucket(x),) for x in names]
 
-    @pytest.mark.parametrize("sigma", [1, 2, 7])
-    def test_digits_array_matches_digits(self, sigma):
-        dh = DigitHash(sigma=sigma, length=4, independence=9, seed=10 + sigma)
-        names = [f"n{i}" for i in range(200)] + [("t", i) for i in range(50)]
-        got = dh.digits_array(universal.fold_names(names))
-        assert got.shape == (len(names), 4)
-        assert [tuple(row) for row in got.tolist()] == [dh.digits(x) for x in names]
-        assert dh.digits_array(np.zeros(0, dtype=np.uint64)).shape == (0, 4)
-
     def test_values_of_folds_match_values_of_names(self):
         bh = BucketHash(29, seed=11)
         names = [0, -3, 2**70, "x", ("y", 2)] + list(range(100))
@@ -195,3 +186,78 @@ class TestArrayEvaluators:
         assert got.tolist() == expected
         with pytest.raises(Exception):
             bh.stack_into(stack)
+
+
+class TestBatchedHashing:
+    """The batched build paths: vectorized draws, family-wide stacks, O(N) memory."""
+
+    #: coefficients drawn by t scalar ``rng.integers(0, p)`` calls, captured
+    #: from that implementation, so the one-call draw stays pinned
+    PINNED = {
+        (0, 1): [1468733653847134283],
+        (1, 8): [1180180315279482015, 2191620069684565259, 332409435200520985,
+                 2187436695875849721, 719034373671333460, 976124332978671112,
+                 1908552239668907427, 943548967973111640],
+        (7, 12): [1441372011761543504, 2068834170735742289, 1788609426198978347,
+                  519292424664466664, 692136329664195112, 2014277105241507045,
+                  12140965723911565, 1893623807495520474, 1837916970145858346,
+                  1078984539781433123, 698745202946374536, 642005751248611920],
+        (2026, 3): [412595589218459445, 1475539299668093335, 1077447576203165244],
+    }
+
+    @pytest.mark.parametrize("seed,degree", sorted(PINNED))
+    def test_coefficients_pinned(self, seed, degree):
+        coefficients = KWiseHash(degree, seed=seed).coefficients
+        assert list(coefficients) == self.PINNED[(seed, degree)]
+        assert all(type(c) is int for c in coefficients)
+
+    def test_one_stack_of_many_functions_matches_scalar(self):
+        rng = np.random.default_rng(5)
+        stack = universal.HashStack()
+        functions = []  # (first row, width, scalar evaluator)
+        for index in range(40):
+            if index % 3:
+                dh = DigitHash(sigma=int(rng.integers(1, 9)),
+                               length=int(rng.integers(1, 5)),
+                               independence=int(rng.integers(1, 20)), seed=index)
+                functions.append((dh.stack_into(stack), dh.length, dh.digits))
+            else:
+                bh = BucketHash(int(rng.integers(1, 50)),
+                                independence=int(rng.integers(1, 20)), seed=index)
+                functions.append((bh.stack_into(stack), 1,
+                                  lambda name, bh=bh: (bh.bucket(name),)))
+        names = [f"n{i}" for i in range(60)] + [("t", i) for i in range(20)]
+        folded = universal.fold_names(names)
+        # every (function, name) pair in one shuffled evaluation
+        pairs = [(f, r) for f in range(len(functions)) for r in range(len(names))]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        rows = np.concatenate([functions[f][0] + np.arange(functions[f][1])
+                               for f, _ in pairs])
+        at = np.repeat([r for _, r in pairs], [functions[f][1] for f, _ in pairs])
+        values = stack.evaluate(rows, folded[at]).tolist()
+        position = 0
+        for f, r in pairs:
+            first, width, scalar = functions[f]
+            assert tuple(values[position:position + width]) == scalar(names[r])
+            position += width
+
+    def test_evaluate_allocates_linear_in_pairs(self):
+        import tracemalloc
+
+        stack = universal.HashStack()
+        for seed in range(4):
+            stack.add(KWiseHash(64, seed=seed), 97)
+        stack.freeze()
+        pairs = 20_000
+        rows = np.arange(pairs) % 4
+        folded = np.random.default_rng(1).integers(0, 2**61 - 1, size=pairs,
+                                                   dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            stack.evaluate(rows, folded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a handful of uint64 temporaries per pair; gathering the 64-column
+        # coefficient rows of every pair alone would take 64 words per pair
+        assert peak < 24 * 8 * pairs

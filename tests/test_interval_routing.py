@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.graphs.shortest_paths import shortest_path_tree
@@ -81,6 +82,21 @@ class TestStorage:
         leaf_budget = routing.table_budget(leaf).breakdown()
         assert leaf_budget["child_intervals"] == 0
         assert "parent_port" in leaf_budget
+
+    def test_table_bits_list_matches_table_bits(self, routing, geometric_spt):
+        assert routing.table_bits_list() == \
+            [routing.table_bits(v) for v in geometric_spt.nodes]
+
+    def test_slot_table_bits_of_trees_laid_end_to_end(self, geometric_spt, tiny_path):
+        trees = [geometric_spt, Tree.single_node(0), shortest_path_tree(tiny_path, 2)]
+        bits = IntervalTreeRouting.slot_table_bits(
+            np.concatenate([tree.parent_local for tree in trees]),
+            [tree.size for tree in trees])
+        expected = []
+        for tree in trees:
+            routing = IntervalTreeRouting(tree)
+            expected += [routing.table_bits(int(v)) for v in tree.node_of_slot]
+        assert bits.tolist() == expected
 
 
 class TestSmallTrees:

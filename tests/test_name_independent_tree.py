@@ -143,10 +143,6 @@ class TestArrayLayoutMatchesReference:
         for v in tree.nodes:
             assert routing.trie_children_of(v) == trie_children[v]
             assert routing.dictionary_of(v).tolist() == sorted(dictionary[v].values())
-        digits = routing.digit_hash.digits_array(
-            universal.fold_names([names[v] for v in tree.nodes]))
-        assert [tuple(row) for row in digits.tolist()] == \
-            [hash_digits[v] for v in tree.nodes]
 
         hash_bits = routing.digit_hash.storage_bits()
         label_bits = routing.compact.max_label_bits()

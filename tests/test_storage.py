@@ -219,7 +219,7 @@ class TestRowSpillParity:
         backend = LazyDijkstraBackend(graph, cache_rows=cache_rows)
         oracle = DistanceOracle(graph, backend=backend)
         build_oracle = oracle
-        if scheme_name in ("shortest-path", "awerbuch-peleg"):
+        if scheme_name in ("shortest-path", "awerbuch-peleg", "agm"):
             # each build leaves every row of this graph version in the
             # oracle it builds on, so nothing would spill there: build on a
             # second oracle and score through the one under test
