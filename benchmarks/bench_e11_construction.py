@@ -148,7 +148,7 @@ def main() -> None:
             row = {
                 "n": n,
                 "scheme": name,
-                "backend": oracle.backend_name,
+                "backend": "lazy",
                 "vectorized_s": round(build_s, 4),
                 "seed_s": seed_s,
                 "speedup_vs_seed": round(seed_s / build_s, 2) if seed_s else None,
@@ -161,7 +161,7 @@ def main() -> None:
             speedup_str = f"{row['speedup_vs_seed']:7.1f}x" \
                 if row["speedup_vs_seed"] else "       -"
             print(f"{n:>6} {name:>15} {build_s:>8.1f} {seed_str} "
-                  f"{speedup_str} {report.failures:>8} {oracle.backend_name:>8}")
+                  f"{speedup_str} {report.failures:>8} {'lazy':>8}")
 
     seeded = [r for r in rows if r["seed_s"] is not None]
     total_seed = sum(r["seed_s"] for r in seeded)

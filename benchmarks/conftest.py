@@ -14,9 +14,11 @@ larger ones.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.experiments.workloads import full_mode, make_workload
+from repro.experiments.workloads import make_workload
 from repro.graphs.shortest_paths import DistanceOracle
 
 
@@ -27,7 +29,7 @@ def pytest_configure(config):
 @pytest.fixture(scope="session")
 def quick() -> bool:
     """Whether to use the small workloads (default) or the full ones."""
-    return not full_mode()
+    return not os.environ.get("REPRO_BENCH_FULL")
 
 
 @pytest.fixture(scope="session")

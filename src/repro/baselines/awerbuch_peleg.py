@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Optional
 from repro.construction.context import BuildContext
 from repro.covers.tree_cover import TreeCover, build_tree_cover
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
@@ -48,7 +48,7 @@ class AwerbuchPelegRouting(RoutingSchemeInstance):
         super().__init__(graph)
         require(k >= 1, f"k must be >= 1, got {k}")
         self.k = int(k)
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.name_bits = int(name_bits)
         self._build_seed = seed  # kept for rebuild_spec / churn repair
         self._build(seed, context or BuildContext(graph, oracle=self.oracle))
@@ -157,7 +157,7 @@ class AwerbuchPelegRouting(RoutingSchemeInstance):
                 return result
         return result
 
-    def header_bits(self) -> int:
+    def compute_header_bits(self) -> int:
         """Destination name + scale counter + the Lemma 7 sub-header."""
         sub = max((r.header_bits() for routings in self.scales for r in routings), default=0)
         return self.name_bits + bits_for_count(max(self.num_scales, 1)) + sub

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.construction.context import BuildContext, SPTJob
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.forwarding import NextHopTable
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
@@ -58,7 +58,7 @@ class CowenRouting(RoutingSchemeInstance):
                  sample_probability: Optional[float] = None,
                  context: Optional[BuildContext] = None) -> None:
         super().__init__(graph)
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.name_bits = int(name_bits)
         self._build_seed = seed  # kept for rebuild_spec / churn repair
         rng = make_rng(seed)
@@ -286,7 +286,7 @@ class CowenRouting(RoutingSchemeInstance):
             result.phases_used = 2
         return result
 
-    def header_bits(self) -> int:
+    def compute_header_bits(self) -> int:
         """Header carries the destination's label (landmark id + tree label)."""
         tree_label = max((t.header_bits() for t in self._trees.values()), default=0)
         return self.name_bits + bits_for_id(max(self.graph.n, 2)) + tree_label

@@ -34,7 +34,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.construction.context import BuildContext, SPTJob
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
@@ -104,7 +104,7 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
         super().__init__(graph)
         require(k >= 1, f"k must be >= 1, got {k}")
         self.k = int(k)
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.name_bits = int(name_bits)
         self.responsibility_factor = float(responsibility_factor)
         self._build_seed = seed  # kept for rebuild_spec / churn repair
@@ -266,7 +266,7 @@ class ExponentialStretchRouting(RoutingSchemeInstance):
         hops.reverse()
         return hops
 
-    def header_bits(self) -> int:
+    def compute_header_bits(self) -> int:
         """Destination name + level counter + a source route or the Lemma 7 sub-header."""
         sub = max((r.header_bits() for r in self._tree_key.values()), default=0)
         return (self.name_bits + bits_for_count(self.k + 1)

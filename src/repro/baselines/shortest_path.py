@@ -30,8 +30,7 @@ import numpy as np
 
 from repro.construction.context import BuildContext
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                         forest_block_size)
+from repro.graphs.shortest_paths import DistanceOracle, forest_block_size
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.storage import alloc_array
@@ -48,7 +47,7 @@ class ShortestPathRouting(RoutingSchemeInstance):
                  name_bits: int = 64,
                  context: Optional[BuildContext] = None) -> None:
         super().__init__(graph)
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.name_bits = int(name_bits)
         self._context = context
         #: next_hop[u, v] = neighbor of u on a shortest u→v path (-1 absent);
@@ -155,6 +154,6 @@ class ShortestPathRouting(RoutingSchemeInstance):
                 return result
         return result
 
-    def header_bits(self) -> int:
+    def compute_header_bits(self) -> int:
         """Only the destination name travels in the header."""
         return self.name_bits

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.construction.context import BuildContext, SPTJob
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.compact_labeled import CompactTreeRouting
@@ -55,7 +55,7 @@ class ThorupZwickRouting(RoutingSchemeInstance):
         super().__init__(graph)
         require(k >= 1, f"k must be >= 1, got {k}")
         self.k = int(k)
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.name_bits = int(name_bits)
         self._build_seed = seed  # kept for rebuild_spec / churn repair
         rng = make_rng(seed)
@@ -237,7 +237,7 @@ class ThorupZwickRouting(RoutingSchemeInstance):
                     return result
         return result
 
-    def header_bits(self) -> int:
+    def compute_header_bits(self) -> int:
         """Header carries the destination label of the level in use."""
         tree_label = max((t.header_bits() for t in self._trees.values()), default=0)
         return self.name_bits + bits_for_id(max(self.graph.n, 2)) + tree_label

@@ -39,8 +39,7 @@ import numpy as np
 
 from repro.construction.kernels import ancestor_closure
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, exact_distance_oracle,
-                                         limited_dijkstra)
+from repro.graphs.shortest_paths import DistanceOracle, limited_dijkstra
 from repro.graphs.trees import Tree, build_forest
 from repro.hashing.universal import fold_names
 from repro.storage import persist_array
@@ -158,7 +157,7 @@ class BuildContext:
     def __init__(self, graph: WeightedGraph, oracle: Optional[DistanceOracle] = None,
                  parallel: Optional[int] = None) -> None:
         self.graph = graph
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.parallel = int(parallel) if parallel else 0
         self._edge_index: Optional[_EdgeIndex] = None
         self._folded_names: Optional[np.ndarray] = None

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.params import AGMParams
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.utils.validation import check_index, require
 
 
@@ -48,7 +48,7 @@ class NeighborhoodDecomposition:
         self.graph = graph
         self.k = int(k)
         self.params = params or AGMParams.paper()
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.n = graph.n
         self.growth = max(self.n, 2) ** (1.0 / self.k)
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.params import AGMParams
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_index, require
 
@@ -50,7 +50,7 @@ class LandmarkHierarchy:
         self.graph = graph
         self.k = int(k)
         self.params = params or AGMParams.paper()
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         self.decomposition = decomposition or NeighborhoodDecomposition(
             graph, k, oracle=self.oracle, params=self.params)
         self.n = graph.n

@@ -30,7 +30,7 @@ from repro.core.landmarks import LandmarkHierarchy
 from repro.core.params import AGMParams
 from repro.core.sparse_strategy import SparseStrategy
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
@@ -58,7 +58,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
         require(k >= 1, f"k must be >= 1, got {k}")
         self.k = int(k)
         self.params = params or AGMParams.paper()
-        self.oracle = exact_distance_oracle(graph, oracle)
+        self.oracle = oracle or DistanceOracle(graph)
         # the decomposition, the sparse centers and bounds and the covers of
         # every whole-graph G_j all read distance rows: one all-pairs pass,
         # when it fits one forest block, serves them as row slices
@@ -255,7 +255,7 @@ class AGMRoutingScheme(RoutingSchemeInstance):
     # ------------------------------------------------------------------ #
     # header accounting
     # ------------------------------------------------------------------ #
-    def header_bits(self) -> int:
+    def compute_header_bits(self) -> int:
         """Destination name + phase counter + the largest sub-strategy header."""
         sub = max(self.sparse.max_header_bits(), self.dense.max_header_bits(),
                   max((r.header_bits() for r in self._fallback.values()), default=0))

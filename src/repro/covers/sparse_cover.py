@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.construction.context import BuildContext
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.utils.validation import require
 
 @dataclass
@@ -104,7 +104,7 @@ def build_sparse_cover(
     require(k >= 1, f"k must be >= 1, got {k}")
     require(rho > 0, f"rho must be positive, got {rho}")
     if context is None:
-        context = BuildContext(graph, oracle=exact_distance_oracle(graph, oracle))
+        context = BuildContext(graph, oracle=oracle)
     growth = max(graph.n, 2) ** (1.0 / k)
     if _choose_cover_mode(graph, k, rho) == "regions":
         return _coarsen_regions(graph, k, rho, growth)

@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from repro.construction.context import BuildContext
 from repro.covers.sparse_cover import SparseCover, build_sparse_cover
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, exact_distance_oracle
+from repro.graphs.shortest_paths import DistanceOracle
 from repro.graphs.trees import Tree, build_forest
 from repro.utils.validation import ValidationError, require
 
@@ -228,7 +228,7 @@ def build_tree_cover(
     """
     require(k >= 1, f"k must be >= 1, got {k}")
     if context is None:
-        context = BuildContext(graph, oracle=exact_distance_oracle(graph, oracle))
+        context = BuildContext(graph, oracle=oracle)
     ids = np.arange(graph.n, dtype=np.int64) if mapping is None \
         else np.asarray(mapping, dtype=np.int64)
     require(ids.size == graph.n and bool((np.diff(ids) > 0).all()),

@@ -4,7 +4,7 @@ An event is a small immutable record (:class:`ChurnEvent`) that knows how to
 apply itself to a :class:`~repro.graphs.graph.WeightedGraph` through the
 graph's mutation API (``remove_edge`` / ``add_edge`` / ``set_edge_weight`` /
 ``detach_node``), each of which invalidates the CSR / component-id caches and
-bumps the graph's mutation version so live distance backends self-heal.
+bumps the graph's mutation version so the live distance store self-heals.
 
 Applying a *batch* of events through :func:`apply_events` yields a
 :class:`GraphDelta` — the record scheme repair (``maintain(delta)``) reads

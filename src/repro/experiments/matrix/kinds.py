@@ -209,8 +209,8 @@ def run_tradeoff(quick: bool = True, seed: int = 0,
                  num_pairs: Optional[int] = None) -> ExperimentResult:
     """E1 — Theorem 1's space–stretch trade-off for the AGM scheme.
 
-    Per (graph, k): measured stretch and table bits next to the theoretical
-    references (``8k + 4`` stretch, Theorem 1's and Lemma 11's bit bounds).
+    Per (graph, k): measured stretch, and table bits next to Theorem 1's and
+    Lemma 11's bit bounds.
     """
     ks = list(ks) if ks is not None else ([1, 2, 3] if quick else [1, 2, 3, 4, 5])
     num_pairs = num_pairs or (60 if quick else 300)
@@ -228,13 +228,12 @@ def run_tradeoff(quick: bool = True, seed: int = 0,
     )
     for row in result.rows:
         n, k = int(row["n"]), int(row["k"])
-        row["stretch_bound_O(k)"] = 8 * k + 4
         row["bits_bound_thm1"] = theorem1_table_bits(n, k)
         row["bits_bound_lemma11"] = lemma11_table_bits(n, k)
     result.metadata["params"] = "AGMParams.experiment()"
     result.metadata["columns"] = [
-        "graph", "n", "k", "max_stretch", "avg_stretch", "stretch_bound_O(k)",
-        "max_table_bits", "bits_bound_thm1", "failures", "fallback_uses"]
+        "graph", "n", "k", "max_stretch", "avg_stretch", "max_table_bits",
+        "bits_bound_thm1", "failures", "fallback_uses"]
     return result
 
 

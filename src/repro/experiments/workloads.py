@@ -3,30 +3,23 @@
 A workload is a named, seeded graph instance.  The standard suite mirrors the
 graph families the experiment kinds run on (README, "Experiment matrix");
 every entry has a ``quick`` size (used in CI / default bench runs) and a
-``full`` size (used when the environment variable ``REPRO_BENCH_FULL`` is
-set).
+``full`` size.  Generated families come from the one registry,
+:data:`repro.graphs.generators.GENERATORS`; this module adds the pinned
+real-world ``topology:`` snapshots.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.graphs.generators import (
-    barabasi_albert_graph,
-    erdos_renyi_graph,
-    grid_graph,
+    make_graph,
     random_geometric_graph,
     rescale_aspect_ratio,
-    ring_of_cliques,
 )
 from repro.graphs.graph import WeightedGraph
-
-
-def full_mode() -> bool:
-    """Whether the benches should use the larger workload sizes."""
-    return bool(os.environ.get("REPRO_BENCH_FULL"))
+from repro.graphs.topologies import load_topology
 
 
 @dataclass(frozen=True)
@@ -55,26 +48,6 @@ class WorkloadSpec:
         return make_workload(self.family, n, seed=base + int(seed_offset))
 
 
-_BUILDERS: Dict[str, Callable[[int, Optional[int]], WeightedGraph]] = {
-    "geometric": lambda n, seed: random_geometric_graph(n, seed=seed),
-    "erdos-renyi": lambda n, seed: erdos_renyi_graph(n, seed=seed),
-    "grid": lambda n, seed: grid_graph(max(int(round(n ** 0.5)), 2),
-                                       max(int(round(n ** 0.5)), 2), seed=seed),
-    "barabasi-albert": lambda n, seed: barabasi_albert_graph(n, seed=seed),
-    "ring-of-cliques": lambda n, seed: ring_of_cliques(max(n // 8, 3), 8, seed=seed),
-    "hyperbolic": lambda n, seed: _topologies().hyperbolic_graph(n, seed=seed),
-    "powerlaw-cluster":
-        lambda n, seed: _topologies().powerlaw_cluster_graph(n, seed=seed),
-}
-
-
-def _topologies():
-    """Lazy import: the topology module pulls in hashing/manifest machinery."""
-    from repro.graphs import topologies
-
-    return topologies
-
-
 def make_workload(family: str, n: int, seed: Optional[int] = None) -> WeightedGraph:
     """Build a workload graph of the named family with roughly ``n`` nodes.
 
@@ -82,13 +55,11 @@ def make_workload(family: str, n: int, seed: Optional[int] = None) -> WeightedGr
     manifest name (``topology:caida-as-mini``); the snapshot has a fixed
     size and byte-pinned contents, so ``n`` and ``seed`` are ignored — the
     honest way to put a measured topology in a slot that sweeps seeds.
+    Every other name is a :func:`repro.graphs.generators.make_graph` family.
     """
     if family.startswith("topology:"):
-        return _topologies().load_topology(family.split(":", 1)[1])
-    if family not in _BUILDERS:
-        raise ValueError(f"unknown workload family {family!r}; choose from "
-                         f"{sorted(_BUILDERS)} or 'topology:<name>'")
-    return _BUILDERS[family](n, seed)
+        return load_topology(family.split(":", 1)[1])
+    return make_graph(family, n, seed=seed)
 
 
 def workload_factory(family: str, n: int,

@@ -43,9 +43,8 @@ def build_scheme(
         Randomness for the scheme's sampling / hashing.
     oracle:
         Optional distance oracle shared across schemes (each scheme makes a
-        default one otherwise).  Scheme construction requires exact
-        distances, so an oracle over the landmark backend is rejected — by
-        ``exact_distance_oracle`` inside every scheme constructor.
+        default one otherwise).  Every oracle holds the exact lazy store, so
+        every scheme is built from exact distances.
     kwargs:
         Scheme-specific extras (e.g. ``params`` for "agm").
     """

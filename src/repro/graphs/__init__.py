@@ -8,13 +8,7 @@ Everything in the routing library is expressed over :class:`WeightedGraph`
 
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.trees import Tree
-from repro.graphs.backends import (
-    BACKEND_NAMES,
-    DistanceBackend,
-    LandmarkApproxBackend,
-    LazyDijkstraBackend,
-    resolve_backend,
-)
+from repro.graphs.backends import LazyDijkstraBackend
 from repro.graphs.shortest_paths import (
     dijkstra,
     all_pairs_distances,
@@ -29,9 +23,5 @@ __all__ = [
     "all_pairs_distances",
     "shortest_path_tree",
     "DistanceOracle",
-    "DistanceBackend",
     "LazyDijkstraBackend",
-    "LandmarkApproxBackend",
-    "resolve_backend",
-    "BACKEND_NAMES",
 ]

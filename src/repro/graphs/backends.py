@@ -1,22 +1,14 @@
-"""Pluggable distance backends for :class:`repro.graphs.shortest_paths.DistanceOracle`.
+"""The exact distance store behind :class:`repro.graphs.shortest_paths.DistanceOracle`.
 
-The distance store sits behind a small interface, so the rest of the library
+:class:`LazyDijkstraBackend` computes per-source rows on demand through the
+SciPy Dijkstra kernel and keeps them in a bounded LRU cache (spilling evicted
+rows to disk), with a batched ``prefetch`` that fills many rows in one
+vectorized call.  When a shortest-path forest from every node has run for the
+current graph version, the store holds that all-pairs matrix instead and
+serves every row from it until the next mutation.  The rest of the library
 (decomposition, landmarks, both AGM strategies, all baselines, covers, the
-simulator and the experiment harness) never touches a raw matrix:
-
-* :class:`LazyDijkstraBackend` — the one exact store.  Per-source rows are
-  computed on demand through the SciPy Dijkstra kernel and kept in a bounded
-  LRU cache (spilling evicted rows to disk), with a batched ``prefetch``
-  that fills many rows in one vectorized call.  When a shortest-path forest
-  from every node has run for the current graph version, the backend holds
-  that all-pairs matrix instead and serves every row from it until the next
-  mutation.
-* :class:`LandmarkApproxBackend` — triangle-inequality upper bounds through a
-  small landmark set; inexact, meant for workload generation and sanity
-  sweeps at sizes where even one Dijkstra pass per node is too slow.
-
-Backends are selected by name via :func:`resolve_backend` (see
-``DistanceOracle``); the default is the lazy backend.
+simulator and the experiment harness) reaches it only through the oracle, so
+it never touches a raw matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +31,7 @@ DEFAULT_CHUNK_ROWS = 256
 
 @dataclass(frozen=True)
 class DistanceStats:
-    """Global scalar facts about a metric, computed once per backend."""
+    """Global scalar facts about a metric, computed once per graph version."""
 
     diameter: float
     min_positive: float
@@ -59,112 +51,7 @@ def checked_sources(sources: Sequence[int], n: int) -> np.ndarray:
     return sources
 
 
-class DistanceBackend:
-    """Interface every distance backend implements.
-
-    A backend answers *row-shaped* questions: the full distance row of a
-    source, a stable (distance, node-index) ordering of that row, and global
-    scalar stats.  Everything else (balls, nearest sets, pair batches) is
-    derived in ``DistanceOracle`` from these primitives, so backends stay
-    small.
-    """
-
-    name: str = "abstract"
-    #: whether returned distances are exact shortest-path distances
-    exact: bool = True
-
-    def __init__(self, graph: WeightedGraph) -> None:
-        self.graph = graph
-        self.n = graph.n
-        self._stats: Optional[DistanceStats] = None
-        self._graph_version = graph.version
-
-    # -- mutation tracking ----------------------------------------------- #
-    def invalidate(self) -> None:
-        """Drop every cached distance; the next query recomputes from the graph.
-
-        Subclasses extend this to clear their stores.  Called automatically
-        (via :meth:`_sync`) when the graph's mutation version has moved, and
-        available as an explicit pass-through on :class:`DistanceOracle` for
-        callers that mutate through a side channel.
-        """
-        self._stats = None
-        self._graph_version = self.graph.version
-
-    def _sync(self) -> None:
-        """Invalidate if the graph mutated since the last query.
-
-        Every public query entry point calls this first, so a live backend
-        never serves rows computed against a stale topology.  The check is a
-        single integer comparison; note that concurrent mutation and querying
-        from different threads is not supported (mutate, then evaluate).
-        """
-        if self._graph_version != self.graph.version:
-            self.invalidate()
-
-    # -- primitives ----------------------------------------------------- #
-    def row(self, u: int) -> np.ndarray:
-        """Distances from ``u`` to every node (read-only; do not mutate)."""
-        raise NotImplementedError
-
-    def rows(self, sources: Sequence[int]) -> np.ndarray:
-        """Stacked distance rows, shape ``(len(sources), n)``."""
-        raise NotImplementedError
-
-    def order(self, u: int) -> np.ndarray:
-        """All nodes sorted by ``(dist from u, node index)`` — stable tie-break."""
-        raise NotImplementedError
-
-    def prefetch(self, sources: Sequence[int]) -> None:
-        """Hint that the rows of ``sources`` are about to be queried.
-
-        Part of the backend protocol: callers issue one ``prefetch`` per
-        evaluation round (all sources at once) so a backend can batch the
-        fill into a single multi-source computation.  The default is a no-op.
-        """
-
-    def preferred_block(self) -> int:
-        """Largest prefetch block this backend can actually hold at once.
-
-        Streaming consumers size their chunks with this so a prefetch is
-        never silently truncated below the chunk it serves.
-        """
-        return DEFAULT_CHUNK_ROWS
-
-    def adopt_all_pairs(self, matrix: np.ndarray) -> None:
-        """Offer the exact all-pairs matrix of the current graph version.
-
-        A backend may keep it as its store until the next mutation; the
-        default ignores it.
-        """
-
-    def holds_all_pairs(self) -> bool:
-        """Whether ``rows`` slices an all-pairs matrix held for this graph version."""
-        return False
-
-    def dist(self, u: int, v: int) -> float:
-        return float(self.row(u)[v])
-
-    # -- global stats ---------------------------------------------------- #
-    def _compute_stats(self) -> DistanceStats:
-        raise NotImplementedError
-
-    def stats(self) -> DistanceStats:
-        self._sync()
-        if self._stats is None:
-            self._stats = self._compute_stats()
-        return self._stats
-
-    # -- introspection --------------------------------------------------- #
-    def nbytes(self) -> int:
-        """Resident memory of the distance store (approximate)."""
-        return 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(n={self.n})"
-
-
-class LazyDijkstraBackend(DistanceBackend):
+class LazyDijkstraBackend:
     """Rows computed on demand via SciPy Dijkstra, held in a bounded LRU cache.
 
     ``prefetch`` computes all missing rows of a batch in one vectorized
@@ -184,15 +71,16 @@ class LazyDijkstraBackend(DistanceBackend):
     it, computing and caching nothing, until the next mutation drops it.
     """
 
-    name = "lazy"
-
     def __init__(self, graph: WeightedGraph, cache_rows: int = DEFAULT_CACHE_ROWS,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS) -> None:
-        super().__init__(graph)
         require(cache_rows >= 1, "cache_rows must be >= 1")
         require(chunk_rows >= 1, "chunk_rows must be >= 1")
+        self.graph = graph
+        self.n = graph.n
         self.cache_rows = int(cache_rows)
         self.chunk_rows = int(chunk_rows)
+        self._graph_version = graph.version
+        self._stats: Optional[DistanceStats] = None
         self._rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._orders: "OrderedDict[int, np.ndarray]" = OrderedDict()
         #: all-pairs matrix of the current graph version, if one was adopted
@@ -207,21 +95,42 @@ class LazyDijkstraBackend(DistanceBackend):
         self.row_spills = 0
         self.row_restores = 0
 
+    # -- mutation tracking ----------------------------------------------- #
     def invalidate(self) -> None:
+        """Drop every stored distance; the next query recomputes from the graph.
+
+        Called by :meth:`_sync` when the graph's mutation version has moved,
+        and passed through by :meth:`DistanceOracle.invalidate` for callers
+        that mutate through a side channel.
+        """
         with self._lock:
-            super().invalidate()
+            self._stats = None
+            self._graph_version = self.graph.version
             self._rows.clear()
             self._orders.clear()
             self._all_pairs = None
             if self._spill is not None:
                 self._spill.clear()
 
+    def _sync(self) -> None:
+        """Invalidate if the graph mutated since the last query.
+
+        Every public query entry point calls this first, so the store never
+        serves rows computed against a stale topology.  The check is a single
+        integer comparison; concurrent mutation and querying from different
+        threads is not supported (mutate, then evaluate).
+        """
+        if self._graph_version != self.graph.version:
+            self.invalidate()
+
     def adopt_all_pairs(self, matrix: np.ndarray) -> None:
+        """Keep the exact all-pairs matrix of the current graph version as the store."""
         with self._lock:
             self._sync()
             self._all_pairs = matrix
 
     def holds_all_pairs(self) -> bool:
+        """Whether ``rows`` slices an all-pairs matrix held for this graph version."""
         self._sync()
         return self._all_pairs is not None
 
@@ -269,6 +178,7 @@ class LazyDijkstraBackend(DistanceBackend):
             return cached
 
     def row(self, u: int) -> np.ndarray:
+        """Distances from ``u`` to every node (read-only; do not mutate)."""
         check_index(u, self.n, "u")
         self._sync()
         all_pairs = self._all_pairs
@@ -286,6 +196,7 @@ class LazyDijkstraBackend(DistanceBackend):
         return row
 
     def rows(self, sources: Sequence[int]) -> np.ndarray:
+        """Stacked distance rows, shape ``(len(sources), n)``."""
         self._sync()
         all_pairs = self._all_pairs
         if all_pairs is not None:
@@ -350,9 +261,18 @@ class LazyDijkstraBackend(DistanceBackend):
             self._insert(s, block[local].copy())
 
     def preferred_block(self) -> int:
+        """Largest prefetch block the cache can hold at once.
+
+        Streaming consumers size their chunks with this so a prefetch is
+        never silently truncated below the chunk it serves.
+        """
         return min(self.chunk_rows, self.cache_rows)
 
+    def dist(self, u: int, v: int) -> float:
+        return float(self.row(u)[v])
+
     def order(self, u: int) -> np.ndarray:
+        """All nodes sorted by ``(dist from u, node index)`` — stable tie-break."""
         self._sync()
         with self._lock:
             cached = self._orders.get(u)
@@ -365,6 +285,13 @@ class LazyDijkstraBackend(DistanceBackend):
             while len(self._orders) > self.cache_rows:
                 self._orders.popitem(last=False)
         return order
+
+    # -- global stats ---------------------------------------------------- #
+    def stats(self) -> DistanceStats:
+        self._sync()
+        if self._stats is None:
+            self._stats = self._compute_stats()
+        return self._stats
 
     def _compute_stats(self) -> DistanceStats:
         # Exact stats without the historical full n-row sweep (55 minutes at
@@ -417,7 +344,9 @@ class LazyDijkstraBackend(DistanceBackend):
             active[u] = False
             active &= upper > diameter
 
+    # -- introspection --------------------------------------------------- #
     def nbytes(self) -> int:
+        """Resident memory of the distance store (approximate)."""
         total = sum(r.nbytes for r in self._rows.values())
         total += sum(o.nbytes for o in self._orders.values())
         if self._all_pairs is not None:
@@ -434,124 +363,3 @@ class LazyDijkstraBackend(DistanceBackend):
         report["spill"] = (self._spill.report() if self._spill is not None
                            else None)
         return report
-
-
-class LandmarkApproxBackend(DistanceBackend):
-    """Triangle-inequality upper bounds ``min_l d(u,l) + d(l,v)`` over landmarks.
-
-    Landmarks are chosen by the farthest-point (maxmin) heuristic, which gives
-    good coverage of the metric with a handful of Dijkstra passes.  Distances
-    are exact when either endpoint is a landmark and never underestimate;
-    intended for workload generation / triage at large ``n``, not for routing
-    guarantees (``exact`` is False and scheme construction refuses it).
-    """
-
-    name = "landmark"
-    exact = False
-
-    def __init__(self, graph: WeightedGraph, num_landmarks: int = 16, seed: int = 0) -> None:
-        super().__init__(graph)
-        require(num_landmarks >= 1, "num_landmarks must be >= 1")
-        from repro.graphs.shortest_paths import multi_source_distances, single_source_distances
-
-        num_landmarks = min(int(num_landmarks), self.n)
-        first = int(seed) % self.n
-        landmarks = [first]
-        # maxmin with still-uncovered components kept at +inf, so every
-        # component receives a landmark before any component gets a second
-        # one — otherwise nodes outside the first landmark's component would
-        # estimate inf for their own intra-component distances
-        closest = single_source_distances(graph, first).copy()
-        closest[first] = 0.0
-        while len(landmarks) < num_landmarks:
-            candidate = int(np.argmax(closest))
-            if closest[candidate] <= 0:
-                break  # every node is itself a landmark already
-            landmarks.append(candidate)
-            reach = single_source_distances(graph, candidate)
-            closest = np.minimum(closest, reach)
-            closest[candidate] = 0.0
-        self.landmarks = landmarks
-        self._landmark_rows = np.atleast_2d(multi_source_distances(graph, landmarks))
-        self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._cache_rows = DEFAULT_CACHE_ROWS
-        # same sharing model as the lazy backend: one instance may serve
-        # several worker threads, so LRU read-modify must be atomic
-        self._lock = threading.RLock()
-
-    def invalidate(self) -> None:
-        """Recompute the landmark rows (same landmark set) and drop the cache."""
-        from repro.graphs.shortest_paths import multi_source_distances
-
-        with self._lock:
-            super().invalidate()
-            self._landmark_rows = np.atleast_2d(
-                multi_source_distances(self.graph, self.landmarks))
-            self._cache.clear()
-
-    @property
-    def landmark_rows(self) -> np.ndarray:
-        """Exact ``(num_landmarks, n)`` distance rows landmark -> node.
-
-        Version-synced read-only view; the ``landmark`` traffic-scoring mode
-        derives its ALT lower bounds from these rows.
-        """
-        self._sync()
-        return self._landmark_rows
-
-    def row(self, u: int) -> np.ndarray:
-        check_index(u, self.n, "u")
-        self._sync()
-        with self._lock:
-            cached = self._cache.get(u)
-            if cached is not None:
-                self._cache.move_to_end(u)
-                return cached
-        to_u = self._landmark_rows[:, u]
-        row = np.min(to_u[:, None] + self._landmark_rows, axis=0)
-        row[u] = 0.0
-        with self._lock:
-            self._cache[u] = row
-            while len(self._cache) > self._cache_rows:
-                self._cache.popitem(last=False)
-        return row
-
-    def rows(self, sources: Sequence[int]) -> np.ndarray:
-        return np.vstack([self.row(int(s)) for s in sources])
-
-    def order(self, u: int) -> np.ndarray:
-        return np.argsort(self.row(u), kind="stable")
-
-    def _compute_stats(self) -> DistanceStats:
-        finite = self._landmark_rows[np.isfinite(self._landmark_rows)]
-        diameter = float(finite.max()) if finite.size else 0.0
-        min_weight = self.graph.min_weight()
-        min_positive = float(min_weight) if np.isfinite(min_weight) else 1.0
-        return DistanceStats(diameter=diameter, min_positive=min_positive)
-
-    def nbytes(self) -> int:
-        return int(self._landmark_rows.nbytes
-                   + sum(r.nbytes for r in self._cache.values()))
-
-
-#: names accepted by :func:`resolve_backend`
-BACKEND_NAMES = ("lazy", "landmark")
-
-BackendLike = Union[str, DistanceBackend, None]
-
-
-def resolve_backend(graph: WeightedGraph, backend: BackendLike = None,
-                    **kwargs) -> DistanceBackend:
-    """Turn a backend spec (instance, name or ``None``) into an instance.
-
-    ``None`` means the lazy backend, the one exact store.
-    """
-    if isinstance(backend, DistanceBackend):
-        require(backend.graph is graph, "backend was built for a different graph")
-        return backend
-    name = (backend or "lazy").lower()
-    if name == "lazy":
-        return LazyDijkstraBackend(graph, **kwargs)
-    if name == "landmark":
-        return LandmarkApproxBackend(graph, **kwargs)
-    raise ValueError(f"unknown distance backend {backend!r}; choose from {BACKEND_NAMES}")

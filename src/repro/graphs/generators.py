@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.topologies import hyperbolic_graph, powerlaw_cluster_graph
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
@@ -261,15 +262,24 @@ def rescale_aspect_ratio(graph: WeightedGraph, target_delta: float,
 
 
 # --------------------------------------------------------------------------- #
-# registry (used by the experiment workloads)
+# registry: the one table of generated graph families (the two real-world
+# style families come from repro.graphs.topologies)
 # --------------------------------------------------------------------------- #
+def _square_grid(n: int, seed: Optional[int] = None) -> WeightedGraph:
+    """The ``s x s`` grid with ``s = max(isqrt(n), 2)``."""
+    side = max(math.isqrt(n), 2)
+    return grid_graph(side, side, seed=seed)
+
+
 GENERATORS: dict[str, Callable[..., WeightedGraph]] = {
-    "grid": lambda n, seed=None: grid_graph(int(math.isqrt(n)), int(math.isqrt(n)), seed=seed),
-    "geometric": lambda n, seed=None: random_geometric_graph(n, seed=seed),
-    "erdos-renyi": lambda n, seed=None: erdos_renyi_graph(n, seed=seed),
-    "barabasi-albert": lambda n, seed=None: barabasi_albert_graph(n, seed=seed),
+    "grid": _square_grid,
+    "geometric": random_geometric_graph,
+    "erdos-renyi": erdos_renyi_graph,
+    "barabasi-albert": barabasi_albert_graph,
     "ring-of-cliques": lambda n, seed=None: ring_of_cliques(max(n // 8, 3), 8, seed=seed),
-    "tree": lambda n, seed=None: random_tree_graph(n, seed=seed),
+    "tree": random_tree_graph,
+    "hyperbolic": hyperbolic_graph,
+    "powerlaw-cluster": powerlaw_cluster_graph,
 }
 
 

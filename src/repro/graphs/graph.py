@@ -116,8 +116,8 @@ class WeightedGraph:
 
         The CSR view and the cached component ids are rebuilt lazily on next
         access, so connectivity queries (and the pair sampler built on them)
-        stay correct after mutation.  Distance backends watch :attr:`version`
-        and drop their own row caches on the next query, so a live
+        stay correct after mutation.  The distance store watches
+        :attr:`version` and drops its row caches on the next query, so a live
         ``DistanceOracle`` self-heals too.
         """
         self._csr = None

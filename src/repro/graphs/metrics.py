@@ -1,10 +1,9 @@
-"""Graph metrics used by the experiments: aspect ratio, diameter, density profiles."""
+"""Graph metrics used by the experiments: aspect ratio and a headline summary."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -16,50 +15,6 @@ def aspect_ratio(graph: WeightedGraph, oracle: Optional[DistanceOracle] = None) 
     """Aspect ratio Δ = (max pairwise distance) / (min positive pairwise distance)."""
     oracle = oracle or DistanceOracle(graph)
     return oracle.aspect_ratio()
-
-
-def weighted_diameter(graph: WeightedGraph, oracle: Optional[DistanceOracle] = None) -> float:
-    """Largest finite pairwise distance."""
-    oracle = oracle or DistanceOracle(graph)
-    return oracle.diameter()
-
-
-def ball_growth_profile(
-    oracle: DistanceOracle, node: int, num_scales: Optional[int] = None
-) -> List[int]:
-    """``|B(node, d_min * 2^j)|`` for j = 0, 1, ... until the ball covers the component."""
-    d_min = oracle.min_positive_distance()
-    sizes: List[int] = []
-    j = 0
-    total_reachable = int(np.count_nonzero(np.isfinite(oracle.row(node))))
-    while True:
-        size = oracle.ball_size(node, d_min * (2.0 ** j))
-        sizes.append(size)
-        if size >= total_reachable:
-            break
-        if num_scales is not None and len(sizes) >= num_scales:
-            break
-        j += 1
-    return sizes
-
-
-def doubling_dimension_estimate(oracle: DistanceOracle, sample: Sequence[int]) -> float:
-    """Crude doubling-dimension estimate: max over sampled nodes/scales of
-    ``log2(|B(u, 2r)| / |B(u, r)|)``."""
-    d_min = oracle.min_positive_distance()
-    diam = oracle.diameter()
-    if diam <= 0:
-        return 0.0
-    best = 0.0
-    scales = max(1, int(math.ceil(math.log2(max(diam / d_min, 2.0)))))
-    for u in sample:
-        for j in range(scales):
-            r = d_min * (2.0 ** j)
-            small = oracle.ball_size(u, r)
-            big = oracle.ball_size(u, 2 * r)
-            if small > 0 and big > small:
-                best = max(best, math.log2(big / small))
-    return best
 
 
 @dataclass

@@ -14,27 +14,22 @@ Two engines are provided:
 
 :class:`DistanceOracle` answers the ball / nearest-set queries (``B(u, r)``
 and ``N(u, m, Z)``) that the paper's definitions use.  It is a thin façade
-over a :class:`repro.graphs.backends.DistanceBackend`: the lazy backend, the
-one exact store, unless the caller passes the approximate landmark backend.
-A forest pass from every node leaves its all-pairs matrix in the lazy
-backend until the next mutation; :func:`forest_block_size` decides when one
-such pass fits in memory.
+over :class:`repro.graphs.backends.LazyDijkstraBackend`, the one exact
+distance store, so every oracle a routing scheme is built from is exact.  A
+forest pass from every node leaves its all-pairs matrix in the store until
+the next mutation; :func:`forest_block_size` decides when one such pass fits
+in memory.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
-from repro.graphs.backends import (
-    BackendLike,
-    DistanceBackend,
-    checked_sources,
-    resolve_backend,
-)
+from repro.graphs.backends import LazyDijkstraBackend, checked_sources
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.trees import Tree, build_forest
 from repro.storage import memory_budget
@@ -215,30 +210,12 @@ def shortest_path_tree(
                         parents, weights)[0]
 
 
-def exact_distance_oracle(graph: WeightedGraph,
-                          oracle: Optional["DistanceOracle"] = None) -> "DistanceOracle":
-    """The oracle a routing-scheme construction may use: exact distances only.
-
-    Every scheme (and scheme building block) funnels its default-oracle
-    creation through here, so an oracle over the approximate landmark
-    backend is rejected instead of silently producing wrong tables and
-    stretch.
-    """
-    if oracle is None:
-        oracle = DistanceOracle(graph)
-    require(oracle.exact,
-            f"routing-scheme construction needs exact distances; the "
-            f"{oracle.backend_name!r} backend is approximate (pass an oracle "
-            f"over the default lazy backend)")
-    return oracle
-
-
 class DistanceOracle:
-    """Ball / nearest-set queries of the paper over a pluggable distance store.
+    """Ball / nearest-set queries of the paper over the exact distance store.
 
-    The oracle owns a :class:`DistanceBackend` and derives every query
-    (``B(u, r)``, ``N(u, m, Z)``, pair batches, global stats) from the
-    backend's row / order primitives.  The per-source ordering of all nodes by
+    The oracle owns a :class:`LazyDijkstraBackend` and derives every query
+    (``B(u, r)``, ``N(u, m, Z)``, pair batches, global stats) from its row /
+    order primitives.  The per-source ordering of all nodes by
     (distance, node-index) realizes the paper's lexicographic tie-break for
     ``N(u, m, Z)``.
 
@@ -247,24 +224,21 @@ class DistanceOracle:
     graph:
         The graph.
     backend:
-        A backend instance, a name (``"lazy"``, ``"landmark"``), or ``None``
-        for the lazy backend.
+        ``None`` or ``"lazy"`` for a store with the default cache sizes, or a
+        :class:`LazyDijkstraBackend` built for ``graph``.  Anything else
+        raises ``ValueError``.
     """
 
-    def __init__(self, graph: WeightedGraph, backend: BackendLike = None) -> None:
+    def __init__(self, graph: WeightedGraph,
+                 backend: Union[str, LazyDijkstraBackend, None] = None) -> None:
+        if backend is None or backend == "lazy":
+            backend = LazyDijkstraBackend(graph)
+        if not isinstance(backend, LazyDijkstraBackend):
+            raise ValueError(f"unknown distance backend {backend!r}; pass "
+                             f"None, 'lazy' or a LazyDijkstraBackend")
+        require(backend.graph is graph, "backend was built for a different graph")
         self.graph = graph
-        self.backend: DistanceBackend = resolve_backend(graph, backend)
-
-    # -- backend introspection ------------------------------------------ #
-    @property
-    def backend_name(self) -> str:
-        """Name of the active backend (``lazy`` / ``landmark``)."""
-        return self.backend.name
-
-    @property
-    def exact(self) -> bool:
-        """Whether distances are exact shortest-path distances."""
-        return self.backend.exact
+        self.backend = backend
 
     def nbytes(self) -> int:
         """Resident memory of the distance store (approximate)."""
@@ -273,7 +247,7 @@ class DistanceOracle:
     def invalidate(self) -> None:
         """Explicitly drop cached distances (pass-through to the backend).
 
-        Normally unnecessary: backends watch ``graph.version`` and self-heal
+        Normally unnecessary: the store watches ``graph.version`` and self-heals
         on the next query after any mutation through the ``WeightedGraph``
         API.  This hook exists for callers that mutate the topology through a
         side channel the version counter cannot see.
@@ -303,8 +277,8 @@ class DistanceOracle:
         ``(dist, pred)``, both ``(len(sources), n)``, equal SciPy's undirected
         output bit for bit; ``pred`` is negative at each source and at
         unreachable nodes.  When ``sources`` is every node in order, the
-        backend may keep ``dist`` as its store for the current graph version
-        (:meth:`DistanceBackend.adopt_all_pairs`), so do not mutate it.
+        backend keeps ``dist`` as its store for the current graph version
+        (:meth:`LazyDijkstraBackend.adopt_all_pairs`), so do not mutate it.
         """
         n = self.graph.n
         sources = checked_sources(sources, n)
@@ -339,7 +313,7 @@ class DistanceOracle:
     def rows_within(self, sources: Sequence[int], limit: float) -> np.ndarray:
         """Distance rows of ``sources``, exact at least up to ``limit``.
 
-        Entries beyond ``limit`` are exact or ``inf``.  A backend holding the
+        Entries beyond ``limit`` are exact or ``inf``.  A store holding the
         all-pairs matrix of the current graph version serves the rows as
         slices; otherwise one radius-limited kernel call computes them, so a
         small limit makes it a union of local searches rather than full
@@ -351,15 +325,15 @@ class DistanceOracle:
         return limited_dijkstra(self.graph.to_scipy_csr(), sources, limit)
 
     def block_rows(self) -> int:
-        """Preferred chunk size for streaming row access under this backend."""
+        """Preferred chunk size for streaming row access."""
         return self.backend.preferred_block()
 
     def iter_row_blocks(self, block: Optional[int] = None) -> Iterator[Tuple[List[int], np.ndarray]]:
         """Stream ``(source_indices, row_block)`` over all sources in order.
 
         The canonical way to run a whole-metric computation without holding
-        O(n²) memory under the lazy backend.  The default block size matches
-        the backends' chunking so streamed requests stay cache-aligned.
+        O(n²) memory.  The default block size matches the store's chunking
+        so streamed requests stay cache-aligned.
         """
         if block is None:
             block = self.block_rows()

@@ -1,6 +1,6 @@
-"""Routing framework: scheme interfaces, routing tables, headers, and the simulator."""
+"""Routing framework: scheme interfaces, routing tables, and the simulator."""
 
-from repro.routing.messages import RouteResult, Header
+from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.table import RoutingTable
 from repro.routing.forwarding import (ForwardingProgram, NextHopTable,
@@ -9,7 +9,6 @@ from repro.routing.simulator import RoutingSimulator, EvaluationReport
 
 __all__ = [
     "RouteResult",
-    "Header",
     "RoutingSchemeInstance",
     "RoutingTable",
     "RoutingSimulator",

@@ -1,44 +1,19 @@
-"""Route results and message headers.
+"""Route results.
 
 A routing scheme answers a request ``route(source, destination_name)`` by
 *walking* the graph: the returned :class:`RouteResult` records the exact node
 sequence visited (including detours and backtracking — those are what stretch
 measures), plus bookkeeping about which phase/strategy found the destination
-and how large the message header had to be.
-
-:class:`Header` models the mutable state a message carries.  The paper's
-claim is that headers stay polylogarithmic (``~O(1)`` in their notation); the
-simulator reports the maximum header size observed over a walk.
+and how large the message header had to be.  The paper's claim is that
+headers stay polylogarithmic (``~O(1)`` in their notation); every scheme
+reports its worst-case header size
+(:meth:`repro.routing.scheme_api.RoutingSchemeInstance.header_bits`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
-
-from repro.utils.bitsize import BitBudget
-
-
-@dataclass
-class Header:
-    """Message header carried while routing.
-
-    Fields mirror what the paper's scheme needs: the destination's (arbitrary)
-    name, the current phase index, which strategy is active, and an opaque
-    per-strategy payload (e.g. the Lemma-5 destination label once it has been
-    learned, or the error-return address).  ``payload_bits`` charges the
-    payload explicitly so header sizes can be reported honestly.
-    """
-
-    destination_name: Hashable
-    phase: int = 0
-    strategy: str = ""
-    payload_bits: int = 0
-
-    def size_bits(self, name_bits: int, phase_bits: int) -> int:
-        """Total header size in bits given the name/phase field widths."""
-        strategy_bits = 8  # small enum
-        return name_bits + phase_bits + strategy_bits + self.payload_bits
+from typing import Dict, List, Optional
 
 
 @dataclass

@@ -142,9 +142,20 @@ class RoutingSchemeInstance(abc.ABC):
         """Largest label over all nodes."""
         return max(self.label_bits(v) for v in range(self.graph.n))
 
-    @abc.abstractmethod
     def header_bits(self) -> int:
-        """Worst-case message header size in bits."""
+        """Worst-case message header size in bits, computed once per build.
+
+        Every ``route()`` reports it; the value is cached on the instance, so
+        a rebuild (which replaces the instance state) recomputes it.
+        """
+        bits = getattr(self, "_header_bits", None)
+        if bits is None:
+            bits = self._header_bits = self.compute_header_bits()
+        return bits
+
+    @abc.abstractmethod
+    def compute_header_bits(self) -> int:
+        """Scan this build's structures for the worst-case header size."""
 
     # -- misc ---------------------------------------------------------------- #
     def describe(self) -> Dict[str, object]:

@@ -4,13 +4,12 @@ Schemes store whatever Python structures they like, but every piece of
 information a node would have to hold in a real deployment must be charged to
 that node's :class:`RoutingTable` so the space side of the trade-off can be
 reported in bits.  A :class:`RoutingTable` is a thin wrapper around
-:class:`~repro.utils.bitsize.BitBudget` with a key/value store for the data
-itself.
+:class:`~repro.utils.bitsize.BitBudget`: it holds the charges, not the data.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.utils.bitsize import BitBudget
 
@@ -20,31 +19,11 @@ class RoutingTable:
 
     def __init__(self, node: int) -> None:
         self.node = node
-        self._entries: Dict[Hashable, Any] = {}
         self.budget = BitBudget()
-
-    # -- data -------------------------------------------------------------- #
-    def put(self, key: Hashable, value: Any, bits: int, category: str = "entries") -> None:
-        """Store ``value`` under ``key`` and charge ``bits`` to ``category``."""
-        self._entries[key] = value
-        self.budget.add(category, bits)
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up an entry."""
-        return self._entries.get(key, default)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     # -- accounting --------------------------------------------------------- #
     def charge(self, category: str, bits: int, count: int = 1) -> None:
-        """Charge bits without storing data (e.g. for a shared hash function)."""
+        """Charge ``count`` items of ``bits`` each to ``category``."""
         self.budget.add(category, bits, count)
 
     def size_bits(self) -> int:
@@ -56,7 +35,7 @@ class RoutingTable:
         return self.budget.breakdown()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RoutingTable(node={self.node}, bits={self.size_bits()}, entries={len(self)})"
+        return f"RoutingTable(node={self.node}, bits={self.size_bits()})"
 
 
 class TableCollection:

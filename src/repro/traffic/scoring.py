@@ -19,8 +19,10 @@ cost:
     Every delivered packet is scored against the **certified upper bound**
     ``cost / d_lb(s, t)`` where ``d_lb`` is the ALT landmark lower bound
     ``max_l |d(l, t) - d(l, s)|`` (floored at the minimum edge weight for
-    distinct nodes) computed from a :class:`LandmarkApproxBackend`'s
-    landmark rows — L Dijkstras once, then O(L) per packet, no exact rows.
+    distinct nodes) computed from the exact distance rows of L
+    farthest-point landmarks (:func:`farthest_point_landmarks`) — L
+    Dijkstras to pick them, one multi-source pass for their rows, then O(L)
+    per packet.
     Since ``d_lb <= d``, every reported stretch is ``>=`` the true stretch:
     the quantiles are certified upper bounds.  A seeded per-batch exact
     sample additionally measures the certificate's slack — the per-packet
@@ -35,12 +37,13 @@ batch regeneration.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.shortest_paths import (DistanceOracle, multi_source_distances,
+                                         single_source_distances)
 from repro.utils.rng import derive_rng
 from repro.utils.validation import require
 
@@ -56,6 +59,33 @@ DEFAULT_SCORING_LANDMARKS = 16
 #: rng stream key for the per-batch scoring sample (distinct from the
 #: traffic models' _INIT_KEY=0/_BATCH_KEY=1 streams)
 _SCORING_KEY = 2
+
+
+def farthest_point_landmarks(graph: WeightedGraph, count: int,
+                             seed: int = 0) -> List[int]:
+    """Up to ``count`` landmarks by the farthest-point (maxmin) rule.
+
+    The first landmark is ``seed % n``; each next one is the node farthest
+    from every landmark so far (lowest index on ties).  Nodes in components
+    that hold no landmark stay at ``inf``, so every component receives a
+    landmark before any receives a second.  Stops early once every node is a
+    landmark.
+    """
+    require(count >= 1, "num_landmarks must be >= 1")
+    count = min(int(count), graph.n)
+    first = int(seed) % graph.n
+    landmarks = [first]
+    closest = single_source_distances(graph, first)
+    closest[first] = 0.0
+    while len(landmarks) < count:
+        candidate = int(np.argmax(closest))
+        if closest[candidate] <= 0:
+            break
+        landmarks.append(candidate)
+        closest = np.minimum(closest,
+                             single_source_distances(graph, candidate))
+        closest[candidate] = 0.0
+    return landmarks
 
 
 class BatchScore(NamedTuple):
@@ -144,13 +174,12 @@ class LandmarkScorer(_ApproxScorer):
                  num_landmarks: int = DEFAULT_SCORING_LANDMARKS) -> None:
         super().__init__(graph, oracle, seed=seed,
                          sample_per_batch=sample_per_batch)
-        from repro.graphs.backends import LandmarkApproxBackend
-
-        backend = LandmarkApproxBackend(graph, num_landmarks=num_landmarks,
-                                        seed=int(seed or 0) & 0x7FFFFFFF)
-        self.landmarks = np.asarray(backend.landmarks, dtype=np.int64)
+        landmarks = farthest_point_landmarks(graph, num_landmarks,
+                                             seed=int(seed or 0) & 0x7FFFFFFF)
+        self.landmarks = np.asarray(landmarks, dtype=np.int64)
         #: (L, n) exact distances landmark -> every node
-        self.rows = np.ascontiguousarray(backend.landmark_rows)
+        self.rows = np.ascontiguousarray(multi_source_distances(graph,
+                                                                landmarks))
         floor = graph.min_weight()
         self.min_weight = float(floor) if np.isfinite(floor) else 1.0
 

@@ -58,22 +58,6 @@ class TreeLabel:
         return idbits + len(self.light_edges) * 2 * idbits
 
 
-class _HeavyChildren:
-    """Read-only ``{node: [heavy children]}`` view, materialized per lookup.
-
-    Keeps the historical ``routing.heavy_children[v]`` access working while
-    the heavy classification itself lives in one boolean slot array.
-    """
-
-    __slots__ = ("_routing",)
-
-    def __init__(self, routing: "CompactTreeRouting") -> None:
-        self._routing = routing
-
-    def __getitem__(self, v: int) -> List[int]:
-        return self._routing._heavy_children_of(v)
-
-
 class CompactTreeRouting:
     """Lemma 5 routing structure for one rooted tree.
 
@@ -113,7 +97,6 @@ class CompactTreeRouting:
                  - np.bincount(tree.dfs_out[light] + 1, minlength=size + 1))
         self._light_count_of_slot = np.cumsum(steps[:size])
 
-        self.heavy_children = _HeavyChildren(self)
         self._labels: Dict[int, TreeLabel] = {}
         self._max_label_bits: Optional[int] = None
         self._max_table_bits: Optional[int] = None
@@ -139,7 +122,7 @@ class CompactTreeRouting:
         kids = self.tree.child_slots(slot)
         return kids[self._heavy_of_slot[kids]]
 
-    def _heavy_children_of(self, v: int) -> List[int]:
+    def heavy_children_of(self, v: int) -> List[int]:
         """Heavy children of ``v`` in ascending id order (lazy per node)."""
         slots = self._heavy_child_slots(self.tree.slot(v))
         return self.tree.node_of_slot[slots].tolist()
@@ -194,7 +177,7 @@ class CompactTreeRouting:
         b.add("own_interval", 2 * idbits)
         if v != self.tree.root:
             b.add("parent_port", portbits)
-        b.add("heavy_children", 2 * idbits + portbits, count=len(self.heavy_children[v]))
+        b.add("heavy_children", 2 * idbits + portbits, count=len(self.heavy_children_of(v)))
         return b
 
     def table_bits(self, v: int) -> int:

@@ -4,9 +4,8 @@ The reference is the all-pairs matrix of :func:`all_pairs_distances` plus a
 stable argsort of every row.  The lazy backend must agree with it to 1e-9 on
 distances, ``ball``, ``nearest`` and tie-breaking order across seeded random
 graphs, with or without a held all-pairs store, and all six routing schemes
-must route identically whatever the oracle's cache size.  The landmark
-backend is approximate: it must never underestimate and must be refused for
-scheme construction.
+must route identically whatever the oracle's cache size.  An oracle takes
+only this store: any other backend name is refused.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ import pytest
 from repro.baselines.thorup_zwick import ThorupZwickRouting
 from repro.construction.context import BuildContext
 from repro.factory import SCHEME_NAMES, build_scheme
-from repro.graphs.backends import (
-    LandmarkApproxBackend,
-    LazyDijkstraBackend,
-    resolve_backend,
-)
+from repro.graphs.backends import LazyDijkstraBackend
 from repro.graphs.generators import (
     erdos_renyi_graph,
     grid_graph,
@@ -226,43 +221,6 @@ class TestLazyBackendCache:
         assert backend.nbytes() < graph.n * graph.n * 8 / 4
 
 
-class TestLandmarkApproxBackend:
-    def test_upper_bound_and_landmark_exactness(self):
-        graph = random_geometric_graph(40, seed=341)
-        matrix, _ = reference(graph)
-        approx = DistanceOracle(graph, backend=LandmarkApproxBackend(graph,
-                                                                     num_landmarks=6))
-        assert not approx.exact
-        for u in range(graph.n):
-            true_row = matrix[u]
-            est_row = approx.row(u)
-            assert est_row[u] == 0.0
-            # upper bound everywhere, finite wherever the true distance is
-            mask = np.isfinite(true_row)
-            assert np.all(est_row[mask] >= true_row[mask] - 1e-9)
-        for landmark in approx.backend.landmarks:
-            np.testing.assert_allclose(approx.row(landmark), matrix[landmark],
-                                       atol=1e-9)
-
-    def test_scheme_construction_refuses_approximate_backend(self):
-        graph = random_geometric_graph(24, seed=342)
-        for scheme_name in ("agm", "thorup-zwick", "cowen"):
-            with pytest.raises(ValueError, match="exact"):
-                build_scheme(scheme_name, graph, k=2, seed=1,
-                             oracle=DistanceOracle(graph, backend="landmark"))
-
-    def test_every_component_receives_a_landmark(self):
-        graph = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 2.0)],
-                              seed=344)
-        backend = LandmarkApproxBackend(graph, num_landmarks=4)
-        comp = graph.component_ids()
-        assert {int(comp[l]) for l in backend.landmarks} == set(comp.tolist())
-        # intra-component estimates are finite on both sides
-        assert np.isfinite(backend.dist(3, 5))
-        assert np.isfinite(backend.dist(0, 2))
-        assert not np.isfinite(backend.dist(0, 3))  # truly disconnected
-
-
 class TestMutationInvalidation:
     """Regression: live backends must not serve stale rows after graph mutation.
 
@@ -307,19 +265,6 @@ class TestMutationInvalidation:
         graph.detach_node(2)
         assert oracle.dist(0, 2) == float("inf")
 
-    def test_landmark_backend_reestimates_after_mutation(self):
-        graph = random_geometric_graph(30, seed=372)
-        oracle = DistanceOracle(graph,
-                                backend=LandmarkApproxBackend(graph, num_landmarks=5))
-        u, v, w = next(graph.edges())
-        graph.set_edge_weight(u, v, w * 5)
-        matrix, _ = reference(graph)
-        for s in range(graph.n):
-            true_row = matrix[s]
-            est_row = oracle.row(s)
-            mask = np.isfinite(true_row)
-            assert np.all(est_row[mask] >= true_row[mask] - 1e-9)
-
     def test_explicit_invalidate_passthrough(self):
         graph = erdos_renyi_graph(16, seed=373)
         backend = LazyDijkstraBackend(graph, cache_rows=8)
@@ -357,11 +302,21 @@ class TestBackendSelection:
         graph = erdos_renyi_graph(24, seed=351)
         assert isinstance(DistanceOracle(graph).backend, LazyDijkstraBackend)
 
-    @pytest.mark.parametrize("name", ["frobnicate", "dense", "auto"])
+    def test_lazy_name_and_instance_for_the_same_graph(self):
+        graph = erdos_renyi_graph(8, seed=354)
+        assert isinstance(DistanceOracle(graph, backend="lazy").backend,
+                          LazyDijkstraBackend)
+        backend = LazyDijkstraBackend(graph, cache_rows=4)
+        assert DistanceOracle(graph, backend=backend).backend is backend
+        with pytest.raises(ValueError, match="different graph"):
+            DistanceOracle(erdos_renyi_graph(8, seed=355), backend=backend)
+
+    @pytest.mark.parametrize("name", ["frobnicate", "dense", "auto",
+                                      "landmark"])
     def test_unknown_name_rejected(self, name):
         graph = erdos_renyi_graph(8, seed=354)
         with pytest.raises(ValueError, match="unknown distance backend"):
-            resolve_backend(graph, name)
+            DistanceOracle(graph, backend=name)
 
 
 class TestVectorizedSampling:
@@ -427,60 +382,6 @@ class TestVectorizedSampling:
                                oracle=DistanceOracle(graph, backend="lazy"))
         with pytest.raises(ValueError, match="at least one sampling batch"):
             sim.sample_pairs(2, seed=0, max_batches=0)
-
-
-class TestLandmarkRowsCertificate:
-    """The landmark scoring mode's inputs: ``landmark_rows`` must be exact
-    distance rows, stay exact across churn (version sync), and yield valid
-    ALT lower bounds — the properties the stretch certificate rests on."""
-
-    def test_rows_are_exact_landmark_distances(self):
-        graph = random_geometric_graph(36, seed=345)
-        backend = LandmarkApproxBackend(graph, num_landmarks=5, seed=3)
-        matrix, _ = reference(graph)
-        rows = backend.landmark_rows
-        assert rows.shape == (len(backend.landmarks), graph.n)
-        for i, landmark in enumerate(backend.landmarks):
-            np.testing.assert_allclose(rows[i], matrix[landmark], atol=1e-9)
-
-    def test_rows_resync_after_churn(self):
-        graph = random_geometric_graph(36, seed=346)
-        backend = LandmarkApproxBackend(graph, num_landmarks=5, seed=3)
-        stale = backend.landmark_rows.copy()
-        u, v, w = next(graph.edges())
-        graph.set_edge_weight(u, v, w * 6)
-        graph.add_edge(u, (v + 1) % graph.n, 0.01)
-        rows = backend.landmark_rows
-        matrix, _ = reference(graph)
-        for i, landmark in enumerate(backend.landmarks):
-            np.testing.assert_allclose(rows[i], matrix[landmark], atol=1e-9)
-        assert not np.allclose(stale, rows)
-
-    def test_alt_lower_bound_below_truth_after_churn(self):
-        graph = random_geometric_graph(36, seed=347)
-        backend = LandmarkApproxBackend(graph, num_landmarks=6, seed=1)
-        u, v, w = next(graph.edges())
-        graph.set_edge_weight(u, v, w * 3)
-        rows = backend.landmark_rows
-        diff = np.abs(rows[:, :, None] - rows[:, None, :])
-        bound = np.where(np.isfinite(diff), diff, 0.0).max(axis=0)
-        true, _ = reference(graph)
-        mask = np.isfinite(true)
-        assert np.all(bound[mask] <= true[mask] + 1e-9)
-
-    def test_estimates_remain_upper_bounds_under_version_sync(self):
-        graph = random_geometric_graph(30, seed=348)
-        oracle = DistanceOracle(
-            graph, backend=LandmarkApproxBackend(graph, num_landmarks=5))
-        oracle.row(0)                       # warm the approximation cache
-        u, v, w = next(graph.edges())
-        graph.remove_edge(u, v)
-        matrix, _ = reference(graph)
-        for s in range(graph.n):
-            true_row = matrix[s]
-            est_row = oracle.row(s)
-            mask = np.isfinite(true_row)
-            assert np.all(est_row[mask] >= true_row[mask] - 1e-9)
 
 
 class TestLazyStatsFastPath:

@@ -70,7 +70,7 @@ class TestStructure:
     def test_heavy_children_bounded_by_b(self, random_tree, k):
         routing = CompactTreeRouting(random_tree, k=k)
         for v in random_tree.nodes:
-            assert len(routing.heavy_children[v]) <= routing.b
+            assert len(routing.heavy_children_of(v)) <= routing.b
 
     def test_light_edges_bounded_by_k(self, random_tree, k):
         routing = CompactTreeRouting(random_tree, k=k)

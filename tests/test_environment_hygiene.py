@@ -22,7 +22,6 @@ MUTATORS = {"pop", "popitem", "update", "setdefault", "clear",
 
 #: every environment variable the library reads
 ENVIRONMENT_SURFACE = {
-    "REPRO_BENCH_FULL",
     "REPRO_MEMORY_BUDGET",
     "REPRO_ROW_SPILL_BYTES",
     "REPRO_SPILL_DIR",

@@ -14,7 +14,6 @@ from repro.experiments.reporting import format_series, format_table, results_to_
 from repro.experiments.workloads import (
     WorkloadSpec,
     aspect_ratio_suite,
-    full_mode,
     make_workload,
     standard_suite,
 )
@@ -44,12 +43,6 @@ class TestWorkloads:
         assert len(suite) == 2
         deltas = [aspect_ratio(g) for _, g in suite]
         assert deltas[1] > deltas[0]
-
-    def test_full_mode_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
-        assert not full_mode()
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        assert full_mode()
 
 
 class TestHarness:

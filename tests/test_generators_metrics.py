@@ -5,13 +5,7 @@ import math
 import pytest
 
 from repro.graphs import generators as gen
-from repro.graphs.metrics import (
-    aspect_ratio,
-    ball_growth_profile,
-    doubling_dimension_estimate,
-    graph_summary,
-    weighted_diameter,
-)
+from repro.graphs.metrics import aspect_ratio, graph_summary
 from repro.graphs.shortest_paths import DistanceOracle
 
 
@@ -112,20 +106,8 @@ class TestWeightModels:
 class TestMetrics:
     def test_aspect_ratio_and_diameter_path(self):
         g = gen.path_graph(5, weights="unit", seed=1)
-        assert weighted_diameter(g) == pytest.approx(4.0)
+        assert DistanceOracle(g).diameter() == pytest.approx(4.0)
         assert aspect_ratio(g) == pytest.approx(4.0)
-
-    def test_ball_growth_profile_monotone(self, small_geometric, geometric_oracle):
-        profile = ball_growth_profile(geometric_oracle, 0)
-        assert profile[0] >= 1
-        assert all(a <= b for a, b in zip(profile, profile[1:]))
-        assert profile[-1] == small_geometric.n
-
-    def test_doubling_dimension_small_for_path(self):
-        g = gen.path_graph(32, weights="unit", seed=1)
-        oracle = DistanceOracle(g)
-        est = doubling_dimension_estimate(oracle, sample=range(0, 32, 4))
-        assert 0 < est <= 2.5
 
     def test_graph_summary_fields(self, small_geometric, geometric_oracle):
         s = graph_summary(small_geometric, geometric_oracle)

@@ -122,7 +122,7 @@ class _UncompiledScheme(RoutingSchemeInstance):
     def route(self, source, destination_name):
         return self._inner.route(source, destination_name)
 
-    def header_bits(self):
+    def compute_header_bits(self):
         return self._inner.header_bits()
 
 

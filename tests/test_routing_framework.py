@@ -4,13 +4,19 @@ import math
 
 import pytest
 
+from repro.dynamics.repair import full_rebuild
+from repro.factory import SCHEME_NAMES, build_scheme
+from repro.graphs.generators import random_geometric_graph
 from repro.graphs.graph import WeightedGraph
-from repro.routing.messages import Header, RouteResult
+from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.routing.simulator import InvalidRouteError, RoutingSimulator
 from repro.routing.table import RoutingTable, TableCollection
 from repro.traffic.engine import run_traffic
 from repro.traffic.models import make_traffic_model
+from repro.trees.compact_labeled import CompactTreeRouting
+from repro.trees.error_reporting import DictionaryTreeRouting
+from repro.trees.name_independent import NameIndependentTreeRouting
 
 
 class TestRouteResult:
@@ -31,24 +37,12 @@ class TestRouteResult:
         r.extend([])
         assert r.path == [1, 2, 3, 4, 7, 8]
 
-    def test_header_size(self):
-        h = Header(destination_name="x", phase=2, strategy="sparse", payload_bits=10)
-        assert h.size_bits(name_bits=64, phase_bits=4) == 64 + 4 + 8 + 10
-
 
 class TestRoutingTable:
-    def test_put_get_and_bits(self):
-        t = RoutingTable(0)
-        t.put("a", 123, bits=10)
-        t.put("b", "x", bits=5, category="labels")
-        assert t.get("a") == 123 and "b" in t and len(t) == 2
-        assert t.size_bits() == 15
-        assert t.breakdown() == {"entries": 10, "labels": 5}
-
     def test_charge_without_data(self):
         t = RoutingTable(1)
         t.charge("hash", 100, count=2)
-        assert t.size_bits() == 200 and len(t) == 0
+        assert t.size_bits() == 200
 
     def test_collection_stats(self):
         c = TableCollection(3)
@@ -75,7 +69,7 @@ class _FixedWalkScheme(RoutingSchemeInstance):
     def route(self, source, destination_name):
         return RouteResult(found=self._found, path=list(self._walk), cost=0.0)
 
-    def header_bits(self):
+    def compute_header_bits(self):
         return 8
 
 
@@ -166,3 +160,33 @@ class TestSimulator:
         assert info["scheme"] == "fixed"
         assert info["n"] == 4
         assert scheme.route_by_index(0, 1).path == [0, 1]
+
+
+class TestHeaderBitsOncePerBuild:
+    """``route()`` reports the worst-case header on every call; the scan of
+    the build's tree structures that computes it runs once per build."""
+
+    @pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+    def test_scalar_routes_rescan_no_structure(self, scheme_name, monkeypatch):
+        graph = random_geometric_graph(40, seed=17)
+        scheme = build_scheme(scheme_name, graph, k=2, seed=3)
+        calls = []
+        for cls in (CompactTreeRouting, NameIndependentTreeRouting,
+                    DictionaryTreeRouting):
+            def counted(self, _original=cls.header_bits):
+                calls.append(1)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "header_bits", counted)
+        first = scheme.header_bits()
+        scanned = len(calls)
+        sim = RoutingSimulator(graph)
+        for u, v in sim.sample_pairs(50, seed=5):
+            assert scheme.route(u, graph.name_of(v)).max_header_bits == first
+        assert len(calls) == scanned
+        assert scanned > 0 or scheme_name == "shortest-path"
+        # a rebuild replaces the instance state, so the next call scans again
+        full_rebuild(scheme)
+        rebuilt = len(calls)
+        assert scheme.header_bits() == first
+        assert len(calls) == rebuilt + scanned

@@ -1,5 +1,6 @@
 """Scoring modes: exact delivery accounting under approximation, certified
-landmark upper bounds, seeded sampling determinism, and error reporting."""
+landmark upper bounds, the landmark selection they rest on, seeded sampling
+determinism, and error reporting."""
 
 from __future__ import annotations
 
@@ -8,14 +9,16 @@ import pytest
 
 from repro.baselines.shortest_path import ShortestPathRouting
 from repro.factory import build_scheme
-from repro.graphs.generators import random_geometric_graph
-from repro.graphs.shortest_paths import DistanceOracle
+from repro.graphs.generators import barabasi_albert_graph, random_geometric_graph
+from repro.graphs.graph import WeightedGraph
+from repro.graphs.shortest_paths import DistanceOracle, all_pairs_distances
 from repro.traffic.engine import run_traffic
 from repro.traffic.models import make_traffic_model
 from repro.traffic.scoring import (
     DEFAULT_SAMPLE_PER_BATCH,
     LandmarkScorer,
     SampledScorer,
+    farthest_point_landmarks,
     make_scorer,
 )
 
@@ -177,6 +180,73 @@ class TestLandmarkMode:
                           scorer)
         assert report.scoring == "landmark"
         assert report.summary()["score_error_count"] == 8 * 16
+
+
+def three_component_graph():
+    """Components {0, 1, 2}, {3, 4} and the isolated node 5."""
+    return WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)], seed=344)
+
+
+class TestLandmarkSelection:
+    """What the landmark mode's certificate rests on: exact landmark rows, a
+    landmark in every component, and ALT bounds that never exceed the truth."""
+
+    def test_rows_are_exact_landmark_distances(self):
+        graph = random_geometric_graph(36, seed=345)
+        scorer = LandmarkScorer(graph, DistanceOracle(graph), seed=3,
+                                num_landmarks=5)
+        matrix = all_pairs_distances(graph)
+        assert scorer.rows.shape == (5, graph.n)
+        np.testing.assert_allclose(scorer.rows, matrix[scorer.landmarks],
+                                   atol=1e-9)
+
+    def test_every_component_receives_a_landmark(self):
+        graph = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0),
+                                  (4, 5, 2.0)], seed=344)
+        scorer = LandmarkScorer(graph, DistanceOracle(graph), num_landmarks=4)
+        comp = graph.component_ids()
+        assert {int(comp[l]) for l in scorer.landmarks} == set(comp.tolist())
+        # intra-component bounds are positive and finite on both sides;
+        # landmarks of other components give inf - inf, which is masked
+        src, dst = np.array([3, 0, 0]), np.array([5, 2, 3])
+        with np.errstate(invalid="ignore"):
+            bound = scorer.lower_bounds(src, dst)
+        assert np.all(np.isfinite(bound)) and np.all(bound[:2] > 0)
+
+    def test_alt_lower_bound_below_truth_after_churn(self):
+        graph = random_geometric_graph(36, seed=347)
+        u, v, w = next(graph.edges())
+        graph.set_edge_weight(u, v, w * 3)
+        scorer = LandmarkScorer(graph, DistanceOracle(graph), seed=1,
+                                num_landmarks=6)
+        src, dst = np.divmod(np.arange(graph.n * graph.n), graph.n)
+        bound = scorer.lower_bounds(src, dst).reshape(graph.n, graph.n)
+        true = all_pairs_distances(graph)
+        mask = np.isfinite(true)
+        assert np.all(bound[mask] <= true[mask] + 1e-9)
+
+    @pytest.mark.parametrize("graph_name,seed,expected", [
+        ("geometric-60", 0,
+         [0, 2, 18, 16, 38, 58, 4, 3, 53, 42, 21, 17, 59, 23, 31, 6]),
+        ("geometric-60", 7,
+         [7, 18, 3, 2, 6, 45, 5, 37, 21, 24, 35, 23, 22, 17, 13, 58]),
+        ("geometric-60", 123456789,
+         [9, 24, 17, 3, 56, 18, 5, 38, 21, 42, 30, 58, 23, 22, 14, 51]),
+        ("barabasi-albert-120", 7,
+         [7, 105, 47, 37, 67, 91, 76, 103, 54, 14, 78, 113, 109, 74, 92, 27]),
+        ("three-components", 0, [0, 3, 5, 2, 1, 4]),
+        ("three-components", 7, [1, 3, 5, 0, 2, 4]),
+        ("three-components", 123456789, [3, 0, 5, 2, 1, 4]),
+    ])
+    def test_landmarks_pinned(self, graph_name, seed, expected):
+        graph = {"geometric-60": lambda: random_geometric_graph(60, seed=41),
+                 "barabasi-albert-120": lambda: barabasi_albert_graph(120,
+                                                                      seed=5),
+                 "three-components": three_component_graph}[graph_name]()
+        scorer = make_scorer("landmark", graph, DistanceOracle(graph),
+                             seed=seed)
+        assert scorer.landmarks.tolist() == expected
+        assert farthest_point_landmarks(graph, 16, seed=seed) == expected
 
 
 class TestExactSummaryUnchanged:
