@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-
-import numpy as np
 from typing import Dict, Hashable, List, Optional
 
 from repro.construction.context import BuildContext

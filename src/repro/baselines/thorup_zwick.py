@@ -26,7 +26,6 @@ which is exactly the model the paper argues is impractical (Section 1).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np

@@ -23,8 +23,7 @@ always covers the destination (DESIGN.md §3 item 5).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 

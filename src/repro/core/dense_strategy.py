@@ -32,8 +32,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.construction.context import BuildContext
 from repro.core.decomposition import NeighborhoodDecomposition
 from repro.core.params import AGMParams

@@ -34,7 +34,7 @@ from repro.graphs.shortest_paths import DistanceOracle
 from repro.routing.messages import RouteResult
 from repro.routing.scheme_api import RoutingSchemeInstance
 from repro.trees.error_reporting import DictionaryFamily, DictionaryTreeRouting
-from repro.utils.bitsize import bits_for_count, bits_for_id
+from repro.utils.bitsize import bits_for_count
 from repro.utils.rng import derive_rng
 from repro.utils.validation import require
 

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import networkx as nx
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle
 from repro.graphs.topologies import hyperbolic_graph, powerlaw_cluster_graph
 from repro.utils.rng import make_rng
 from repro.utils.validation import require

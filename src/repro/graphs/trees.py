@@ -15,8 +15,8 @@ The arrays come in two orders:
   :attr:`Tree.node_ids`); :attr:`~Tree.dfs_in`, :attr:`~Tree.depth` and
   :attr:`~Tree.weight` follow it;
 * **slot order** — ``slot = DFS-in number``, the root at slot 0;
-  :attr:`~Tree.node_of_slot`, :attr:`~Tree.parent_local` and
-  :attr:`~Tree.dfs_out` follow it, and
+  :attr:`~Tree.node_of_slot`, :attr:`~Tree.parent_local`,
+  :attr:`~Tree.dfs_out` and :attr:`~Tree.hop_depth` follow it, and
   :meth:`repro.routing.forwarding.TreeBank.freeze` concatenates them as
   they are.
 
@@ -47,6 +47,7 @@ class _Forest(NamedTuple):
     node_of_slot: np.ndarray
     parent_local: np.ndarray
     dfs_out: np.ndarray
+    hop_depth: np.ndarray
 
 
 def _forest_arrays(roots, tree, node, parent, weight) -> _Forest:
@@ -87,6 +88,7 @@ def _forest_arrays(roots, tree, node, parent, weight) -> _Forest:
     # top-down by hop depth: each level's depths add one edge weight to
     # final parent depths, the same float operation as a scalar DFS
     depth = np.zeros(rows)
+    hops = np.zeros(rows, dtype=np.int32)
     levels = []
     frontier = root_row
     reached = frontier.size
@@ -101,6 +103,7 @@ def _forest_arrays(roots, tree, node, parent, weight) -> _Forest:
         frontier = by_parent[np.repeat(first[parents] - group, count)
                              + np.arange(total)]
         depth[frontier] = np.repeat(depth[parents], count) + weight[frontier]
+        hops[frontier] = len(levels) + 1
         levels.append((parents, count, group, frontier))
         reached += total
     # every non-root row has one parent, so a cycle or a parent outside the
@@ -122,10 +125,14 @@ def _forest_arrays(roots, tree, node, parent, weight) -> _Forest:
     node_of_slot[slot] = node
     dfs_out = np.empty(rows, dtype=np.int64)
     dfs_out[slot] = dfs_in + size - 1
+    # int32: a hop depth is below its tree's size, and every tree's slot
+    # arrays are held twice (here and in the compiled TreeBank)
+    hop_depth = np.empty(rows, dtype=np.int32)
+    hop_depth[slot] = hops
     parent_local = np.full(rows, -1, dtype=np.int64)
     parent_local[slot[kids]] = dfs_in[parent_row[kids]]
     return _Forest(start, node, dfs_in, depth, weight, node_of_slot,
-                   parent_local, dfs_out)
+                   parent_local, dfs_out, hop_depth)
 
 
 def build_forest(roots: Sequence[int], tree: Sequence[int], nodes: Sequence[int],
@@ -159,7 +166,8 @@ class Tree:
     (slot of each node), ``depth`` (weighted distance from the root) and
     ``weight`` (edge to the parent, 0 at the root).  Attributes in slot
     order: ``node_of_slot``, ``parent_local`` (slot of the parent, -1 at the
-    root) and ``dfs_out`` (last slot of the subtree).
+    root), ``dfs_out`` (last slot of the subtree) and ``hop_depth`` (edges
+    from the root, 0 at the root).
     """
 
     def __init__(
@@ -196,6 +204,7 @@ class Tree:
         self.node_of_slot = forest.node_of_slot[lo:hi]
         self.parent_local = forest.parent_local[lo:hi]
         self.dfs_out = forest.dfs_out[lo:hi]
+        self.hop_depth = forest.hop_depth[lo:hi]
         self.nodes: List[int] = self.node_ids.tolist()
 
     # ------------------------------------------------------------------ #

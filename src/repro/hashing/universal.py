@@ -27,7 +27,7 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.bitsize import BitBudget, bits_for_count
+from repro.utils.bitsize import bits_for_count
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 

@@ -123,9 +123,11 @@ class TreeBank:
     Slots are assigned as ``offset(tree) + dfs_in(node)``, so a tree node's
     slot doubles as its interval-routing label.  "Which slot does graph node
     ``v`` occupy in tree ``t``" is one ``searchsorted`` (or one gather from
-    the dense membership matrix) over the whole packet batch; the fused tree
-    kernel walks toward a target slot with ``parent_slot`` gathers and the
-    ``dfs_out`` interval test.
+    the dense membership matrix) over the whole packet batch.  The fused
+    tree kernel climbs toward a target slot with ``parent_slot`` gathers
+    until the ``dfs_out`` interval test holds, and sizes each descent from
+    ``hop_depth`` (edges from the slot's root) before climbing it back from
+    the target.
     """
 
     #: memory budget for the dense ``(tree, node) -> slot`` membership
@@ -163,9 +165,10 @@ class TreeBank:
         """Compile the registered trees into flat arrays (idempotent).
 
         Each tree is a view over slot arrays its forest build already
-        computed (``node_of_slot``, ``dfs_out``, ``parent_local``), so
-        freezing does no per-node Python work; the global assembly below is
-        vectorized offset arithmetic plus one sort of the membership keys.
+        computed (``node_of_slot``, ``dfs_out``, ``parent_local``,
+        ``hop_depth``), so freezing does no per-node Python work; the global
+        assembly below is vectorized offset arithmetic plus one sort of the
+        membership keys.
         """
         if self._frozen:
             return self
@@ -178,6 +181,7 @@ class TreeBank:
 
         node_parts: List[np.ndarray] = []
         dfs_out_parts: List[np.ndarray] = []
+        hop_depth_parts: List[np.ndarray] = []
         parent_parts: List[np.ndarray] = []
         member_key_parts: List[np.ndarray] = []
         member_slot_parts: List[np.ndarray] = []
@@ -185,6 +189,7 @@ class TreeBank:
             off = int(self.offsets[tree_id])
             node_parts.append(tree.node_of_slot)
             dfs_out_parts.append(tree.dfs_out)
+            hop_depth_parts.append(tree.hop_depth)
             parent_parts.append(np.where(tree.parent_local >= 0,
                                          tree.parent_local + off, -1))
             member_key_parts.append(tree_id * self.n + tree.node_ids)
@@ -198,6 +203,7 @@ class TreeBank:
         # the engines index them identically either way
         self.node_of_slot = persist_array(cat(node_parts))
         self.dfs_out = persist_array(cat(dfs_out_parts))       # tree-local
+        self.hop_depth = persist_array(cat(hop_depth_parts))
         self.parent_slot = persist_array(cat(parent_parts))
         require(self.node_of_slot.size == total, "tree slot assembly mismatch")
 

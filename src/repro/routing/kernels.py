@@ -5,8 +5,9 @@ execute (tree walk / table phase / literal replay) and each cohort is driven
 to **leg completion** in one kernel call, instead of advancing every live
 packet one generic step per Python iteration:
 
-* tree cohorts climb with vectorized parent gathers and descend along
-  memoized per-target root paths (members leave the cohort as they arrive,
+* tree cohorts climb with vectorized parent gathers, then write each
+  descent back to front by climbing from the target, its length read off
+  the bank's per-slot hop depth (members leave the cohort as they arrive,
   so later iterations shrink);
 * table cohorts resolve whole multi-hop runs against a per-batch
   :class:`~repro.routing.forwarding.NextHopTable` /
@@ -22,7 +23,7 @@ are identical, node for node, to the scalar ``route()`` reference: hop caps
 (``2m + 1`` per tree leg, ``n + 1`` per table phase), miss/skip semantics
 and the final packet-major chronological hop order are all preserved (each
 packet's legs execute in strictly increasing rounds, so the closing stable
-argsort yields every packet's hops in walk order).
+sort by packet id yields every packet's hops in walk order).
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ import numpy as np
 from repro.routing.messages import RouteResult
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
-
-#: max distinct target root-paths memoized per frozen TreeBank.  Skewed
-#: traffic descends toward a few hundred hot destinations every batch, so
-#: the cache is tiny in steady state; the cap only bounds adversarial
-#: all-unique workloads (~10 MB at typical path depths).
-PATH_CACHE_CAP = 1 << 16
 
 
 # --------------------------------------------------------------------- #
@@ -187,22 +182,19 @@ def _run_tree_cohort(bank, idx, cur, tgt, off, budget, node, record) -> np.ndarr
     Every member is strictly *between* its entry slot and its target (entry
     hits and misses were peeled off during entry resolution).  The unique
     tree path climbs from the entry slot to the LCA with the target and
-    then descends the target's root path.  Ascents run as vectorized parent
-    gathers until each packet's slot interval first contains its target.
-    Descents are served from per-target **root-path caches** (the slot path
-    root→target, memoized on the frozen bank — hot destinations replay
-    theirs every batch): slots strictly increase along a root path, so one
-    ``searchsorted`` over the cache-resident concatenated paths locates
-    every packet's ancestor position at once, and the remaining hops are a
-    flat suffix gather.
-    The bank's arrays are only ever written by ``freeze()`` and repairs
-    recompile the whole program, so a cached path can never go stale.  Hop
-    caps mirror the scalar tree walk: a walk longer than its ``2m + 1``
-    budget raises.
+    then descends to the target.  Ascents run as vectorized parent gathers
+    until each packet's slot interval first contains its target.  A
+    descent from ancestor ``cur`` to ``tgt`` is ``hop_depth[tgt] -
+    hop_depth[cur]`` hops long, so every packet's hops get their place in
+    the log up front; one climb from all targets at once, with ``parent_slot``
+    gathers, then writes them back to front.  Hop caps mirror the scalar
+    tree walk: a walk longer than its ``2m + 1`` budget raises before its
+    descent is recorded.
     """
     if idx.size == 0:
         return idx
     node_of_slot = bank.node_of_slot
+    parent = bank.parent_slot
     done_parts: List[np.ndarray] = [idx[:0]]
     down_parts: List[tuple] = []
     a_idx, a_cur, a_tgt, a_off, a_budget = idx, cur, tgt, off, budget
@@ -219,7 +211,7 @@ def _run_tree_cohort(bank, idx, cur, tgt, off, budget, node, record) -> np.ndarr
             a_off, a_budget = a_off[keep], a_budget[keep]
             if a_idx.size == 0:
                 break
-        parents = bank.parent_slot[a_cur]
+        parents = parent[a_cur]
         if (parents < 0).any():
             raise RuntimeError(
                 "lockstep tree walk stepped above a root: target label is "
@@ -236,52 +228,27 @@ def _run_tree_cohort(bank, idx, cur, tgt, off, budget, node, record) -> np.ndarr
             a_idx, a_tgt, a_off = a_idx[keep], a_tgt[keep], a_off[keep]
             a_budget, parents = a_budget[keep], parents[keep]
         a_cur = parents
-    # descent phase: replay the suffix of each target's cached root path
+    # descent phase: ``cur`` is an ancestor of ``tgt``, so the descent is
+    # the target's climb to ``cur`` reversed; step ``j`` of the climb is
+    # the packet's hop ``counts - j`` and lands at ``ends - 1 - j``
     if down_parts:
         d_idx, d_cur, d_tgt, d_budget = \
             (np.concatenate(p) for p in zip(*down_parts))
-        # memoized per-target root paths, kept on the bank: its slot arrays
-        # never change after freeze(), so a cached path stays valid
-        cache = getattr(bank, "_path_cache", None)
-        if cache is None:
-            cache = bank._path_cache = {}
-        uniq_t, t_inv = np.unique(d_tgt, return_inverse=True)
-        parent = bank.parent_slot
-        paths = []
-        for t in uniq_t.tolist():
-            path = cache.get(t)
-            if path is None:
-                chain = [t]
-                s = int(parent[t])
-                while s >= 0:
-                    chain.append(s)
-                    s = int(parent[s])
-                path = np.asarray(chain[::-1], dtype=np.int64)
-                if len(cache) < PATH_CACHE_CAP:
-                    cache[t] = path
-            paths.append(path)
-        lens = np.fromiter((p.size for p in paths), dtype=np.int64,
-                           count=len(paths))
-        seg_hi = np.cumsum(lens)
-        flat = np.concatenate(paths)
-        # per-path slots strictly increase, so segment-offset keys are
-        # globally sorted and one searchsorted finds every packet's
-        # position on its own target's root path
-        span = np.int64(node_of_slot.size)
-        seg_of = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
-        pos = np.searchsorted(seg_of * span + flat,
-                              t_inv * span + d_cur, side="right")
-        counts = seg_hi[t_inv] - pos
+        hop_depth = bank.hop_depth
+        counts = hop_depth[d_tgt] - hop_depth[d_cur]
         if (counts > d_budget).any():
             raise RuntimeError("lockstep tree walk did not terminate")
-        flat_nodes = node_of_slot[flat]
-        total = int(counts.sum())
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        tails = flat_nodes[np.repeat(pos, counts) + within]
-        heads = np.empty(total, dtype=np.int64)
+        ends = np.cumsum(counts)
+        slots = np.empty(int(ends[-1]), dtype=np.int64)
+        at, climb, left = ends - 1, d_tgt, counts
+        while at.size:
+            slots[at] = climb
+            more = left > 1
+            at, climb, left = at[more] - 1, parent[climb[more]], left[more] - 1
+        tails = node_of_slot[slots]
+        heads = np.empty(tails.size, dtype=np.int64)
         heads[1:] = tails[:-1]
-        heads[starts] = node_of_slot[d_cur]
+        heads[ends - counts] = node_of_slot[d_cur]
         record(np.repeat(d_idx, counts), heads, tails)
         node[d_idx] = node_of_slot[d_tgt]
         done_parts.append(d_idx)
@@ -494,7 +461,10 @@ def run_fused(program, src: np.ndarray, dst: np.ndarray,
         all_idx = np.concatenate(hop_idx_parts)
         all_heads = np.concatenate(hop_head_parts)
         all_tails = np.concatenate(hop_tail_parts)
-        order = np.argsort(all_idx, kind="stable")
+        # packet ids fit the narrowest unsigned type holding ``num - 1``;
+        # numpy radix-sorts 8- and 16-bit keys when the sort is stable
+        order = np.argsort(all_idx.astype(np.min_scalar_type(num - 1)),
+                           kind="stable")
         hop_index = all_idx[order]
         hop_heads = all_heads[order]
         hop_tails = all_tails[order]

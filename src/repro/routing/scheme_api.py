@@ -16,7 +16,7 @@ interface deliberately mirrors the quantities the paper trades off:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Optional
 
 from repro.graphs.graph import WeightedGraph
 from repro.routing.messages import RouteResult

@@ -20,9 +20,8 @@ cost:
     ``cost / d_lb(s, t)`` where ``d_lb`` is the ALT landmark lower bound
     ``max_l |d(l, t) - d(l, s)|`` (floored at the minimum edge weight for
     distinct nodes) computed from the exact distance rows of L
-    farthest-point landmarks (:func:`farthest_point_landmarks`) — L
-    Dijkstras to pick them, one multi-source pass for their rows, then O(L)
-    per packet.
+    farthest-point landmarks (:func:`farthest_point_landmarks`) — the L
+    Dijkstras that pick them are their rows, then O(L) per packet.
     Since ``d_lb <= d``, every reported stretch is ``>=`` the true stretch:
     the quantiles are certified upper bounds.  A seeded per-batch exact
     sample additionally measures the certificate's slack — the per-packet
@@ -37,13 +36,12 @@ batch regeneration.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import (DistanceOracle, multi_source_distances,
-                                         single_source_distances)
+from repro.graphs.shortest_paths import DistanceOracle, single_source_distances
 from repro.utils.rng import derive_rng
 from repro.utils.validation import require
 
@@ -62,30 +60,32 @@ _SCORING_KEY = 2
 
 
 def farthest_point_landmarks(graph: WeightedGraph, count: int,
-                             seed: int = 0) -> List[int]:
+                             seed: int = 0) -> Tuple[List[int], np.ndarray]:
     """Up to ``count`` landmarks by the farthest-point (maxmin) rule.
 
     The first landmark is ``seed % n``; each next one is the node farthest
     from every landmark so far (lowest index on ties).  Nodes in components
     that hold no landmark stay at ``inf``, so every component receives a
     landmark before any receives a second.  Stops early once every node is a
-    landmark.
+    landmark.  Returns the landmarks and their exact distance rows, one
+    ``(L, n)`` array: the single-source Dijkstras that pick them.
     """
     require(count >= 1, "num_landmarks must be >= 1")
     count = min(int(count), graph.n)
     first = int(seed) % graph.n
     landmarks = [first]
-    closest = single_source_distances(graph, first)
-    closest[first] = 0.0
+    rows = [single_source_distances(graph, first)]
+    # a landmark's own row reads 0 at the landmark, so the running minimum
+    # drops it from the candidates; np.minimum never writes a kept row
+    closest = rows[0]
     while len(landmarks) < count:
         candidate = int(np.argmax(closest))
         if closest[candidate] <= 0:
             break
         landmarks.append(candidate)
-        closest = np.minimum(closest,
-                             single_source_distances(graph, candidate))
-        closest[candidate] = 0.0
-    return landmarks
+        rows.append(single_source_distances(graph, candidate))
+        closest = np.minimum(closest, rows[-1])
+    return landmarks, np.stack(rows)
 
 
 class BatchScore(NamedTuple):
@@ -174,12 +174,11 @@ class LandmarkScorer(_ApproxScorer):
                  num_landmarks: int = DEFAULT_SCORING_LANDMARKS) -> None:
         super().__init__(graph, oracle, seed=seed,
                          sample_per_batch=sample_per_batch)
-        landmarks = farthest_point_landmarks(graph, num_landmarks,
-                                             seed=int(seed or 0) & 0x7FFFFFFF)
+        landmarks, rows = farthest_point_landmarks(
+            graph, num_landmarks, seed=int(seed or 0) & 0x7FFFFFFF)
         self.landmarks = np.asarray(landmarks, dtype=np.int64)
         #: (L, n) exact distances landmark -> every node
-        self.rows = np.ascontiguousarray(multi_source_distances(graph,
-                                                                landmarks))
+        self.rows = rows
         floor = graph.min_weight()
         self.min_weight = float(floor) if np.isfinite(floor) else 1.0
 

@@ -9,7 +9,7 @@ can be re-seeded reproducibly without sharing state.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 

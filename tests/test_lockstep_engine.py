@@ -12,7 +12,7 @@ import pytest
 from repro.core.params import AGMParams
 from repro.dynamics.events import ChurnEvent, apply_events
 from repro.factory import SCHEME_NAMES, build_scheme
-from repro.graphs.generators import random_geometric_graph
+from repro.graphs.generators import path_graph, random_geometric_graph
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import DistanceOracle, shortest_path_tree
 from repro.graphs.trees import Tree
@@ -201,6 +201,18 @@ class TestTreeBank:
                 expected = -1 if parent < 0 \
                     else offset + tree.slot(parent)
                 assert bank.parent_slot[slot] == expected
+
+    def test_frozen_hop_depth_counts_edges_from_the_root(self, agm_k2):
+        """On a frozen AGM bank ``hop_depth`` is 0 exactly at the roots (the
+        first slot of every tree) and one more than the parent's elsewhere."""
+        bank = agm_k2.compiled_forwarding().bank
+        parent = bank.parent_slot
+        roots = parent < 0
+        np.testing.assert_array_equal(np.flatnonzero(roots), bank.offsets)
+        np.testing.assert_array_equal(bank.hop_depth == 0, roots)
+        np.testing.assert_array_equal(bank.hop_depth[~roots],
+                                      bank.hop_depth[parent[~roots]] + 1)
+        assert bank.hop_depth.max() > 1
 
     def test_empty_bank(self):
         bank = TreeBank(5).freeze()
@@ -418,6 +430,22 @@ def _path_program(graph):
                              label="path"), tree_id
 
 
+def _chain_program(graph):
+    """A program on a path graph whose one tree is the whole path rooted at
+    node 0 (slot ``v`` holds node ``v``); every packet takes one terminal
+    tree leg to its destination."""
+    tree = Tree(0, {v: v - 1 for v in range(1, graph.n)},
+                {v: 1.0 for v in range(1, graph.n)})
+    bank = TreeBank(graph.n)
+    tree_id = bank.add(tree)
+
+    def planner(source: int, destination: int) -> PacketPlan:
+        return PacketPlan([tree_leg(tree_id, destination, strategy="tree",
+                                    terminal=True)], "gave-up", 0)
+
+    return ForwardingProgram(graph, planner, bank=bank, label="chain")
+
+
 def _assert_plans_equal(a, b):
     """Two :class:`kernels.BatchPlans` are equal leg for leg."""
     for field in ("num", "leg_kind", "leg_a", "leg_b", "leg_phases",
@@ -500,30 +528,76 @@ class TestFusedExecutor:
 
     @pytest.mark.parametrize("scheme_name", [s for s in SCHEME_NAMES
                                              if s != "shortest-path"])
-    def test_descents_identical_cold_warm_and_uncached(
-            self, small_geometric, geometric_oracle, monkeypatch, scheme_name):
-        """Tree descents replay memoized root paths; a cold cache, a warm
-        cache and a cache capped at zero entries give identical walks."""
+    def test_descents_match_scalar_walks(self, small_geometric,
+                                         geometric_oracle, scheme_name):
+        """Tree descents walk the scalar ``route()`` paths, and routing the
+        same batch twice through one program gives identical outcomes: no
+        state carries from one call to the next."""
         kwargs = {"params": AGMParams.experiment()} if scheme_name == "agm" else {}
         scheme = build_scheme(scheme_name, small_geometric, k=2, seed=5,
                               oracle=geometric_oracle, **kwargs)
         program = scheme.compiled_forwarding()
-        bank = program.bank
         src, dst = _all_pairs(small_geometric.n)
-        bank._path_cache = {}
-        cold = run_lockstep(program, src, dst, materialize=False)
-        assert bank._path_cache
-        warm = run_lockstep(program, src, dst, materialize=False)
-        monkeypatch.setattr(kernels, "PATH_CACHE_CAP", 0)
-        bank._path_cache.clear()
-        uncached = run_lockstep(program, src, dst)
-        assert bank._path_cache == {}
-        _assert_outcome_arrays_equal(cold, warm)
-        _assert_outcome_arrays_equal(cold, uncached)
-        for u, v, walked in zip(src.tolist(), dst.tolist(), uncached.results):
+        first = run_lockstep(program, src, dst)
+        again = run_lockstep(program, src, dst, materialize=False)
+        _assert_outcome_arrays_equal(first, again)
+        for u, v, walked in zip(src.tolist(), dst.tolist(), first.results):
             expected = scheme.route(u, small_geometric.name_of(v))
             assert walked.path == expected.path
             assert walked.found == expected.found
+
+    @pytest.mark.parametrize("scheme_name", ["agm", "exponential"])
+    def test_deep_tree_descents_match_scalar(self, monkeypatch, scheme_name):
+        """On a 120-node path every tree is a long chain, so descents run
+        tens of hops in one climb from the target; the walks still equal
+        the scalar engine's node for node."""
+        kwargs = {"params": AGMParams.experiment()} if scheme_name == "agm" else {}
+        graph = path_graph(120, seed=7)
+        oracle = DistanceOracle(graph)
+        sim = RoutingSimulator(graph, oracle=oracle)
+        scheme = build_scheme(scheme_name, graph, k=2, seed=5, oracle=oracle,
+                              **kwargs)
+        pairs = [(u, v) for u in range(0, graph.n, 11) for v in range(graph.n)]
+        longest = []
+        tree_cohort = kernels._run_tree_cohort
+
+        def spy(bank, idx, cur, tgt, off, budget, node, record):
+            # an ascent records one hop per packet and call; a descent
+            # records every hop of a packet's descent in one call
+            def counting(hop_idx, heads, tails):
+                if hop_idx.size:
+                    longest.append(int(np.bincount(hop_idx).max()))
+                record(hop_idx, heads, tails)
+            return tree_cohort(bank, idx, cur, tgt, off, budget, node, counting)
+
+        monkeypatch.setattr(kernels, "_run_tree_cohort", spy)
+        lockstep = sim.route_batch(scheme, pairs, engine="lockstep")
+        monkeypatch.undo()
+        assert max(longest) >= 40
+        scalar = sim.route_batch(scheme, pairs, engine="scalar")
+        _assert_results_match(scalar, lockstep, pairs)
+
+    def test_tree_walk_over_budget_raises(self, tiny_path):
+        """A tree leg longer than its ``2m + 1`` hop cap raises, whether the
+        walk only climbs or only descends."""
+        program = _chain_program(tiny_path)
+        program.bank.sizes = np.ones_like(program.bank.sizes)   # cap: 3 hops
+        # climb only, then descend only: 3 hops fit the cap, 5 do not
+        fits = run_lockstep(program, [3, 0], [0, 3])
+        assert [r.path for r in fits.results] == [[3, 2, 1, 0], [0, 1, 2, 3]]
+        for source, target in ((5, 0), (0, 5)):
+            with pytest.raises(RuntimeError, match="did not terminate"):
+                run_lockstep(program, [source], [target])
+
+    def test_ascent_above_a_root_raises(self, tiny_path):
+        """A climb that passes a root (here: a corrupt parent slot cuts the
+        chain below the target) raises instead of wrapping around."""
+        program = _chain_program(tiny_path)
+        bank = program.bank
+        bank.parent_slot = bank.parent_slot.copy()
+        bank.parent_slot[3] = -1
+        with pytest.raises(RuntimeError, match="stepped above a root"):
+            run_lockstep(program, [5], [1])
 
     def test_tree_leg_skipped_outside_its_tree(self, tiny_path):
         """A packet whose node is outside a tree leg's tree skips the leg;

@@ -11,7 +11,8 @@ from repro.baselines.shortest_path import ShortestPathRouting
 from repro.factory import build_scheme
 from repro.graphs.generators import barabasi_albert_graph, random_geometric_graph
 from repro.graphs.graph import WeightedGraph
-from repro.graphs.shortest_paths import DistanceOracle, all_pairs_distances
+from repro.graphs.shortest_paths import (DistanceOracle, all_pairs_distances,
+                                         multi_source_distances)
 from repro.traffic.engine import run_traffic
 from repro.traffic.models import make_traffic_model
 from repro.traffic.scoring import (
@@ -246,7 +247,12 @@ class TestLandmarkSelection:
         scorer = make_scorer("landmark", graph, DistanceOracle(graph),
                              seed=seed)
         assert scorer.landmarks.tolist() == expected
-        assert farthest_point_landmarks(graph, 16, seed=seed) == expected
+        landmarks, rows = farthest_point_landmarks(graph, 16, seed=seed)
+        assert landmarks == expected
+        # the selection's own Dijkstra rows, bit for bit one multi-source pass
+        np.testing.assert_array_equal(rows,
+                                      multi_source_distances(graph, expected))
+        np.testing.assert_array_equal(scorer.rows, rows)
 
 
 class TestExactSummaryUnchanged:

@@ -72,6 +72,17 @@ def assert_matches_reference(tree: Tree, root: int, parent: Dict[int, int],
     # bit-equal, not approximately equal
     assert tree.depth.tolist() == [depth[v] for v in tree.nodes]
     assert [node_of_slot[s] for s in tree.dfs_in.tolist()] == tree.nodes
+    assert_hop_depth_counts_edges(tree)
+
+
+def assert_hop_depth_counts_edges(tree: Tree) -> None:
+    """``hop_depth`` is 0 exactly at the root and the parent's plus one at
+    every other slot."""
+    up = tree.parent_local
+    linked = up >= 0
+    assert tree.hop_depth.dtype == np.int32
+    assert (tree.hop_depth == 0).tolist() == (~linked).tolist()
+    assert (tree.hop_depth[linked] == tree.hop_depth[up[linked]] + 1).all()
 
 
 def random_tree_dicts(rng: random.Random, size: int
@@ -120,6 +131,7 @@ class TestBuildForest:
         tree = Tree(0, parent, weight)
         assert_matches_reference(tree, 0, parent, weight)
         assert tree.dfs_out[0] == size - 1
+        assert tree.hop_depth.tolist() == list(range(size))
 
     def test_star(self):
         parent = {v: 50 for v in range(100) if v != 50}
@@ -159,6 +171,16 @@ class TestBuildForest:
             parent = {v: int(pred[v]) for v in kept if v != job.root}
             weight = {v: graph.edge_weight(p, v) for v, p in parent.items()}
             assert_matches_reference(tree, job.root, parent, weight)
+
+    def test_hop_depth_on_every_tree_of_a_forest(self):
+        """Each view's ``hop_depth`` counts edges from its own root, in a
+        forest whose trees sit at different row offsets."""
+        rng = random.Random(13)
+        trees = forest_of([random_tree_dicts(rng, size)
+                           for size in (1, 60, 3, 200, 2)])
+        for tree in trees:
+            assert_hop_depth_counts_edges(tree)
+        assert trees[3].hop_depth.max() > 1
 
     def test_views_share_the_chunk_arrays(self):
         rng = random.Random(2)
